@@ -27,6 +27,7 @@ from .ring import (
     LocusReport,
     MembershipCertificate,
     NoChainError,
+    NotCoprimeError,
     PartitionWitness,
     SmearedRingConfig,
     ValidationReport,
@@ -62,6 +63,7 @@ __all__ = [
     "LocusReport",
     "MembershipCertificate",
     "NoChainError",
+    "NotCoprimeError",
     "ParseError",
     "PartitionWitness",
     "PolyRing",

@@ -42,16 +42,35 @@ class DivisionResult:
     remainder: Polynomial
 
 
+class _Reversed:
+    """Heap entry for a key without a `descending` companion."""
+
+    __slots__ = ("k",)
+
+    def __init__(self, k):
+        self.k = k
+
+    def __lt__(self, other):
+        return other.k < self.k
+
+
 def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionResult:
     """Multivariate division of f by an ordered list of divisors.
 
     Ties go to the first divisor whose leading monomial divides the current
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
+
+    The working terms sit in a min-heap on the order's descending key, and a
+    monomial is pushed only when it enters the working set.  A popped
+    monomial that has already left the set is skipped (lazy deletion); this
+    is sound because every term a step adds is smaller than the term it
+    pops, so a popped monomial never comes back.
     """
     ring = f.ring
     if key is None:
         key = monomial_key(ring.order)
+    descending = getattr(key, "descending", None) or (lambda m: _Reversed(key(m)))
     divisors = list(divisors)
     leads = []
     for d in divisors:
@@ -62,20 +81,29 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     quotients = [dict() for _ in divisors]
     remainder: dict = {}
     work = dict(f.terms)
-    while work:
-        m = max(work, key=key)
-        c = work[m]
+    heap = [(descending(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
         for idx, lt in enumerate(leads):
             if lt is not None and mono_divides(lt[0], m):
                 qm = mono_div(m, lt[0])
                 qc = c / lt[1]
                 for dm, dc in divisors[idx].terms.items():
                     t = tuple(a + b for a, b in zip(dm, qm))
-                    s = work.get(t, 0) - qc * dc
-                    if s:
-                        work[t] = s
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -qc * dc
+                        heapq.heappush(heap, (descending(t), t))
                     else:
-                        work.pop(t, None)
+                        s = old - qc * dc
+                        if s:
+                            work[t] = s
+                        else:
+                            del work[t]
                 q = quotients[idx]
                 s = q.get(qm, 0) + qc
                 if s:

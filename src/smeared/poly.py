@@ -2,7 +2,9 @@
 
 Monomials are dense exponent tuples (one entry per ring variable) and
 coefficients are `fractions.Fraction`, so every operation is exact.  Values
-are immutable after construction and safe to share across threads.
+are immutable after construction and safe to share across threads: the hash
+and the leading-term memo are the only fields filled lazily, and filling
+either is idempotent, so a race between threads at worst recomputes one.
 
 Text grammar accepted by `parse_poly` (whitespace insignificant, implicit
 multiplication rejected)::
@@ -19,11 +21,12 @@ round-trips.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 Rational = Fraction
 Monomial = tuple  # dense exponent vector, one entry per ring variable
@@ -81,8 +84,20 @@ def _grevlex_key(m: Monomial):
     return (sum(m), tuple(-e for e in reversed(m)))
 
 
+def _grevlex_descending(m: Monomial):
+    return (-sum(m),) + m[::-1]
+
+
 def _lex_key(m: Monomial):
     return m
+
+
+def _lex_descending(m: Monomial):
+    return tuple(-e for e in m)
+
+
+_grevlex_key.descending = _grevlex_descending
+_lex_key.descending = _lex_descending
 
 
 @dataclass(frozen=True)
@@ -98,8 +113,14 @@ class EliminationOrder:
     nvars: int
 
 
+@functools.lru_cache(maxsize=256)
 def monomial_key(order):
-    """Sort key realizing `order` (ascending)."""
+    """Sort key realizing `order` (ascending); one cached function per order.
+
+    Each key carries a companion `key.descending`: a flat int tuple whose
+    ascending order is the descending monomial order, which is what a
+    min-heap needs to pop the largest monomial first.
+    """
     if order == GREVLEX:
         return _grevlex_key
     if order == LEX:
@@ -114,6 +135,12 @@ def monomial_key(order):
                 _grevlex_key(tuple(m[i] for i in rest)),
             )
 
+        def descending(m: Monomial):
+            a = tuple(m[i] for i in elim)
+            b = tuple(m[i] for i in rest)
+            return (-sum(a),) + a[::-1] + (-sum(b),) + b[::-1]
+
+        key.descending = descending
         return key
     raise ValueError(f"unknown monomial order: {order!r}")
 
@@ -201,10 +228,12 @@ class Polynomial:
     """Immutable multivariate polynomial: a map from monomials to coefficients.
 
     The zero polynomial has an empty term map; stored coefficients are never
-    zero.
+    zero.  `_hash` and `_lead` (the last leading term, tagged with its key
+    function) are the only fields filled lazily; both are idempotent, so
+    sharing values across threads stays safe.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean = {}
@@ -220,6 +249,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
 
     @classmethod
     def _make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -228,6 +258,7 @@ class Polynomial:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_lead", None)
         return self
 
     def __setattr__(self, name, value):
@@ -265,13 +296,22 @@ class Polynomial:
         return frozenset(used)
 
     def leading_term(self, key=None) -> tuple:
-        """(monomial, coefficient) maximal under the ring order (or `key`)."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
+        """(monomial, coefficient) maximal under the ring order (or `key`).
+
+        Memoised for the last key asked, which is compared by identity: the
+        keys from `monomial_key` are cached, so repeated calls hit the memo.
+        """
         if key is None:
             key = monomial_key(self.ring.order)
+        memo = self._lead
+        if memo is not None and memo[0] is key:
+            return memo[1]
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
         m = max(self.terms, key=key)
-        return m, self.terms[m]
+        lt = (m, self.terms[m])
+        object.__setattr__(self, "_lead", (key, lt))
+        return lt
 
     def leading_monomial(self, key=None) -> Monomial:
         return self.leading_term(key)[0]
@@ -452,13 +492,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self} in {self.ring!r}>"
-
-
-def poly_sum(polys: Iterable[Polynomial], ring: PolyRing) -> Polynomial:
-    total = ring.zero()
-    for p in polys:
-        total = total + p
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,17 @@ class ChainSelectionError(RuntimeError):
     """Bounded search found no direction with zero elimination ideal."""
 
 
+class NotCoprimeError(ValueError):
+    """Two configured ideals are not coprime; `pair` names them."""
+
+    def __init__(self, i: int, j: int):
+        super().__init__(
+            f"ideals {i} and {j} are not coprime (their zero sets meet), so no "
+            f"partition of unity separates ideal {i} from the rest"
+        )
+        self.pair = (i, j)
+
+
 @dataclass(frozen=True)
 class SmearedRingConfig:
     """R = intersection of (QQ + I_i) inside ring; immutable once built.
@@ -219,7 +230,10 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
         if ideal.is_zero():
             violations.append(Violation("zero", (i,), f"ideal {i} is the zero ideal"))
             continue
-        if ideal.quotient_vdim() == 1:
+        # residue dimension 1 exactly when the reduced basis leads are the
+        # nvars variables themselves: the staircase is then just {1}
+        leads = ideal.groebner().leading_monomials()
+        if len(leads) == config.ring.nvars and all(sum(m) == 1 for m in leads):
             violations.append(
                 Violation(
                     "maximal",
@@ -314,7 +328,15 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
     ideal_i = config.ideals[i]
     others = _intersect_others(config, i)
     combined = ideal_i + others
-    cof = combined.unit_certificate()
+    try:
+        cof = combined.unit_certificate()
+    except ValueError:
+        # ideal_i is coprime to the intersection iff it is coprime to each
+        # ideal in it, so some pair with i is at fault
+        for j, ideal in enumerate(config.ideals):
+            if j != i and not ideal_i.is_coprime(ideal):
+                raise NotCoprimeError(i, j) from None
+        raise
     k = len(ideal_i.generators)
     ring = config.ring
     a = ring.zero()

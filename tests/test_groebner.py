@@ -8,7 +8,14 @@ import pytest
 import smeared.groebner as groebner
 from smeared import PolyRing, Polynomial, RingMismatchError, groebner_basis
 from smeared.groebner import divide, normal_form
-from smeared.poly import mono_div, mono_divides, mono_lcm, monomial_key, monomials_up_to_degree
+from smeared.poly import (
+    EliminationOrder,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    monomial_key,
+    monomials_up_to_degree,
+)
 
 
 def rand_poly(rng, ring, deg=3, nterms=4):
@@ -64,6 +71,18 @@ def test_divide_takes_first_matching_divisor(R2):
     assert list(res.quotients) == [y, R2.zero()]
     res = divide(x * y, [y, x])
     assert list(res.quotients) == [x, R2.zero()]
+
+
+@pytest.mark.parametrize("companion", [True, False], ids=["descending", "plain_key"])
+def test_divide_under_elimination_order(companion):
+    # x dominates: the lead of x - y^2 is x, not y^2 as under grevlex
+    R3 = PolyRing(("x", "y", "z"))
+    elim = monomial_key(EliminationOrder((0,), 3))
+    key = elim if companion else (lambda m: elim(m))  # no `descending` companion
+    f = R3.parse("x^2 + x*z + y")
+    res = divide(f, [R3.parse("x - y^2"), R3.parse("y*z - 1")], key)
+    assert res.quotients == (R3.parse("x + y^2 + z"), R3.parse("y"))
+    assert res.remainder == R3.parse("y^4 + 2*y")
 
 
 def test_divide_degree_compatible_under_grevlex(R2):

@@ -8,6 +8,8 @@ import pytest
 from smeared import ParseError, PolyRing, Polynomial, RingMismatchError
 from smeared.poly import (
     EliminationOrder,
+    GREVLEX,
+    LEX,
     compare_monomials,
     mono_divides,
     mono_lcm,
@@ -112,6 +114,36 @@ def test_elimination_order_blocks():
     assert key((2, 0)) > key((1, 3))
     with pytest.raises(ValueError):
         monomial_key("mystery")
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, EliminationOrder((0,), 3)], ids=str)
+def test_descending_key_reverses_monomial_key(order):
+    key = monomial_key(order)
+    monos = monomials_up_to_degree(3, 4)
+    assert sorted(monos, key=key.descending) == sorted(monos, key=key, reverse=True)
+
+
+def test_monomial_key_cached_per_order():
+    assert monomial_key(EliminationOrder((0,), 3)) is monomial_key(EliminationOrder((0,), 3))
+    assert monomial_key(EliminationOrder((0,), 3)) is not monomial_key(EliminationOrder((1,), 3))
+    assert monomial_key(GREVLEX) is monomial_key("grevlex")
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+def test_leading_term_memo_is_per_order(reverse):
+    ring = PolyRing(("x", "y", "z"))
+    f = ring.parse("x + 2*y^2 + 3*z^3")
+    expected = [
+        (GREVLEX, ((0, 0, 3), 3)),
+        (LEX, ((1, 0, 0), 1)),
+        (EliminationOrder((1,), 3), ((0, 2, 0), 2)),
+    ]
+    if reverse:
+        expected.reverse()
+    for _ in range(2):
+        for order, lt in expected:
+            assert f.leading_term(monomial_key(order)) == lt
+        assert f.leading_term() == ((0, 0, 3), 3)
 
 
 def test_mono_helpers():

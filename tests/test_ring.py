@@ -42,6 +42,19 @@ def test_validate_maximal(R2):
     assert [v.kind for v in report.violations] == ["maximal"]
 
 
+@pytest.mark.parametrize(
+    "gens, maximal", [(("x - 1", "y + 2"), True), (("x^2", "y"), False), (("x^2 + 1", "y"), False)]
+)
+def test_validate_maximal_from_leads(R2, monkeypatch, gens, maximal):
+    def no_staircase_walk(self):
+        raise AssertionError("validate walked the staircase")
+
+    monkeypatch.setattr(Ideal, "quotient_vdim", no_staircase_walk)
+    config = SmearedRingConfig(R2, (Ideal(R2, tuple(R2.parse(g) for g in gens)),))
+    kinds = [v.kind for v in sm.validate(config).violations]
+    assert kinds == (["maximal"] if maximal else [])
+
+
 def test_validate_unit_and_zero(R2):
     x = R2.var("x")
     config = SmearedRingConfig(R2, (Ideal(R2, (x, x - 1)), Ideal(R2, ())))
@@ -148,6 +161,18 @@ def test_partition_needs_two_ideals(R2):
     config = SmearedRingConfig(R2, (Ideal(R2, (R2.var("x"),)),))
     with pytest.raises(ValueError):
         sm.partition_of_unity(0, config)
+
+
+def test_partition_names_non_coprime_pair(R2):
+    x = R2.var("x")
+    config = SmearedRingConfig(
+        R2, (Ideal(R2, (x,)), Ideal(R2, (x * (x - 1),)), Ideal(R2, (x - 2,)))
+    )
+    with pytest.raises(sm.NotCoprimeError) as info:
+        sm.partition_of_unity(0, config)
+    assert info.value.pair == (0, 1)
+    assert isinstance(info.value, ValueError)
+    assert "ideals 0 and 1 are not coprime" in str(info.value)
 
 
 def test_verdicts_three_lines(three_lines):
