@@ -389,6 +389,12 @@ class Polynomial:
         """Multiply by the single term coeff * x^mono."""
         if not coeff:
             return self.ring.zero()
+        if coeff == 1:
+            # a pure shift: skip a Fraction product per term
+            return Polynomial._make(
+                self.ring,
+                {tuple(x + y for x, y in zip(m, mono)): c for m, c in self.terms.items()},
+            )
         return Polynomial._make(
             self.ring,
             {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in self.terms.items()},

@@ -489,11 +489,10 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     if g is None:
         raise ValueError("chain needs a nonzero generator")
 
-    evidence = []
-    power = config.ring.one()
-    for _ in range(length + 1):
-        evidence.append(ideal.normal_form(power))
-        power = power * h
+    # NF(h^(j+1)) = NF(h * NF(h^j)): the two differ by h times a member of I_i
+    evidence = [ideal.normal_form(config.ring.one())]
+    for _ in range(length):
+        evidence.append(ideal.normal_form(h * evidence[-1]))
     monos = sorted({m for nf in evidence for m in nf.terms}, key=monomial_key(GREVLEX))
     tracker = IncrementalRank()
     for nf in evidence:
@@ -516,6 +515,12 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     at most d, f is in R iff for each ideal the nonconstant part of the
     normal form of f vanishes.  The kernel of that constraint matrix, read
     along monomials in descending grevlex order, is the basis.
+
+    The normal forms are built by ascending degree from
+    NF(x_k * m) = NF(x_k * NF(m)), which holds because x_k * m and
+    x_k * NF(m) differ by a member of the ideal and a normal form modulo a
+    Groebner basis is unique; each division then starts from a reduced
+    polynomial instead of a bare monomial.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
@@ -523,8 +528,20 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     key = monomial_key(GREVLEX)
     unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=key, reverse=True)
     rows = []
+    units = [tuple(int(j == k) for j in range(ring.nvars)) for k in range(ring.nvars)]
     for ideal in config.ideals:
-        nfs = [ideal.normal_form(ring.monomial(m)) for m in unknowns]
+        nf_of = {}
+        # ascending grevlex ascends in degree, so m / x_k is done before m;
+        # peeling off the last variable measured fewer division steps than
+        # the first on the benchmark's curves
+        for m in reversed(unknowns):
+            k = max((j for j, e in enumerate(m) if e), default=None)
+            if k is None:
+                nf_of[m] = ideal.normal_form(ring.one())
+            else:
+                parent = m[:k] + (m[k] - 1,) + m[k + 1 :]
+                nf_of[m] = ideal.normal_form(nf_of[parent].mul_term(units[k], 1))
+        nfs = [nf_of[m] for m in unknowns]
         constraint_monomials = sorted(
             {m for nf in nfs for m in nf.terms if sum(m) > 0}, key=key
         )

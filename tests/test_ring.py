@@ -8,6 +8,7 @@ import pytest
 
 import smeared as sm
 from smeared import Ideal, PolyRing, RingMismatchError, SmearedRingConfig
+from smeared.oracle import oracle_r_slice_dim
 
 
 def test_config_rejects_bad_shapes(R2):
@@ -264,6 +265,48 @@ def test_r_basis_members_and_monotone(three_lines):
         prev = len(basis)
         for p in basis:
             assert sm.member(p, three_lines).member
+
+
+def lines_config():
+    ring = PolyRing(("x", "y"))
+    x = ring.var("x")
+    return SmearedRingConfig(ring, tuple(Ideal(ring, (x - c,)) for c in range(3)))
+
+
+def curves_config():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = (ring.var(v) for v in "xyz")
+    return SmearedRingConfig(
+        ring, (Ideal(ring, (x, y)), Ideal(ring, (y - x**2 - 1, z - x**3)))
+    )
+
+
+# the oracle's truncated ideal slices only grow with the multiplier bound, so
+# its dimension is a lower bound on the true one; on the curves the default
+# bound (d + 7) would cost half a minute, and d + 3 (the largest generator
+# degree) already lets every multiplier reach degree d
+@pytest.mark.parametrize(
+    "make,multiplier_slack", [(lines_config, None), (curves_config, 3)], ids=["lines", "curves"]
+)
+def test_incremental_r_basis_matches_oracle(make, multiplier_slack):
+    config = make()
+    gens = [ideal.generators for ideal in config.ideals]
+    for d in range(7):
+        bound = None if multiplier_slack is None else d + multiplier_slack
+        basis = sm.r_basis(d, config)
+        assert len(basis) == oracle_r_slice_dim(gens, config.ring, d, bound)
+        for p in basis:
+            assert sm.member(p, config).member
+
+
+@pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
+def test_incremental_chain_evidence(make):
+    config = make()
+    for i, ideal in enumerate(config.ideals):
+        w = sm.chain_witness(i, 6, config)
+        assert len(w.evidence) == 7
+        for j, nf in enumerate(w.evidence):
+            assert nf == ideal.normal_form(w.h**j)
 
 
 def test_corollary_configs(R2):
