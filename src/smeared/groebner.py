@@ -16,6 +16,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 from .poly import (
@@ -61,6 +63,20 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
 
+    The arithmetic is over the integers.  The rational working polynomial is
+    kept as `work / sigma`, `work` an {monomial: int} map and `sigma` a
+    positive int, and each divisor as `s * d` with `d` its primitive integer
+    form (`Polynomial.integer_form`).  To remove the term c * x^m of `work`
+    with a lead lc * x^l of `d`, let g = gcd(c, lc), a = lc / g (made
+    positive with b) and b = c / g: then `work <- a * work - b * x^(m-l) * d`
+    and `sigma <- a * sigma` leave the rational value reduced exactly as
+    the rational step would, the quotient gains b / (sigma * s) and a
+    remainder term is c / sigma.  Common factors of sigma and `work` are
+    divided out after a step that grows sigma.  A rational coefficient is
+    zero exactly when its integer one is, so the working support, and with
+    it every divisor choice, is the one rational division would see; the
+    returned quotients and remainder are therefore the same rationals.
+
     The working terms sit in a min-heap on the order's descending key, and a
     monomial is pushed only when it enters the working set.  A popped
     monomial that has already left the set is skipped (lazy deletion); this
@@ -72,15 +88,22 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
         key = monomial_key(ring.order)
     descending = getattr(key, "descending", None) or (lambda m: _Reversed(key(m)))
     divisors = list(divisors)
-    leads = []
+    leads = []  # per divisor: None, or (lead, integer lead coefficient, integer terms, scale)
     for d in divisors:
         if d.ring != ring:
             raise RingMismatchError("divisor from a different ring")
-        leads.append(None if d.is_zero() else d.leading_term(key))
+        if d.is_zero():
+            leads.append(None)
+            continue
+        lm = d.leading_monomial(key)
+        ints, scale = d.integer_form()
+        leads.append((lm, ints[lm], ints.items(), scale.numerator, scale.denominator))
 
     quotients = [dict() for _ in divisors]
     remainder: dict = {}
-    work = dict(f.terms)
+    ints, scale = f.integer_form()
+    work = {m: scale.numerator * c for m, c in ints.items()}
+    sigma = scale.denominator
     heap = [(descending(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
@@ -88,31 +111,45 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
         c = work.get(m)
         if c is None:
             continue
-        for idx, lt in enumerate(leads):
-            if lt is not None and mono_divides(lt[0], m):
-                qm = mono_div(m, lt[0])
-                qc = c / lt[1]
-                for dm, dc in divisors[idx].terms.items():
-                    t = tuple(a + b for a, b in zip(dm, qm))
+        for idx, lead in enumerate(leads):
+            if lead is not None and mono_divides(lead[0], m):
+                lm, lc, dterms, s_num, s_den = lead
+                qm = mono_div(m, lm)
+                g = gcd(c, lc)
+                a, b = lc // g, c // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    sigma *= a
+                    for t in work:
+                        work[t] *= a
+                for dm, dc in dterms:
+                    t = tuple(map(add, dm, qm))
                     old = work.get(t)
                     if old is None:
-                        work[t] = -qc * dc
+                        work[t] = -b * dc
                         heapq.heappush(heap, (descending(t), t))
                     else:
-                        s = old - qc * dc
-                        if s:
-                            work[t] = s
+                        v = old - b * dc
+                        if v:
+                            work[t] = v
                         else:
                             del work[t]
                 q = quotients[idx]
-                s = q.get(qm, 0) + qc
-                if s:
-                    q[qm] = s
+                v = q.get(qm, 0) + Fraction(b * s_den, sigma * s_num)
+                if v:
+                    q[qm] = v
                 else:
                     del q[qm]
+                if a != 1:
+                    g = gcd(sigma, *work.values())
+                    if g != 1:
+                        sigma //= g
+                        for t in work:
+                            work[t] //= g
                 break
         else:
-            remainder[m] = c
+            remainder[m] = Fraction(c, sigma)
             del work[m]
 
     result = DivisionResult(
@@ -212,6 +249,13 @@ def groebner_basis(
     criteria prune useless reductions.  Intermediate elements are kept
     primitive with integer coefficients, the final basis is monic and
     interreduced.
+
+    The loop stops at the first S-pair remainder that is a nonzero constant:
+    the ideal is then the unit ideal.  Running on would change nothing, since
+    every later S-polynomial reduces to 0 by that constant and
+    `_reduce_basis` keeps only it (it is the one element of degree 0).  So
+    the stop returns the same basis [1] and, when tracking, the same
+    transform row: the constant's own.
     """
     gens = list(generators)
     if ring is None:
@@ -297,6 +341,8 @@ def groebner_basis(
                         row[t] = row[t] - q * coeffs[k][t]
             coeffs.append([p.scale(1 / c) for p in row])
         polys.append(prim)
+        if prim.is_constant():
+            break
         push_pairs(len(polys) - 1)
 
     basis, rows = _reduce_basis(polys, coeffs if track else None, ring, key)

@@ -2,9 +2,10 @@
 
 Monomials are dense exponent tuples (one entry per ring variable) and
 coefficients are `fractions.Fraction`, so every operation is exact.  Values
-are immutable after construction and safe to share across threads: the hash
-and the leading-term memo are the only fields filled lazily, and filling
-either is idempotent, so a race between threads at worst recomputes one.
+are immutable after construction and safe to share across threads: the hash,
+the leading-term memo and the integer form (`integer_form`, what division
+reduces with) are the only fields filled lazily.  Filling any of them is
+idempotent, so a race between threads at worst recomputes one.
 
 Text grammar accepted by `parse_poly` (whitespace insignificant, implicit
 multiplication rejected)::
@@ -23,9 +24,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
 Rational = Fraction
@@ -53,21 +56,21 @@ class ParseError(ValueError):
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
     """True if a | b componentwise."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def mono_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_coprime(a: Monomial, b: Monomial) -> bool:
@@ -228,12 +231,14 @@ class Polynomial:
     """Immutable multivariate polynomial: a map from monomials to coefficients.
 
     The zero polynomial has an empty term map; stored coefficients are never
-    zero.  `_hash` and `_lead` (the last leading term, tagged with its key
-    function) are the only fields filled lazily; both are idempotent, so
-    sharing values across threads stays safe.
+    zero and always `Fraction`s.  Three fields are filled lazily: `_hash`,
+    `_lead` (the last leading term, tagged with its key function) and `_int`
+    (the primitive integer form with its scale, see `integer_form`).  Each
+    is a pure function of the terms, so filling it is idempotent and sharing
+    values across threads stays safe.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead")
+    __slots__ = ("ring", "terms", "_hash", "_lead", "_int")
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean = {}
@@ -250,6 +255,7 @@ class Polynomial:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_int", None)
 
     @classmethod
     def _make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
@@ -259,6 +265,7 @@ class Polynomial:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_lead", None)
+        object.__setattr__(self, "_int", None)
         return self
 
     def __setattr__(self, name, value):
@@ -428,24 +435,39 @@ class Polynomial:
             total += v
         return total
 
+    def integer_form(self) -> tuple:
+        """(ints, c): self == c * ints, ints a {monomial: int} map of content 1.
+
+        c is the positive content; the zero polynomial gives ({}, 1).  Memoised:
+        the map is shared, so callers must not mutate it.
+        """
+        memo = self._int
+        if memo is None:
+            if not self.terms:
+                memo = ({}, Fraction(1))
+            else:
+                den = lcm(*(c.denominator for c in self.terms.values()))
+                num = gcd(*(c.numerator for c in self.terms.values()))
+                ints = {
+                    m: c.numerator * (den // c.denominator) // num
+                    for m, c in self.terms.items()
+                }
+                memo = (ints, Fraction(num, den))
+            object.__setattr__(self, "_int", memo)
+        return memo
+
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient, content 1."""
-        if not self.terms:
-            return Fraction(1)
-        from math import gcd, lcm
-
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        num = gcd(*(c.numerator for c in self.terms.values()))
-        return Fraction(abs(num), den)
+        return self.integer_form()[1]
 
     def primitive_part(self) -> tuple:
         """(primitive polynomial g, scalar c) with self = c * g."""
         if not self.terms:
             return self, Fraction(1)
-        c = self.content()
-        if self.leading_coefficient() < 0:
-            c = -c
-        return self.scale(1 / c), c
+        ints, c = self.integer_form()
+        sign = -1 if self.leading_coefficient() < 0 else 1
+        prim = {m: Fraction(sign * v) for m, v in ints.items()}
+        return Polynomial._make(self.ring, prim), sign * c
 
     def monic(self, key=None) -> "Polynomial":
         if not self.terms:

@@ -1,0 +1,59 @@
+"""Golden result documents: `run` and `verify` output must not change.
+
+Each problem file `tests/data/<name>.json` has its `run` document in
+`<name>.run.jsonl` (every `elapsed_us` set to 0) and its `verify` output in
+`<name>.verify.jsonl`.  Engine changes must keep both byte for byte, with
+division re-checking switched on and off.
+
+The problems are the README example, Katsura-3 with a linear companion
+(member cofactors over a non-monic tracked basis, partitions through a unit
+ideal found late in Buchberger) and the four curves in QQ[x,y,z] (every
+partition, chains, `basis 0..4`, members and non-members, one query error).
+
+To regenerate after a deliberate format change, run
+`PYTHONPATH=src python tests/test_documents.py` and say so in CHANGES.md.
+"""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+import smeared.groebner as groebner
+from smeared.cli import main
+
+DATA = Path(__file__).parent / "data"
+PROBLEMS = ("readme", "katsura3", "curves")
+_ELAPSED = re.compile(r'"elapsed_us":\d+')
+
+
+def _documents(name: str, out: Path) -> tuple:
+    """(run document with elapsed_us zeroed, verify output) for one problem."""
+    problem = str(DATA / f"{name}.json")
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["run", problem, "--out", str(out)])
+    run_text = _ELAPSED.sub('"elapsed_us":0', out.read_text())
+    captured = io.StringIO()
+    with contextlib.redirect_stdout(captured):
+        main(["verify", str(out), problem])
+    return run_text, captured.getvalue()
+
+
+@pytest.mark.parametrize("verify_division", [True, False], ids=["checked", "unchecked"])
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_documents_match_golden(name, verify_division, tmp_path, monkeypatch):
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", verify_division)
+    run_text, verify_text = _documents(name, tmp_path / "out.jsonl")
+    assert run_text == (DATA / f"{name}.run.jsonl").read_text()
+    assert verify_text == (DATA / f"{name}.verify.jsonl").read_text()
+
+
+if __name__ == "__main__":
+    scratch = DATA / "_regen.jsonl"
+    for name in PROBLEMS:
+        run_text, verify_text = _documents(name, scratch)
+        (DATA / f"{name}.run.jsonl").write_text(run_text)
+        (DATA / f"{name}.verify.jsonl").write_text(verify_text)
+    scratch.unlink()

@@ -258,3 +258,165 @@ def test_lex_basis_differs(R2):
     assert gb_lex.elements[0].leading_monomial(gb_lex.key()) == (2, 0)
     gb_grev = groebner_basis([R2.parse("x - y^2")], order="lex")
     assert gb_grev.elements[0].leading_monomial(gb_grev.key()) == (1, 0)
+
+
+# ---------------------------------------------------------------------------
+# the integer reducer against textbook rational division
+
+
+def textbook_divide(f, divisors, key):
+    """Division as in Cox, Little and O'Shea, with Fraction arithmetic only."""
+    ring = f.ring
+    quotients = [ring.zero() for _ in divisors]
+    remainder = ring.zero()
+    p = f
+    while not p.is_zero():
+        m = max(p.terms, key=key)
+        c = p.terms[m]
+        for i, d in enumerate(divisors):
+            if d.is_zero():
+                continue
+            dm = max(d.terms, key=key)
+            if mono_divides(dm, m):
+                t = ring.monomial(mono_div(m, dm), c / d.terms[dm])
+                quotients[i] = quotients[i] + t
+                p = p - t * d
+                break
+        else:
+            lt = ring.monomial(m, c)
+            remainder = remainder + lt
+            p = p - lt
+    return quotients, remainder
+
+
+def rational_poly(rng, ring, deg, nterms):
+    monos = monomials_up_to_degree(ring.nvars, deg)
+    terms = {
+        m: Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        for m in rng.sample(monos, min(nterms, len(monos)))
+    }
+    return Polynomial(ring, terms)
+
+
+def awkward_divisor(rng, ring, key):
+    """Non-monic, non-primitive, negative leading coefficient."""
+    d = rational_poly(rng, ring, 2, 4)
+    while d.is_zero():
+        d = rational_poly(rng, ring, 2, 4)
+    scale = Fraction(rng.choice((6, 10, 15, 21)), rng.randint(1, 5))
+    if d.leading_coefficient(key) > 0:
+        scale = -scale
+    return d.scale(scale)
+
+
+REDUCER_KEYS = {
+    "lex": monomial_key("lex"),
+    "grevlex": monomial_key("grevlex"),
+    "elimination": monomial_key(EliminationOrder((0, 2), 3)),
+}
+
+
+def assert_same_division(f, divisors, key):
+    res = divide(f, divisors, key)
+    quotients, remainder = textbook_divide(f, divisors, key)
+    assert list(res.quotients) == quotients
+    assert res.remainder == remainder
+    for p in (*res.quotients, res.remainder):
+        assert all(type(c) is Fraction for c in p.terms.values())
+    return res
+
+
+@pytest.mark.parametrize("order", sorted(REDUCER_KEYS))
+def test_integer_reducer_matches_textbook_division(order):
+    R3 = PolyRing(("x", "y", "z"))
+    key = REDUCER_KEYS[order]
+    rng = random.Random(41)
+    for trial in range(25):
+        f = R3.zero() if trial == 0 else rational_poly(rng, R3, 4, 8)
+        divisors = [awkward_divisor(rng, R3, key) for _ in range(rng.randint(1, 3))]
+        for _ in range(rng.randint(0, 2)):
+            divisors.insert(rng.randint(0, len(divisors)), R3.zero())
+        assert_same_division(f, divisors, key)
+
+
+def test_integer_reducer_removes_content_on_long_reductions(monkeypatch):
+    # the content-removal step is the only gcd call with more than two
+    # arguments (sigma and the working coefficients); count when it divides
+    removed = []
+    real_gcd = groebner.gcd
+
+    def counting_gcd(*args):
+        g = real_gcd(*args)
+        if len(args) > 2 and g > 1:
+            removed.append(g)
+        return g
+
+    monkeypatch.setattr(groebner, "gcd", counting_gcd)
+    R3 = PolyRing(("x", "y", "z"))
+    key = monomial_key("grevlex")
+    rng = random.Random(43)
+    steps = 0
+    for _ in range(6):
+        f = rational_poly(rng, R3, 6, 25)
+        divisors = [rational_poly(rng, R3, 2, 4) for _ in range(3)]
+        divisors = [d for d in divisors if not d.is_zero()]
+        res = assert_same_division(f, divisors, key)
+        steps += sum(len(q.terms) for q in res.quotients)
+    assert steps > 150
+    assert removed
+
+
+def test_integer_form_is_primitive_and_memoised():
+    R3 = PolyRing(("x", "y", "z"))
+    f = R3.parse("-6/5*x^2 + 9/10*y - 3")
+    ints, scale = f.integer_form()
+    assert ints == {(2, 0, 0): -4, (0, 1, 0): 3, (0, 0, 0): -10}
+    assert scale == Fraction(3, 10)
+    assert f.integer_form() is f.integer_form()
+    assert f.content() == scale
+    assert f.primitive_part() == (R3.parse("4*x^2 - 3*y + 10"), -scale)
+    assert R3.zero().integer_form() == ({}, Fraction(1))
+
+
+# ---------------------------------------------------------------------------
+# Buchberger stops at the unit ideal
+
+KATSURA3 = (
+    "u0^2 + 2*u1^2 + 2*u2^2 + 2*u3^2 - u0",
+    "2*u0*u1 + 2*u1*u2 + 2*u2*u3 - u1",
+    "u1^2 + 2*u0*u2 + 2*u1*u3 - u2",
+    "u0 + 2*u1 + 2*u2 + 2*u3 - 1",
+)
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracked"])
+def test_basis_stops_at_first_constant_remainder(track, monkeypatch):
+    R4 = PolyRing(("u0", "u1", "u2", "u3"))
+    gens = [R4.parse(t) for t in KATSURA3] + [R4.parse("2*u0 - 4")]
+    remainders = []
+    real_divide = groebner.divide
+
+    def recording_divide(f, divisors, key=None):
+        res = real_divide(f, divisors, key)
+        remainders.append((len(divisors), res.remainder))
+        return res
+
+    monkeypatch.setattr(groebner, "divide", recording_divide)
+    gb = groebner_basis(gens, track=track)
+    assert gb.elements == (R4.one(),)
+    assert gb.contains_one()
+
+    # S-pair remainders, then one tail reduction of [1] against no others
+    *spairs, (others, _) = remainders
+    assert others == 0
+    nonzero = [r for _, r in spairs if not r.is_zero()]
+    assert len(nonzero) >= 3
+    assert all(not r.is_constant() for r in nonzero[:-1])
+    assert spairs[-1][1].is_constant() and not spairs[-1][1].is_zero()
+
+    if track:
+        (row,) = gb.transform
+        acc = R4.zero()
+        for t, g in zip(row, gens):
+            acc = acc + t * g
+        assert acc == R4.one()
