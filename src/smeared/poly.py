@@ -15,9 +15,12 @@ multiplication rejected)::
     factor := base ('^' nat)?
     base   := rational | var | '(' expr ')'
 
-Rational literals look like ``3`` or ``5/2``.  The optional sign on the first
-term is a strict superset of the grammar needed so canonical serialization
-round-trips.
+Rational literals look like ``3`` or ``5/2``; a denominator must be nonzero.
+The optional sign on the first term is a strict superset of the grammar
+needed so canonical serialization round-trips.  The parser builds the term
+map directly: a term made of numbers and variable powers never builds a
+`Polynomial`, so flat input parses in time linear in its number of terms,
+and only parenthesized factors use polynomial multiplication and powers.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 Rational = Fraction
 Monomial = tuple  # dense exponent vector, one entry per ring variable
@@ -525,111 +528,157 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 
+# One alternative per token kind, tried in order at each position; `bad`
+# takes any character the others reject, so one finditer pass covers the text.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"(?P<number>(\d+)(?:/(\d+))?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<op>[-+*^()])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 
-def _tokenize(text: str) -> Iterator[tuple]:
-    pos = 0
-    n = len(text)
-    while pos < n:
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+def _tokenize(text: str) -> list:
+    """Tokens of `text` as (kind, value, position), closed by an "end" token.
+
+    A number has kind "number" and value (numerator, denominator), both
+    ints, the denominator None when the literal has no "/"; a name has kind
+    "name"; an operator is its own kind and value.  Bad characters and zero
+    denominators raise `ParseError` here, before any syntax is checked.
+    """
+    tokens = []
+    append = tokens.append
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        yield kind, m.group(kind), m.start(kind)
-        pos = m.end()
-    yield "end", "", n
+        if kind == "op":
+            op = m.group()
+            append((op, op, m.start()))
+        elif kind == "name":
+            append(("name", m.group(), m.start()))
+        elif kind == "number":
+            num, den = m.group(2, 3)
+            if den is not None:
+                den = int(den)
+                if not den:
+                    raise ParseError("zero denominator", m.start())
+            append(("number", (int(num), den), m.start()))
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        # kind "space" adds no token
+    append(("end", "", len(text)))
+    return tokens
+
+
+def _add_into(terms: dict, mono: Monomial, coeff: Fraction) -> None:
+    """terms += coeff * x^mono, in place, dropping a term that cancels."""
+    old = terms.get(mono)
+    if old is None:
+        terms[mono] = coeff
+    else:
+        s = old + coeff
+        if s:
+            terms[mono] = s
+        else:
+            del terms[mono]
 
 
 class _Parser:
+    """Recursive descent that builds the term map of the result directly.
+
+    Each expression adds its terms in place into one `{monomial: Fraction}`
+    dict.  A term made only of numbers and variable powers is read as one
+    exponent list and an integer numerator and denominator and becomes a
+    single `Fraction`: flat terms never build a `Polynomial`, so parsing
+    flat input costs time linear in its number of terms.  Only
+    parenthesized factors, with their `^`, go through `Polynomial.__mul__`
+    and `__pow__`; the flat part of such a term is folded in with one
+    `mul_term`.  Denominators must be nonzero.
+    """
+
     def __init__(self, text: str, ring: PolyRing):
-        self.text = text
         self.ring = ring
-        self.tokens = list(_tokenize(text))
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, value, pos = self.peek()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}", pos)
-        return self.advance()
+        self.index = {name: i for i, name in enumerate(ring.variables)}
+        self.nvars = ring.nvars
+        self.tokens = _tokenize(text)
 
     def parse(self) -> Polynomial:
-        result = self.expr()
-        kind, value, pos = self.peek()
+        terms, i = self.expr(0)
+        kind, value, pos = self.tokens[i]
         if kind != "end":
-            if kind in ("name", "number"):
+            if kind == "name" or kind == "number":
                 raise ParseError("implicit multiplication not allowed", pos)
             raise ParseError(f"unexpected {value!r}", pos)
-        return result
+        return Polynomial._make(self.ring, terms)
 
-    def expr(self) -> Polynomial:
-        kind, value, pos = self.peek()
+    def expr(self, i: int) -> tuple:
+        """Parse an expr from token i on; return its term map and the next i."""
+        tokens, index, nvars = self.tokens, self.index, self.nvars
+        terms: dict = {}
         sign = 1
-        if kind == "op" and value in "+-":
-            self.advance()
-            if value == "-":
+        kind = tokens[i][0]
+        if kind == "+" or kind == "-":
+            i += 1
+            if kind == "-":
                 sign = -1
-        result = self.term().scale(sign)
         while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value in "+-":
-                self.advance()
-                nxt = self.term()
-                result = result + nxt if value == "+" else result - nxt
-            elif kind in ("name", "number") or (kind == "op" and value == "("):
+            # one term: numbers and variable powers go into num/den and expo,
+            # parenthesized factors into group
+            expo = [0] * nvars
+            num, den = sign, 1
+            group = None
+            while True:
+                kind, value, pos = tokens[i]
+                i += 1
+                if kind == "(":
+                    inner, i = self.expr(i)
+                    factor = Polynomial._make(self.ring, inner)
+                    if tokens[i][0] != ")":
+                        raise ParseError("expected ')'", tokens[i][2])
+                    i += 1
+                elif kind == "name":
+                    if value not in index:
+                        raise ParseError(f"unknown variable {value!r}", pos)
+                elif kind != "number":
+                    raise ParseError(
+                        "expected a number, variable or parenthesized expression", pos
+                    )
+                e = 1
+                if tokens[i][0] == "^":
+                    kind_e, value_e, pos_e = tokens[i + 1]
+                    if kind_e != "number" or value_e[1] is not None:
+                        raise ParseError("expected a non-negative integer exponent", pos_e)
+                    i += 2
+                    e = value_e[0]
+                if kind == "number":
+                    num *= value[0] ** e
+                    if value[1] is not None:
+                        den *= value[1] ** e
+                elif kind == "name":
+                    expo[index[value]] += e
+                else:
+                    if e != 1:
+                        factor = factor**e
+                    group = factor if group is None else group * factor
+                if tokens[i][0] != "*":
+                    break
+                i += 1
+            if num:
+                mono, coeff = tuple(expo), Fraction(num, den)
+                if group is None:
+                    _add_into(terms, mono, coeff)
+                else:
+                    for m, c in group.mul_term(mono, coeff).terms.items():
+                        _add_into(terms, m, c)
+            kind, _, pos = tokens[i]
+            if kind == "+" or kind == "-":
+                i += 1
+                sign = 1 if kind == "+" else -1
+            elif kind == "name" or kind == "number" or kind == "(":
                 raise ParseError("implicit multiplication not allowed", pos)
             else:
-                return result
-
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "op" and value == "*":
-                self.advance()
-                result = result * self.factor()
-            else:
-                return result
-
-    def factor(self) -> Polynomial:
-        base = self.base()
-        kind, value, pos = self.peek()
-        if kind == "op" and value == "^":
-            self.advance()
-            kind, value, pos = self.peek()
-            if kind != "number" or "/" in value:
-                raise ParseError("expected a non-negative integer exponent", pos)
-            self.advance()
-            return base ** int(value)
-        return base
-
-    def base(self) -> Polynomial:
-        kind, value, pos = self.advance()
-        if kind == "number":
-            return self.ring.const(Fraction(value))
-        if kind == "name":
-            if value not in self.ring.variables:
-                raise ParseError(f"unknown variable {value!r}", pos)
-            return self.ring.var(value)
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError("expected a number, variable or parenthesized expression", pos)
+                return terms, i
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:

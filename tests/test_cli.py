@@ -148,17 +148,34 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "ideal 1, generator 1" in err
     assert "position" in err
 
+    zero_den = write_problem(
+        tmp_path,
+        {
+            "format": 1,
+            "ring": {"variables": ["x", "y"]},
+            "ideals": [["x", "y*1/0"]],
+            "queries": [],
+        },
+        "h.json",
+    )
+    assert main(["run", str(zero_den)]) == 2
+    err = capsys.readouterr().err
+    assert "ideal 1, generator 2" in err
+    assert "zero denominator (at position 2)" in err
+
 
 def test_query_error_exits_1_and_batch_continues(tmp_path):
     doc = dict(THREE_LINES)
-    doc["queries"] = ["member y", "eval y 1", "frobnicate", "dims"]
+    doc["queries"] = ["member y", "eval y 1", "frobnicate", "dims", ["member", "x + 1/0"]]
     rc, lines, _, _ = run_to_file(tmp_path, doc)
     assert rc == 1
     assert payload_of(lines, 1)["status"] == "ok"
     assert payload_of(lines, 2)["status"] == "error"
     assert "unknown query" in payload_of(lines, 3)["error"]
     assert payload_of(lines, 4)["status"] == "ok"
-    assert lines[-1]["errors"] == 2
+    assert payload_of(lines, 5)["status"] == "error"
+    assert "zero denominator (at position 4)" in payload_of(lines, 5)["error"]
+    assert lines[-1]["errors"] == 3
 
 
 def test_strict_stops_at_first_error(tmp_path):
@@ -198,6 +215,8 @@ def test_verify_catches_tampering(tmp_path, capsys):
     tampered = []
     for line in out.read_text().splitlines():
         entry = json.loads(line)
+        if entry.get("type") == "result" and entry.get("index") == 4:
+            entry["payload"]["cofactors"][0] = ["1/0"]
         if entry.get("type") == "result" and entry.get("index") == 6:
             entry["payload"]["value"] = "2"
         if entry.get("type") == "result" and entry.get("index") == 7:
@@ -207,9 +226,10 @@ def test_verify_catches_tampering(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", str(out), str(problem)]) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
-    bad = {e["index"] for e in lines if e["type"] == "verify" and not e["ok"]}
-    assert bad == {6, 7}
-    assert lines[-1]["failures"] == 2
+    bad = {e["index"]: e["problem"] for e in lines if e["type"] == "verify" and not e["ok"]}
+    assert set(bad) == {4, 6, 7}
+    assert "zero denominator" in bad[4]
+    assert lines[-1]["failures"] == 3
 
 
 def test_verify_checks_cofactor_identities(tmp_path, capsys):
