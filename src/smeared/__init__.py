@@ -34,11 +34,9 @@ from .ring import (
     Verdicts,
     Violation,
     chain_witness,
-    depiction_verdict,
     evaluate_at_smeared_point,
     locus_member,
     member,
-    noetherian_verdict,
     partition_of_unity,
     r_basis,
     smeared_constancy_check,
@@ -75,13 +73,11 @@ __all__ = [
     "Verdicts",
     "Violation",
     "chain_witness",
-    "depiction_verdict",
     "divide",
     "evaluate_at_smeared_point",
     "groebner_basis",
     "locus_member",
     "member",
-    "noetherian_verdict",
     "normal_form",
     "parse_poly",
     "partition_of_unity",

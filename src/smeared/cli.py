@@ -582,11 +582,11 @@ class _Verifier:
             return "selected g or h disagrees"
         if [str(nf) for nf in w.evidence] != payload["evidence"]:
             return "evidence normal forms disagree"
-        evidence = [ring.parse(t) for t in payload["evidence"]]
-        monos = sorted({m for nf in evidence for m in nf.terms})
+        maps = [ring.parse(t).integer_form()[0] for t in payload["evidence"]]
+        monos = sorted({m for ints in maps for m in ints})
         tracker = IncrementalRank()
-        for nf in evidence:
-            if not tracker.add([nf.terms.get(m, Fraction(0)) for m in monos]):
+        for ints in maps:
+            if not tracker.add([ints.get(m, 0) for m in monos]):
                 return "embedded evidence is linearly dependent"
         return None
 

@@ -63,19 +63,21 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
 
-    The arithmetic is over the integers.  The rational working polynomial is
-    kept as `work / sigma`, `work` an {monomial: int} map and `sigma` a
-    positive int, and each divisor as `s * d` with `d` its primitive integer
-    form (`Polynomial.integer_form`).  To remove the term c * x^m of `work`
-    with a lead lc * x^l of `d`, let g = gcd(c, lc), a = lc / g (made
-    positive with b) and b = c / g: then `work <- a * work - b * x^(m-l) * d`
-    and `sigma <- a * sigma` leave the rational value reduced exactly as
-    the rational step would, the quotient gains b / (sigma * s) and a
-    remainder term is c / sigma.  Common factors of sigma and `work` are
-    divided out after a step that grows sigma.  A rational coefficient is
-    zero exactly when its integer one is, so the working support, and with
-    it every divisor choice, is the one rational division would see; the
-    returned quotients and remainder are therefore the same rationals.
+    The arithmetic is over the integers, on the stored forms of f = c_f * F
+    and of each divisor d = s * D (`Polynomial.integer_form`).  Division is
+    linear in f, so F is divided and c_f multiplied in at the end.  The
+    working polynomial is `work / sigma`, an {monomial: int} map over a
+    positive int, from F / 1.  To remove the term c * x^m of `work` with the
+    lead lc * x^l of D, let g = gcd(c, lc), a = lc / g (made positive with
+    b) and b = c / g: `work <- a * work - b * x^(m-l) * D` and
+    `sigma <- a * sigma` reduce the rational value exactly as the rational
+    step would, and the quotient of d gains b / (sigma * s) at x^(m-l).
+    Common factors of sigma and `work` are divided out after a step that
+    grows sigma.  A rational coefficient is zero exactly when its integer
+    one is, so every divisor choice, and so every quotient and remainder, is
+    the one rational division gives.  Each quotient, and the remainder, is
+    an integer map over its own denominator, raised to a multiple of sigma
+    before a term is added (`_put`), with one gcd pass at the end.
 
     The working terms sit in a min-heap on the order's descending key, and a
     monomial is pushed only when it enters the working set.  A popped
@@ -88,7 +90,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
         key = monomial_key(ring.order)
     descending = getattr(key, "descending", None) or (lambda m: _Reversed(key(m)))
     divisors = list(divisors)
-    leads = []  # per divisor: None, or (lead, integer lead coefficient, integer terms, scale)
+    leads = []  # per divisor: None, or (lead, integer lead coefficient, integer terms, content)
     for d in divisors:
         if d.ring != ring:
             raise RingMismatchError("divisor from a different ring")
@@ -96,14 +98,15 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
             leads.append(None)
             continue
         lm = d.leading_monomial(key)
-        ints, scale = d.integer_form()
-        leads.append((lm, ints[lm], ints.items(), scale.numerator, scale.denominator))
+        ints, content = d.integer_form()
+        leads.append((lm, ints[lm], ints.items(), content))
 
-    quotients = [dict() for _ in divisors]
-    remainder: dict = {}
-    ints, scale = f.integer_form()
-    work = {m: scale.numerator * c for m, c in ints.items()}
-    sigma = scale.denominator
+    # quotient and remainder maps, each with its denominator in slot 0
+    quotients = [[1, {}] for _ in divisors]
+    remainder = [1, {}]
+    ints, f_content = f.integer_form()
+    work = dict(ints)
+    sigma = 1
     heap = [(descending(m), m) for m in work]
     heapq.heapify(heap)
     while heap:
@@ -113,7 +116,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
             continue
         for idx, lead in enumerate(leads):
             if lead is not None and mono_divides(lead[0], m):
-                lm, lc, dterms, s_num, s_den = lead
+                lm, lc, dterms, _ = lead
                 qm = mono_div(m, lm)
                 g = gcd(c, lc)
                 a, b = lc // g, c // g
@@ -135,12 +138,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
                             work[t] = v
                         else:
                             del work[t]
-                q = quotients[idx]
-                v = q.get(qm, 0) + Fraction(b * s_den, sigma * s_num)
-                if v:
-                    q[qm] = v
-                else:
-                    del q[qm]
+                _put(quotients[idx], qm, b, sigma)
                 if a != 1:
                     g = gcd(sigma, *work.values())
                     if g != 1:
@@ -149,16 +147,42 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
                             work[t] //= g
                 break
         else:
-            remainder[m] = Fraction(c, sigma)
+            _put(remainder, m, c, sigma)
             del work[m]
 
+    zero = ring.zero()
     result = DivisionResult(
-        tuple(Polynomial._make(ring, q) for q in quotients),
-        Polynomial._make(ring, remainder),
+        tuple(
+            _finish(ring, q, f_content, lead[3]) if q[1] else zero
+            for q, lead in zip(quotients, leads)
+        ),
+        _finish(ring, remainder, f_content) if remainder[1] else zero,
     )
     if VERIFY_DIVISION:
         _check_division(f, divisors, leads, result)
     return result
+
+
+def _put(acc: list, m, v: int, sigma: int) -> None:
+    """Add (v / sigma) * x^m, m new, to `acc` = [tau, {monomial: int}]."""
+    tau, terms = acc
+    if tau % sigma:
+        t = sigma // gcd(tau, sigma)
+        for k in terms:
+            terms[k] *= t
+        tau *= t
+        acc[0] = tau
+    terms[m] = v * (tau // sigma)
+
+
+def _finish(ring, acc: list, num: Fraction, den: Fraction = Fraction(1)) -> Polynomial:
+    """(num / den) * map / tau for a nonempty `acc` = [tau, map]."""
+    tau, terms = acc
+    h = gcd(*terms.values())
+    if h != 1:
+        terms = {m: v // h for m, v in terms.items()}
+    content = Fraction(h * num.numerator * den.denominator, tau * num.denominator * den.numerator)
+    return Polynomial._new(ring, terms, content)
 
 
 def _check_division(f, divisors, leads, result):

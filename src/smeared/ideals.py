@@ -45,17 +45,18 @@ def _fresh_name(ring: PolyRing, base: str) -> str:
 
 
 def _insert_var(f: Polynomial, ext: PolyRing, at: int) -> Polynomial:
-    terms = {m[:at] + (0,) + m[at:]: c for m, c in f.terms.items()}
-    return Polynomial._make(ext, terms)
+    ints, c = f.integer_form()
+    return Polynomial._new(ext, {m[:at] + (0,) + m[at:]: v for m, v in ints.items()}, c)
 
 
 def _remove_var(f: Polynomial, base: PolyRing, at: int) -> Polynomial:
+    ints, c = f.integer_form()
     terms = {}
-    for m, c in f.terms.items():
+    for m, v in ints.items():
         if m[at]:
             raise ValueError("polynomial still involves the removed variable")
-        terms[m[:at] + m[at + 1 :]] = c
-    return Polynomial._make(base, terms)
+        terms[m[:at] + m[at + 1 :]] = v
+    return Polynomial._new(base, terms, c)
 
 
 class Ideal:

@@ -25,7 +25,7 @@ def _int_row(vector: Sequence) -> Row:
     denominators and divided by the gcd of the result."""
     entries = {}
     for col, x in enumerate(vector):
-        q = x if isinstance(x, Fraction) else Fraction(x)
+        q = x if isinstance(x, (int, Fraction)) else Fraction(x)
         if q:
             entries[col] = q
     if not entries:

@@ -1,11 +1,13 @@
 """Exact multivariate polynomials over the rationals.
 
-Monomials are dense exponent tuples (one entry per ring variable) and
-coefficients are `fractions.Fraction`, so every operation is exact.  Values
-are immutable after construction and safe to share across threads: the hash,
-the leading-term memo and the integer form (`integer_form`, what division
-reduces with) are the only fields filled lazily.  Filling any of them is
-idempotent, so a race between threads at worst recomputes one.
+Monomials are dense exponent tuples (one entry per ring variable).  A
+polynomial is stored as a positive rational content times a primitive
+`{monomial: int}` map, so arithmetic runs on integers (see `Polynomial`);
+`terms` is a `{monomial: Fraction}` view whose values are built when read.
+Values are immutable and safe to share across threads: the fields filled
+lazily are pure functions of the stored form, so a race at worst
+recomputes one.  Coefficients are `int` or `Fraction`; any other scalar is
+a `TypeError`.
 
 Text grammar accepted by `parse_poly` (whitespace insignificant, implicit
 multiplication rejected)::
@@ -29,9 +31,11 @@ import functools
 import itertools
 import operator
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Sequence, Union
 
 Rational = Fraction
@@ -56,10 +60,6 @@ class ParseError(ValueError):
 
 # ---------------------------------------------------------------------------
 # monomials
-
-
-def mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(operator.add, a, b))
 
 
 def mono_divides(a: Monomial, b: Monomial) -> bool:
@@ -178,6 +178,66 @@ def monomials_up_to_degree(nvars: int, d: int) -> list:
 # ---------------------------------------------------------------------------
 # rings and polynomials
 
+_ONE = Fraction(1)
+
+
+def _scalar(c):
+    """`c` itself if it is an int or a Fraction; anything else is a TypeError."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    raise TypeError(f"a scalar must be an int or a Fraction, not {type(c).__name__}")
+
+
+def _primitive(terms: dict) -> tuple:
+    """(ints, content) of a map of nonzero int or `Fraction` coefficients:
+    one lcm pass over the denominators, one gcd pass over the numerators."""
+    if not terms:
+        return {}, _ONE
+    den = lcm(*[c.denominator for c in terms.values()])
+    ints = {m: c.numerator * (den // c.denominator) for m, c in terms.items()}
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {m: v // g for m, v in ints.items()}
+    return ints, Fraction(g, den)
+
+
+def _negated(ints: dict) -> dict:
+    return {m: -v for m, v in ints.items()}
+
+
+def _fill(p: "Polynomial", ring: "PolyRing", form: tuple) -> None:
+    setattr_ = object.__setattr__
+    setattr_(p, "ring", ring)
+    setattr_(p, "_form", form)
+    setattr_(p, "_hash", None)
+    setattr_(p, "_lead", None)
+
+
+class _Terms(Mapping):
+    """Read-only `{monomial: Fraction}` view of a stored form (ints, content);
+    each coefficient is built when it is read."""
+
+    __slots__ = ("_ints", "_content")
+
+    def __init__(self, ints: dict, content: Fraction):
+        self._ints, self._content = ints, content
+
+    def __getitem__(self, m) -> Fraction:
+        c = self._content
+        return Fraction(self._ints[m] * c.numerator, c.denominator)
+
+    def __iter__(self):
+        return iter(self._ints)
+
+    def __len__(self) -> int:
+        return len(self._ints)
+
+    def __contains__(self, m) -> bool:
+        return m in self._ints
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
 
 @dataclass(frozen=True)
 class PolyRing:
@@ -200,16 +260,15 @@ class PolyRing:
         return len(self.variables)
 
     def zero(self) -> "Polynomial":
-        return Polynomial._make(self, {})
+        return Polynomial._new(self, {}, _ONE)
 
     def one(self) -> "Polynomial":
         return self.const(1)
 
     def const(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
+        if not _scalar(c):
             return self.zero()
-        return Polynomial._make(self, {(0,) * self.nvars: c})
+        return Polynomial._new(self, {(0,) * self.nvars: 1 if c > 0 else -1}, abs(Fraction(c)))
 
     def var(self, name: str) -> "Polynomial":
         try:
@@ -218,10 +277,10 @@ class PolyRing:
             raise ValueError(f"unknown variable {name!r}") from None
         expo = [0] * self.nvars
         expo[i] = 1
-        return Polynomial._make(self, {tuple(expo): Fraction(1)})
+        return Polynomial._new(self, {tuple(expo): 1}, _ONE)
 
     def monomial(self, exponents: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
-        return Polynomial(self, {tuple(exponents): Fraction(coeff)})
+        return Polynomial(self, {tuple(exponents): coeff})
 
     def parse(self, text: str) -> "Polynomial":
         return parse_poly(text, self)
@@ -231,17 +290,29 @@ class PolyRing:
 
 
 class Polynomial:
-    """Immutable multivariate polynomial: a map from monomials to coefficients.
+    """Immutable multivariate polynomial: content times a primitive integer map.
 
-    The zero polynomial has an empty term map; stored coefficients are never
-    zero and always `Fraction`s.  Three fields are filled lazily: `_hash`,
-    `_lead` (the last leading term, tagged with its key function) and `_int`
-    (the primitive integer form with its scale, see `integer_form`).  Each
-    is a pure function of the terms, so filling it is idempotent and sharing
-    values across threads stays safe.
+    The stored form is the pair `(ints, content)` that `integer_form`
+    returns: `ints` maps monomials to nonzero ints whose gcd is 1 and which
+    keep the coefficients' signs, `content` is a positive `Fraction`, and
+    the polynomial is content * ints.  The zero polynomial is `({}, 1)`.
+    The pair is unique, so equal polynomials store equal pairs.
+
+    Products need no gcd: by Gauss's lemma the product of two primitive
+    integer polynomials is primitive, so `*` multiplies the maps and the
+    contents.  `+` and `-` put both contents over one denominator, add the
+    maps and divide by the gcd of the sum; `scale`, `mul_term` and negation
+    change only the content and the signs.
+
+    `terms` is a read-only `{monomial: Fraction}` view of the pair that
+    builds each coefficient when it is read, so no second map is kept.  Two
+    fields are filled lazily: `_hash` and `_lead` (the last leading term,
+    tagged with its key function).  Each is a pure function of the stored
+    pair, so filling it is idempotent and sharing values across threads
+    stays safe.
     """
 
-    __slots__ = ("ring", "terms", "_hash", "_lead", "_int")
+    __slots__ = ("ring", "_form", "_hash", "_lead")
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean = {}
@@ -251,55 +322,64 @@ class Polynomial:
                 raise ValueError("exponent vector length does not match ring")
             if any(e < 0 for e in mono):
                 raise ValueError("negative exponent")
-            coeff = Fraction(coeff)
-            if coeff:
+            if _scalar(coeff):
                 clean[mono] = coeff
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
-        object.__setattr__(self, "_int", None)
+        _fill(self, ring, _primitive(clean))
+
+    @classmethod
+    def _new(cls, ring: PolyRing, ints: dict, content: Fraction) -> "Polynomial":
+        # trusted fast path: (ints, content) already canonical
+        self = object.__new__(cls)
+        _fill(self, ring, (ints, content))
+        return self
 
     @classmethod
     def _make(cls, ring: PolyRing, terms: dict) -> "Polynomial":
-        # trusted fast path: terms already canonical
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_lead", None)
-        object.__setattr__(self, "_int", None)
-        return self
+        # trusted: valid monomials, nonzero int or Fraction coefficients
+        return cls._new(ring, *_primitive(terms))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> Mapping:
+        """Read-only `{monomial: Fraction}` view; values are built when read."""
+        return _Terms(*self._form)
+
+    def integer_form(self) -> tuple:
+        """The stored pair (ints, c): self == c * ints, ints of content 1.
+
+        c is the positive content; the zero polynomial gives ({}, 1).  The
+        map is shared, so callers must not mutate it.
+        """
+        return self._form
+
     # -- queries
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._form[0]
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        ints = self._form[0]
+        return not ints or (len(ints) == 1 and not any(next(iter(ints))))
 
     def constant_value(self) -> Fraction:
         """Value of a constant polynomial (0 for the zero polynomial)."""
-        if not self.terms:
+        ints, c = self._form
+        if not ints:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
+        return c * next(iter(ints.values()))
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
+        return max(map(sum, self._form[0]), default=-1)
 
     def support(self) -> frozenset:
         """Indices of variables that occur."""
         used = set()
-        for m in self.terms:
+        for m in self._form[0]:
             for i, e in enumerate(m):
                 if e:
                     used.add(i)
@@ -316,10 +396,11 @@ class Polynomial:
         memo = self._lead
         if memo is not None and memo[0] is key:
             return memo[1]
-        if not self.terms:
+        ints, c = self._form
+        if not ints:
             raise ValueError("zero polynomial has no leading term")
-        m = max(self.terms, key=key)
-        lt = (m, self.terms[m])
+        m = max(ints, key=key)
+        lt = (m, Fraction(ints[m] * c.numerator, c.denominator))
         object.__setattr__(self, "_lead", (key, lt))
         return lt
 
@@ -337,35 +418,55 @@ class Polynomial:
                 f"operands from different rings: {self.ring!r} vs {other.ring!r}"
             )
 
-    def __add__(self, other) -> "Polynomial":
+    def _add_signed(self, other, sign: int) -> "Polynomial":
+        """self + sign * other, with one gcd pass over the summed map."""
         if isinstance(other, (int, Fraction)):
             other = self.ring.const(other)
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            s = terms.get(m, 0) + c
+        a, ca = self._form
+        b, cb = other._form
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else Polynomial._new(self.ring, _negated(b), cb)
+        # ca*a + sign*cb*b = (g/den) * (sa*a + sb*b), sa and sb integers
+        g = gcd(ca.numerator, cb.numerator)
+        den = lcm(ca.denominator, cb.denominator)
+        sa = ca.numerator // g * (den // ca.denominator)
+        sb = sign * (cb.numerator // g) * (den // cb.denominator)
+        if len(a) < len(b):
+            a, b, sa, sb = b, a, sb, sa
+        out = dict(a) if sa == 1 else {m: v * sa for m, v in a.items()}
+        get = out.get
+        for m, v in b.items():
+            s = get(m, 0) + sb * v
             if s:
-                terms[m] = s
+                out[m] = s
             else:
-                terms.pop(m, None)
-        return Polynomial._make(self.ring, terms)
+                del out[m]
+        if not out:
+            return self.ring.zero()
+        h = gcd(*out.values())
+        if h != 1:
+            out = {m: v // h for m, v in out.items()}
+        return Polynomial._new(self.ring, out, Fraction(g * h, den))
+
+    def __add__(self, other) -> "Polynomial":
+        return self._add_signed(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make(self.ring, {m: -c for m, c in self.terms.items()})
+        ints, c = self._form
+        return Polynomial._new(self.ring, _negated(ints), c)
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = self.ring.const(other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._add_signed(other, -1)
 
     def __rsub__(self, other) -> "Polynomial":
-        return (-self) + other
+        return (-self)._add_signed(other, 1)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -373,42 +474,47 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_ring(other)
-        a, b = self.terms, other.terms
+        a, ca = self._form
+        b, cb = other._form
+        if not a or not b:
+            return self.ring.zero()
         if len(a) < len(b):
             a, b = b, a
-        terms: dict = {}
+        out: dict = {}
+        get = out.get
+        b = b.items()
         for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = tuple(x + y for x, y in zip(m1, m2))
-                s = terms.get(m, 0) + c1 * c2
-                if s:
-                    terms[m] = s
-                else:
-                    del terms[m]
-        return Polynomial._make(self.ring, terms)
+            for m2, c2 in b:
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        if not all(out.values()):
+            out = {m: v for m, v in out.items() if v}
+        # Gauss's lemma: a product of primitive polynomials is primitive
+        return Polynomial._new(self.ring, out, ca * cb)
 
     __rmul__ = __mul__
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = Fraction(c)
-        if not c:
+        if not _scalar(c):
             return self.ring.zero()
-        return Polynomial._make(self.ring, {m: co * c for m, co in self.terms.items()})
+        ints, content = self._form
+        if not ints:
+            return self
+        if c < 0:
+            ints, c = _negated(ints), -c
+        return Polynomial._new(self.ring, ints, content * c)
 
-    def mul_term(self, mono: Monomial, coeff: Fraction) -> "Polynomial":
+    def mul_term(self, mono: Monomial, coeff: Scalar) -> "Polynomial":
         """Multiply by the single term coeff * x^mono."""
-        if not coeff:
+        if not _scalar(coeff):
             return self.ring.zero()
-        if coeff == 1:
-            # a pure shift: skip a Fraction product per term
-            return Polynomial._make(
-                self.ring,
-                {tuple(x + y for x, y in zip(m, mono)): c for m, c in self.terms.items()},
-            )
-        return Polynomial._make(
-            self.ring,
-            {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in self.terms.items()},
-        )
+        ints, content = self._form
+        if not ints:
+            return self
+        if coeff < 0:
+            ints, coeff = _negated(ints), -coeff
+        shifted = {tuple(map(add, m, mono)): v for m, v in ints.items()}
+        return Polynomial._new(self.ring, shifted, content if coeff == 1 else content * coeff)
 
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
@@ -423,59 +529,33 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a rational point (length must match the ring)."""
+        """Exact value at a point of int or Fraction coordinates."""
         if len(point) != self.ring.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars} variables"
             )
-        pt = [Fraction(c) for c in point]
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
+        pt = [_scalar(x) for x in point]
+        ints, c = self._form
+        total = 0
+        for m, v in ints.items():
             for x, e in zip(pt, m):
                 if e:
                     v *= x**e
             total += v
-        return total
-
-    def integer_form(self) -> tuple:
-        """(ints, c): self == c * ints, ints a {monomial: int} map of content 1.
-
-        c is the positive content; the zero polynomial gives ({}, 1).  Memoised:
-        the map is shared, so callers must not mutate it.
-        """
-        memo = self._int
-        if memo is None:
-            if not self.terms:
-                memo = ({}, Fraction(1))
-            else:
-                den = lcm(*(c.denominator for c in self.terms.values()))
-                num = gcd(*(c.numerator for c in self.terms.values()))
-                ints = {
-                    m: c.numerator * (den // c.denominator) // num
-                    for m, c in self.terms.items()
-                }
-                memo = (ints, Fraction(num, den))
-            object.__setattr__(self, "_int", memo)
-        return memo
+        return c * total
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient, content 1."""
-        return self.integer_form()[1]
+        return self._form[1]
 
     def primitive_part(self) -> tuple:
-        """(primitive polynomial g, scalar c) with self = c * g."""
-        if not self.terms:
-            return self, Fraction(1)
-        ints, c = self.integer_form()
-        sign = -1 if self.leading_coefficient() < 0 else 1
-        prim = {m: Fraction(sign * v) for m, v in ints.items()}
-        return Polynomial._make(self.ring, prim), sign * c
-
-    def monic(self, key=None) -> "Polynomial":
-        if not self.terms:
-            return self
-        return self.scale(1 / self.leading_coefficient(key))
+        """(primitive polynomial g with positive lead, scalar c) with self = c * g."""
+        ints, c = self._form
+        if not ints:
+            return self, _ONE
+        if ints[self.leading_monomial()] < 0:
+            return Polynomial._new(self.ring, _negated(ints), _ONE), -c
+        return Polynomial._new(self.ring, ints, _ONE), c
 
     # -- comparison / hashing / text
 
@@ -484,41 +564,43 @@ class Polynomial:
             if isinstance(other, (int, Fraction)):
                 return self.is_constant() and self.constant_value() == other
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring == other.ring and self._form == other._form
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((self.ring, frozenset(self.terms.items())))
+            ints, c = self._form
+            h = hash((self.ring, frozenset(ints.items()), c))
             object.__setattr__(self, "_hash", h)
         return h
 
-    def sorted_terms(self, key=None) -> list:
-        """Terms as (monomial, coefficient), largest monomial first."""
-        if key is None:
-            key = monomial_key(self.ring.order)
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
-
     def __str__(self) -> str:
-        if not self.terms:
+        ints, c = self._form
+        if not ints:
             return "0"
+        n, d = c.numerator, c.denominator
+        names = self.ring.variables
         parts = []
-        for i, (m, c) in enumerate(self.sorted_terms()):
-            neg = c < 0
-            mag = -c if neg else c
-            factors = []
-            if mag != 1 or not any(m):
-                factors.append(str(mag))
-            for name, e in zip(self.ring.variables, m):
+        for m in sorted(ints, key=monomial_key(self.ring.order).descending):
+            v = ints[m]
+            num = (-v if v < 0 else v) * n
+            g = gcd(num, d) if d != 1 else 1
+            if d != g:
+                factors = [f"{num // g}/{d // g}"]
+            elif num != g or not any(m):
+                factors = [str(num // g)]
+            else:
+                factors = []
+            for name, e in zip(names, m):
                 if e == 1:
                     factors.append(name)
                 elif e > 1:
                     factors.append(f"{name}^{e}")
             body = "*".join(factors)
-            if i == 0:
-                parts.append(f"-{body}" if neg else body)
+            if not parts:
+                parts.append(f"-{body}" if v < 0 else body)
             else:
-                parts.append(f"{'-' if neg else '+'} {body}")
+                parts.append(f"{'-' if v < 0 else '+'} {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -545,8 +627,9 @@ def _tokenize(text: str) -> list:
 
     A number has kind "number" and value (numerator, denominator), both
     ints, the denominator None when the literal has no "/"; a name has kind
-    "name"; an operator is its own kind and value.  Bad characters and zero
-    denominators raise `ParseError` here, before any syntax is checked.
+    "name"; an operator is its own kind and value.  Bad characters, zero
+    denominators and literals too long for `int()` raise `ParseError` here,
+    before any syntax is checked.
     """
     tokens = []
     append = tokens.append
@@ -559,11 +642,15 @@ def _tokenize(text: str) -> list:
             append(("name", m.group(), m.start()))
         elif kind == "number":
             num, den = m.group(2, 3)
-            if den is not None:
-                den = int(den)
-                if not den:
-                    raise ParseError("zero denominator", m.start())
-            append(("number", (int(num), den), m.start()))
+            try:
+                num = int(num)
+                den = None if den is None else int(den)
+            except ValueError:
+                # int() refuses literals longer than sys.get_int_max_str_digits()
+                raise ParseError("integer literal has too many digits", m.start()) from None
+            if den == 0:
+                raise ParseError("zero denominator", m.start())
+            append(("number", (num, den), m.start()))
         elif kind == "bad":
             raise ParseError(f"unexpected character {m.group()!r}", m.start())
         # kind "space" adds no token
@@ -571,7 +658,7 @@ def _tokenize(text: str) -> list:
     return tokens
 
 
-def _add_into(terms: dict, mono: Monomial, coeff: Fraction) -> None:
+def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
     """terms += coeff * x^mono, in place, dropping a term that cancels."""
     old = terms.get(mono)
     if old is None:
@@ -587,10 +674,12 @@ def _add_into(terms: dict, mono: Monomial, coeff: Fraction) -> None:
 class _Parser:
     """Recursive descent that builds the term map of the result directly.
 
-    Each expression adds its terms in place into one `{monomial: Fraction}`
-    dict.  A term made only of numbers and variable powers is read as one
-    exponent list and an integer numerator and denominator and becomes a
-    single `Fraction`: flat terms never build a `Polynomial`, so parsing
+    Each expression adds its terms in place into one dict from monomials to
+    rational coefficients, which `Polynomial._make` turns into the stored
+    form with one lcm/gcd pass.  A term made only of numbers and variable
+    powers is read as one exponent list and an integer numerator and
+    denominator and becomes a single int, or a `Fraction` when the
+    denominator is not 1: flat terms never build a `Polynomial`, so parsing
     flat input costs time linear in its number of terms.  Only
     parenthesized factors, with their `^`, go through `Polynomial.__mul__`
     and `__pow__`; the flat part of such a term is folded in with one
@@ -665,7 +754,7 @@ class _Parser:
                     break
                 i += 1
             if num:
-                mono, coeff = tuple(expo), Fraction(num, den)
+                mono, coeff = tuple(expo), (num if den == 1 else Fraction(num, den))
                 if group is None:
                     _add_into(terms, mono, coeff)
                 else:

@@ -23,6 +23,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .ideals import Ideal, _fresh_name, _insert_var
@@ -380,14 +381,6 @@ def verdicts(config: SmearedRingConfig) -> Verdicts:
     )
 
 
-def noetherian_verdict(config: SmearedRingConfig) -> Verdicts:
-    return verdicts(config)
-
-
-def depiction_verdict(config: SmearedRingConfig) -> Verdicts:
-    return verdicts(config)
-
-
 # ---------------------------------------------------------------------------
 # locus
 
@@ -493,10 +486,13 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     evidence = [ideal.normal_form(config.ring.one())]
     for _ in range(length):
         evidence.append(ideal.normal_form(h * evidence[-1]))
-    monos = sorted({m for nf in evidence for m in nf.terms}, key=monomial_key(GREVLEX))
+    # each vector is a normal form's integer map: scaling by the content
+    # changes no rank
+    maps = [nf.integer_form()[0] for nf in evidence]
+    monos = sorted({m for ints in maps for m in ints}, key=monomial_key(GREVLEX))
     tracker = IncrementalRank()
-    for nf in evidence:
-        if not tracker.add([nf.terms.get(m, Fraction(0)) for m in monos]):
+    for ints in maps:
+        if not tracker.add([ints.get(m, 0) for m in monos]):
             raise RuntimeError(
                 "normal forms of powers became dependent although the chosen "
                 "direction promised independence; engine bug"
@@ -541,12 +537,16 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
             else:
                 parent = m[:k] + (m[k] - 1,) + m[k + 1 :]
                 nf_of[m] = ideal.normal_form(nf_of[parent].mul_term(units[k], 1))
-        nfs = [nf_of[m] for m in unknowns]
+        # each row is scaled by the lcm of the contents' denominators, which
+        # keeps it integral and changes no kernel
+        forms = [nf_of[m].integer_form() for m in unknowns]
+        den = lcm(*[c.denominator for _, c in forms])
+        columns = [(ints, c.numerator * (den // c.denominator)) for ints, c in forms]
         constraint_monomials = sorted(
-            {m for nf in nfs for m in nf.terms if sum(m) > 0}, key=key
+            {m for ints, _ in forms for m in ints if sum(m) > 0}, key=key
         )
         for cm in constraint_monomials:
-            rows.append([nf.terms.get(cm, Fraction(0)) for nf in nfs])
+            rows.append([ints.get(cm, 0) * s for ints, s in columns])
     basis = []
     for vec in kernel_basis(rows, len(unknowns)):
         terms = {m: c for m, c in zip(unknowns, vec) if c}

@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .poly import Polynomial, PolyRing, monomials_up_to_degree
+from smeared.poly import Polynomial, PolyRing, monomials_up_to_degree
 
 
 def _eliminate(rows: list) -> list:

@@ -26,7 +26,7 @@ from smeared import (
     validate,
     verdicts,
 )
-from smeared.oracle import oracle_member, oracle_r_slice_dim
+from oracle import oracle_member, oracle_r_slice_dim
 from smeared.poly import monomials_up_to_degree
 
 

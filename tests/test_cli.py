@@ -163,10 +163,28 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "ideal 1, generator 2" in err
     assert "zero denominator (at position 2)" in err
 
+    long_literal = write_problem(
+        tmp_path,
+        {
+            "format": 1,
+            "ring": {"variables": ["x", "y"]},
+            "ideals": [["x", "y", "x^" + "1" * 5000]],
+            "queries": [],
+        },
+        "i.json",
+    )
+    assert main(["run", str(long_literal)]) == 2
+    err = capsys.readouterr().err
+    assert "ideal 1, generator 3" in err
+    assert "too many digits (at position 2)" in err
+
 
 def test_query_error_exits_1_and_batch_continues(tmp_path):
     doc = dict(THREE_LINES)
-    doc["queries"] = ["member y", "eval y 1", "frobnicate", "dims", ["member", "x + 1/0"]]
+    doc["queries"] = [
+        "member y", "eval y 1", "frobnicate", "dims", ["member", "x + 1/0"],
+        ["member", "x + " + "1" * 5000],
+    ]
     rc, lines, _, _ = run_to_file(tmp_path, doc)
     assert rc == 1
     assert payload_of(lines, 1)["status"] == "ok"
@@ -175,7 +193,9 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
     assert payload_of(lines, 4)["status"] == "ok"
     assert payload_of(lines, 5)["status"] == "error"
     assert "zero denominator (at position 4)" in payload_of(lines, 5)["error"]
-    assert lines[-1]["errors"] == 3
+    assert payload_of(lines, 6)["status"] == "error"
+    assert "too many digits (at position 4)" in payload_of(lines, 6)["error"]
+    assert lines[-1]["errors"] == 4
 
 
 def test_strict_stops_at_first_error(tmp_path):

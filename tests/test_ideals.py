@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from smeared import INFINITE, Ideal, PolyRing, Polynomial, RingMismatchError
-from smeared.oracle import oracle_member
+from oracle import oracle_member
 from smeared.poly import monomials_up_to_degree
 
 

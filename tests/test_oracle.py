@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from smeared import Ideal, Polynomial, groebner_basis
-from smeared.oracle import (
+from oracle import (
     _monomial_index,
     _rank,
     _slice_rows,

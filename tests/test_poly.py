@@ -72,6 +72,29 @@ def test_scalar_mixing(R2):
     assert 1 - x == R2.parse("1 - x")
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda R: R.const(0.1),
+        lambda R: R.const("1/3"),
+        lambda R: R.var("x").scale(0.1),
+        lambda R: R.monomial((1, 1), 0.1),
+        lambda R: Polynomial(R, {(1, 0): 0.5}),
+        lambda R: R.var("x").mul_term((1, 0), 0.5),
+        lambda R: R.var("x").evaluate([0.5, 1]),
+        lambda R: R.var("x") + 0.5,
+    ],
+    ids=[
+        "const-float", "const-str", "scale", "monomial", "constructor", "mul_term", "evaluate",
+        "add",
+    ],
+)
+def test_scalars_are_int_or_fraction(R2, make):
+    # a float would be stored as its binary expansion, not the decimal meant
+    with pytest.raises(TypeError):
+        make(R2)
+
+
 def test_power(R2):
     x, y = R2.var("x"), R2.var("y")
     assert (x + y) ** 2 == x**2 + 2 * x * y + y**2
@@ -202,6 +225,9 @@ def test_parse_grammar(R2):
     [
         "2x", "x y", "x*(y", "x +", "", "x^", "x^1/2", "x^-1", "w", "3.5", "x**2",
         "1/0", "x + 0/0",
+        # literals longer than int() accepts, as coefficient and as exponent
+        pytest.param("x + " + "1" * 5000, id="long-coefficient"),
+        pytest.param("x^" + "1" * 5000, id="long-exponent"),
     ],
 )
 def test_parse_rejects(R2, text):

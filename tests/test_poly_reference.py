@@ -1,0 +1,296 @@
+"""The integer-core `Polynomial` against the `Fraction`-dict one it replaced.
+
+`RefPolynomial` is the previous implementation, kept as a reference: a plain
+`{monomial: Fraction}` map with `Fraction` arithmetic throughout.  Seeded
+random operation sequences run on both, and every result must agree in
+value, text, terms, leading term, integer form, primitive part and value at
+a point.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd, lcm
+
+import pytest
+
+import smeared.poly
+from smeared import PolyRing, Polynomial
+from smeared.poly import LEX, monomial_key, monomials_up_to_degree
+
+
+class RefPolynomial:
+    """Immutable polynomial as a map from monomials to nonzero `Fraction`s."""
+
+    __slots__ = ("ring", "terms")
+
+    def __init__(self, ring, terms):
+        self.ring = ring
+        self.terms = {tuple(m): Fraction(c) for m, c in terms.items() if c}
+
+    @classmethod
+    def const(cls, ring, c):
+        return cls(ring, {(0,) * ring.nvars: Fraction(c)})
+
+    def is_zero(self):
+        return not self.terms
+
+    def is_constant(self):
+        return all(sum(m) == 0 for m in self.terms)
+
+    def constant_value(self):
+        return next(iter(self.terms.values()), Fraction(0))
+
+    def leading_term(self, key=None):
+        if key is None:
+            key = monomial_key(self.ring.order)
+        m = max(self.terms, key=key)
+        return m, self.terms[m]
+
+    def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPolynomial.const(self.ring, other)
+        terms = dict(self.terms)
+        for m, c in other.terms.items():
+            s = terms.get(m, 0) + c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return RefPolynomial(self.ring, terms)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return RefPolynomial(self.ring, {m: -c for m, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            other = RefPolynomial.const(self.ring, other)
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
+        terms = {}
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = tuple(x + y for x, y in zip(m1, m2))
+                terms[m] = terms.get(m, 0) + c1 * c2
+        return RefPolynomial(self.ring, terms)
+
+    __rmul__ = __mul__
+
+    def scale(self, c):
+        return RefPolynomial(self.ring, {m: co * c for m, co in self.terms.items()})
+
+    def mul_term(self, mono, coeff):
+        return RefPolynomial(
+            self.ring,
+            {tuple(x + y for x, y in zip(m, mono)): c * coeff for m, c in self.terms.items()},
+        )
+
+    def __pow__(self, n):
+        result = RefPolynomial.const(self.ring, 1)
+        for _ in range(n):
+            result = result * self
+        return result
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            for x, e in zip(point, m):
+                c *= Fraction(x) ** e
+            total += c
+        return total
+
+    def integer_form(self):
+        if not self.terms:
+            return {}, Fraction(1)
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        ints = {m: c.numerator * (den // c.denominator) // num for m, c in self.terms.items()}
+        return ints, Fraction(num, den)
+
+    def primitive_part(self):
+        if not self.terms:
+            return self, Fraction(1)
+        ints, c = self.integer_form()
+        sign = -1 if self.leading_term()[1] < 0 else 1
+        return RefPolynomial(self.ring, {m: sign * v for m, v in ints.items()}), sign * c
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.is_constant() and self.constant_value() == other
+        return self.ring == other.ring and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.ring, frozenset(self.terms.items())))
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        key = monomial_key(self.ring.order)
+        parts = []
+        ordered = sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        for i, (m, c) in enumerate(ordered):
+            mag = abs(c)
+            factors = [str(mag)] if mag != 1 or not any(m) else []
+            for name, e in zip(self.ring.variables, m):
+                if e == 1:
+                    factors.append(name)
+                elif e > 1:
+                    factors.append(f"{name}^{e}")
+            body = "*".join(factors)
+            if i == 0:
+                parts.append(f"-{body}" if c < 0 else body)
+            else:
+                parts.append(f"{'-' if c < 0 else '+'} {body}")
+        return " ".join(parts)
+
+
+# ---------------------------------------------------------------------------
+# random operation sequences
+
+RINGS = (PolyRing(("x", "y")), PolyRing(("x", "y", "z"), LEX))
+
+
+def _coeff(rng):
+    num = rng.choice((-1, 1)) * rng.randint(1, 30)
+    return Fraction(num, rng.choice((1, 1, 2, 3, 6, 35))) if rng.random() < 0.7 else num
+
+
+def _random_terms(rng, ring):
+    monos = monomials_up_to_degree(ring.nvars, 3)
+    if rng.random() < 0.15:  # a constant, possibly zero
+        return {(0,) * ring.nvars: rng.choice((0, _coeff(rng)))}
+    return {m: _coeff(rng) for m in rng.sample(monos, rng.randint(1, 5))}
+
+
+def _both(ring, terms):
+    return Polynomial(ring, terms), RefPolynomial(ring, terms)
+
+
+def _step(rng, ring, pool):
+    """One random operation on pool members; returns (new, ref) results."""
+    (a, ra), (b, rb) = rng.choice(pool), rng.choice(pool)
+    op = rng.choice(("+", "-", "*", "**", "scale", "mul_term", "neg", "cancel", "scalar"))
+    if op == "+":
+        return a + b, ra + rb
+    if op == "-":
+        return a - b, ra - rb
+    if op == "*":
+        return a * b, ra * rb
+    if op == "**":
+        n = rng.randint(0, 3)
+        return a**n, ra**n
+    if op == "scale":
+        c = rng.choice((0, -1, _coeff(rng)))
+        return a.scale(c), ra.scale(Fraction(c))
+    if op == "mul_term":
+        mono = tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+        c = rng.choice((1, -1, _coeff(rng)))
+        return a.mul_term(mono, c), ra.mul_term(mono, Fraction(c))
+    if op == "neg":
+        return -a, -ra
+    if op == "cancel":  # the same sum built in two orders: exactly zero
+        c = _coeff(rng)
+        return (a.scale(c) + b) - (b + c * a), (ra.scale(c) + rb) - (rb + c * ra)
+    c = _coeff(rng)
+    form = rng.choice(("p+c", "c+p", "p-c", "c-p", "p*c", "c*p"))
+    return {
+        "p+c": (a + c, ra + c),
+        "c+p": (c + a, c + ra),
+        "p-c": (a - c, ra - c),
+        "c-p": (c - a, c - ra),
+        "p*c": (a * c, ra * c),
+        "c*p": (c * a, c * ra),
+    }[form]
+
+
+def _agree(rng, ring, p, r):
+    assert isinstance(p, Polynomial)
+    assert str(p) == str(r)
+    assert dict(p.terms) == r.terms
+    assert all(type(c) is Fraction for c in p.terms.values())
+    assert p.integer_form() == r.integer_form()
+    assert p.is_zero() == r.is_zero()
+    assert p.is_constant() == r.is_constant()
+    if not r.is_zero():
+        for key in (None, monomial_key(LEX)):
+            assert p.leading_term(key) == r.leading_term(key)
+            assert type(p.leading_term(key)[1]) is Fraction
+    prim, c = p.primitive_part()
+    rprim, rc = r.primitive_part()
+    assert dict(prim.terms) == rprim.terms and c == rc
+    point = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(ring.nvars)]
+    value = p.evaluate(point)
+    assert value == r.evaluate(point) and type(value) is Fraction
+    # hash consistency: the same value built three ways hashes alike
+    for same in (Polynomial(ring, dict(p.terms)), ring.parse(str(p))):
+        assert same == p and hash(same) == hash(p)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_operation_sequences_match_reference(seed):
+    rng = random.Random(7000 + seed)
+    ring = RINGS[seed % len(RINGS)]
+    pool = [_both(ring, _random_terms(rng, ring)) for _ in range(6)]
+    zeros = 0
+    for _ in range(150):
+        p, r = _step(rng, ring, pool)
+        _agree(rng, ring, p, r)
+        zeros += r.is_zero()
+        # equality with the other pool members and with scalars agrees too
+        for q, rq in pool:
+            assert (p == q) == (r == rq)
+            if p == q:
+                assert hash(p) == hash(q)
+        c = _coeff(rng)
+        assert (p == c) == (r == c)
+        if len(r.terms) <= 25:
+            pool.append((p, r))
+            if len(pool) > 12:
+                pool.pop(rng.randrange(len(pool)))
+    assert zeros  # every sequence cancels to zero at least once
+
+
+@pytest.mark.parametrize("op", ["mul", "add"])
+def test_arithmetic_gcd_calls_do_not_grow_with_terms(monkeypatch, op):
+    # a product of primitive polynomials is primitive (Gauss's lemma), so `*`
+    # needs no gcd per term, and `+` takes one gcd over the whole sum
+    ring = PolyRing(("x", "y", "z"))
+    monos = monomials_up_to_degree(3, 9)
+    calls = []
+    real_gcd = smeared.poly.gcd
+
+    def counting_gcd(*args):
+        calls.append(len(args))
+        return real_gcd(*args)
+
+    counts = []
+    for n in (3, 30, 200):
+        rng = random.Random(n)
+        f, g = (
+            Polynomial(
+                ring,
+                {
+                    m: Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 7))
+                    for m in rng.sample(monos, n)
+                },
+            )
+            for _ in range(2)
+        )
+        monkeypatch.setattr(smeared.poly, "gcd", counting_gcd)
+        calls.clear()
+        result = f * g if op == "mul" else f + g
+        monkeypatch.undo()
+        counts.append((len(calls), sum(calls)))
+        rf, rg = RefPolynomial(ring, dict(f.terms)), RefPolynomial(ring, dict(g.terms))
+        assert dict(result.terms) == (rf * rg if op == "mul" else rf + rg).terms
+    if op == "mul":
+        assert counts == [(0, 0)] * 3  # not even one gcd pass over the product
+    else:
+        assert max(n_calls for n_calls, _ in counts) <= 2
