@@ -5,8 +5,9 @@ ring, the ideal family, and a list of queries, executes the queries in
 order, and emits a line-oriented JSON result document (one object per line:
 header, one result per query, summary).  `smeared verify results.jsonl
 problem.json` re-checks every witness embedded in a previously emitted
-document: identities that come with cofactors (memberships, partitions) are
-re-checked by plain polynomial arithmetic; negative claims, dimensions and
+document, each line bound to its own query: identities that come with
+cofactors (memberships, partitions) are re-checked by plain polynomial
+arithmetic, locus evidence by evaluation; negative claims, dimensions and
 verdicts are re-derived.
 
 Problem file layout::
@@ -69,10 +70,6 @@ class ProblemFileError(ValueError):
 
 class QueryError(ValueError):
     """A single query is malformed or failed; the batch can continue."""
-
-
-def _frac(x: Fraction) -> str:
-    return str(x)
 
 
 def _parse_frac(text: str) -> Fraction:
@@ -187,29 +184,8 @@ def _arg_point(config: SmearedRingConfig, tokens) -> list:
     return coords
 
 
-def _arg_points(config: SmearedRingConfig, tokens) -> list:
-    """Point list: JSON arrays of rationals, or "a,b" comma-joined tokens."""
-    points = []
-    for tok in tokens:
-        if isinstance(tok, list):
-            points.append(_arg_point(config, tok))
-        else:
-            points.append(_arg_point(config, str(tok).split(",")))
-    return points
-
-
 # ---------------------------------------------------------------------------
 # query payloads
-
-
-def _membership_payload(cert) -> dict:
-    if cert.member:
-        return {"member": True, "constants": [_frac(c) for c in cert.constants]}
-    return {
-        "member": False,
-        "witness_index": cert.witness_index + 1,
-        "remainder": str(cert.nonconstant_remainder),
-    }
 
 
 def _cofactors(ideal: Ideal, f: Polynomial) -> list:
@@ -219,29 +195,53 @@ def _cofactors(ideal: Ideal, f: Polynomial) -> list:
     return [str(c) for c in cof]
 
 
-def _violation_message(v) -> str:
-    """1-based phrasing for CLI output; the library message is 0-based."""
-    shown = tuple(i + 1 for i in v.ideals)
-    if v.kind == "not_coprime":
-        return f"not coprime: pair {shown}"
-    if v.kind == "not_proper":
-        return f"ideal {shown[0]} is the unit ideal"
-    if v.kind == "zero":
-        return f"ideal {shown[0]} is the zero ideal"
-    if v.kind == "maximal":
-        return (
-            f"ideal {shown[0]} is maximal (residue dimension 1); the constants "
-            "together with a maximal ideal already fill the whole ring, so "
-            "drop this ideal from the configuration"
-        )
-    if v.kind == "not_radical":
-        return f"ideal {shown[0]} asserted radical, but a spot check refuted it"
-    return v.message
+def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
+    """A query's arguments, parsed and range-checked, under the names its
+    payload echoes them by (`index` is 0-based here); `run` and `verify`
+    both read queries through this."""
+    if name in ("validate", "dims", "verdict"):
+        _want(args, 0, 0, name)
+        return {}
+    if name == "member":
+        _want(args, 1, None, "member <poly>")
+        return {"poly": _arg_poly(config, args)}
+    if name == "eval":
+        _want(args, 2, None, "eval <poly> <i>")
+        i = _arg_index(config, args[-1])
+        return {"poly": _arg_poly(config, args[:-1]), "index": i}
+    if name == "partition":
+        _want(args, 1, 1, "partition <i>")
+        return {"index": _arg_index(config, args[0])}
+    if name == "chain":
+        _want(args, 2, 2, "chain <i> <L>")
+        i = _arg_index(config, args[0])
+        return {"index": i, "length": _arg_int(args[1], "chain length")}
+    if name == "locus":
+        _want(args, 1, None, "locus <coordinates>")
+        return {"point": _arg_point(config, args)}
+    if name == "basis":
+        _want(args, 1, 1, "basis <d>")
+        d = _arg_int(args[0], "degree bound")
+        if d < 0:
+            raise QueryError("degree bound must be non-negative")
+        return {"degree": d}
+    if name == "constancy":
+        _want(args, 3, None, "constancy <poly> <i> <points>")
+        f = _arg_poly(config, args[:1])
+        i = _arg_index(config, args[1])
+        # each point is a JSON array of rationals or one "a,b" token
+        points = [
+            _arg_point(config, t if isinstance(t, list) else str(t).split(","))
+            for t in args[2:]
+        ]
+        return {"poly": f, "index": i, "points": points}
+    raise QueryError(f"unknown query {name!r}")
 
 
 def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radicality: bool) -> dict:
+    q = _query_args(name, args, config)
+    f, i = q.get("poly"), q.get("index")
     if name == "validate":
-        _want(args, 0, 0, "validate")
         report = validate(config, check_radicality=check_radicality)
         return {
             "ok": report.ok,
@@ -250,38 +250,39 @@ def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radic
                 {
                     "kind": v.kind,
                     "ideals": [i + 1 for i in v.ideals],
-                    "message": _violation_message(v),
+                    "message": v.render(1),
                 }
                 for v in report.violations
             ],
         }
 
     if name == "member":
-        _want(args, 1, None, "member <poly>")
-        f = _arg_poly(config, args)
         cert = member(f, config)
-        payload = {"poly": str(f)}
-        payload.update(_membership_payload(cert))
-        if cert.member:
-            payload["cofactors"] = [
+        if not cert.member:
+            return {
+                "poly": str(f),
+                "member": False,
+                "witness_index": cert.witness_index + 1,
+                "remainder": str(cert.nonconstant_remainder),
+            }
+        return {
+            "poly": str(f),
+            "member": True,
+            "constants": [str(c) for c in cert.constants],
+            "cofactors": [
                 _cofactors(ideal, f - config.ring.const(alpha))
                 for ideal, alpha in zip(config.ideals, cert.constants)
-            ]
-        return payload
+            ],
+        }
 
     if name == "eval":
-        _want(args, 2, None, "eval <poly> <i>")
-        i = _arg_index(config, args[-1])
-        f = _arg_poly(config, args[:-1])
         try:
             value = evaluate_at_smeared_point(f, i, config)
         except ValueError as e:
             raise QueryError(str(e)) from None
-        return {"poly": str(f), "index": i + 1, "value": _frac(value)}
+        return {"poly": str(f), "index": i + 1, "value": str(value)}
 
     if name == "partition":
-        _want(args, 1, 1, "partition <i>")
-        i = _arg_index(config, args[0])
         try:
             w = partition_of_unity(i, config)
         except ValueError as e:
@@ -293,18 +294,15 @@ def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radic
             "index": i + 1,
             "a": str(w.a),
             "b": str(w.b),
-            "a_constants": [_frac(c) for c in w.a_membership.constants],
-            "b_constants": [_frac(c) for c in w.b_membership.constants],
+            "a_constants": [str(c) for c in w.a_membership.constants],
+            "b_constants": [str(c) for c in w.b_membership.constants],
             "a_cofactors": _cofactors(config.ideals[i], w.a),
             "b_cofactors": b_cof,
         }
 
     if name == "chain":
-        _want(args, 2, 2, "chain <i> <L>")
-        i = _arg_index(config, args[0])
-        length = _arg_int(args[1], "chain length")
         try:
-            w = chain_witness(i, length, config)
+            w = chain_witness(i, q["length"], config)
         except (NoChainError, ChainSelectionError, ValueError) as e:
             raise QueryError(str(e)) from None
         return {
@@ -316,69 +314,53 @@ def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radic
         }
 
     if name == "dims":
-        _want(args, 0, 0, "dims")
         return {"dims": list(verdicts(config).per_ideal_dims)}
 
     if name == "verdict":
-        _want(args, 0, 0, "verdict")
         v = verdicts(config)
         return {
             "noetherian": v.noetherian,
             "depicted_by_S": v.depicted_by_S,
             "dims": list(v.per_ideal_dims),
-            "gdim_lower_bounds": list(v.gdim_lower_bounds),
         }
 
     if name == "locus":
-        _want(args, 1, None, "locus <coordinates>")
-        point = _arg_point(config, args)
+        point = q["point"]
         report = locus_member(point, config)
         evidence = []
         for e in report.evidence:
             entry = {"ideal": e.index + 1, "on_variety": e.on_variety}
             if not e.on_variety:
                 entry["generator_index"] = e.generator_index + 1
-                entry["value"] = _frac(e.value)
+                entry["value"] = str(e.value)
             evidence.append(entry)
         return {
-            "point": [_frac(c) for c in point],
+            "point": [str(c) for c in point],
             "in_locus": report.in_locus,
             "evidence": evidence,
         }
 
     if name == "basis":
-        _want(args, 1, 1, "basis <d>")
-        d = _arg_int(args[0], "degree bound")
-        if d < 0:
-            raise QueryError("degree bound must be non-negative")
-        basis = r_basis(d, config)
+        basis = r_basis(q["degree"], config)
         return {
-            "degree": d,
+            "degree": q["degree"],
             "dimension": len(basis),
             "basis": [str(p) for p in basis],
         }
 
-    if name == "constancy":
-        _want(args, 3, None, "constancy <poly> <i> <points>")
-        f = _arg_poly(config, args[:1])
-        i = _arg_index(config, args[1])
-        points = _arg_points(config, args[2:])
-        if not points:
-            raise QueryError("constancy needs at least one point")
-        try:
-            report = smeared_constancy_check(f, i, points, config)
-        except ValueError as e:
-            raise QueryError(str(e)) from None
-        return {
-            "poly": str(f),
-            "index": i + 1,
-            "expected": _frac(report.expected),
-            "values": [_frac(v) for v in report.values],
-            "ok": report.ok,
-            "mismatches": [p + 1 for p in report.mismatches],
-        }
-
-    raise QueryError(f"unknown query {name!r}")
+    # constancy: `_query_args` has rejected every other name
+    try:
+        report = smeared_constancy_check(f, i, q["points"], config)
+    except ValueError as e:
+        raise QueryError(str(e)) from None
+    return {
+        "poly": str(f),
+        "index": i + 1,
+        "expected": str(report.expected),
+        "values": [str(v) for v in report.values],
+        "ok": report.ok,
+        "mismatches": [p + 1 for p in report.mismatches],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -484,6 +466,8 @@ def _parse_document(path: str) -> list:
 
 
 def _combine(cofactor_texts, generators, ring) -> Polynomial:
+    if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
+        raise QueryError(f"need one cofactor per generator ({len(generators)})")
     total = ring.zero()
     for text, g in zip(cofactor_texts, generators):
         total = total + ring.parse(text) * g
@@ -491,7 +475,14 @@ def _combine(cofactor_texts, generators, ring) -> Polynomial:
 
 
 class _Verifier:
-    """Re-checks one emitted result payload against the problem file."""
+    """Re-checks one emitted result payload against the problem file.
+
+    Each line is bound to its own query: the payload's `poly`, `index`,
+    `length`, `degree` and `point` must equal the query's arguments as
+    values, every per-ideal list must hold one entry per ideal in order, and
+    the checks then use the query's arguments.  A malformed claim raises
+    `QueryError` naming the field at fault.
+    """
 
     def __init__(self, config: SmearedRingConfig, check_radicality: bool):
         self.config = config
@@ -501,33 +492,57 @@ class _Verifier:
         if entry.get("status") != "ok":
             return None  # an error entry carries no witness
         name, args = _normalize_query(entry["query"])
+        q = _query_args(name, args, self.config)
         payload = entry["payload"]
-        handler = getattr(self, "_check_" + name, None)
-        if handler is None:
-            return f"unknown query {name!r}"
-        return handler(args, payload)
+        for field, want in q.items():
+            if field == "points":
+                continue  # constancy echoes no points
+            got = payload[field]
+            if field == "poly":
+                # emitted text is canonical: an equal string needs no parse
+                read = want if got == str(want) else self.config.ring.parse(got)
+            elif field == "point":
+                read = [_parse_frac(c) for c in got]
+            else:
+                read = got
+                if field == "index":
+                    want += 1  # 1-based in documents
+            if type(read) is not type(want) or read != want:
+                raise QueryError(f"{field} {got!r} does not match the query")
+        return getattr(self, "_check_" + name)(q, payload)
+
+    def _per_ideal(self, payload: dict, field: str) -> list:
+        entries = payload[field]
+        if not isinstance(entries, list) or len(entries) != self.config.n:
+            raise QueryError(f"{field} needs one entry per ideal ({self.config.n})")
+        return entries
 
     # Positive memberships and partitions verify by pure arithmetic on the
-    # embedded cofactors.  Negative claims, dimensions, verdicts and bases
-    # have no finite certificate, so they are re-derived with the engine.
+    # embedded cofactors, locus evidence by evaluation.  Negative claims,
+    # dimensions, verdicts and bases have no finite certificate, so they are
+    # re-derived with the engine.
 
-    def _check_validate(self, args, payload) -> Optional[str]:
-        report = validate(self.config, check_radicality=payload.get("radicality_checked", False))
+    def _check_validate(self, q, payload) -> Optional[str]:
+        if payload["radicality_checked"] is not self.check_radicality:
+            return "radicality_checked does not match the problem file"
+        report = validate(self.config, check_radicality=self.check_radicality)
         if report.ok != payload["ok"]:
             return f"validate disagrees: recomputed ok={report.ok}"
-        got = sorted((v["kind"], tuple(v["ideals"])) for v in payload["violations"])
-        want = sorted((v.kind, tuple(i + 1 for i in v.ideals)) for v in report.violations)
+        got = sorted((v["kind"], tuple(v["ideals"]), v["message"]) for v in payload["violations"])
+        want = sorted(
+            (v.kind, tuple(i + 1 for i in v.ideals), v.render(1)) for v in report.violations
+        )
         if got != want:
             return f"violation list disagrees: {got} vs {want}"
         return None
 
-    def _check_member(self, args, payload) -> Optional[str]:
+    def _check_member(self, q, payload) -> Optional[str]:
         ring = self.config.ring
-        f = ring.parse(payload["poly"])
+        f = q["poly"]
         if payload["member"]:
-            for i, (ideal, alpha, cof) in enumerate(
-                zip(self.config.ideals, payload["constants"], payload["cofactors"])
-            ):
+            constants = self._per_ideal(payload, "constants")
+            cofactors = self._per_ideal(payload, "cofactors")
+            for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
                 target = f - ring.const(_parse_frac(alpha))
                 if _combine(cof, ideal.generators, ring) != target:
                     return f"cofactor identity fails for ideal {i + 1}"
@@ -541,43 +556,40 @@ class _Verifier:
             return "nonconstant remainder disagrees"
         return None
 
-    def _check_eval(self, args, payload) -> Optional[str]:
-        f = self.config.ring.parse(payload["poly"])
-        value = evaluate_at_smeared_point(f, payload["index"] - 1, self.config)
-        if _frac(value) != payload["value"]:
+    def _check_eval(self, q, payload) -> Optional[str]:
+        value = evaluate_at_smeared_point(q["poly"], q["index"], self.config)
+        if _parse_frac(payload["value"]) != value:
             return f"value disagrees: {value} vs {payload['value']}"
         return None
 
-    def _check_partition(self, args, payload) -> Optional[str]:
+    def _check_partition(self, q, payload) -> Optional[str]:
         ring = self.config.ring
-        i = payload["index"] - 1
+        i = q["index"]
         a = ring.parse(payload["a"])
         b = ring.parse(payload["b"])
         if a + b != ring.one():
             return "a + b is not 1"
         if _combine(payload["a_cofactors"], self.config.ideals[i].generators, ring) != a:
             return "cofactors for a do not reproduce a"
-        for j, cof in enumerate(payload["b_cofactors"]):
+        b_cofactors = self._per_ideal(payload, "b_cofactors")
+        for j, (ideal, cof) in enumerate(zip(self.config.ideals, b_cofactors)):
             if j == i:
                 if cof is not None:
                     return "unexpected cofactors for the distinguished ideal"
                 continue
-            if _combine(cof, self.config.ideals[j].generators, ring) != b:
+            if _combine(cof, ideal.generators, ring) != b:
                 return f"cofactors for b do not reproduce b in ideal {j + 1}"
         # the identities force the constants: a is 0 on Z(I_i), 1 elsewhere
-        n = self.config.n
-        want_a = [_frac(Fraction(1))] * n
-        want_a[i] = _frac(Fraction(0))
-        want_b = [_frac(Fraction(0))] * n
-        want_b[i] = _frac(Fraction(1))
-        if payload["a_constants"] != want_a or payload["b_constants"] != want_b:
+        want_a = [Fraction(int(j != i)) for j in range(self.config.n)]
+        got_a = [_parse_frac(c) for c in self._per_ideal(payload, "a_constants")]
+        got_b = [_parse_frac(c) for c in self._per_ideal(payload, "b_constants")]
+        if got_a != want_a or got_b != [1 - c for c in want_a]:
             return "constant vectors do not match the forced pattern"
         return None
 
-    def _check_chain(self, args, payload) -> Optional[str]:
+    def _check_chain(self, q, payload) -> Optional[str]:
         ring = self.config.ring
-        i = payload["index"] - 1
-        w = chain_witness(i, payload["length"], self.config)
+        w = chain_witness(q["index"], q["length"], self.config)
         if str(w.h) != payload["h"] or str(w.g) != payload["g"]:
             return "selected g or h disagrees"
         if [str(nf) for nf in w.evidence] != payload["evidence"]:
@@ -590,39 +602,42 @@ class _Verifier:
                 return "embedded evidence is linearly dependent"
         return None
 
-    def _check_dims(self, args, payload) -> Optional[str]:
+    def _check_dims(self, q, payload) -> Optional[str]:
         dims = list(verdicts(self.config).per_ideal_dims)
         return None if dims == payload["dims"] else f"dims disagree: {dims}"
 
-    def _check_verdict(self, args, payload) -> Optional[str]:
+    def _check_verdict(self, q, payload) -> Optional[str]:
         v = verdicts(self.config)
         if v.noetherian != payload["noetherian"] or v.depicted_by_S != payload["depicted_by_S"]:
             return "verdict disagrees"
-        if list(v.per_ideal_dims) != payload["dims"]:
-            return "dims disagree"
-        return None
+        return self._check_dims(q, payload)
 
-    def _check_locus(self, args, payload) -> Optional[str]:
-        point = [_parse_frac(c) for c in payload["point"]]
-        for e in payload["evidence"]:
-            ideal = self.config.ideals[e["ideal"] - 1]
+    def _check_locus(self, q, payload) -> Optional[str]:
+        point = q["point"]
+        evidence = self._per_ideal(payload, "evidence")
+        for k, (ideal, e) in enumerate(zip(self.config.ideals, evidence), start=1):
+            if type(e["ideal"]) is not int or e["ideal"] != k:
+                return f"evidence entry {k} names ideal {e['ideal']!r}"
             if e["on_variety"]:
                 for g in ideal.generators:
                     if g.evaluate(point):
                         return f"generator {g} does not vanish as claimed"
-            else:
-                g = ideal.generators[e["generator_index"] - 1]
-                if _frac(g.evaluate(point)) != e["value"]:
-                    return "claimed nonvanishing value disagrees"
-                if not g.evaluate(point):
-                    return "claimed nonvanishing generator vanishes"
-        claimed = all(not e["on_variety"] for e in payload["evidence"])
+                continue
+            gi = e["generator_index"]
+            if type(gi) is not int or not 1 <= gi <= len(ideal.generators):
+                return f"generator index {gi!r} of ideal {k} out of range"
+            value = ideal.generators[gi - 1].evaluate(point)
+            if not value:
+                return "claimed nonvanishing generator vanishes"
+            if _parse_frac(e["value"]) != value:
+                return "claimed nonvanishing value disagrees"
+        claimed = all(not e["on_variety"] for e in evidence)
         if claimed != payload["in_locus"]:
             return "in_locus flag contradicts its own evidence"
         return None
 
-    def _check_basis(self, args, payload) -> Optional[str]:
-        basis = r_basis(payload["degree"], self.config)
+    def _check_basis(self, q, payload) -> Optional[str]:
+        basis = r_basis(q["degree"], self.config)
         if len(basis) != payload["dimension"]:
             return f"dimension disagrees: {len(basis)}"
         if [str(p) for p in basis] != payload["basis"]:
@@ -632,23 +647,21 @@ class _Verifier:
                 return f"basis element {p} is not a member"
         return None
 
-    def _check_constancy(self, args, payload) -> Optional[str]:
-        ring = self.config.ring
-        f = ring.parse(payload["poly"])
-        i = payload["index"] - 1
-        expected = _parse_frac(payload["expected"])
-        if evaluate_at_smeared_point(f, i, self.config) != expected:
+    def _check_constancy(self, q, payload) -> Optional[str]:
+        f, i, points = q["poly"], q["index"], q["points"]
+        expected = evaluate_at_smeared_point(f, i, self.config)
+        if _parse_frac(payload["expected"]) != expected:
             return "expected value disagrees with recomputation"
-        points = _arg_points(self.config, args[2:])
         for pos, point in enumerate(points, start=1):
             for g in self.config.ideals[i].generators:
                 if g.evaluate(point):
                     return f"point {pos} is not on the zero set"
-        values = [_frac(f.evaluate(p)) for p in points]
-        if values != payload["values"]:
+        values = [f.evaluate(p) for p in points]
+        if [_parse_frac(v) for v in payload["values"]] != values:
             return "evaluations disagree"
-        if payload["ok"] != all(v == payload["expected"] for v in values):
-            return "ok flag contradicts the values"
+        mismatches = [pos for pos, v in enumerate(values, start=1) if v != expected]
+        if payload["mismatches"] != mismatches or payload["ok"] != (not mismatches):
+            return "ok flag or mismatches contradict the values"
         return None
 
 
@@ -669,7 +682,11 @@ def verify_command(result_path: str, problem_path: str) -> int:
         checked += 1
         try:
             problem = verifier.check(entry)
-        except (ParseError, QueryError, ValueError, RuntimeError) as e:
+        except KeyError as e:
+            problem = f"missing field {e}"
+        except QueryError as e:
+            problem = str(e)
+        except (TypeError, ValueError, RuntimeError) as e:
             problem = f"verification crashed: {e}"
         line = {"type": "verify", "index": entry.get("index"), "ok": problem is None}
         if problem is not None:

@@ -44,18 +44,6 @@ class DivisionResult:
     remainder: Polynomial
 
 
-class _Reversed:
-    """Heap entry for a key without a `descending` companion."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
-
-
 def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionResult:
     """Multivariate division of f by an ordered list of divisors.
 
@@ -79,8 +67,9 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     an integer map over its own denominator, raised to a multiple of sigma
     before a term is added (`_put`), with one gcd pass at the end.
 
-    The working terms sit in a min-heap on the order's descending key, and a
-    monomial is pushed only when it enters the working set.  A popped
+    `key` must come from `monomial_key` (the default is the ring's order):
+    the working terms sit in a min-heap on its `key.descending` companion,
+    and a monomial is pushed only when it enters the working set.  A popped
     monomial that has already left the set is skipped (lazy deletion); this
     is sound because every term a step adds is smaller than the term it
     pops, so a popped monomial never comes back.
@@ -88,7 +77,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     ring = f.ring
     if key is None:
         key = monomial_key(ring.order)
-    descending = getattr(key, "descending", None) or (lambda m: _Reversed(key(m)))
+    descending = key.descending
     divisors = list(divisors)
     leads = []  # per divisor: None, or (lead, integer lead coefficient, integer terms, content)
     for d in divisors:

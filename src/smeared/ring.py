@@ -52,8 +52,8 @@ class NotCoprimeError(ValueError):
 
     def __init__(self, i: int, j: int):
         super().__init__(
-            f"ideals {i} and {j} are not coprime (their zero sets meet), so no "
-            f"partition of unity separates ideal {i} from the rest"
+            f"{Violation('not_coprime', (i, j)).render()}, so no partition of "
+            f"unity separates ideal {i} from the rest"
         )
         self.pair = (i, j)
 
@@ -91,11 +91,33 @@ class SmearedRingConfig:
             raise IndexError(f"ideal index {i} out of range (0..{self.n - 1})")
 
 
+# one text per violation kind; {0} and {1} are the ideals, {monomial} the
+# monomial that refutes radicality
+_VIOLATION_TEXTS = {
+    "not_proper": "ideal {0} is the unit ideal",
+    "zero": "ideal {0} is the zero ideal",
+    "maximal": "ideal {0} is maximal (residue dimension 1); the constants together "
+    "with a maximal ideal already fill the whole ring, so drop this ideal from "
+    "the configuration",
+    "not_coprime": "ideals {0} and {1} are not coprime (their zero sets meet)",
+    "not_radical": "ideal {0} asserted radical, but {monomial} lies in the radical "
+    "and not in the ideal",
+}
+
+
 @dataclass(frozen=True)
 class Violation:
+    """A failed hypothesis: its kind, the 0-based ideals at fault, and for
+    `not_radical` the monomial that refutes radicality."""
+
     kind: str
     ideals: tuple
-    message: str
+    monomial: Optional[Polynomial] = None
+
+    def render(self, base: int = 0) -> str:
+        """The message, numbering ideals from `base` (the CLI uses 1)."""
+        shown = (i + base for i in self.ideals)
+        return _VIOLATION_TEXTS[self.kind].format(*shown, monomial=self.monomial)
 
 
 @dataclass(frozen=True)
@@ -154,7 +176,6 @@ class Verdicts:
     noetherian: bool
     depicted_by_S: bool
     per_ideal_dims: tuple
-    gdim_lower_bounds: tuple
 
 
 @dataclass(frozen=True)
@@ -222,53 +243,30 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
     proper = []
     for i, ideal in enumerate(config.ideals):
         if ideal.contains_one():
-            violations.append(
-                Violation("not_proper", (i,), f"ideal {i} is the unit ideal")
-            )
+            violations.append(Violation("not_proper", (i,)))
             proper.append(False)
             continue
         proper.append(True)
         if ideal.is_zero():
-            violations.append(Violation("zero", (i,), f"ideal {i} is the zero ideal"))
+            violations.append(Violation("zero", (i,)))
             continue
         # residue dimension 1 exactly when the reduced basis leads are the
         # nvars variables themselves: the staircase is then just {1}
         leads = ideal.groebner().leading_monomials()
         if len(leads) == config.ring.nvars and all(sum(m) == 1 for m in leads):
-            violations.append(
-                Violation(
-                    "maximal",
-                    (i,),
-                    f"ideal {i} is maximal (residue dimension 1); the constants "
-                    "together with a maximal ideal already fill the whole ring, "
-                    "so drop this ideal from the configuration",
-                )
-            )
+            violations.append(Violation("maximal", (i,)))
     for i, j in itertools.combinations(range(config.n), 2):
         if not proper[i] or not proper[j]:
             continue
         if not config.ideals[i].is_coprime(config.ideals[j]):
-            violations.append(
-                Violation(
-                    "not_coprime",
-                    (i, j),
-                    f"ideals {i} and {j} are not coprime (their zero sets meet)",
-                )
-            )
+            violations.append(Violation("not_coprime", (i, j)))
     if check_radicality:
         for i, ideal in enumerate(config.ideals):
             if not config.radical_asserted[i] or not proper[i]:
                 continue
             for cand in _radicality_candidates(ideal):
                 if ideal.radical_member(cand) and not ideal.contains(cand):
-                    violations.append(
-                        Violation(
-                            "not_radical",
-                            (i,),
-                            f"ideal {i} asserted radical, but {cand} lies in the "
-                            "radical and not in the ideal",
-                        )
-                    )
+                    violations.append(Violation("not_radical", (i,), cand))
                     break
     return ValidationReport(tuple(violations), radicality_checked=check_radicality)
 
@@ -308,16 +306,15 @@ def evaluate_at_smeared_point(f: Polynomial, i: int, config: SmearedRingConfig) 
 # partition of unity
 
 
-def _intersect_others(config: SmearedRingConfig, i: int) -> Ideal:
-    rest = [ideal for j, ideal in enumerate(config.ideals) if j != i]
-    acc = rest[0]
-    for nxt in rest[1:]:
-        acc = acc.intersect(nxt)
-    return acc
-
-
 def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
     """Split 1 = a + b with a in I_i and b in every other ideal.
+
+    Built from the pairwise coprimality alone, with no intersection: for
+    each j != i, in index order, the unit certificate of I_i + I_j gives
+    1 = a_j + b_j with a_j in I_i and b_j in I_j.  Then b = prod_j b_j lies
+    in every I_j, j != i, and a = 1 - b lies in I_i, because each
+    b_j = 1 - a_j is 1 modulo I_i and so is their product.  The first pair
+    with no unit certificate raises `NotCoprimeError`.
 
     Both pieces land in R: a is 0 on Z(I_i) and 1 on the other zero sets, b
     the reverse.  All claimed invariants are re-verified before returning;
@@ -327,25 +324,21 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
     if config.n < 2:
         raise ValueError("a partition of unity needs at least two ideals")
     ideal_i = config.ideals[i]
-    others = _intersect_others(config, i)
-    combined = ideal_i + others
-    try:
-        cof = combined.unit_certificate()
-    except ValueError:
-        # ideal_i is coprime to the intersection iff it is coprime to each
-        # ideal in it, so some pair with i is at fault
-        for j, ideal in enumerate(config.ideals):
-            if j != i and not ideal_i.is_coprime(ideal):
-                raise NotCoprimeError(i, j) from None
-        raise
     k = len(ideal_i.generators)
     ring = config.ring
-    a = ring.zero()
-    for c, g in zip(cof[:k], ideal_i.generators):
-        a = a + c * g
-    b = ring.zero()
-    for c, g in zip(cof[k:], others.generators):
-        b = b + c * g
+    b = ring.one()
+    for j, ideal_j in enumerate(config.ideals):
+        if j == i:
+            continue
+        try:
+            cof = (ideal_i + ideal_j).unit_certificate()
+        except ValueError:
+            raise NotCoprimeError(i, j) from None
+        b_j = ring.zero()
+        for c, g in zip(cof[k:], ideal_j.generators):
+            b_j = b_j + c * g
+        b = b * b_j
+    a = ring.one() - b
 
     if a + b != ring.one():
         raise RuntimeError("partition does not sum to 1")
@@ -377,7 +370,6 @@ def verdicts(config: SmearedRingConfig) -> Verdicts:
         noetherian=all(d == 0 for d in dims),
         depicted_by_S=all(d >= 1 for d in dims),
         per_ideal_dims=dims,
-        gdim_lower_bounds=dims,
     )
 
 

@@ -120,7 +120,11 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     lines = [json.loads(line) for line in out.splitlines()]
     violations = lines[1]["payload"]["violations"]
     assert violations == [
-        {"ideals": [1, 2], "kind": "not_coprime", "message": "not coprime: pair (1, 2)"}
+        {
+            "ideals": [1, 2],
+            "kind": "not_coprime",
+            "message": "ideals 1 and 2 are not coprime (their zero sets meet)",
+        }
     ]
     assert lines[-1]["aborted"] == "validation"
 
@@ -229,27 +233,74 @@ def test_verify_accepts_emitted_document(tmp_path, capsys):
     assert lines[-1] == {"checked": 12, "failures": 0, "type": "verify-summary"}
 
 
+def _forge_non_member(payload):
+    # `member y` rewritten as a claim about another polynomial
+    payload.update(poly="0", member=True, constants=["0"] * 3, cofactors=[["0"]] * 3)
+
+
+def _replace_locus_evidence(payload):
+    # an ideal-0 entry that passes for the last ideal under [-1] indexing
+    payload["evidence"][0] = {
+        "ideal": 0, "on_variety": False, "generator_index": 1, "value": "1"
+    }
+
+
+# result index -> (tampering, text the failed verify line must contain); the
+# queries from 13 on repeat earlier ones, one tampered line per defect
+TAMPERING = {
+    4: (lambda p: p["cofactors"].__setitem__(0, ["1/0"]), "zero denominator"),
+    6: (lambda p: p.update(value="2"), "value disagrees"),
+    7: (lambda p: p.update(a_constants=["1", "1", "1"]), "forced pattern"),
+    13: (_forge_non_member, "poly '0' does not match the query"),
+    14: (lambda p: p.update(cofactors=[]), "cofactors needs one entry per ideal"),
+    15: (
+        lambda p: p.update(a="x", b="1 - x", a_cofactors=["1"], b_cofactors=[None]),
+        "b_cofactors needs one entry per ideal",
+    ),
+    16: (lambda p: p.update(evidence=p["evidence"][1:], in_locus=True), "evidence needs"),
+    17: (lambda p: p.update(index=9), "index 9 does not match the query"),
+    18: (lambda p: p.update(index=9), "index 9 does not match the query"),
+    19: (_replace_locus_evidence, "evidence entry 1 names ideal 0"),
+    20: (lambda p: p.pop("dims"), "missing field 'dims'"),
+    21: (lambda p: p["a_cofactors"].append("0"), "need one cofactor per generator (1)"),
+    22: (
+        lambda p: p["evidence"][0].update(generator_index=0),
+        "generator index 0 of ideal 1 out of range",
+    ),
+}
+
+
 def test_verify_catches_tampering(tmp_path, capsys):
-    rc, _, problem, out = run_to_file(tmp_path, THREE_LINES)
+    doc = dict(THREE_LINES)
+    doc["queries"] = THREE_LINES["queries"] + [
+        "member y",
+        "member x*(x - 1)*(x - 2)*y",
+        "partition 1",
+        "locus 0 7",
+        "chain 1 4",
+        ["eval", "x", 2],
+        "locus 3 5",
+        "dims",
+        "partition 2",
+        "locus 3 5",
+    ]
+    rc, _, problem, out = run_to_file(tmp_path, doc)
     assert rc == 0
     tampered = []
     for line in out.read_text().splitlines():
         entry = json.loads(line)
-        if entry.get("type") == "result" and entry.get("index") == 4:
-            entry["payload"]["cofactors"][0] = ["1/0"]
-        if entry.get("type") == "result" and entry.get("index") == 6:
-            entry["payload"]["value"] = "2"
-        if entry.get("type") == "result" and entry.get("index") == 7:
-            entry["payload"]["a_constants"] = ["1", "1", "1"]
+        if entry.get("type") == "result" and entry["index"] in TAMPERING:
+            TAMPERING[entry["index"]][0](entry["payload"])
         tampered.append(json.dumps(entry, sort_keys=True))
     out.write_text("\n".join(tampered) + "\n")
     capsys.readouterr()
     assert main(["verify", str(out), str(problem)]) == 1
     lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
     bad = {e["index"]: e["problem"] for e in lines if e["type"] == "verify" and not e["ok"]}
-    assert set(bad) == {4, 6, 7}
-    assert "zero denominator" in bad[4]
-    assert lines[-1]["failures"] == 3
+    assert set(bad) == set(TAMPERING)
+    for index, (_, text) in TAMPERING.items():
+        assert text in bad[index], (index, bad[index])
+    assert lines[-1] == {"checked": 22, "failures": len(TAMPERING), "type": "verify-summary"}
 
 
 def test_verify_checks_cofactor_identities(tmp_path, capsys):

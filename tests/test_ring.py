@@ -142,20 +142,38 @@ def test_evaluation_is_a_homomorphism(three_lines, R2):
         assert sm.evaluate_at_smeared_point(f * g, i, three_lines) == vf * vg
 
 
-def test_partition_of_unity_invariants(three_lines, R2):
-    for i in range(3):
-        w = sm.partition_of_unity(i, three_lines)
-        assert w.a + w.b == R2.one()
-        assert three_lines.ideals[i].contains(w.a)
-        for j in range(3):
-            if j != i:
-                assert three_lines.ideals[j].contains(w.b)
-                # distinctness of the smeared points: a is in I_i, not in I_j
-                assert not three_lines.ideals[j].contains(w.a)
-        assert not three_lines.ideals[i].contains(w.b)
-        expected_a = tuple(Fraction(0 if j == i else 1) for j in range(3))
-        assert w.a_membership.constants == expected_a
-        assert w.b_membership.constants == tuple(1 - c for c in expected_a)
+def four_curves_config():
+    ring = PolyRing(("x", "y", "z"))
+    gens = (
+        ("x", "y"),
+        ("y - x^2 - 1", "z - x^3"),
+        ("z - 5", "x*y - 1"),
+        ("x^2 + y^2 - 1", "z + 3"),
+    )
+    return SmearedRingConfig(ring, tuple(Ideal(ring, tuple(map(ring.parse, g))) for g in gens))
+
+
+def test_partition_of_unity_invariants(three_lines, monkeypatch):
+    def no_intersection(self, other):
+        raise AssertionError("partition_of_unity computed an intersection")
+
+    # pairwise unit certificates suffice; no ideal is ever intersected
+    monkeypatch.setattr(Ideal, "intersect", no_intersection)
+    for config in (three_lines, four_curves_config()):
+        n, one = config.n, config.ring.one()
+        for i in range(n):
+            w = sm.partition_of_unity(i, config)
+            assert w.a + w.b == one
+            assert config.ideals[i].contains(w.a)
+            for j in range(n):
+                if j != i:
+                    assert config.ideals[j].contains(w.b)
+                    # distinctness of the smeared points: a is in I_i, not in I_j
+                    assert not config.ideals[j].contains(w.a)
+            assert not config.ideals[i].contains(w.b)
+            expected_a = tuple(Fraction(0 if j == i else 1) for j in range(n))
+            assert w.a_membership.constants == expected_a
+            assert w.b_membership.constants == tuple(1 - c for c in expected_a)
 
 
 def test_partition_needs_two_ideals(R2):
@@ -175,14 +193,24 @@ def test_partition_names_non_coprime_pair(R2):
     assert isinstance(info.value, ValueError)
     assert "ideals 0 and 1 are not coprime" in str(info.value)
 
+    # the pair at fault is not the first one tried
+    config = SmearedRingConfig(
+        R2, (Ideal(R2, (x,)), Ideal(R2, (x - 1,)), Ideal(R2, (x * (x - 2),)))
+    )
+    with pytest.raises(sm.NotCoprimeError) as info:
+        sm.partition_of_unity(0, config)
+    assert info.value.pair == (0, 2)
+    assert "ideals 0 and 2 are not coprime" in str(info.value)
+
 
 def test_verdicts_three_lines(three_lines):
     v = sm.verdicts(three_lines)
     assert not v.noetherian
     assert v.depicted_by_S
     assert v.per_ideal_dims == (1, 1, 1)
-    assert v.gdim_lower_bounds == v.per_ideal_dims
-    # `verdicts` is the one entry point; the old aliases are gone
+    # the dimensions live in one field, and `verdicts` is the one entry
+    # point; the old copy and aliases are gone
+    assert not hasattr(v, "gdim_lower_bounds")
     assert not hasattr(sm, "noetherian_verdict")
     assert not hasattr(sm, "depiction_verdict")
 
