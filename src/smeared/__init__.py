@@ -20,7 +20,6 @@ from .poly import (
     parse_poly,
 )
 from .ring import (
-    ChainSelectionError,
     ChainWitness,
     ConstancyReport,
     LocusEvidence,
@@ -47,7 +46,6 @@ from .ring import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChainSelectionError",
     "ChainWitness",
     "ConstancyReport",
     "DivisionResult",

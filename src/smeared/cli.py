@@ -4,11 +4,11 @@
 ring, the ideal family, and a list of queries, executes the queries in
 order, and emits a line-oriented JSON result document (one object per line:
 header, one result per query, summary).  `smeared verify results.jsonl
-problem.json` re-checks every witness embedded in a previously emitted
-document, each line bound to its own query: identities that come with
-cofactors (memberships, partitions) are re-checked by plain polynomial
-arithmetic, locus evidence by evaluation; negative claims, dimensions and
-verdicts are re-derived.
+problem.json` re-checks a previously emitted document against the problem
+file's query list, one result line per query in order.  Certificate lines
+are checked by arithmetic (cofactor identities of memberships and
+partitions) or by evaluation (locus evidence); every other line is checked
+by re-running its query and comparing canonical text.
 
 Problem file layout::
 
@@ -46,11 +46,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ideals import Ideal
-from .linalg import IncrementalRank
 from .poly import GREVLEX, LEX, ParseError, Polynomial, PolyRing
 from .ring import (
-    ChainSelectionError,
-    NoChainError,
     SmearedRingConfig,
     chain_witness,
     evaluate_at_smeared_point,
@@ -188,11 +185,11 @@ def _arg_point(config: SmearedRingConfig, tokens) -> list:
 # query payloads
 
 
-def _cofactors(ideal: Ideal, f: Polynomial) -> list:
+def _cofactors(ideal: Ideal, f: Polynomial) -> tuple:
     cof, rem = ideal.membership_certificate(f)
     if not rem.is_zero():
         raise RuntimeError("cofactor extraction for a non-member")
-    return [str(c) for c in cof]
+    return cof
 
 
 def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
@@ -239,136 +236,132 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
 
 
 def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radicality: bool) -> dict:
-    q = _query_args(name, args, config)
+    """One query of `run`; `verify` has parsed its arguments already and
+    calls `_payload` directly."""
+    return _payload(name, _query_args(name, args, config), config, check_radicality)
+
+
+def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bool) -> dict:
+    """The result payload of one query, from its parsed arguments `q`.
+
+    Values stay engine objects (`Polynomial`, `Fraction` and tuples of
+    them); `_dump` writes them as text.  `run` emits this payload and
+    `verify` re-derives it, so each payload format lives here only.
+    """
     f, i = q.get("poly"), q.get("index")
-    if name == "validate":
-        report = validate(config, check_radicality=check_radicality)
-        return {
-            "ok": report.ok,
-            "radicality_checked": report.radicality_checked,
-            "violations": [
-                {
-                    "kind": v.kind,
-                    "ideals": [i + 1 for i in v.ideals],
-                    "message": v.render(1),
-                }
-                for v in report.violations
-            ],
-        }
-
-    if name == "member":
-        cert = member(f, config)
-        if not cert.member:
-            return {
-                "poly": str(f),
-                "member": False,
-                "witness_index": cert.witness_index + 1,
-                "remainder": str(cert.nonconstant_remainder),
-            }
-        return {
-            "poly": str(f),
-            "member": True,
-            "constants": [str(c) for c in cert.constants],
-            "cofactors": [
-                _cofactors(ideal, f - config.ring.const(alpha))
-                for ideal, alpha in zip(config.ideals, cert.constants)
-            ],
-        }
-
-    if name == "eval":
-        try:
-            value = evaluate_at_smeared_point(f, i, config)
-        except ValueError as e:
-            raise QueryError(str(e)) from None
-        return {"poly": str(f), "index": i + 1, "value": str(value)}
-
-    if name == "partition":
-        try:
-            w = partition_of_unity(i, config)
-        except ValueError as e:
-            raise QueryError(str(e)) from None
-        b_cof = []
-        for j, ideal in enumerate(config.ideals):
-            b_cof.append(None if j == i else _cofactors(ideal, w.b))
-        return {
-            "index": i + 1,
-            "a": str(w.a),
-            "b": str(w.b),
-            "a_constants": [str(c) for c in w.a_membership.constants],
-            "b_constants": [str(c) for c in w.b_membership.constants],
-            "a_cofactors": _cofactors(config.ideals[i], w.a),
-            "b_cofactors": b_cof,
-        }
-
-    if name == "chain":
-        try:
-            w = chain_witness(i, q["length"], config)
-        except (NoChainError, ChainSelectionError, ValueError) as e:
-            raise QueryError(str(e)) from None
-        return {
-            "index": i + 1,
-            "g": str(w.g),
-            "h": str(w.h),
-            "length": w.length,
-            "evidence": [str(nf) for nf in w.evidence],
-        }
-
-    if name == "dims":
-        return {"dims": list(verdicts(config).per_ideal_dims)}
-
-    if name == "verdict":
-        v = verdicts(config)
-        return {
-            "noetherian": v.noetherian,
-            "depicted_by_S": v.depicted_by_S,
-            "dims": list(v.per_ideal_dims),
-        }
-
-    if name == "locus":
-        point = q["point"]
-        report = locus_member(point, config)
-        evidence = []
-        for e in report.evidence:
-            entry = {"ideal": e.index + 1, "on_variety": e.on_variety}
-            if not e.on_variety:
-                entry["generator_index"] = e.generator_index + 1
-                entry["value"] = str(e.value)
-            evidence.append(entry)
-        return {
-            "point": [str(c) for c in point],
-            "in_locus": report.in_locus,
-            "evidence": evidence,
-        }
-
-    if name == "basis":
-        basis = r_basis(q["degree"], config)
-        return {
-            "degree": q["degree"],
-            "dimension": len(basis),
-            "basis": [str(p) for p in basis],
-        }
-
-    # constancy: `_query_args` has rejected every other name
     try:
+        if name == "validate":
+            report = validate(config, check_radicality=check_radicality)
+            return {
+                "ok": report.ok,
+                "radicality_checked": report.radicality_checked,
+                "violations": [
+                    {
+                        "kind": v.kind,
+                        "ideals": [i + 1 for i in v.ideals],
+                        "message": v.render(1),
+                    }
+                    for v in report.violations
+                ],
+            }
+
+        if name == "member":
+            cert = member(f, config)
+            if not cert.member:
+                return {
+                    "poly": f,
+                    "member": False,
+                    "witness_index": cert.witness_index + 1,
+                    "remainder": cert.nonconstant_remainder,
+                }
+            return {
+                "poly": f,
+                "member": True,
+                "constants": cert.constants,
+                "cofactors": [
+                    _cofactors(ideal, f - config.ring.const(alpha))
+                    for ideal, alpha in zip(config.ideals, cert.constants)
+                ],
+            }
+
+        if name == "eval":
+            value = evaluate_at_smeared_point(f, i, config)
+            return {"poly": f, "index": i + 1, "value": value}
+
+        if name == "partition":
+            w = partition_of_unity(i, config)
+            return {
+                "index": i + 1,
+                "a": w.a,
+                "b": w.b,
+                "a_constants": w.a_membership.constants,
+                "b_constants": w.b_membership.constants,
+                "a_cofactors": _cofactors(config.ideals[i], w.a),
+                "b_cofactors": [
+                    None if j == i else _cofactors(ideal, w.b)
+                    for j, ideal in enumerate(config.ideals)
+                ],
+            }
+
+        if name == "chain":
+            w = chain_witness(i, q["length"], config)
+            return {"index": i + 1, "g": w.g, "h": w.h, "length": w.length, "evidence": w.evidence}
+
+        if name == "dims":
+            return {"dims": verdicts(config).per_ideal_dims}
+
+        if name == "verdict":
+            v = verdicts(config)
+            return {
+                "noetherian": v.noetherian,
+                "depicted_by_S": v.depicted_by_S,
+                "dims": v.per_ideal_dims,
+            }
+
+        if name == "locus":
+            report = locus_member(q["point"], config)
+            evidence = []
+            for e in report.evidence:
+                entry = {"ideal": e.index + 1, "on_variety": e.on_variety}
+                if not e.on_variety:
+                    entry["generator_index"] = e.generator_index + 1
+                    entry["value"] = e.value
+                evidence.append(entry)
+            return {"point": q["point"], "in_locus": report.in_locus, "evidence": evidence}
+
+        if name == "basis":
+            basis = r_basis(q["degree"], config)
+            return {"degree": q["degree"], "dimension": len(basis), "basis": basis}
+
+        # constancy: `_query_args` has rejected every other name
         report = smeared_constancy_check(f, i, q["points"], config)
+        return {
+            "poly": f,
+            "index": i + 1,
+            "expected": report.expected,
+            "values": report.values,
+            "ok": report.ok,
+            "mismatches": [p + 1 for p in report.mismatches],
+        }
     except ValueError as e:
+        # the engine's refusals (not a member, not coprime, dimension 0,
+        # a point off the zero set) are query errors
         raise QueryError(str(e)) from None
-    return {
-        "poly": str(f),
-        "index": i + 1,
-        "expected": str(report.expected),
-        "values": [str(v) for v in report.values],
-        "ok": report.ok,
-        "mismatches": [p + 1 for p in report.mismatches],
-    }
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
+def _text(value) -> str:
+    if isinstance(value, (Polynomial, Fraction)):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} has no document form")
+
+
 def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON text: sorted keys, no spaces, engine values as text."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_text)
 
 
 def _emit(lines, out_path: Optional[str], human: str) -> None:
@@ -440,8 +433,11 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
                 "status": "error",
                 "error": str(e),
             }
-        entry["elapsed_us"] = (time.perf_counter_ns() - started) // 1000
-        lines.append(_dump(entry))
+        # the timing covers writing the payload's engine values as text;
+        # "elapsed_us" sorts before every other key, so it leads the line
+        text = _dump(entry)
+        elapsed = (time.perf_counter_ns() - started) // 1000
+        lines.append(f'{{"elapsed_us":{elapsed},{text[1:]}')
         if errors and strict:
             break
 
@@ -458,11 +454,14 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
 def _parse_document(path: str) -> list:
     try:
         with open(path) as fh:
-            return [json.loads(line) for line in fh if line.strip()]
+            entries = [json.loads(line) for line in fh if line.strip()]
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"{path} line is not valid JSON: {e}") from None
+    if not all(isinstance(e, dict) for e in entries):
+        raise ProblemFileError(f"{path} has a line that is not a JSON object")
+    return entries
 
 
 def _combine(cofactor_texts, generators, ring) -> Polynomial:
@@ -477,11 +476,16 @@ def _combine(cofactor_texts, generators, ring) -> Polynomial:
 class _Verifier:
     """Re-checks one emitted result payload against the problem file.
 
-    Each line is bound to its own query: the payload's `poly`, `index`,
-    `length`, `degree` and `point` must equal the query's arguments as
-    values, every per-ideal list must hold one entry per ideal in order, and
-    the checks then use the query's arguments.  A malformed claim raises
-    `QueryError` naming the field at fault.
+    `_bind` has already bound the lines to the problem's query list, one
+    line per query in order.  Each line is also bound to its own query: the
+    payload's `poly`, `index`, `length`, `degree` and `point` must equal the
+    query's arguments as values, every per-ideal list must hold one entry
+    per ideal in order, and the checks then use the query's arguments.
+    Certificate lines are checked by arithmetic on their cofactors (positive
+    memberships, partitions) or by evaluation (locus evidence).  Every other
+    line has no finite certificate: `_rederive` re-runs its query and
+    compares canonical text.  A malformed or wrong claim raises `QueryError`
+    naming the field at fault.
     """
 
     def __init__(self, config: SmearedRingConfig, check_radicality: bool):
@@ -509,7 +513,11 @@ class _Verifier:
                     want += 1  # 1-based in documents
             if type(read) is not type(want) or read != want:
                 raise QueryError(f"{field} {got!r} does not match the query")
-        return getattr(self, "_check_" + name)(q, payload)
+        checker = getattr(self, "_check_" + name, None)
+        if checker is not None:
+            return checker(q, payload)
+        self._rederive(name, q, payload)
+        return None
 
     def _per_ideal(self, payload: dict, field: str) -> list:
         entries = payload[field]
@@ -517,49 +525,31 @@ class _Verifier:
             raise QueryError(f"{field} needs one entry per ideal ({self.config.n})")
         return entries
 
-    # Positive memberships and partitions verify by pure arithmetic on the
-    # embedded cofactors, locus evidence by evaluation.  Negative claims,
-    # dimensions, verdicts and bases have no finite certificate, so they are
-    # re-derived with the engine.
-
-    def _check_validate(self, q, payload) -> Optional[str]:
-        if payload["radicality_checked"] is not self.check_radicality:
-            return "radicality_checked does not match the problem file"
-        report = validate(self.config, check_radicality=self.check_radicality)
-        if report.ok != payload["ok"]:
-            return f"validate disagrees: recomputed ok={report.ok}"
-        got = sorted((v["kind"], tuple(v["ideals"]), v["message"]) for v in payload["violations"])
-        want = sorted(
-            (v.kind, tuple(i + 1 for i in v.ideals), v.render(1)) for v in report.violations
-        )
-        if got != want:
-            return f"violation list disagrees: {got} vs {want}"
-        return None
+    def _rederive(self, name: str, q: dict, payload: dict) -> dict:
+        """Re-run the query and require the payload's canonical text; the
+        re-derived payload is returned for further checks."""
+        derived = _payload(name, q, self.config, self.check_radicality)
+        if _dump(payload) != _dump(derived):
+            for field in sorted(set(payload) | set(derived)):
+                if field not in payload:
+                    raise QueryError(f"missing field {field!r}")
+                if field not in derived:
+                    raise QueryError(f"unexpected field {field!r}")
+                if _dump(payload[field]) != _dump(derived[field]):
+                    raise QueryError(f"{field} disagrees with the re-derived {name} result")
+        return derived
 
     def _check_member(self, q, payload) -> Optional[str]:
-        ring = self.config.ring
-        f = q["poly"]
-        if payload["member"]:
-            constants = self._per_ideal(payload, "constants")
-            cofactors = self._per_ideal(payload, "cofactors")
-            for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
-                target = f - ring.const(_parse_frac(alpha))
-                if _combine(cof, ideal.generators, ring) != target:
-                    return f"cofactor identity fails for ideal {i + 1}"
+        if not payload["member"]:
+            self._rederive("member", q, payload)
             return None
-        cert = member(f, self.config)
-        if cert.member:
-            return "claimed non-member but membership holds"
-        if cert.witness_index + 1 != payload["witness_index"]:
-            return "witness index disagrees"
-        if str(cert.nonconstant_remainder) != payload["remainder"]:
-            return "nonconstant remainder disagrees"
-        return None
-
-    def _check_eval(self, q, payload) -> Optional[str]:
-        value = evaluate_at_smeared_point(q["poly"], q["index"], self.config)
-        if _parse_frac(payload["value"]) != value:
-            return f"value disagrees: {value} vs {payload['value']}"
+        ring = self.config.ring
+        constants = self._per_ideal(payload, "constants")
+        cofactors = self._per_ideal(payload, "cofactors")
+        for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
+            target = q["poly"] - ring.const(_parse_frac(alpha))
+            if _combine(cof, ideal.generators, ring) != target:
+                return f"cofactor identity fails for ideal {i + 1}"
         return None
 
     def _check_partition(self, q, payload) -> Optional[str]:
@@ -587,31 +577,6 @@ class _Verifier:
             return "constant vectors do not match the forced pattern"
         return None
 
-    def _check_chain(self, q, payload) -> Optional[str]:
-        ring = self.config.ring
-        w = chain_witness(q["index"], q["length"], self.config)
-        if str(w.h) != payload["h"] or str(w.g) != payload["g"]:
-            return "selected g or h disagrees"
-        if [str(nf) for nf in w.evidence] != payload["evidence"]:
-            return "evidence normal forms disagree"
-        maps = [ring.parse(t).integer_form()[0] for t in payload["evidence"]]
-        monos = sorted({m for ints in maps for m in ints})
-        tracker = IncrementalRank()
-        for ints in maps:
-            if not tracker.add([ints.get(m, 0) for m in monos]):
-                return "embedded evidence is linearly dependent"
-        return None
-
-    def _check_dims(self, q, payload) -> Optional[str]:
-        dims = list(verdicts(self.config).per_ideal_dims)
-        return None if dims == payload["dims"] else f"dims disagree: {dims}"
-
-    def _check_verdict(self, q, payload) -> Optional[str]:
-        v = verdicts(self.config)
-        if v.noetherian != payload["noetherian"] or v.depicted_by_S != payload["depicted_by_S"]:
-            return "verdict disagrees"
-        return self._check_dims(q, payload)
-
     def _check_locus(self, q, payload) -> Optional[str]:
         point = q["point"]
         evidence = self._per_ideal(payload, "evidence")
@@ -637,37 +602,49 @@ class _Verifier:
         return None
 
     def _check_basis(self, q, payload) -> Optional[str]:
-        basis = r_basis(q["degree"], self.config)
-        if len(basis) != payload["dimension"]:
-            return f"dimension disagrees: {len(basis)}"
-        if [str(p) for p in basis] != payload["basis"]:
-            return "basis elements disagree"
-        for p in basis:
+        for p in self._rederive("basis", q, payload)["basis"]:
             if not member(p, self.config).member:
                 return f"basis element {p} is not a member"
         return None
 
-    def _check_constancy(self, q, payload) -> Optional[str]:
-        f, i, points = q["poly"], q["index"], q["points"]
-        expected = evaluate_at_smeared_point(f, i, self.config)
-        if _parse_frac(payload["expected"]) != expected:
-            return "expected value disagrees with recomputation"
-        for pos, point in enumerate(points, start=1):
-            for g in self.config.ideals[i].generators:
-                if g.evaluate(point):
-                    return f"point {pos} is not on the zero set"
-        values = [f.evaluate(p) for p in points]
-        if [_parse_frac(v) for v in payload["values"]] != values:
-            return "evaluations disagree"
-        mismatches = [pos for pos, v in enumerate(values, start=1) if v != expected]
-        if payload["mismatches"] != mismatches or payload["ok"] != (not mismatches):
-            return "ok flag or mismatches contradict the values"
-        return None
+
+def _bind(entries: list, queries: list):
+    """(index, result entry, binding problem) per verify line.
+
+    Result lines are bound to the problem file's query list in order: a
+    complete document holds results 1..n for its n queries, a `--strict`
+    document may stop at its first error, and a validation abort holds one
+    index-0 `validate` line and a summary saying so.  A breach of the
+    header or a missing tail gets a line of its own, with no entry.
+    """
+    header = next((e for e in entries if e.get("type") == "header"), {})
+    if header.get("query_count") != len(queries):
+        yield None, None, (
+            f"header query_count {header.get('query_count')!r} does not match "
+            f"the problem file's {len(queries)} queries"
+        )
+    results = [e for e in entries if e.get("type") == "result"]
+    aborted = any(e.get("aborted") == "validation" for e in entries if e.get("type") == "summary")
+    expected = [(0, "validate")] if aborted else list(enumerate(queries, start=1))
+    for pos, entry in enumerate(results):
+        index = entry.get("index")
+        problem = None
+        if pos >= len(expected):
+            problem = f"result {index!r} beyond the {len(expected)} the problem file asks for"
+        elif type(index) is not int or index != expected[pos][0]:
+            problem = f"result index {index!r} where {expected[pos][0]} was expected"
+        elif entry.get("query") != expected[pos][1]:
+            problem = f"query does not match query {index} of the problem file"
+        yield index, entry, problem
+    stopped = results and results[-1].get("status") == "error" and not aborted
+    if len(results) < len(expected) and not stopped:
+        missing = expected[len(results)][0]
+        yield missing, None, f"no result for query {missing}"
 
 
 def verify_command(result_path: str, problem_path: str) -> int:
     try:
-        config, _, check_radicality = load_problem(problem_path)
+        config, queries, check_radicality = load_problem(problem_path)
         entries = _parse_document(result_path)
     except ProblemFileError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -676,19 +653,18 @@ def verify_command(result_path: str, problem_path: str) -> int:
     verifier = _Verifier(config, check_radicality)
     failures = 0
     checked = 0
-    for entry in entries:
-        if entry.get("type") != "result":
-            continue
+    for index, entry, problem in _bind(entries, queries):
         checked += 1
-        try:
-            problem = verifier.check(entry)
-        except KeyError as e:
-            problem = f"missing field {e}"
-        except QueryError as e:
-            problem = str(e)
-        except (TypeError, ValueError, RuntimeError) as e:
-            problem = f"verification crashed: {e}"
-        line = {"type": "verify", "index": entry.get("index"), "ok": problem is None}
+        if problem is None:
+            try:
+                problem = verifier.check(entry)
+            except KeyError as e:
+                problem = f"missing field {e}"
+            except QueryError as e:
+                problem = str(e)
+            except (TypeError, ValueError, RuntimeError) as e:
+                problem = f"verification crashed: {e}"
+        line = {"type": "verify", "index": index, "ok": problem is None}
         if problem is not None:
             failures += 1
             line["problem"] = problem

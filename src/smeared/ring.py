@@ -20,13 +20,12 @@ noetherian property.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .ideals import Ideal, _fresh_name, _insert_var
+from .ideals import Ideal
 from .linalg import IncrementalRank, kernel_basis
 from .poly import (
     GREVLEX,
@@ -41,10 +40,6 @@ from .poly import (
 class NoChainError(ValueError):
     """The quotient is zero-dimensional: k + I is noetherian there and no
     strictly ascending chain of the certified form exists."""
-
-
-class ChainSelectionError(RuntimeError):
-    """Bounded search found no direction with zero elimination ideal."""
 
 
 class NotCoprimeError(ValueError):
@@ -410,41 +405,6 @@ def locus_member(point: Sequence, config: SmearedRingConfig) -> LocusReport:
 # ascending chain
 
 
-def _zero_elimination_direction(ideal: Ideal) -> Optional[Polynomial]:
-    """A variable x_j with I meeting QQ[x_j] trivially, if one exists."""
-    for j in range(ideal.ring.nvars):
-        if ideal.eliminate({j}).is_zero():
-            return ideal.ring.var(ideal.ring.variables[j])
-    return None
-
-
-def _fallback_direction(ideal: Ideal, attempts: int = 16) -> Optional[Polynomial]:
-    """Random small-integer linear forms, tested through a fresh variable u:
-    I meets QQ[form] trivially iff eliminating everything but u from
-    I + (u - form) leaves the zero ideal."""
-    ring = ideal.ring
-    rng = random.Random(1729)
-    ext = PolyRing(ring.variables + (_fresh_name(ring, "u"),), ring.order)
-    lifted = [_insert_var(g, ext, ring.nvars) for g in ideal.generators]
-    u = ext.var(ext.variables[-1])
-    seen = set()
-    for _ in range(attempts):
-        coeffs = tuple(rng.randint(-3, 3) for _ in range(ring.nvars))
-        if not any(coeffs) or coeffs in seen:
-            continue
-        seen.add(coeffs)
-        form_ext = ext.zero()
-        for c, name in zip(coeffs, ring.variables):
-            form_ext = form_ext + ext.var(name).scale(c)
-        probe = Ideal(ext, tuple(lifted) + (u - form_ext,))
-        if probe.eliminate({ring.nvars}).is_zero():
-            form = ring.zero()
-            for c, name in zip(coeffs, ring.variables):
-                form = form + ring.var(name).scale(c)
-            return form
-    return None
-
-
 def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitness:
     """Certify `length` strict steps of the chain gR < (g, gh)R < ...
 
@@ -457,19 +417,22 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     if length < 0:
         raise ValueError("chain length must be non-negative")
     ideal = config.ideals[i]
-    if ideal.krull_dim() == 0:
+    # I meets QQ[x_j] trivially when no basis lead is a power of x_j, which
+    # the lead of a member in x_j alone would be; such a lead-free x_j
+    # exists exactly when dim S/I >= 1.  An earlier variable may still meet
+    # I trivially, and only an elimination tells, so h is the first variable
+    # that passes either test.
+    leads = ideal.groebner().leading_monomials()
+    free = next(
+        (j for j in range(config.ring.nvars) if all(sum(m) != m[j] for m in leads)), None
+    )
+    if free is None:
         raise NoChainError(
             f"dim of the quotient by ideal {i} is 0; the chain construction "
             "needs positive dimension"
         )
-    h = _zero_elimination_direction(ideal)
-    if h is None:
-        h = _fallback_direction(ideal)
-    if h is None:
-        raise ChainSelectionError(
-            f"no direction with zero elimination ideal found for ideal {i} "
-            "after bounded random search"
-        )
+    j = next((j for j in range(free) if ideal.eliminate({j}).is_zero()), free)
+    h = config.ring.var(config.ring.variables[j])
     g = next((p for p in ideal.generators if not p.is_zero()), None)
     if g is None:
         raise ValueError("chain needs a nonzero generator")

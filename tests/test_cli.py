@@ -267,6 +267,14 @@ TAMPERING = {
         lambda p: p["evidence"][0].update(generator_index=0),
         "generator index 0 of ideal 1 out of range",
     ),
+    # lines with no certificate: the query is re-run and the texts compared
+    1: (lambda p: p.update(ok=False), "ok disagrees with the re-derived validate result"),
+    2: (lambda p: p.update(noetherian=True), "noetherian disagrees"),
+    3: (lambda p: p.update(extra=[]), "unexpected field 'extra'"),
+    5: (lambda p: p.update(remainder="2*y"), "remainder disagrees"),
+    8: (lambda p: p["evidence"].__setitem__(2, "y^3"), "evidence disagrees"),
+    11: (lambda p: p["basis"].__setitem__(0, "x^4"), "basis disagrees"),
+    12: (lambda p: p["values"].__setitem__(1, "8"), "values disagrees"),
 }
 
 
@@ -326,3 +334,76 @@ def test_error_entries_verify_trivially(tmp_path, capsys):
     assert main(["run", str(problem), "--out", str(out)]) == 1
     assert main(["verify", str(out), str(problem)]) == 0
     capsys.readouterr()
+
+
+def _verify_lines(out, problem, capsys):
+    capsys.readouterr()
+    rc = main(["verify", str(out), str(problem)])
+    return rc, [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+
+
+def test_verify_binds_lines_to_the_problem_file(tmp_path, capsys):
+    rc, lines, problem, out = run_to_file(tmp_path, THREE_LINES)
+    assert rc == 0
+    texts = out.read_text().splitlines()
+
+    # header, first result, summary: every later query is unanswered
+    out.write_text("\n".join([texts[0], texts[1], texts[-1]]) + "\n")
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert verified[-2] == {
+        "index": 2, "ok": False, "problem": "no result for query 2", "type": "verify"
+    }
+    assert verified[-1] == {"checked": 2, "failures": 1, "type": "verify-summary"}
+
+    # `member y` replaced by the line before it, renumbered
+    swapped = dict(lines[4], index=5)
+    out.write_text("\n".join(texts[:5] + [json.dumps(swapped)] + texts[6:]) + "\n")
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert [(e["index"], e["problem"]) for e in verified if not e.get("ok", True)] == [
+        (5, "query does not match query 5 of the problem file")
+    ]
+
+    # results out of order, and a header from another problem
+    header = dict(lines[0], query_count=11)
+    out.write_text("\n".join([json.dumps(header), texts[2], texts[1]] + texts[3:]) + "\n")
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert [(e["index"], e["problem"]) for e in verified if not e.get("ok", True)] == [
+        (None, "header query_count 11 does not match the problem file's 12 queries"),
+        (2, "result index 2 where 1 was expected"),
+        (1, "result index 1 where 2 was expected"),
+    ]
+
+    # a result the problem file never asked for
+    extra = dict(lines[-2], index=13)
+    out.write_text("\n".join(texts[:-1] + [json.dumps(extra), texts[-1]]) + "\n")
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert verified[-2]["problem"] == "result 13 beyond the 12 the problem file asks for"
+
+    # a line that is JSON but no object is a broken document, not a traceback
+    out.write_text("\n".join(texts[:-1] + ["[1]", texts[-1]]) + "\n")
+    assert main(["verify", str(out), str(problem)]) == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
+def test_verify_accepts_strict_and_aborted_documents(tmp_path, capsys):
+    doc = dict(THREE_LINES, queries=["dims", "eval y 1", "dims"])
+    problem = write_problem(tmp_path, doc)
+    out = tmp_path / "strict.jsonl"
+    assert main(["run", str(problem), "--out", str(out), "--strict"]) == 1
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0 and verified[-1]["checked"] == 2
+
+    doc = {"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["y"]],
+           "queries": ["dims", "verdict"]}
+    problem = write_problem(tmp_path, doc)
+    assert main(["run", str(problem), "--out", str(out)]) == 2
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0
+    assert verified == [
+        {"index": 0, "ok": True, "type": "verify"},
+        {"checked": 1, "failures": 0, "type": "verify-summary"},
+    ]

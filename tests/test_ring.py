@@ -264,7 +264,12 @@ def test_chain_witness_hyperbola(R2):
     assert len(w.evidence) == 11
 
 
-def test_chain_witness_dim_zero_fails(R2):
+def test_chain_witness_dim_zero_fails(R2, monkeypatch):
+    def no_elimination(self, keep):
+        raise AssertionError("every variable has a pure-power lead; nothing to eliminate")
+
+    # the leads alone show dimension 0
+    monkeypatch.setattr(Ideal, "eliminate", no_elimination)
     x, y = R2.var("x"), R2.var("y")
     config = SmearedRingConfig(R2, (Ideal(R2, (x**2 - x, y)),))
     with pytest.raises(sm.NoChainError):
@@ -336,6 +341,40 @@ def test_incremental_chain_evidence(make):
         assert len(w.evidence) == 7
         for j, nf in enumerate(w.evidence):
             assert nf == ideal.normal_form(w.h**j)
+
+
+def _first_zero_elimination(ideal):
+    ring = ideal.ring
+    return next(ring.var(v) for j, v in enumerate(ring.variables) if ideal.eliminate({j}).is_zero())
+
+
+# (config, h per ideal, Ideal.eliminate calls per ideal): a variable no basis
+# lead is a power of needs no elimination, and none after it is tried
+@pytest.mark.parametrize(
+    "make,directions,eliminations",
+    [
+        (four_curves_config, ("z", "x", "x", "x"), (2, 1, 0, 1)),
+        (lines_config, ("y", "y", "y"), (1, 1, 1)),
+    ],
+    ids=["curves", "lines"],
+)
+def test_chain_direction_from_leads(make, directions, eliminations, monkeypatch):
+    config = make()
+    eliminate = Ideal.eliminate
+    calls = []
+
+    def counting(self, keep):
+        calls.append(keep)
+        return eliminate(self, keep)
+
+    for i, ideal in enumerate(config.ideals):
+        old = _first_zero_elimination(ideal)
+        calls.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Ideal, "eliminate", counting)
+            h = sm.chain_witness(i, 3, config).h
+        assert h == old == config.ring.var(directions[i])
+        assert len(calls) == eliminations[i]
 
 
 def test_corollary_configs(R2):
