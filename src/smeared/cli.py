@@ -185,11 +185,13 @@ def _arg_point(config: SmearedRingConfig, tokens) -> list:
 # query payloads
 
 
-def _cofactors(ideal: Ideal, f: Polynomial) -> tuple:
-    cof, rem = ideal.membership_certificate(f)
-    if not rem.is_zero():
-        raise RuntimeError("cofactor extraction for a non-member")
-    return cof
+def _cofactors(ideal: Ideal, quotients: tuple) -> tuple:
+    """Cofactors over the generators from a membership certificate's quotients."""
+    plain = ideal.groebner().elements
+    tracked = ideal.groebner(track=True)
+    if tracked.elements != plain:  # a reduced basis is unique
+        raise RuntimeError("tracked and plain reduced bases differ")
+    return tracked.lift_to_generators(quotients)
 
 
 def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
@@ -279,8 +281,7 @@ def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bo
                 "member": True,
                 "constants": cert.constants,
                 "cofactors": [
-                    _cofactors(ideal, f - config.ring.const(alpha))
-                    for ideal, alpha in zip(config.ideals, cert.constants)
+                    _cofactors(ideal, q) for ideal, q in zip(config.ideals, cert.quotients)
                 ],
             }
 
@@ -296,10 +297,10 @@ def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bo
                 "b": w.b,
                 "a_constants": w.a_membership.constants,
                 "b_constants": w.b_membership.constants,
-                "a_cofactors": _cofactors(config.ideals[i], w.a),
+                "a_cofactors": _cofactors(config.ideals[i], w.a_membership.quotients[i]),
                 "b_cofactors": [
-                    None if j == i else _cofactors(ideal, w.b)
-                    for j, ideal in enumerate(config.ideals)
+                    None if j == i else _cofactors(ideal, q)
+                    for j, (ideal, q) in enumerate(zip(config.ideals, w.b_membership.quotients))
                 ],
             }
 
@@ -484,8 +485,8 @@ class _Verifier:
     Certificate lines are checked by arithmetic on their cofactors (positive
     memberships, partitions) or by evaluation (locus evidence).  Every other
     line has no finite certificate: `_rederive` re-runs its query and
-    compares canonical text.  A malformed or wrong claim raises `QueryError`
-    naming the field at fault.
+    compares canonical text; an error line must fail again with its text.  A
+    malformed or wrong claim raises `QueryError` naming the field at fault.
     """
 
     def __init__(self, config: SmearedRingConfig, check_radicality: bool):
@@ -493,8 +494,10 @@ class _Verifier:
         self.check_radicality = check_radicality
 
     def check(self, entry: dict) -> Optional[str]:
+        if entry.get("status") == "error":
+            return self._check_error(entry)
         if entry.get("status") != "ok":
-            return None  # an error entry carries no witness
+            raise QueryError(f"status {entry.get('status')!r} is neither 'ok' nor 'error'")
         name, args = _normalize_query(entry["query"])
         q = _query_args(name, args, self.config)
         payload = entry["payload"]
@@ -518,6 +521,14 @@ class _Verifier:
             return checker(q, payload)
         self._rederive(name, q, payload)
         return None
+
+    def _check_error(self, entry: dict) -> Optional[str]:
+        try:
+            name, args = _normalize_query(entry["query"])
+            _payload(name, _query_args(name, args, self.config), self.config, self.check_radicality)
+        except QueryError as e:
+            return None if str(e) == entry["error"] else "error text disagrees with the re-run query"
+        return "the query succeeds when re-run"
 
     def _per_ideal(self, payload: dict, field: str) -> list:
         entries = payload[field]
@@ -614,8 +625,9 @@ def _bind(entries: list, queries: list):
     Result lines are bound to the problem file's query list in order: a
     complete document holds results 1..n for its n queries, a `--strict`
     document may stop at its first error, and a validation abort holds one
-    index-0 `validate` line and a summary saying so.  A breach of the
-    header or a missing tail gets a line of its own, with no entry.
+    index-0 `validate` line and a summary saying so.  The summary is the
+    single last line and counts the result and error lines.  A breach of the
+    header or the summary, or a missing tail, gets a line with no entry.
     """
     header = next((e for e in entries if e.get("type") == "header"), {})
     if header.get("query_count") != len(queries):
@@ -624,7 +636,20 @@ def _bind(entries: list, queries: list):
             f"the problem file's {len(queries)} queries"
         )
     results = [e for e in entries if e.get("type") == "result"]
-    aborted = any(e.get("aborted") == "validation" for e in entries if e.get("type") == "summary")
+    summaries = [e for e in entries if e.get("type") == "summary"]
+    aborted = any(e.get("aborted") == "validation" for e in summaries)
+    if len(summaries) != 1 or entries[-1] is not summaries[0]:
+        yield None, None, "the summary is not the single last line"
+    else:
+        errors = sum(e.get("status") == "error" for e in results)
+        want = {"type": "summary", "ok": errors == 0, "errors": errors, "results": len(results)}
+        if aborted:
+            want = {"type": "summary", "ok": False, "aborted": "validation"}
+        got = summaries[0]
+        for k in sorted(set(want) | set(got)):
+            if k not in got or k not in want or _dump(got[k]) != _dump(want[k]):
+                yield None, None, f"summary {k} {got.get(k)!r} does not match the result lines"
+                break
     expected = [(0, "validate")] if aborted else list(enumerate(queries, start=1))
     for pos, entry in enumerate(results):
         index = entry.get("index")

@@ -3,9 +3,9 @@ needs: membership with certificates, intersection, elimination, Krull
 dimension of the quotient, its vector-space dimension, coprimality, and
 radical membership.
 
-An `Ideal` is identified by its ordered generator tuple.  Groebner bases are
-computed lazily per monomial order and cached on the handle (the cache is the
-only mutable state; a lock makes the handle safe to share across threads).
+An `Ideal` is identified by its ordered generator tuple.  Its Groebner bases
+(per monomial order, under a lock) and monomial normal forms (where a race
+only computes an entry twice) are computed lazily and cached on the handle.
 """
 
 from __future__ import annotations
@@ -71,6 +71,7 @@ class Ideal:
         self.generators = gens
         self._cache: dict = {}
         self._lock = threading.Lock()
+        self._monomial_nf: dict = {}
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
@@ -119,6 +120,21 @@ class Ideal:
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return self.groebner().normal_form(f)
+
+    def monomial_normal_form(self, m: tuple) -> Polynomial:
+        """NF(x^m) under the ring's order, from the handle's table.  A missing
+        entry is NF(x_k * NF(m / x_k)), which differs from x^m by a member, for
+        m's last variable x_k (fewer division steps than the first on the
+        benchmark's curves); the walk to the nearest stored entry is a loop."""
+        table, path = self._monomial_nf, []
+        while m not in table and any(m):
+            k = max(j for j, e in enumerate(m) if e)
+            path.append((m, tuple(int(j == k) for j in range(len(m)))))
+            m = m[:k] + (m[k] - 1,) + m[k + 1 :]
+        nf = table[m] if m in table else table.setdefault(m, self.normal_form(self.ring.one()))
+        for m, x_k in reversed(path):
+            nf = table.setdefault(m, self.normal_form(nf.mul_term(x_k, 1)))
+        return nf
 
     def membership_certificate(self, f: Polynomial):
         """(cofactors over the generators, remainder); member iff r == 0."""

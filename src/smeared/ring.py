@@ -20,7 +20,7 @@ noetherian property.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -59,11 +59,16 @@ class SmearedRingConfig:
 
     `radical_asserted[i]` records the caller's promise that I_i is radical;
     the verdicts rely on it and validate() can spot-check it.
+
+    `pair_sums[i, j]` is the handle of I_i + I_j (I_i's generators first)
+    for each ordered pair i != j; `validate` and `partition_of_unity` share
+    them, so each pair sum's basis is computed once, when first asked for.
     """
 
     ring: PolyRing
     ideals: tuple
     radical_asserted: tuple = ()
+    pair_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ideals", tuple(self.ideals))
@@ -76,6 +81,9 @@ class SmearedRingConfig:
         if len(flags) != len(self.ideals):
             raise ValueError("one radicality flag per ideal")
         object.__setattr__(self, "radical_asserted", flags)
+        pairs = itertools.permutations(range(len(self.ideals)), 2)
+        sums = {(i, j): self.ideals[i] + self.ideals[j] for i, j in pairs}
+        object.__setattr__(self, "pair_sums", sums)
 
     @property
     def n(self) -> int:
@@ -130,12 +138,14 @@ class MembershipCertificate:
     """Outcome of testing f against every ideal's normal form.
 
     Member iff NF(f, I_i) is a constant for every i; `constants` is then the
-    vector of those constants.  On failure, `witness_index` is the first bad
+    vector of those constants, and `quotients[i]` combines the reduced basis
+    of I_i to f - constants[i].  On failure, `witness_index` is the first bad
     ideal and `nonconstant_remainder` its normal form.
     """
 
     member: bool
     constants: Optional[tuple] = None
+    quotients: Optional[tuple] = None
     witness_index: Optional[int] = None
     nonconstant_remainder: Optional[Polynomial] = None
 
@@ -253,7 +263,7 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
     for i, j in itertools.combinations(range(config.n), 2):
         if not proper[i] or not proper[j]:
             continue
-        if not config.ideals[i].is_coprime(config.ideals[j]):
+        if not config.pair_sums[i, j].contains_one():
             violations.append(Violation("not_coprime", (i, j)))
     if check_radicality:
         for i, ideal in enumerate(config.ideals):
@@ -274,15 +284,17 @@ def member(f: Polynomial, config: SmearedRingConfig) -> MembershipCertificate:
     """Does f restrict to a constant on every configured zero set?"""
     if f.ring != config.ring:
         raise RingMismatchError("polynomial from a different ring")
-    constants = []
+    constants, quotients = [], []
     for i, ideal in enumerate(config.ideals):
-        nf = ideal.normal_form(f)
+        res = ideal.groebner().divide(f)
+        nf = res.remainder
         if not nf.is_constant():
             return MembershipCertificate(
                 member=False, witness_index=i, nonconstant_remainder=nf
             )
         constants.append(nf.constant_value())
-    return MembershipCertificate(member=True, constants=tuple(constants))
+        quotients.append(res.quotients)
+    return MembershipCertificate(True, tuple(constants), tuple(quotients))
 
 
 def evaluate_at_smeared_point(f: Polynomial, i: int, config: SmearedRingConfig) -> Fraction:
@@ -326,7 +338,7 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
         if j == i:
             continue
         try:
-            cof = (ideal_i + ideal_j).unit_certificate()
+            cof = config.pair_sums[i, j].unit_certificate()
         except ValueError:
             raise NotCoprimeError(i, j) from None
         b_j = ring.zero()
@@ -337,15 +349,15 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
 
     if a + b != ring.one():
         raise RuntimeError("partition does not sum to 1")
-    if not ideal_i.contains(a):
-        raise RuntimeError("partition piece a escaped its ideal")
-    for j, ideal in enumerate(config.ideals):
-        if j != i and not ideal.contains(b):
-            raise RuntimeError("partition piece b escaped a complementary ideal")
     a_cert = member(a, config)
     b_cert = member(b, config)
     if not (a_cert.member and b_cert.member):
         raise RuntimeError("partition pieces are not members of the subring")
+    # a constant 0 is a normal form 0: membership in that ideal
+    if a_cert.constants[i] != 0:
+        raise RuntimeError("partition piece a escaped its ideal")
+    if any(c != 0 for j, c in enumerate(b_cert.constants) if j != i):
+        raise RuntimeError("partition piece b escaped a complementary ideal")
     return PartitionWitness(i, a, b, a_cert, b_cert)
 
 
@@ -411,7 +423,8 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     Requires dim S/I_i >= 1.  h is picked so that I_i contains no nonzero
     polynomial in h alone; then g*h^(l+1) lies in (g, g*h, ..., g*h^l)R iff
     NF(h^(l+1)) falls in the span of the earlier normal forms, and the chosen
-    h makes every step independent.
+    h makes every step independent.  Each NF(h^k) is read from the ideal's
+    table of monomial normal forms, which `r_basis` shares.
     """
     config.check_index(i)
     if length < 0:
@@ -437,10 +450,8 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     if g is None:
         raise ValueError("chain needs a nonzero generator")
 
-    # NF(h^(j+1)) = NF(h * NF(h^j)): the two differ by h times a member of I_i
-    evidence = [ideal.normal_form(config.ring.one())]
-    for _ in range(length):
-        evidence.append(ideal.normal_form(h * evidence[-1]))
+    powers = (tuple(k * (t == j) for t in range(config.ring.nvars)) for k in range(length + 1))
+    evidence = [ideal.monomial_normal_form(m) for m in powers]
     # each vector is a normal form's integer map: scaling by the content
     # changes no rank
     maps = [nf.integer_form()[0] for nf in evidence]
@@ -467,11 +478,10 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     normal form of f vanishes.  The kernel of that constraint matrix, read
     along monomials in descending grevlex order, is the basis.
 
-    The normal forms are built by ascending degree from
-    NF(x_k * m) = NF(x_k * NF(m)), which holds because x_k * m and
-    x_k * NF(m) differ by a member of the ideal and a normal form modulo a
-    Groebner basis is unique; each division then starts from a reduced
-    polynomial instead of a bare monomial.
+    The normal forms come from each ideal's table of monomial normal forms
+    (`Ideal.monomial_normal_form`), which `chain_witness` shares: a monomial
+    is divided once per configuration, so `basis 0..d` costs what `basis d`
+    alone costs.
     """
     if d < 0:
         raise ValueError("degree bound must be non-negative")
@@ -479,22 +489,10 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     key = monomial_key(GREVLEX)
     unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=key, reverse=True)
     rows = []
-    units = [tuple(int(j == k) for j in range(ring.nvars)) for k in range(ring.nvars)]
     for ideal in config.ideals:
-        nf_of = {}
-        # ascending grevlex ascends in degree, so m / x_k is done before m;
-        # peeling off the last variable measured fewer division steps than
-        # the first on the benchmark's curves
-        for m in reversed(unknowns):
-            k = max((j for j, e in enumerate(m) if e), default=None)
-            if k is None:
-                nf_of[m] = ideal.normal_form(ring.one())
-            else:
-                parent = m[:k] + (m[k] - 1,) + m[k + 1 :]
-                nf_of[m] = ideal.normal_form(nf_of[parent].mul_term(units[k], 1))
         # each row is scaled by the lcm of the contents' denominators, which
         # keeps it integral and changes no kernel
-        forms = [nf_of[m].integer_form() for m in unknowns]
+        forms = [ideal.monomial_normal_form(m).integer_form() for m in unknowns]
         den = lcm(*[c.denominator for _, c in forms])
         columns = [(ints, c.numerator * (den // c.denominator)) for ints, c in forms]
         constraint_monomials = sorted(

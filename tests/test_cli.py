@@ -1,10 +1,15 @@
 """The batch interface: problem files, result documents, exit codes, verify."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+import smeared.cli as cli
 from smeared.cli import main
+from test_ring import curves_config, lines_config
+
+DATA = Path(__file__).parent / "data"
 
 THREE_LINES = {
     "format": 1,
@@ -347,14 +352,19 @@ def test_verify_binds_lines_to_the_problem_file(tmp_path, capsys):
     assert rc == 0
     texts = out.read_text().splitlines()
 
-    # header, first result, summary: every later query is unanswered
+    # header, first result, summary: every later query is unanswered, and the
+    # summary no longer counts the result lines
     out.write_text("\n".join([texts[0], texts[1], texts[-1]]) + "\n")
     rc, verified = _verify_lines(out, problem, capsys)
     assert rc == 1
     assert verified[-2] == {
         "index": 2, "ok": False, "problem": "no result for query 2", "type": "verify"
     }
-    assert verified[-1] == {"checked": 2, "failures": 1, "type": "verify-summary"}
+    assert [(e["index"], e["problem"]) for e in verified if not e.get("ok", True)] == [
+        (None, "summary results 12 does not match the result lines"),
+        (2, "no result for query 2"),
+    ]
+    assert verified[-1] == {"checked": 3, "failures": 2, "type": "verify-summary"}
 
     # `member y` replaced by the line before it, renumbered
     swapped = dict(lines[4], index=5)
@@ -407,3 +417,132 @@ def test_verify_accepts_strict_and_aborted_documents(tmp_path, capsys):
         {"index": 0, "ok": True, "type": "verify"},
         {"checked": 1, "failures": 0, "type": "verify-summary"},
     ]
+
+
+def _golden_copy(tmp_path, name, edit):
+    """The golden run document of `name` with `edit` applied to its parsed
+    lines, written next to a copy of its problem file."""
+    entries = [json.loads(t) for t in (DATA / f"{name}.run.jsonl").read_text().splitlines()]
+    edit(entries)
+    out = tmp_path / f"{name}.jsonl"
+    out.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in entries))
+    return out, DATA / f"{name}.json"
+
+
+def _failures(verified):
+    return [(e["index"], e["problem"]) for e in verified if not e.get("ok", True)]
+
+
+def test_verify_reruns_error_lines(tmp_path, capsys):
+    def made_up(entries):
+        e = entries[4]
+        assert e["index"] == 4 and e["query"].startswith("member")
+        entries[4] = {k: e[k] for k in ("elapsed_us", "index", "query", "type")}
+        entries[4].update(status="error", error="made up")
+        entries[-1].update(errors=1, ok=False)
+
+    out, problem = _golden_copy(tmp_path, "readme", made_up)
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(4, "the query succeeds when re-run")]
+
+    # the genuine error line of the curves document verifies; another text does not
+    out, problem = _golden_copy(tmp_path, "curves", lambda entries: None)
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0 and _failures(verified) == []
+
+    def other_text(entries):
+        assert entries[21]["status"] == "error"
+        entries[21]["error"] = "made up"
+
+    out, problem = _golden_copy(tmp_path, "curves", other_text)
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(21, "error text disagrees with the re-run query")]
+
+    def other_status(entries):
+        entries[21]["status"] = "skipped"
+        entries[-1].update(errors=0, ok=True)
+
+    out, problem = _golden_copy(tmp_path, "curves", other_status)
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(21, "status 'skipped' is neither 'ok' nor 'error'")]
+
+
+@pytest.mark.parametrize(
+    "edit,problem_text",
+    [
+        (lambda s: s.update(errors=0, ok=True), "summary errors 0 does not match the result lines"),
+        (lambda s: s.update(ok=True), "summary ok True does not match the result lines"),
+        (lambda s: s.update(results=23), "summary results 23 does not match the result lines"),
+        (lambda s: s.update(errors=True), "summary errors True does not match the result lines"),
+        (lambda s: s.update(note=None), "summary note None does not match the result lines"),
+        (lambda s: s.pop("results"), "summary results None does not match the result lines"),
+    ],
+    ids=["flipped", "ok", "results", "bool-errors", "extra", "missing"],
+)
+def test_verify_checks_the_summary(tmp_path, capsys, edit, problem_text):
+    out, problem = _golden_copy(tmp_path, "curves", lambda entries: edit(entries[-1]))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    failures = _failures(verified)
+    assert len(failures) == 1 and failures[0][0] is None
+    assert failures[0][1].startswith(problem_text)
+
+
+def test_verify_needs_one_summary_line_last(tmp_path, capsys):
+    for edit in (
+        lambda entries: entries.pop(),
+        lambda entries: entries.insert(1, entries.pop()),
+        lambda entries: entries.append(dict(entries[-1])),
+    ):
+        out, problem = _golden_copy(tmp_path, "readme", edit)
+        rc, verified = _verify_lines(out, problem, capsys)
+        assert rc == 1
+        assert _failures(verified) == [(None, "the summary is not the single last line")]
+
+    # a validation abort must say so and nothing else
+    doc = {"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["y"]],
+           "queries": ["dims"]}
+    problem = write_problem(tmp_path, doc)
+    out = tmp_path / "aborted.jsonl"
+    assert main(["run", str(problem), "--out", str(out)]) == 2
+    entries = [json.loads(t) for t in out.read_text().splitlines()]
+    entries[-1]["errors"] = 0
+    out.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(None, "summary errors 0 does not match the result lines")]
+
+
+@pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
+def test_cofactors_reuse_membership_quotients(make, monkeypatch):
+    """Member and partition cofactors lifted from the membership quotients
+    equal the replaced path: a tracked division of f - alpha."""
+    config = make()
+    ring = config.ring
+
+    def reference(ideal, f):
+        cof, rem = ideal.membership_certificate(f)
+        assert rem.is_zero()
+        return cof
+
+    members = [ring.one(), ring.parse("x^2 + 3")]
+    for i in range(config.n):
+        w = cli._payload("partition", {"index": i}, config, False)
+        assert w["a_cofactors"] == reference(config.ideals[i], w["a"])
+        for j, ideal in enumerate(config.ideals):
+            want = None if j == i else reference(ideal, w["b"])
+            assert w["b_cofactors"][j] == want
+        members += [w["a"], w["b"] + 5]
+    checked = 0
+    for f in members:
+        payload = cli._payload("member", {"poly": f}, config, False)
+        if not payload["member"]:
+            continue
+        checked += 1
+        for ideal, alpha, cof in zip(config.ideals, payload["constants"], payload["cofactors"]):
+            assert cof == reference(ideal, f - ring.const(alpha))
+    # 1 and every partition piece are members
+    assert checked >= 1 + 2 * config.n

@@ -2,11 +2,15 @@
 chains, finite slices, constancy."""
 
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
 import smeared as sm
+import smeared.groebner as groebner
+import smeared.ideals as ideals_module
 from smeared import Ideal, PolyRing, RingMismatchError, SmearedRingConfig
 from oracle import oracle_r_slice_dim
 
@@ -412,3 +416,107 @@ def test_constancy_check(three_lines, R2):
 
     with pytest.raises(ValueError):
         sm.smeared_constancy_check(f, 0, [(1, 0)], three_lines)
+
+
+def _counting(monkeypatch, module, name):
+    """Count calls to `module.name` through a wrapper; returns the list of
+    calls' first arguments."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
+def test_r_basis_divides_each_monomial_once(make, monkeypatch):
+    divisions = _counting(monkeypatch, groebner, "divide")
+    once = make()
+    top = sm.r_basis(6, once)
+    alone = len(divisions)
+
+    divisions.clear()
+    ascending = make()
+    bases = [sm.r_basis(d, ascending) for d in range(7)]
+    assert len(divisions) == alone
+    assert bases[-1] == top
+
+    # every normal form is in the tables now: a repeat divides nothing
+    divisions.clear()
+    assert sm.r_basis(6, ascending) == top
+    assert sm.r_basis(3, ascending) == bases[3]
+    assert divisions == []
+
+    descending = make()
+    assert [sm.r_basis(d, descending) for d in range(6, -1, -1)] == bases[::-1]
+
+
+def test_chain_and_slices_share_the_table(monkeypatch):
+    config = curves_config()
+    sm.r_basis(5, config)
+    divisions = _counting(monkeypatch, groebner.GroebnerBasis, "divide")
+    for i in range(config.n):
+        sm.chain_witness(i, 5, config)
+    # the evidence of a length-5 chain is NF(h^k) for k <= 5, all tabled
+    assert divisions == []
+    sm.chain_witness(0, 6, config)
+    assert len(divisions) == 1
+
+
+def test_validate_builds_each_pair_sum_once(monkeypatch):
+    def no_coprime(self, other):
+        raise AssertionError("validate built a fresh pair sum")
+
+    monkeypatch.setattr(Ideal, "is_coprime", no_coprime)
+    config = four_curves_config()
+    bases = _counting(monkeypatch, ideals_module, "groebner_basis")
+    assert sm.validate(config).ok
+    n = config.n
+    # one basis per ideal and one per unordered pair, in the first call only
+    assert len(bases) == n + n * (n - 1) // 2
+    assert sm.validate(config).ok
+    assert len(bases) == n + n * (n - 1) // 2
+    # one handle per ordered pair, I_i's generators first
+    assert len(config.pair_sums) == n * (n - 1)
+    for (i, j), pair_sum in config.pair_sums.items():
+        assert pair_sum.generators == config.ideals[i].generators + config.ideals[j].generators
+
+
+def test_shared_tables_under_threads():
+    want = {}
+    for i in range(2):
+        want["basis", i] = sm.r_basis(4 + i, curves_config())
+        want["chain", i] = sm.chain_witness(i, 7, curves_config())
+    config = curves_config()
+    results, errors = [], []
+
+    def work(t):
+        try:
+            for step in range(4):
+                k = (t + step) % 4
+                if k < 2:
+                    results.append((("basis", k), sm.r_basis(4 + k, config)))
+                else:
+                    results.append((("chain", k - 2), sm.chain_witness(k - 2, 7, config)))
+        except Exception as e:  # reported after the join
+            errors.append(e)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert errors == []
+    assert len(results) == 32
+    for key, got in results:
+        assert got == want[key], key
