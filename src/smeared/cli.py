@@ -501,13 +501,16 @@ class _Verifier:
         name, args = _normalize_query(entry["query"])
         q = _query_args(name, args, self.config)
         payload = entry["payload"]
+        self.texts = {}  # fields bound by their canonical text, for `_rederive`
         for field, want in q.items():
             if field == "points":
                 continue  # constancy echoes no points
             got = payload[field]
             if field == "poly":
                 # emitted text is canonical: an equal string needs no parse
-                read = want if got == str(want) else self.config.ring.parse(got)
+                text = str(want)
+                read = want if got == text else self.config.ring.parse(got)
+                self.texts = {field: text} if got == text else {}
             elif field == "point":
                 read = [_parse_frac(c) for c in got]
             else:
@@ -538,15 +541,17 @@ class _Verifier:
 
     def _rederive(self, name: str, q: dict, payload: dict) -> dict:
         """Re-run the query and require the payload's canonical text; the
-        re-derived payload is returned for further checks."""
+        re-derived payload is returned for further checks.  A query argument
+        the payload echoes is written with the text `check` bound it by."""
         derived = _payload(name, q, self.config, self.check_radicality)
-        if _dump(payload) != _dump(derived):
-            for field in sorted(set(payload) | set(derived)):
+        shown = {**derived, **{k: t for k, t in self.texts.items() if derived.get(k) is q[k]}}
+        if _dump(payload) != _dump(shown):
+            for field in sorted(set(payload) | set(shown)):
                 if field not in payload:
                     raise QueryError(f"missing field {field!r}")
-                if field not in derived:
+                if field not in shown:
                     raise QueryError(f"unexpected field {field!r}")
-                if _dump(payload[field]) != _dump(derived[field]):
+                if _dump(payload[field]) != _dump(shown[field]):
                     raise QueryError(f"{field} disagrees with the re-derived {name} result")
         return derived
 

@@ -6,6 +6,21 @@ original generators, which is what lets callers hand out membership
 certificates over the generators they actually supplied instead of over the
 computed basis.
 
+`divide` packs each monomial into one int (Monagan and Pearce, "Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007): `width`-bit fields holding, from the top, the order key's weighted
+sums (`monomial_key` is linear) and then the exponents, x_1 highest.  So a
+product is one int addition, int order is monomial order, and `lead | m`
+exactly when `m - lead` leaves every field's top (guard) bit clear, since a
+field that goes negative borrows into its guard bit.  Width rule: no field
+exceeds the total degree, so a division starts at the smallest width in 8,
+16, 32, ... whose guard bits stay clear on f and every divisor.  Two such
+fields add without carrying into the next, so a product that outgrows a
+field sets its guard bit: `divide` checks each new working monomial and
+starts again at twice the width.  Under grevlex no working monomial exceeds
+f's degree and the check never fires; under lex and elimination orders it
+can (x^k divided by x - y^2 leaves y^(2k)).
+
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
 every division call.
@@ -13,19 +28,20 @@ every division call.
 
 from __future__ import annotations
 
+import functools
 import heapq
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add
-from typing import Iterable, Optional, Sequence
+from operator import add, mul
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .poly import (
     Polynomial,
     PolyRing,
     RingMismatchError,
     mono_coprime,
-    mono_degree,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -35,13 +51,65 @@ from .poly import (
 # re-checked on every call to divide() when True; tests switch this on
 VERIFY_DIVISION = False
 
+_ONE = Fraction(1)
 
-@dataclass(frozen=True)
-class DivisionResult:
+
+class DivisionResult(NamedTuple):
     """f = sum(quotients[i] * divisors[i]) + remainder, remainder irreducible."""
 
     quotients: tuple
     remainder: Polynomial
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(key, nvars: int, width: int) -> tuple:
+    """(units, guards, decode): e packs to sum(e_i * units[i]), `guards`
+    masks the fields' top bits, and `decode(terms, h)` maps {packed: int}
+    to {exponents: int // h}, reading the exponent fields as bytes."""
+    unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
+    fields = [e[::-1] + key(e)[::-1] for e in unit]  # lowest field first
+    units = tuple(sum(w << (width * k) for k, w in enumerate(col)) for col in fields)
+    guards = sum(1 << (width * k + width - 1) for k in range(len(fields[0])))
+    low, size, step = (1 << (width * nvars)) - 1, width * nvars // 8, width // 8
+    if width <= 64:
+        read = struct.Struct(f">{nvars}{'BHIQ'[step.bit_length() - 1]}").unpack
+    else:
+
+        def read(b: bytes) -> tuple:
+            return tuple(int.from_bytes(b[k : k + step], "big") for k in range(0, size, step))
+
+    def decode(terms: dict, h: int) -> dict:
+        return {read((m & low).to_bytes(size, "big")): v // h for m, v in terms.items()}
+
+    return units, guards, decode
+
+
+def _width(degree: int) -> int:
+    # the smallest of 8, 16, 32, ... above degree.bit_length()
+    return max(8, 1 << degree.bit_length().bit_length())
+
+
+def _packed(d: Polynomial, key, width: int):
+    """d's packed form, memoised on d, or None for d = 0: (key, width, lead,
+    lead coefficient, the other (monomial, coefficient) pairs, content
+    numerator, content denominator).  A wider memo is kept, so a divisor's
+    width only grows."""
+    memo = getattr(d, "_pack", None)
+    if memo is not None and memo[0] is key and memo[1] >= width:
+        return memo
+    ints, content = d.integer_form()
+    if not ints:
+        return None
+    degree = max(map(sum, ints))
+    if degree >> (width - 1):
+        width = _width(degree)
+    units = _layout(key, len(d.ring.variables), width)[0]
+    terms = {sum(map(mul, m, units)): v for m, v in ints.items()}
+    lead = max(terms)
+    lc, tail = terms.pop(lead), tuple(terms.items())
+    memo = (key, width, lead, lc, tail, content.numerator, content.denominator)
+    object.__setattr__(d, "_pack", memo)
+    return memo
 
 
 def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionResult:
@@ -50,6 +118,10 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     Ties go to the first divisor whose leading monomial divides the current
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
+
+    Monomials are packed ints (see the module docstring): f is packed on
+    entry, each divisor's packed form is memoised on it, and the quotients
+    and remainder are unpacked on exit.
 
     The arithmetic is over the integers, on the stored forms of f = c_f * F
     and of each divisor d = s * D (`Polynomial.integer_form`).  Division is
@@ -65,11 +137,11 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     one is, so every divisor choice, and so every quotient and remainder, is
     the one rational division gives.  Each quotient, and the remainder, is
     an integer map over its own denominator, raised to a multiple of sigma
-    before a term is added (`_put`), with one gcd pass at the end.
+    before a term is added (`_lift`), with one gcd pass at the end.
 
-    `key` must come from `monomial_key` (the default is the ring's order):
-    the working terms sit in a min-heap on its `key.descending` companion,
-    and a monomial is pushed only when it enters the working set.  A popped
+    `key` must come from `monomial_key` (the default is the ring's order).
+    The working terms sit in a min-heap of negated packed ints, and a
+    monomial is pushed only when it enters the working set.  A popped
     monomial that has already left the set is skipped (lazy deletion); this
     is sound because every term a step adds is smaller than the term it
     pops, so a popped monomial never comes back.
@@ -77,113 +149,130 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     ring = f.ring
     if key is None:
         key = monomial_key(ring.order)
-    descending = key.descending
     divisors = list(divisors)
-    leads = []  # per divisor: None, or (lead, integer lead coefficient, integer terms, content)
     for d in divisors:
-        if d.ring != ring:
+        if d.ring is not ring and d.ring != ring:
             raise RingMismatchError("divisor from a different ring")
-        if d.is_zero():
-            leads.append(None)
-            continue
-        lm = d.leading_monomial(key)
-        ints, content = d.integer_form()
-        leads.append((lm, ints[lm], ints.items(), content))
-
-    # quotient and remainder maps, each with its denominator in slot 0
-    quotients = [[1, {}] for _ in divisors]
-    remainder = [1, {}]
     ints, f_content = f.integer_form()
-    work = dict(ints)
-    sigma = 1
-    heap = [(descending(m), m) for m in work]
-    heapq.heapify(heap)
-    while heap:
-        m = heapq.heappop(heap)[1]
-        c = work.get(m)
-        if c is None:
+    degree = max(map(sum, ints), default=0)
+    width = 8 if degree < 128 else _width(degree)
+    while True:
+        packs = [_packed(d, key, width) for d in divisors]
+        widest = max([p[1] for p in packs if p is not None], default=width)
+        if widest > width:
+            width = widest  # pack every divisor at the widest memo's width
             continue
-        for idx, lead in enumerate(leads):
-            if lead is not None and mono_divides(lead[0], m):
-                lm, lc, dterms, _ = lead
-                qm = mono_div(m, lm)
-                g = gcd(c, lc)
-                a, b = lc // g, c // g
-                if a < 0:
-                    a, b = -a, -b
-                if a != 1:
-                    sigma *= a
-                    for t in work:
-                        work[t] *= a
-                for dm, dc in dterms:
-                    t = tuple(map(add, dm, qm))
-                    old = work.get(t)
-                    if old is None:
-                        work[t] = -b * dc
-                        heapq.heappush(heap, (descending(t), t))
-                    else:
-                        v = old - b * dc
-                        if v:
-                            work[t] = v
-                        else:
-                            del work[t]
-                _put(quotients[idx], qm, b, sigma)
-                if a != 1:
-                    g = gcd(sigma, *work.values())
-                    if g != 1:
-                        sigma //= g
-                        for t in work:
-                            work[t] //= g
-                break
-        else:
-            _put(remainder, m, c, sigma)
-            del work[m]
+        layout = _layout(key, len(ring.variables), width)
+        out = _reduce(ints, packs, layout)
+        if out is not None:
+            break
+        width *= 2  # a working monomial outgrew its fields
 
-    zero = ring.zero()
+    (quotients, remainder), decode, zero = out, layout[2], ring.zero()
+    num, den = f_content.numerator, f_content.denominator
     result = DivisionResult(
         tuple(
-            _finish(ring, q, f_content, lead[3]) if q[1] else zero
-            for q, lead in zip(quotients, leads)
+            _finish(ring, q, decode, num * p[6], den * p[5]) if q[1] else zero
+            for q, p in zip(quotients, packs)
         ),
-        _finish(ring, remainder, f_content) if remainder[1] else zero,
+        _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else zero,
     )
     if VERIFY_DIVISION:
-        _check_division(f, divisors, leads, result)
+        _check_division(f, divisors, key, result)
     return result
 
 
-def _put(acc: list, m, v: int, sigma: int) -> None:
-    """Add (v / sigma) * x^m, m new, to `acc` = [tau, {monomial: int}]."""
+def _reduce(ints: dict, packs: list, layout: tuple):
+    """`divide`'s reduction: (quotient maps, remainder map), or None if a
+    working monomial overflows its fields."""
+    units, guards = layout[0], layout[1]
+    leads = [(idx, p[2], p[3], p[4]) for idx, p in enumerate(packs) if p is not None]
+    quotients = [[1, {}] for _ in packs]  # each map with its denominator in slot 0
+    remainder = [1, {}]
+    work = {sum(map(mul, m, units)): v for m, v in ints.items()}
+    sigma = 1
+    heap = [-m for m in work]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    while heap:
+        m = -pop(heap)
+        c = work.get(m)
+        if c is None:
+            continue
+        for idx, lead, lc, tail in leads:
+            qm = m - lead
+            if qm & guards:
+                continue  # lead does not divide m
+            g = gcd(c, lc)
+            a, b = lc // g, c // g
+            if a < 0:
+                a, b = -a, -b
+            del work[m]
+            if a != 1:
+                sigma *= a
+                for t in work:
+                    work[t] *= a
+            for dm, dc in tail:
+                t = qm + dm
+                old = work.get(t)
+                if old is None:
+                    if t & guards:
+                        return None
+                    work[t] = -b * dc
+                    push(heap, -t)
+                else:
+                    v = old - b * dc
+                    if v:
+                        work[t] = v
+                    else:
+                        del work[t]
+            q = quotients[idx]
+            q[1][qm] = b * _lift(q, sigma)
+            if a != 1:
+                g = gcd(sigma, *work.values())
+                if g != 1:
+                    sigma //= g
+                    for t in work:
+                        work[t] //= g
+            break
+        else:
+            remainder[1][m] = c * _lift(remainder, sigma)
+            del work[m]
+    return quotients, remainder
+
+
+def _lift(acc: list, den: int) -> int:
+    """Raise `acc` = [tau, {monomial: int}] to a denominator that `den`
+    divides; return the factor tau // den that turns v / den into acc's."""
     tau, terms = acc
-    if tau % sigma:
-        t = sigma // gcd(tau, sigma)
+    if tau % den:
+        t = den // gcd(tau, den)
         for k in terms:
             terms[k] *= t
-        tau *= t
-        acc[0] = tau
-    terms[m] = v * (tau // sigma)
+        acc[0] = tau = tau * t
+    return tau // den
 
 
-def _finish(ring, acc: list, num: Fraction, den: Fraction = Fraction(1)) -> Polynomial:
-    """(num / den) * map / tau for a nonempty `acc` = [tau, map]."""
+def _finish(ring, acc: list, decode, num: int, den: int, content: Fraction = None) -> Polynomial:
+    """(num / den) * map / tau for a nonempty `acc` = [tau, map] over packed
+    monomials; `content`, if given, is num / den, kept when the map's gcd is tau."""
     tau, terms = acc
     h = gcd(*terms.values())
-    if h != 1:
-        terms = {m: v // h for m, v in terms.items()}
-    content = Fraction(h * num.numerator * den.denominator, tau * num.denominator * den.numerator)
-    return Polynomial._new(ring, terms, content)
+    if content is None or h != tau:
+        content = Fraction(h * num, tau * den)
+    return Polynomial._new(ring, decode(terms, h), content)
 
 
-def _check_division(f, divisors, leads, result):
+def _check_division(f, divisors, key, result):
     total = result.remainder
     for q, d in zip(result.quotients, divisors):
         total = total + q * d
     if total != f:
         raise RuntimeError("division identity violated")
+    leads = [d.leading_monomial(key) for d in divisors if not d.is_zero()]
     for m in result.remainder.terms:
-        for lt in leads:
-            if lt is not None and mono_divides(lt[0], m):
-                raise RuntimeError("reducible remainder")
+        if any(mono_divides(lm, m) for lm in leads):
+            raise RuntimeError("reducible remainder")
 
 
 def normal_form(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> Polynomial:
@@ -235,19 +324,45 @@ class GroebnerBasis:
         """
         if self.transform is None:
             raise ValueError("basis was computed without tracking")
-        out = [self.ring.zero() for _ in self.generators]
-        for j, q in enumerate(quotients):
-            if q.is_zero():
-                continue
-            for i, t in enumerate(self.transform[j]):
-                if not t.is_zero():
-                    out[i] = out[i] + q * t
-        return tuple(out)
+        rows = [(1, q, row) for q, row in zip(quotients, self.transform) if not q.is_zero()]
+        return tuple(_combine_rows(self.ring, rows, len(self.generators)))
 
     def membership_certificate(self, f: Polynomial):
         """(cofactors over generators, remainder); f is a member iff r == 0."""
         res = self.divide(f)
         return self.lift_to_generators(res.quotients), res.remainder
+
+
+def _sum_of_products(ring: PolyRing, products) -> Polynomial:
+    """sum(s * p * q for s, p, q in products), summed in one integer map
+    over a common denominator and built as a `Polynomial` once, instead of
+    copying a growing sum once per product."""
+    acc = [1, {}]
+    get = acc[1].get
+    for s, p, q in products:
+        (a, ca), (b, cb) = p.integer_form(), q.integer_form()
+        if not a or not b:
+            continue
+        num = s.numerator * ca.numerator * cb.numerator
+        den = s.denominator * ca.denominator * cb.denominator
+        g = gcd(num, den)
+        c = num // g * _lift(acc, den // g)
+        b = b.items()
+        for m1, v1 in a.items():
+            v1 *= c
+            for m2, v2 in b:
+                m = tuple(map(add, m1, m2))
+                acc[1][m] = get(m, 0) + v1 * v2
+    terms = {m: v for m, v in acc[1].items() if v}
+    if not terms:
+        return ring.zero()
+    h = gcd(*terms.values())
+    return Polynomial._new(ring, {m: v // h for m, v in terms.items()}, Fraction(h, acc[0]))
+
+
+def _combine_rows(ring: PolyRing, rows: list, n: int) -> list:
+    """Entries 0..n-1 of sum(s * q * row) over (s, q, row) in rows."""
+    return [_sum_of_products(ring, [(s, q, row[t]) for s, q, row in rows]) for t in range(n)]
 
 
 def groebner_basis(
@@ -258,10 +373,16 @@ def groebner_basis(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
-    Pairs are processed in increasing lcm order; the coprime-lead and chain
-    criteria prune useless reductions.  Intermediate elements are kept
-    primitive with integer coefficients, the final basis is monic and
-    interreduced.
+    Pairs are reduced in increasing (degree, lcm, i, j) order.  Adding an
+    element runs the Gebauer-Moeller update (Gebauer and Moeller, "On an
+    installation of Buchberger's algorithm", 1988): a new pair goes if its
+    leads are coprime or another new pair's lcm divides its lcm (criterion
+    M; of equal lcms the smallest partner stays, F), and a pending pair
+    goes if the new lead divides its lcm and both lcms with the new element
+    differ from it (B_k).  New pairs use only elements whose lead no later
+    lead divides; each S-polynomial is reduced by every element so far.
+    Remainders are kept primitive with integer coefficients, the final
+    basis is monic and interreduced.
 
     The loop stops at the first S-pair remainder that is a nonzero constant:
     the ideal is then the unit ideal.  Running on would change nothing, since
@@ -281,59 +402,53 @@ def groebner_basis(
     if order is None:
         order = ring.order
     key = monomial_key(order)
-    ngens = len(gens)
+    ngens, zero = len(gens), ring.zero()
 
-    def unit_vector(i: int, scale: Fraction) -> list:
-        row = [ring.zero()] * ngens
-        row[i] = ring.const(scale)
-        return row
-
+    # generators enter as they are (scaling an element scales its quotients
+    # and its row inversely), so a generator's packed divisor form carries
+    # over between the bases it belongs to; remainders are made primitive
     polys: list = []
     coeffs: list = []  # cofactor rows over the original generators
+    one = ring.one()
     for i, g in enumerate(gens):
         if g.is_zero():
             continue
-        prim, c = g.primitive_part()
-        polys.append(prim)
+        polys.append(g)
         if track:
-            coeffs.append(unit_vector(i, 1 / c))
+            coeffs.append([one if t == i else zero for t in range(ngens)])
 
-    heap: list = []
-    pending: set = set()
+    leads: list = []
+    heap: list = []  # (degree, key(lcm), i, j, lcm) of each pair still to reduce
+    active: list = []  # elements whose lead no later lead divides
 
-    def push_pairs(new: int):
-        lm_new = polys[new].leading_monomial(key)
-        for old in range(new):
-            lcm = mono_lcm(polys[old].leading_monomial(key), lm_new)
-            heapq.heappush(heap, (mono_degree(lcm), key(lcm), old, new))
-            pending.add((old, new))
+    def update(h: int) -> None:
+        lm = leads[h]
+        new = [(g, mono_lcm(leads[g], lm)) for g in active]
+        kept = []
+        # selecting from the back, a pair meets the unselected ones before it
+        for pos in range(len(new) - 1, -1, -1):
+            g, lcm = new[pos]
+            others = new[:pos] + kept
+            if mono_coprime(leads[g], lm) or not any(mono_divides(o, lcm) for _, o in others):
+                kept.append((g, lcm))
+        heap[:] = [
+            p
+            for p in heap
+            if not mono_divides(lm, p[4])
+            or p[4] in (mono_lcm(leads[p[2]], lm), mono_lcm(leads[p[3]], lm))
+        ]
+        heap.extend((sum(m), key(m), g, h, m) for g, m in kept if not mono_coprime(leads[g], lm))
+        heapq.heapify(heap)
+        active[:] = [g for g in active if not mono_divides(lm, leads[g])] + [h]
 
-    for n in range(len(polys)):
-        push_pairs(n)
-
-    def chain_skip(i: int, j: int, lcm) -> bool:
-        for k in range(len(polys)):
-            if k == i or k == j:
-                continue
-            if not mono_divides(polys[k].leading_monomial(key), lcm):
-                continue
-            pik = (min(i, k), max(i, k))
-            pjk = (min(j, k), max(j, k))
-            if pik not in pending and pjk not in pending:
-                return True
-        return False
+    for n, p in enumerate(polys):
+        leads.append(p.leading_monomial(key))
+        update(n)
 
     while heap:
-        _, _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+        _, _, i, j, lcm = heapq.heappop(heap)
         lm_i, lc_i = polys[i].leading_term(key)
         lm_j, lc_j = polys[j].leading_term(key)
-        if mono_coprime(lm_i, lm_j):
-            continue
-        lcm = mono_lcm(lm_i, lm_j)
-        if chain_skip(i, j, lcm):
-            continue
-
         mi, mj = mono_div(lcm, lm_i), mono_div(lcm, lm_j)
         s = polys[i].mul_term(mi, 1 / lc_i) - polys[j].mul_term(mj, 1 / lc_j)
         res = divide(s, polys, key)
@@ -342,21 +457,16 @@ def groebner_basis(
             continue
         prim, c = r.primitive_part()
         if track:
-            row = [
-                coeffs[i][t].mul_term(mi, 1 / lc_i) - coeffs[j][t].mul_term(mj, 1 / lc_j)
-                for t in range(ngens)
-            ]
-            for k, q in enumerate(res.quotients):
-                if q.is_zero():
-                    continue
-                for t in range(ngens):
-                    if not coeffs[k][t].is_zero():
-                        row[t] = row[t] - q * coeffs[k][t]
-            coeffs.append([p.scale(1 / c) for p in row])
+            # the S-polynomial's row less the quotients' rows, over c
+            rows = [(1 / (lc_i * c), Polynomial._new(ring, {mi: 1}, _ONE), coeffs[i])]
+            rows.append((-1 / (lc_j * c), Polynomial._new(ring, {mj: 1}, _ONE), coeffs[j]))
+            rows += [(-1 / c, q, coeffs[k]) for k, q in enumerate(res.quotients) if not q.is_zero()]
+            coeffs.append(_combine_rows(ring, rows, ngens))
         polys.append(prim)
+        leads.append(prim.leading_monomial(key))
         if prim.is_constant():
             break
-        push_pairs(len(polys) - 1)
+        update(len(polys) - 1)
 
     basis, rows = _reduce_basis(polys, coeffs if track else None, ring, key)
 
@@ -365,10 +475,7 @@ def groebner_basis(
         transform = tuple(tuple(row) for row in rows)
         if VERIFY_DIVISION:
             for g, row in zip(basis, transform):
-                acc = ring.zero()
-                for t, gen in zip(row, gens):
-                    acc = acc + t * gen
-                if acc != g:
+                if _sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) != g:
                     raise RuntimeError("transformation identity violated")
 
     return GroebnerBasis(ring, order, tuple(basis), tuple(gens), transform)
@@ -389,6 +496,7 @@ def _reduce_basis(polys, coeffs, ring, key):
 
     # tail-reduce each element against the others (leads are incomparable,
     # so each element's lead survives and one sweep lands on the reduced form)
+    one = ring.one() if coeffs is not None else None
     for idx in range(len(kept)):
         others = kept[:idx] + kept[idx + 1 :]
         res = divide(kept[idx], others, key)
@@ -396,12 +504,9 @@ def _reduce_basis(polys, coeffs, ring, key):
         if coeffs is not None:
             row = kept_rows[idx]
             other_rows = kept_rows[:idx] + kept_rows[idx + 1 :]
-            for q, orow in zip(res.quotients, other_rows):
-                if q.is_zero():
-                    continue
-                for t in range(len(row)):
-                    if not orow[t].is_zero():
-                        row[t] = row[t] - q * orow[t]
+            rows = [(-1, q, orow) for q, orow in zip(res.quotients, other_rows) if not q.is_zero()]
+            if rows:
+                kept_rows[idx] = _combine_rows(ring, rows + [(1, one, row)], len(row))
 
     for idx in range(len(kept)):
         lc = kept[idx].leading_coefficient(key)

@@ -80,30 +80,14 @@ def mono_coprime(a: Monomial, b: Monomial) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
-def mono_degree(m: Monomial) -> int:
-    return sum(m)
+def _grevlex_key(m: Monomial) -> tuple:
+    # the sums of the first k exponents, k from n down to 1: a higher total
+    # degree wins, then a smaller last exponent, then a smaller one before it
+    return tuple(itertools.accumulate(m))[::-1]
 
 
-def _grevlex_key(m: Monomial):
-    # ascending key: higher total degree wins, ties broken so that the last
-    # differing exponent being smaller means the monomial is larger
-    return (sum(m), tuple(-e for e in reversed(m)))
-
-
-def _grevlex_descending(m: Monomial):
-    return (-sum(m),) + m[::-1]
-
-
-def _lex_key(m: Monomial):
+def _lex_key(m: Monomial) -> tuple:
     return m
-
-
-def _lex_descending(m: Monomial):
-    return tuple(-e for e in m)
-
-
-_grevlex_key.descending = _grevlex_descending
-_lex_key.descending = _lex_descending
 
 
 @dataclass(frozen=True)
@@ -123,9 +107,11 @@ class EliminationOrder:
 def monomial_key(order):
     """Sort key realizing `order` (ascending); one cached function per order.
 
-    Each key carries a companion `key.descending`: a flat int tuple whose
-    ascending order is the descending monomial order, which is what a
-    min-heap needs to pop the largest monomial first.
+    Every key is linear: it maps an exponent tuple to a tuple of sums of
+    exponents (weights 0 or 1), compared lexicographically, so the key of a
+    product is the sum of the keys.  Each order is grevlex inside blocks of
+    variables, the blocks compared in turn, and lex is one block per
+    variable.  `groebner.divide` packs monomials by this map.
     """
     if order == GREVLEX:
         return _grevlex_key
@@ -135,18 +121,9 @@ def monomial_key(order):
         elim = order.eliminated
         rest = tuple(i for i in range(order.nvars) if i not in elim)
 
-        def key(m: Monomial):
-            return (
-                _grevlex_key(tuple(m[i] for i in elim)),
-                _grevlex_key(tuple(m[i] for i in rest)),
-            )
+        def key(m: Monomial) -> tuple:
+            return _grevlex_key([m[i] for i in elim]) + _grevlex_key([m[i] for i in rest])
 
-        def descending(m: Monomial):
-            a = tuple(m[i] for i in elim)
-            b = tuple(m[i] for i in rest)
-            return (-sum(a),) + a[::-1] + (-sum(b),) + b[::-1]
-
-        key.descending = descending
         return key
     raise ValueError(f"unknown monomial order: {order!r}")
 
@@ -305,14 +282,16 @@ class Polynomial:
     change only the content and the signs.
 
     `terms` is a read-only `{monomial: Fraction}` view of the pair that
-    builds each coefficient when it is read, so no second map is kept.  Two
-    fields are filled lazily: `_hash` and `_lead` (the last leading term,
-    tagged with its key function).  Each is a pure function of the stored
-    pair, so filling it is idempotent and sharing values across threads
-    stays safe.
+    builds each coefficient when it is read, so no second map is kept.
+    Three fields are filled lazily: `_hash`, `_lead` (the last leading term,
+    tagged with its key function) and `_pack` (the last packed divisor form
+    `groebner.divide` built, tagged with its key and field width; left unset
+    until then, so building a polynomial costs no extra store).  Each is a
+    pure function of the stored pair, so filling it is idempotent and
+    sharing values across threads stays safe.
     """
 
-    __slots__ = ("ring", "_form", "_hash", "_lead")
+    __slots__ = ("ring", "_form", "_hash", "_lead", "_pack")
 
     def __init__(self, ring: PolyRing, terms: dict):
         clean = {}
@@ -581,7 +560,7 @@ class Polynomial:
         n, d = c.numerator, c.denominator
         names = self.ring.variables
         parts = []
-        for m in sorted(ints, key=monomial_key(self.ring.order).descending):
+        for m in sorted(ints, key=monomial_key(self.ring.order), reverse=True):
             v = ints[m]
             num = (-v if v < 0 else v) * n
             g = gcd(num, d) if d != 1 else 1

@@ -1,13 +1,14 @@
 """Brute-force cross-checks for the test suite.
 
-Everything here decides questions by degree-bounded dense linear algebra in
-the monomial basis, with its own Gaussian elimination, so that it shares no
-reduction code with the division/basis engine it is checking.  The degree
-truncation makes `oracle_member` a lower approximation of true ideal
-membership; callers pick the bound high enough that answers stabilize
-(degree of the candidate plus the largest generator degree plus 4 is the
-working heuristic, and tests re-check stabilization at two consecutive
-bounds where it matters).
+Everything here decides questions by degree-bounded linear algebra in the
+monomial basis, with its own elimination (sparse fraction-free integer rows
+for ranks and membership, `Fraction` Gauss-Jordan for null spaces), so that
+it shares no reduction code with the division/basis engine it is checking.
+The degree truncation makes `oracle_member` a lower approximation of true
+ideal membership; callers pick the bound high enough that answers
+stabilize (degree of the candidate plus the largest generator degree plus 4
+is the working heuristic, and tests re-check stabilization at two
+consecutive bounds where it matters).
 
 Not part of the public API.
 """
@@ -15,6 +16,7 @@ Not part of the public API.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 from smeared.poly import Polynomial, PolyRing, monomials_up_to_degree
@@ -43,26 +45,49 @@ def _eliminate(rows: list) -> list:
     return echelon
 
 
-def _rank(rows: list) -> int:
-    # forward elimination only; normalized rows have their leftmost nonzero
-    # entry at the pivot, so scanning left to right never revisits a column
-    pivots = {}
-    for row in rows:
-        row = list(row)
-        lead = 0
-        ncols = len(row)
-        while lead < ncols:
-            if not row[lead]:
-                lead += 1
-            elif lead in pivots:
-                f = row[lead]
-                row = [a - f * b for a, b in zip(row, pivots[lead])]
-                lead += 1
+def _integer_row(row: list) -> dict:
+    """A dense row of rationals as a sparse {column: int} row with the same
+    span: the entries times the lcm of their denominators."""
+    entries = {j: Fraction(x) for j, x in enumerate(row) if x}
+    den = lcm(*(x.denominator for x in entries.values()))
+    return {j: int(x * den) for j, x in entries.items()}
+
+
+def _reduce_row(row: dict, echelon: dict) -> dict:
+    """Fraction-free forward reduction of a sparse integer row against an
+    echelon {pivot column: row whose leftmost entry is there}: while the
+    row's leftmost column holds a pivot, row <- a * row - b * pivot row
+    clears it, and the gcd of the entries is divided out."""
+    while row:
+        col = min(row)
+        pivot = echelon.get(col)
+        if pivot is None:
+            break
+        a, b = pivot[col], row[col]
+        row = {j: a * v for j, v in row.items()}
+        for j, v in pivot.items():
+            s = row.get(j, 0) - b * v
+            if s:
+                row[j] = s
             else:
-                inv = 1 / row[lead]
-                pivots[lead] = [x * inv for x in row]
-                break
-    return len(pivots)
+                del row[j]
+        g = gcd(*row.values())
+        if g > 1:
+            row = {j: v // g for j, v in row.items()}
+    return row
+
+
+def _echelon(rows: list) -> dict:
+    echelon = {}
+    for row in rows:
+        row = _reduce_row(_integer_row(row), echelon)
+        if row:
+            echelon[min(row)] = row
+    return echelon
+
+
+def _rank(rows: list) -> int:
+    return len(_echelon(rows))
 
 
 def _nullspace(rows: list, ncols: int) -> list:
@@ -118,9 +143,8 @@ def oracle_member(f: Polynomial, generators: Sequence[Polynomial], d: int) -> bo
         raise ValueError(f"degree overflow: candidate has degree {f.degree()} > {d}")
     index, ncols = _monomial_index(f.ring.nvars, d)
     rows = _slice_rows(generators, d, index, ncols)
-    target = _vector(f, index, ncols)
-    base = _rank(rows)
-    return _rank(rows + [target]) == base
+    target = _integer_row(_vector(f, index, ncols))
+    return not _reduce_row(target, _echelon(rows))
 
 
 def oracle_span_rank(polys: Sequence[Polynomial], gb) -> int:

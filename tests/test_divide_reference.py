@@ -1,0 +1,312 @@
+"""The packed-exponent `divide` against the tuple loop it replaced.
+
+`reference_divide` is the previous implementation, kept as a reference: the
+same fraction-free integer reduction, with monomials as exponent tuples, a
+heap ordered by the negated order key and `mono_divides` for every lead
+test.  Seeded and `hypothesis` cases run both, and the quotients and
+remainder must agree as values and as text, under grevlex, lex and an
+elimination order, including exponents past the first field width and lex
+divisions whose exponents outgrow the inputs'.  The Buchberger loop that
+drives `divide` is pinned by its S-pair reduction counts.
+"""
+
+import heapq
+import random
+from fractions import Fraction
+from math import gcd
+from operator import add
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import smeared.groebner as groebner
+from smeared import PolyRing, Polynomial, groebner_basis
+from smeared.groebner import divide
+from smeared.poly import EliminationOrder, mono_div, mono_divides, monomial_key
+
+
+def reference_divide(f, divisors, key):
+    """(quotients, remainder) of the tuple-monomial integer reducer."""
+    ring = f.ring
+
+    def descending(m):
+        return tuple(-w for w in key(m))
+
+    leads = []
+    for d in divisors:
+        if d.is_zero():
+            leads.append(None)
+            continue
+        lm = d.leading_monomial(key)
+        ints, content = d.integer_form()
+        leads.append((lm, ints[lm], ints.items(), content))
+    quotients = [[1, {}] for _ in divisors]
+    remainder = [1, {}]
+    ints, f_content = f.integer_form()
+    work = dict(ints)
+    sigma = 1
+    heap = [(descending(m), m) for m in work]
+    heapq.heapify(heap)
+    while heap:
+        m = heapq.heappop(heap)[1]
+        c = work.get(m)
+        if c is None:
+            continue
+        for idx, lead in enumerate(leads):
+            if lead is not None and mono_divides(lead[0], m):
+                lm, lc, dterms, _ = lead
+                qm = mono_div(m, lm)
+                g = gcd(c, lc)
+                a, b = lc // g, c // g
+                if a < 0:
+                    a, b = -a, -b
+                if a != 1:
+                    sigma *= a
+                    for t in work:
+                        work[t] *= a
+                for dm, dc in dterms:
+                    t = tuple(map(add, dm, qm))
+                    old = work.get(t)
+                    if old is None:
+                        work[t] = -b * dc
+                        heapq.heappush(heap, (descending(t), t))
+                    else:
+                        v = old - b * dc
+                        if v:
+                            work[t] = v
+                        else:
+                            del work[t]
+                _put(quotients[idx], qm, b, sigma)
+                if a != 1:
+                    g = gcd(sigma, *work.values())
+                    if g != 1:
+                        sigma //= g
+                        for t in work:
+                            work[t] //= g
+                break
+        else:
+            _put(remainder, m, c, sigma)
+            del work[m]
+    zero = ring.zero()
+    return (
+        [_finish(ring, q, f_content, lead[3]) if q[1] else zero for q, lead in zip(quotients, leads)],
+        _finish(ring, remainder, f_content) if remainder[1] else zero,
+    )
+
+
+def _put(acc, m, v, sigma):
+    tau, terms = acc
+    if tau % sigma:
+        t = sigma // gcd(tau, sigma)
+        for k in terms:
+            terms[k] *= t
+        tau *= t
+        acc[0] = tau
+    terms[m] = v * (tau // sigma)
+
+
+def _finish(ring, acc, num, den=Fraction(1)):
+    tau, terms = acc
+    h = gcd(*terms.values())
+    terms = {m: v // h for m, v in terms.items()}
+    content = Fraction(h * num.numerator * den.denominator, tau * num.denominator * den.numerator)
+    return Polynomial._new(ring, terms, content)
+
+
+R3 = PolyRing(("x", "y", "z"))
+ORDERS = {
+    "grevlex": monomial_key("grevlex"),
+    "lex": monomial_key("lex"),
+    "elimination": monomial_key(EliminationOrder((2, 0), 3)),
+}
+
+
+def assert_agrees(f, divisors, key):
+    res = divide(f, divisors, key)
+    quotients, remainder = reference_divide(f, divisors, key)
+    assert list(res.quotients) == quotients
+    assert res.remainder == remainder
+    assert [str(q) for q in res.quotients] == [str(q) for q in quotients]
+    assert str(res.remainder) == str(remainder)
+    return res
+
+
+def random_poly(rng, deg, nterms, scale=1):
+    terms = {}
+    for _ in range(nterms):
+        e = [rng.randint(0, deg) for _ in range(3)]
+        while sum(e) > deg:
+            e[rng.randrange(3)] //= 2
+        terms[tuple(x * scale for x in e)] = Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+    return Polynomial(R3, terms)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_divide_matches_reference(order):
+    key = ORDERS[order]
+    rng = random.Random(61)
+    for trial in range(40):
+        f = random_poly(rng, 6, rng.randint(0, 12))
+        divisors = [random_poly(rng, 3, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        if trial % 5 == 0:
+            divisors.insert(rng.randint(0, len(divisors)), R3.zero())
+        assert_agrees(f, divisors, key)
+
+
+@pytest.mark.parametrize("order", sorted(ORDERS))
+def test_divide_matches_reference_past_the_first_field_width(order):
+    # exponents of tens of thousands need 32-bit fields; scaling every
+    # exponent keeps the divisibility pattern of the small cases
+    key = ORDERS[order]
+    rng = random.Random(67)
+    for _ in range(10):
+        f = random_poly(rng, 5, 8, scale=20000)
+        divisors = [random_poly(rng, 2, 3, scale=20000) for _ in range(2)]
+        assert_agrees(f, divisors, key)
+    x, y = R3.var("x"), R3.var("y")
+    res = assert_agrees(x**70000 * y + y**3, [x**69999 - 1, y**2 - x], key)
+    assert res.remainder.degree() < 70000
+
+
+def test_exponents_past_64_bit_fields():
+    x, y = R3.var("x"), R3.var("y")
+    e = 2**64
+    res = assert_agrees(R3.monomial((e + 3, 1, 0)) + y, [R3.monomial((e, 0, 0)) - y], ORDERS["lex"])
+    assert res.remainder == R3.monomial((3, 2, 0)) + y
+
+
+@pytest.mark.parametrize("k, widens", [(40, False), (70, True), (300, False), (20000, True)])
+def test_lex_growth_takes_the_widening_path(k, widens, monkeypatch):
+    # x^k by x - y^2 leaves y^(2k): when 2k outgrows the fields the inputs'
+    # degree k chose (8 bits below 128, 16 below 32768), the division must
+    # start again wider, not wrap around
+    overflows = []
+    real_reduce = groebner._reduce
+
+    def recording_reduce(ints, packs, layout):
+        out = real_reduce(ints, packs, layout)
+        overflows.append(out is None)
+        return out
+
+    monkeypatch.setattr(groebner, "_reduce", recording_reduce)
+    R2 = PolyRing(("x", "y"))
+    x, y = R2.var("x"), R2.var("y")
+    res = divide(x**k, [x - y**2], monomial_key("lex"))
+    assert res.remainder == y ** (2 * k)
+    assert res.quotients[0] * (x - y**2) + res.remainder == x**k
+    assert any(overflows) == widens
+    assert overflows[-1] is False
+
+
+def test_divide_uses_no_tuple_lead_test(monkeypatch):
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+
+    def forbidden(*args):
+        raise AssertionError("divide called mono_divides")
+
+    monkeypatch.setattr(groebner, "mono_divides", forbidden)
+    rng = random.Random(71)
+    for key in ORDERS.values():
+        f = random_poly(rng, 6, 10)
+        divide(f, [random_poly(rng, 3, 3) for _ in range(3)], key)
+
+
+def test_packed_order_is_the_monomial_order():
+    monos = sorted({tuple(random.Random(i).choices(range(200), k=3)) for i in range(300)})
+    for key in ORDERS.values():
+        units = groebner._layout(key, 3, 16)[0]
+        packed = {sum(e * u for e, u in zip(m, units)): m for m in monos}
+        assert [packed[p] for p in sorted(packed)] == sorted(monos, key=key)
+
+
+def test_divisor_memo_is_reused_and_only_widens():
+    key = ORDERS["grevlex"]
+    x, y = R3.var("x"), R3.var("y")
+    d = x**2 - y
+    divide(x**5, [d], key)
+    memo = d._pack
+    assert memo[0] is key and memo[1] == 8
+    divide(x**7 * y, [d], key)
+    assert d._pack is memo
+    divide(x**300, [d], key)  # f needs 16-bit fields
+    assert d._pack[1] == 16
+    divide(x**5, [d], key)
+    assert d._pack[1] == 16
+    divide(x**5, [d], ORDERS["lex"])
+    assert d._pack[0] is ORDERS["lex"]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(ORDERS)),
+    st.lists(
+        st.dictionaries(
+            st.tuples(*[st.integers(0, 4)] * 3),
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            max_size=6,
+        ),
+        min_size=2,
+        max_size=4,
+    ),
+)
+def test_divide_matches_reference_on_generated_polynomials(order, maps):
+    f, *divisors = [Polynomial(R3, terms) for terms in maps]
+    assert_agrees(f, divisors, ORDERS[order])
+
+
+# ---------------------------------------------------------------------------
+# the Buchberger loop that drives divide
+
+
+def katsura4():
+    ring = PolyRing(tuple(f"u{i}" for i in range(5)))
+    u = [ring.var(v) for v in ring.variables]
+
+    def U(i):
+        return u[abs(i)] if abs(i) <= 4 else ring.zero()
+
+    gens = []
+    for m in range(4):
+        s = ring.zero()
+        for i in range(-4, 5):
+            s = s + U(i) * U(m - i)
+        gens.append(s - u[m])
+    s = ring.zero()
+    for i in range(-4, 5):
+        s = s + U(i)
+    gens.append(s - 1)
+    return gens
+
+
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracked"])
+def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
+    # the Gebauer-Moeller update leaves 30 S-pair reductions (the chain
+    # criterion it replaced left 33); more means a pruning regression
+    calls = []
+    real_divide = groebner.divide
+
+    def counting_divide(f, divisors, key=None):
+        calls.append(len(divisors))
+        return real_divide(f, divisors, key)
+
+    monkeypatch.setattr(groebner, "divide", counting_divide)
+    gb = groebner_basis(katsura4(), track=track)
+    assert len(gb.elements) == 13
+    assert len(calls) - len(gb.elements) == 30
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
+def test_every_spair_of_the_basis_reduces_to_zero(order):
+    # Buchberger's criterion on the output checks the pair pruning
+    rng = random.Random(73)
+    key = monomial_key(order)
+    for _ in range(12):
+        gens = [random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)]
+        els = groebner_basis(gens, order=order, ring=R3).elements
+        for i in range(len(els)):
+            for j in range(i + 1, len(els)):
+                (li, ci), (lj, cj) = els[i].leading_term(key), els[j].leading_term(key)
+                lcm = tuple(map(max, li, lj))
+                s = els[i].mul_term(mono_div(lcm, li), 1 / ci) - els[j].mul_term(mono_div(lcm, lj), 1 / cj)
+                assert divide(s, els, key).remainder.is_zero()

@@ -103,3 +103,36 @@ def test_hyperbola_has_no_univariate_member(R2):
     base = _rank(rows)
     univariate = [_vector(x**k, index, ncols) for k in range(7)]
     assert _rank(rows + univariate) == base + len(univariate)
+
+
+def dense_rank(rows):
+    """The dense `Fraction` forward elimination the sparse `_rank` replaced."""
+    pivots = {}
+    for row in rows:
+        row = list(row)
+        lead = 0
+        while lead < len(row):
+            if not row[lead]:
+                lead += 1
+            elif lead in pivots:
+                f = row[lead]
+                row = [a - f * b for a, b in zip(row, pivots[lead])]
+                lead += 1
+            else:
+                inv = 1 / row[lead]
+                pivots[lead] = [x * inv for x in row]
+                break
+    return len(pivots)
+
+
+def test_sparse_rank_matches_dense_elimination():
+    rng = random.Random(83)
+    for _ in range(60):
+        ncols = rng.randint(1, 8)
+        rows = [
+            [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) * (rng.random() < 0.5) for _ in range(ncols)]
+            for _ in range(rng.randint(1, 8))
+        ]
+        if rng.random() < 0.4:
+            rows.append([2 * a - b for a, b in zip(rows[0], rows[-1])])
+        assert _rank(rows) == dense_rank(rows)

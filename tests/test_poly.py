@@ -1,5 +1,6 @@
 """Polynomial arithmetic, monomial orders, and the parser."""
 
+import operator
 import random
 import re
 from fractions import Fraction
@@ -142,10 +143,14 @@ def test_elimination_order_blocks():
 
 
 @pytest.mark.parametrize("order", [GREVLEX, LEX, EliminationOrder((0,), 3)], ids=str)
-def test_descending_key_reverses_monomial_key(order):
+def test_monomial_key_is_linear(order):
+    # divide packs monomials by the key read as a linear map with 0/1 weights
     key = monomial_key(order)
     monos = monomials_up_to_degree(3, 4)
-    assert sorted(monos, key=key.descending) == sorted(monos, key=key, reverse=True)
+    for a in monos[::3]:
+        for b in monos[::4]:
+            assert key(tuple(map(operator.add, a, b))) == tuple(map(operator.add, key(a), key(b)))
+    assert {w for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)) for w in key(e)} == {0, 1}
 
 
 def test_monomial_key_cached_per_order():
@@ -482,3 +487,13 @@ def test_flat_parse_builds_no_intermediate_polynomials(monkeypatch):
     monkeypatch.undo()
     assert made == [500]
     assert got == f == reference_parse(text, R3)
+
+
+def test_rings_pickle_and_copy():
+    # rings are plain values: no cached polynomial may ride along in them
+    import copy
+    import pickle
+
+    ring = PolyRing(("x", "y"), "lex")
+    assert pickle.loads(pickle.dumps(ring)) == ring
+    assert copy.deepcopy(ring) == ring
