@@ -19,10 +19,10 @@ multiplication rejected)::
 
 Rational literals look like ``3`` or ``5/2``; a denominator must be nonzero.
 The optional sign on the first term is a strict superset of the grammar
-needed so canonical serialization round-trips.  The parser builds the term
-map directly: a term made of numbers and variable powers never builds a
-`Polynomial`, so flat input parses in time linear in its number of terms,
-and only parenthesized factors use polynomial multiplication and powers.
+needed so canonical serialization round-trips.  The parser reads one regex
+match per factor (sign, base, exponent, ``*``), so its cost is linear in the
+text's length, and builds the term map directly: only parenthesized factors
+build a `Polynomial`, through polynomial multiplication and powers.
 """
 
 from __future__ import annotations
@@ -320,6 +320,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        """Pickle and copy the stored pair; the lazy fields refill when used."""
+        return (Polynomial._new, (self.ring, *self._form))
+
     @property
     def terms(self) -> Mapping:
         """Read-only `{monomial: Fraction}` view; values are built when read."""
@@ -508,20 +512,36 @@ class Polynomial:
         return result
 
     def evaluate(self, point: Sequence[Scalar]) -> Fraction:
-        """Exact value at a point of int or Fraction coordinates."""
+        """Exact value at a point of int or Fraction coordinates, as a Fraction.
+
+        In integers: with D the lcm of the denominators, x_i = n_i / D, and at
+        degree d a term v * x^m is v * n^m * D^(d - |m|) / D^d.  The v * n^m
+        are summed per degree |m|, and one `Fraction` ends the sum.  Each
+        n_i^e and D^(d - |m|) is one `pow` per distinct exponent: no table
+        is filled up to an exponent, so x^70000 costs one power.
+        """
         if len(point) != self.ring.nvars:
             raise ValueError(
                 f"point has {len(point)} coordinates, ring has {self.ring.nvars} variables"
             )
         pt = [_scalar(x) for x in point]
         ints, c = self._form
-        total = 0
+        den = lcm(*[x.denominator for x in pt])
+        nums = [x.numerator * (den // x.denominator) for x in pt]
+        powers = [{} for _ in nums]  # per variable: exponent -> n_i^e
+        by_degree: dict = {}  # |m| -> sum of v * n^m over the terms of degree |m|
         for m, v in ints.items():
-            for x, e in zip(pt, m):
+            for n, e, known in zip(nums, m, powers):
                 if e:
-                    v *= x**e
-            total += v
-        return c * total
+                    p = known.get(e)
+                    if p is None:
+                        p = known[e] = pow(n, e)
+                    v *= p
+            k = sum(m)
+            by_degree[k] = by_degree.get(k, 0) + v
+        d = max(by_degree, default=0)
+        total = sum(v * pow(den, d - k) for k, v in by_degree.items())
+        return Fraction(total * c.numerator, c.denominator * pow(den, d))
 
     def content(self) -> Fraction:
         """Positive rational c with self/c integer-coefficient, content 1."""
@@ -589,52 +609,32 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 
-# One alternative per token kind, tried in order at each position; `bad`
-# takes any character the others reject, so one finditer pass covers the text.
-_TOKEN_RE = re.compile(
-    r"(?P<number>(\d+)(?:/(\d+))?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*^()])"
-    r"|(?P<space>\s+)"
-    r"|(?P<bad>.)",
-    re.DOTALL,
+# One match per factor: an optional sign, an empty group at the base, the
+# base (a literal, a name, "(" or ")"), then, except after "(", an optional
+# "^" with an empty group at the exponent, and "*".  A ")" carries its
+# group's exponent and "*".  With no base the match stops in front of
+# whatever is there, so it matches at any position, even the end.
+_FACTOR_RE = re.compile(
+    r"\s*([-+])?\s*()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)(?:/(\d+))?|(\)))"
+    r"(?:\s*\^\s*()(?:(\d+)(?:/(\d+))?)?)?\s*(\*)?)?"
 )
+# groups: 1 sign, 2 base position, 3 "(", 4 name, 5 and 6 numerator and
+# denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*"
+_EXPECTED_BASE = "expected a number, variable or parenthesized expression"
 
 
-def _tokenize(text: str) -> list:
-    """Tokens of `text` as (kind, value, position), closed by an "end" token.
-
-    A number has kind "number" and value (numerator, denominator), both
-    ints, the denominator None when the literal has no "/"; a name has kind
-    "name"; an operator is its own kind and value.  Bad characters, zero
-    denominators and literals too long for `int()` raise `ParseError` here,
-    before any syntax is checked.
-    """
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "op":
-            op = m.group()
-            append((op, op, m.start()))
-        elif kind == "name":
-            append(("name", m.group(), m.start()))
-        elif kind == "number":
-            num, den = m.group(2, 3)
-            try:
-                num = int(num)
-                den = None if den is None else int(den)
-            except ValueError:
-                # int() refuses literals longer than sys.get_int_max_str_digits()
-                raise ParseError("integer literal has too many digits", m.start()) from None
-            if den == 0:
-                raise ParseError("zero denominator", m.start())
-            append(("number", (num, den), m.start()))
-        elif kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        # kind "space" adds no token
-    append(("end", "", len(text)))
-    return tokens
+def _literal(m, g: int) -> tuple:
+    """(numerator, denominator or None) of the literal in groups g, g + 1."""
+    num, den = m.group(g, g + 1)
+    try:
+        num = int(num)
+        den = None if den is None else int(den)
+    except ValueError:
+        # int() refuses literals longer than sys.get_int_max_str_digits()
+        raise ParseError("integer literal has too many digits", m.start(g)) from None
+    if den == 0:
+        raise ParseError("zero denominator", m.start(g))
+    return num, den
 
 
 def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
@@ -651,104 +651,102 @@ def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
 
 
 class _Parser:
-    """Recursive descent that builds the term map of the result directly.
-
-    Each expression adds its terms in place into one dict from monomials to
-    rational coefficients, which `Polynomial._make` turns into the stored
-    form with one lcm/gcd pass.  A term made only of numbers and variable
-    powers is read as one exponent list and an integer numerator and
-    denominator and becomes a single int, or a `Fraction` when the
-    denominator is not 1: flat terms never build a `Polynomial`, so parsing
-    flat input costs time linear in its number of terms.  Only
-    parenthesized factors, with their `^`, go through `Polynomial.__mul__`
-    and `__pow__`; the flat part of such a term is folded in with one
-    `mul_term`.  Denominators must be nonzero.
+    """Recursive descent over one stream of `_FACTOR_RE` matches; a group is
+    a recursive call that reads on from the same stream.  Each expression
+    adds its terms in place into one dict for `Polynomial._make`.  Errors
+    come in text order, except that a bad character or a zero-denominator or
+    overlong literal anywhere comes before a syntax error, as if tokenized.
     """
 
     def __init__(self, text: str, ring: PolyRing):
+        self.text = text
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring.variables)}
-        self.nvars = ring.nvars
-        self.tokens = _tokenize(text)
+        # the regex matches at any position, so no search skips a character
+        self.matches = _FACTOR_RE.finditer(text)
 
-    def parse(self) -> Polynomial:
-        terms, i = self.expr(0)
-        kind, value, pos = self.tokens[i]
-        if kind != "end":
-            if kind == "name" or kind == "number":
-                raise ParseError("implicit multiplication not allowed", pos)
-            raise ParseError(f"unexpected {value!r}", pos)
-        return Polynomial._make(self.ring, terms)
+    def fail(self, message: str, at: int):
+        """Raise the first bad character or literal from `at` on, if any,
+        else the syntax error `message` at `at`."""
+        text = self.text
+        for m in _FACTOR_RE.finditer(text, at):
+            for g in (5, 9):
+                if m[g] is not None:
+                    _literal(m, g)
+            # with no base the match stops in front of an operator (which
+            # the next search steps over), a bad character or the end
+            pos = m.start(2)
+            if m.lastindex == 2 and pos < len(text) and text[pos] not in "+-*^":
+                raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        raise ParseError(message, at)
 
-    def expr(self, i: int) -> tuple:
-        """Parse an expr from token i on; return its term map and the next i."""
-        tokens, index, nvars = self.tokens, self.index, self.nvars
+    def exponent(self, m) -> int:
+        """The exponent after the "^" of match m."""
+        if m[9] is None or m[10] is not None:
+            self.fail("expected a non-negative integer exponent", m.start(8))
+        return _literal(m, 9)[0]
+
+    def expr(self) -> tuple:
+        """Parse an expr from the next match on; return its term map and the
+        match after it, which has no sign and whose base is ")" or missing."""
+        index, matches, nvars = self.index, self.matches, self.ring.nvars
         terms: dict = {}
-        sign = 1
-        kind = tokens[i][0]
-        if kind == "+" or kind == "-":
-            i += 1
-            if kind == "-":
-                sign = -1
+        m = next(matches)
         while True:
             # one term: numbers and variable powers go into num/den and expo,
             # parenthesized factors into group
             expo = [0] * nvars
-            num, den = sign, 1
+            num = -1 if m[1] == "-" else 1
+            den = 1
             group = None
             while True:
-                kind, value, pos = tokens[i]
-                i += 1
-                if kind == "(":
-                    inner, i = self.expr(i)
+                _, _, opening, name, lit, lit_den, _, caret, _, _, star = m.groups()
+                if name is not None:
+                    i = index.get(name)
+                    if i is None:
+                        self.fail(f"unknown variable {name!r}", m.start(2))
+                    expo[i] += 1 if caret is None else self.exponent(m)
+                elif lit is not None:
+                    lit, lit_den = _literal(m, 5)
+                    e = 1 if caret is None else self.exponent(m)
+                    num *= lit**e
+                    if lit_den is not None:
+                        den *= lit_den**e
+                elif opening is not None:
+                    inner, m = self.expr()
+                    if m[7] is None:
+                        self.fail("expected ')'", m.start(2))
                     factor = Polynomial._make(self.ring, inner)
-                    if tokens[i][0] != ")":
-                        raise ParseError("expected ')'", tokens[i][2])
-                    i += 1
-                elif kind == "name":
-                    if value not in index:
-                        raise ParseError(f"unknown variable {value!r}", pos)
-                elif kind != "number":
-                    raise ParseError(
-                        "expected a number, variable or parenthesized expression", pos
-                    )
-                e = 1
-                if tokens[i][0] == "^":
-                    kind_e, value_e, pos_e = tokens[i + 1]
-                    if kind_e != "number" or value_e[1] is not None:
-                        raise ParseError("expected a non-negative integer exponent", pos_e)
-                    i += 2
-                    e = value_e[0]
-                if kind == "number":
-                    num *= value[0] ** e
-                    if value[1] is not None:
-                        den *= value[1] ** e
-                elif kind == "name":
-                    expo[index[value]] += e
-                else:
-                    if e != 1:
-                        factor = factor**e
+                    if m[8] is not None:
+                        factor = factor ** self.exponent(m)
                     group = factor if group is None else group * factor
-                if tokens[i][0] != "*":
+                    star = m[11]
+                else:
+                    self.fail(_EXPECTED_BASE, m.start(2))
+                if star is None:
                     break
-                i += 1
+                m = next(matches)
+                if m[1] is not None:
+                    self.fail(_EXPECTED_BASE, m.start(1))
             if num:
                 mono, coeff = tuple(expo), (num if den == 1 else Fraction(num, den))
                 if group is None:
                     _add_into(terms, mono, coeff)
                 else:
-                    for m, c in group.mul_term(mono, coeff).terms.items():
-                        _add_into(terms, m, c)
-            kind, _, pos = tokens[i]
-            if kind == "+" or kind == "-":
-                i += 1
-                sign = 1 if kind == "+" else -1
-            elif kind == "name" or kind == "number" or kind == "(":
-                raise ParseError("implicit multiplication not allowed", pos)
-            else:
-                return terms, i
+                    for mono, coeff in group.mul_term(mono, coeff).terms.items():
+                        _add_into(terms, mono, coeff)
+            m = next(matches)
+            if m[1] is None:
+                if m.lastindex > 2 and m[7] is None:  # a base right after a term
+                    self.fail("implicit multiplication not allowed", m.start(2))
+                return terms, m
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     """Parse `text` in the grammar above into a canonical Polynomial."""
-    return _Parser(text, ring).parse()
+    parser = _Parser(text, ring)
+    terms, m = parser.expr()
+    at = m.start(2)  # in front of a ")", an operator, a bad character or the end
+    if at != len(text):
+        parser.fail(f"unexpected {text[at]!r}", at)
+    return Polynomial._make(ring, terms)

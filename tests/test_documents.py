@@ -16,13 +16,14 @@ To regenerate after a deliberate format change, run
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
 import pytest
 
 import smeared.groebner as groebner
-from smeared.cli import main
+from smeared.cli import load_problem, main
 
 DATA = Path(__file__).parent / "data"
 PROBLEMS = ("readme", "katsura3", "curves")
@@ -48,6 +49,35 @@ def test_documents_match_golden(name, verify_division, tmp_path, monkeypatch):
     run_text, verify_text = _documents(name, tmp_path / "out.jsonl")
     assert run_text == (DATA / f"{name}.run.jsonl").read_text()
     assert verify_text == (DATA / f"{name}.verify.jsonl").read_text()
+
+
+# payload fields that hold polynomial texts, alone or in (nested) lists
+_POLYNOMIAL_FIELDS = (
+    "poly", "a", "b", "g", "h", "remainder", "basis", "evidence",
+    "cofactors", "a_cofactors", "b_cofactors",
+)
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_golden_polynomial_texts_round_trip(name):
+    # every polynomial the engine wrote reads back to the same text
+    ring = load_problem(str(DATA / f"{name}.json"))[0].ring
+    texts = []
+    for line in (DATA / f"{name}.run.jsonl").read_text().splitlines():
+        payload = json.loads(line).get("payload") or {}
+        for field in _POLYNOMIAL_FIELDS:
+            texts += _strings(payload.get(field))
+    assert len(texts) > 10
+    for text in texts:
+        assert str(ring.parse(text)) == text
 
 
 if __name__ == "__main__":

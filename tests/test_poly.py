@@ -225,6 +225,16 @@ def test_parse_grammar(R2):
     assert R2.parse("-x") == -R2.var("x")
     assert R2.parse("x - (-1)") == R2.parse("x + 1")
     assert R2.parse("x^0") == R2.one()
+    # nested groups, and powers of groups and of nested groups
+    x, y = R2.var("x"), R2.var("y")
+    assert R2.parse("((x))") == x
+    assert R2.parse("(((x + 1)))^2") == (x + 1) ** 2
+    assert R2.parse("((x + 1)^2 - (x - 1)^2)^2") == 16 * x**2
+    assert R2.parse("-(x*(y + 1) - (2*(x - y))^2)*3") == -3 * (x * (y + 1) - 4 * (x - y) ** 2)
+    assert R2.parse("2*(x + y)^3*(x - y)^0*x^2") == 2 * (x + y) ** 3 * x**2
+    half, sixth = Fraction(1, 2), Fraction(1, 6)
+    assert R2.parse("(1/2*(x - (y - (x - 1/3))))^2") == (x - half * y - sixth) ** 2
+    assert R2.parse("(x + 1)^1 - (x + 1) * (0)") == x + 1
 
 
 @pytest.mark.parametrize(
@@ -252,6 +262,27 @@ def test_parse_error_reports_position(R2):
     with pytest.raises(ParseError) as info:
         R2.parse("x + 1/0")
     assert info.value.position == 4
+    # after a closing parenthesis
+    for text, message, position in [
+        ("(x + 1) y", "implicit multiplication not allowed", 8),
+        ("(x + 1)(x - 1)", "implicit multiplication not allowed", 7),
+        ("(x + 1))", "unexpected ')'", 7),
+        ("(x + 1)^y", "expected a non-negative integer exponent", 8),
+        ("(x + 1)^ 1/2", "expected a non-negative integer exponent", 9),
+        ("((x + 1)^2 .", "unexpected character '.'", 11),
+        ("((x + 1)^2", "expected ')'", 10),
+        ("(x)*)", "expected a number, variable or parenthesized expression", 4),
+        ("(x) ^ 2 ^ 3", "unexpected '^'", 8),
+        ("(x + 1)^2 - w", "unknown variable 'w'", 12),
+        # a bad character or literal anywhere comes before a syntax error
+        ("(x + 1)) + 3.5", "unexpected character '.'", 12),
+        ("(x + 1) y + 1/0", "zero denominator", 12),
+    ]:
+        with pytest.raises(ParseError) as info:
+            R2.parse(text)
+        assert (info.value.position, str(info.value)) == (
+            position, f"{message} (at position {position})"
+        ), text
 
 
 def test_polynomials_hash_and_compare(R2):
@@ -462,6 +493,29 @@ def test_parser_matches_reference_on_mutations():
             assert _outcome(parse_poly, mutated) == _outcome(reference_parse, mutated), mutated
 
 
+def test_parser_matches_reference_on_several_mutations():
+    # with two to four edits a syntax error can come before a bad character
+    # or a malformed literal, which must still be the error reported
+    rng = random.Random(20254)
+    alphabet = "xyzw0123/^*+-() .\t#"
+    for text in _random_texts(20255, 250):
+        for _ in range(3):
+            mutated = text
+            for _ in range(rng.randint(2, 4)):
+                k = rng.randrange(len(mutated) + 1)
+                op = rng.choice(("delete", "insert", "insert", "swap"))
+                if op == "delete":
+                    mutated = mutated[:k] + mutated[k + 1:]
+                elif op == "insert":
+                    mutated = mutated[:k] + rng.choice(alphabet) + mutated[k:]
+                else:
+                    a, b = mutated[k:k + 1], mutated[k + 1:k + 2]
+                    mutated = mutated[:k] + b + a + mutated[k + 2:]
+            if re.search(r"\)\s*\^\s*\d\d", mutated):
+                continue
+            assert _outcome(parse_poly, mutated) == _outcome(reference_parse, mutated), mutated
+
+
 def test_flat_parse_builds_no_intermediate_polynomials(monkeypatch):
     # 500 terms with fractional and negative coefficients: the parser must
     # not sum them with Polynomial.__add__, which copies the growing dict
@@ -499,3 +553,11 @@ def test_rings_pickle_and_copy():
     ring = PolyRing(("x", "y"), "lex")
     assert pickle.loads(pickle.dumps(ring)) == ring
     assert copy.deepcopy(ring) == ring
+    # polynomials too, with their lazy fields filled or not
+    filled = ring.parse("x^2 - 3*y")
+    filled.leading_term()
+    hash(filled)
+    for p in (ring.var("x"), ring.zero(), ring.parse("3/4*x^2 - 1/6*y + 5/2"), filled):
+        for copied in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p), copy.copy(p)):
+            assert copied == p and hash(copied) == hash(p) and str(copied) == str(p)
+            assert copied.integer_form() == p.integer_form()

@@ -4,10 +4,12 @@
 `{monomial: Fraction}` map with `Fraction` arithmetic throughout.  Seeded
 random operation sequences run on both, and every result must agree in
 value, text, terms, leading term, integer form, primitive part and value at
-a point.
+a point.  `reference_evaluate` is the `Fraction`-power loop that
+`Polynomial.evaluate` ran before it summed in integers.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -294,3 +296,62 @@ def test_arithmetic_gcd_calls_do_not_grow_with_terms(monkeypatch, op):
         assert counts == [(0, 0)] * 3  # not even one gcd pass over the product
     else:
         assert max(n_calls for n_calls, _ in counts) <= 2
+
+
+# ---------------------------------------------------------------------------
+# evaluation: `Polynomial.evaluate` against the loop it replaced
+
+
+def reference_evaluate(p, point):
+    """The previous `Polynomial.evaluate`: each integer coefficient times
+    the `Fraction` powers of the coordinates, summed, times the content."""
+    ints, c = p.integer_form()
+    total = 0
+    for m, v in ints.items():
+        for x, e in zip(point, m):
+            if e:
+                v *= x**e
+        total += v
+    return c * total
+
+
+COORDINATES = (
+    0, 1, -1, 2, -3, 7,
+    Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6), Fraction(7, 4), Fraction(-9, 10),
+    Fraction(11, 35),
+)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluate_matches_reference(seed):
+    rng = random.Random(7100 + seed)
+    ring = RINGS[seed % len(RINGS)]
+    n = ring.nvars
+    polys = [ring.zero(), ring.const(3), ring.const(Fraction(-2, 7))]
+    for _ in range(40):
+        f = Polynomial(ring, _random_terms(rng, ring))
+        # products raise the degree, so terms lie at several degree gaps
+        polys.append(f * Polynomial(ring, _random_terms(rng, ring)) if rng.random() < 0.5 else f)
+    mixed = [Fraction(1, 3), Fraction(-1, 2), 0][:n]  # denominators 3, 2 and 1
+    points = [[0] * n, [1] * n, [-1] * n, [Fraction(1, 2)] * n, mixed]
+    for p in polys:
+        for point in points + [[rng.choice(COORDINATES) for _ in range(n)] for _ in range(6)]:
+            value = p.evaluate(point)
+            assert value == reference_evaluate(p, point), (str(p), point)
+            assert type(value) is Fraction
+
+
+def test_evaluate_high_power_fills_no_power_table():
+    # x^70000 needs one power, not the 70,000 below it: a table of the powers
+    # of 2 up to 2^70000 holds some 300 MB and took 0.6 s to fill on a 2-vCPU
+    # KVM guest
+    ring = PolyRing(("x", "y"))
+    for f, point in [
+        (ring.parse("x^70000"), [Fraction(1, 2), 0]),
+        (ring.parse("x^70000 - 2*y"), [Fraction(3, 2), 1]),
+    ]:
+        start = time.perf_counter()
+        value = f.evaluate(point)
+        elapsed = time.perf_counter() - start
+        assert value == reference_evaluate(f, point) and type(value) is Fraction
+        assert elapsed < 0.25, elapsed
