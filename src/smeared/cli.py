@@ -95,11 +95,17 @@ def load_problem(path: str):
     ring_doc = doc.get("ring")
     if not isinstance(ring_doc, dict) or not ring_doc.get("variables"):
         raise ProblemFileError('missing ring description {"variables": [...]}')
+    variables = ring_doc["variables"]
+    # an ASCII identifier is a name of the grammar, [A-Za-z_][A-Za-z_0-9]*
+    if not isinstance(variables, list) or not all(
+        isinstance(v, str) and v.isascii() and v.isidentifier() for v in variables
+    ):
+        raise ProblemFileError('"variables" must be a list of names [A-Za-z_][A-Za-z_0-9]*')
     order = ring_doc.get("order", GREVLEX)
     if order not in (GREVLEX, LEX):
         raise ProblemFileError(f"unknown monomial order {order!r}")
     try:
-        ring = PolyRing(tuple(ring_doc["variables"]), order)
+        ring = PolyRing(tuple(variables), order)
     except ValueError as e:
         raise ProblemFileError(str(e)) from None
 
@@ -112,6 +118,8 @@ def load_problem(path: str):
             raise ProblemFileError(f"ideal {i} must be a list of polynomial strings")
         parsed = []
         for j, text in enumerate(gens, start=1):
+            if not isinstance(text, str):
+                raise ProblemFileError(f"ideal {i}, generator {j} must be a polynomial string")
             try:
                 parsed.append(ring.parse(text))
             except ParseError as e:
@@ -119,7 +127,7 @@ def load_problem(path: str):
         ideals.append(Ideal(ring, tuple(parsed)))
 
     radical = doc.get("radical", [True] * len(ideals))
-    if len(radical) != len(ideals) or not all(isinstance(b, bool) for b in radical):
+    if not isinstance(radical, list) or [type(b) for b in radical] != [bool] * len(ideals):
         raise ProblemFileError('"radical" must list one boolean per ideal')
 
     queries = doc.get("queries", [])

@@ -1,38 +1,22 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals, on sparse rows.
 
-Row reduction for ranks and canonical kernel bases.  Rows are kept sparse,
-as `{column: int}` dicts scaled to integers, and eliminated fraction-free
-(Bareiss 1968; the sparse-row form is the one F4 uses): a row update
-`b*row - a*pivot` stays integral, and dividing every updated row by the gcd
-of its entries keeps the numbers small.  `Fraction`s come back only in the
-final back-substitution.  A reduced row echelon form is unique, so the
-choice of pivot rows changes the work but never the result.
+A row is a `{column: int}` dict of its nonzero entries, and the results come
+back as `{column: Fraction}` dicts, so no zero is ever stored.  Rows are
+eliminated fraction-free (Bareiss 1968; the sparse-row form is the one F4
+uses): a row update `b*row - a*pivot` stays integral, and dividing every
+updated row by the gcd of its entries keeps the numbers small.  `Fraction`s
+come back only in the final back-substitution.  A reduced row echelon form is
+unique, so neither the order of the rows nor the choice of pivot rows changes
+the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from typing import Dict, List, Sequence
+from math import gcd
+from typing import Dict, Hashable, Iterable, List, Sequence
 
-Row = Dict[int, int]
-
-_ZERO = Fraction(0)
-
-
-def _int_row(vector: Sequence) -> Row:
-    """The nonzero entries of `vector`, scaled by the lcm of their
-    denominators and divided by the gcd of the result."""
-    entries = {}
-    for col, x in enumerate(vector):
-        q = x if isinstance(x, (int, Fraction)) else Fraction(x)
-        if q:
-            entries[col] = q
-    if not entries:
-        return {}
-    den = lcm(*(q.denominator for q in entries.values()))
-    row = {col: q.numerator * (den // q.denominator) for col, q in entries.items()}
-    return _primitive(row)
+Row = Dict[Hashable, int]
 
 
 def _primitive(row: Row) -> Row:
@@ -42,7 +26,7 @@ def _primitive(row: Row) -> Row:
     return {col: v // g for col, v in row.items()}
 
 
-def _eliminate(row: Row, col: int, pivot: Row) -> Row:
+def _eliminate(row: Row, col, pivot: Row) -> Row:
     """`row` with column `col` cleared by an integer multiple of `pivot`,
     made primitive; both rows are nonzero at `col`."""
     a, b = row[col], pivot[col]
@@ -59,38 +43,26 @@ def _eliminate(row: Row, col: int, pivot: Row) -> Row:
     return _primitive(out) if out else out
 
 
-def _check_lengths(rows: Sequence[Sequence], ncols: int):
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise ValueError(f"row {i} has length {len(row)}, expected {ncols}")
+def rref(rows: Iterable[Row]) -> tuple:
+    """(reduced rows, pivot columns) of the matrix with the given rows.
 
-
-def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
-    """(reduced row echelon form, pivot column indices).
-
-    The form has one row per input row: the pivot rows in pivot order, then
-    zero rows.  Forward elimination is sparse and fraction-free; the pivot
-    for each column is the shortest remaining row that is nonzero there.
-    The reduced row echelon form of a matrix is unique, so that choice does
-    not change the result.  Rows of differing lengths raise `ValueError`.
+    Rows are `{column: int}` maps of nonzero entries over mutually comparable
+    columns.  There is one reduced row per pivot, in ascending pivot order,
+    as a `{column: Fraction}` map whose pivot entry is 1; zero rows are
+    dropped.  Forward elimination is sparse and fraction-free; the pivot for
+    each column is the shortest remaining row that is nonzero there.
     """
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    _check_lengths(rows, ncols)
     # each row waits in the bucket of its leading column; once the columns
     # left of c are eliminated, the rows nonzero at c are exactly bucket c
-    buckets: Dict[int, List[Row]] = {}
-    for vector in rows:
-        row = _int_row(vector)
+    buckets: Dict[Hashable, List[Row]] = {}
+    for row in rows:
         if row:
-            buckets.setdefault(min(row), []).append(row)
+            buckets.setdefault(min(row), []).append(_primitive(row))
     echelon: List[Row] = []
-    pivots: List[int] = []
-    for col in range(ncols):
-        bucket = buckets.pop(col, None)
-        if not bucket:
-            continue
+    pivots: list = []
+    while buckets:
+        col = min(buckets)
+        bucket = buckets.pop(col)
         pivot = min(bucket, key=len)
         for row in bucket:
             if row is not pivot:
@@ -102,7 +74,7 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
 
     # back-substitution, last pivot first, so each row subtracts only rows
     # that are already fully reduced
-    reduced: Dict[int, Dict[int, Fraction]] = {}
+    reduced: Dict[Hashable, Dict[Hashable, Fraction]] = {}
     for row, p in zip(reversed(echelon), reversed(pivots)):
         lead = row[p]
         out = {c: Fraction(v, lead) for c, v in row.items()}
@@ -115,70 +87,52 @@ def rref(rows: Sequence[Sequence[Fraction]]) -> tuple:
                 else:
                     del out[c]
         reduced[p] = out
-
-    mat = []
-    for p in pivots:
-        dense = [_ZERO] * ncols
-        for c, v in reduced[p].items():
-            dense[c] = v
-        mat.append(dense)
-    mat.extend([_ZERO] * ncols for _ in range(len(rows) - len(pivots)))
-    return mat, pivots
+    return [reduced[p] for p in pivots], pivots
 
 
-def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
+def kernel_basis(rows: Sequence[Row], ncols: int) -> list:
+    """Canonical basis of the null space of the matrix with `ncols` columns.
 
-
-def kernel_basis(rows: Sequence[Sequence[Fraction]], ncols: int) -> list:
-    """Canonical basis of the null space of the matrix.
-
-    One vector per free column, in ascending free-column order: entry 1 at the
-    free column, pivot entries filled in from the reduced rows, zeros
-    elsewhere.  Rows whose length is not `ncols` raise `ValueError`.
+    Rows are `{column: int}` maps of nonzero entries over the columns
+    `0..ncols-1`; any other column raises `ValueError`.  There is one
+    `{column: Fraction}` vector per free column, in ascending free-column
+    order: entry 1 at the free column, and the pivot entries that cancel it.
     """
-    _check_lengths(rows[:1], ncols)  # rref checks the other rows against row 0
-    mat, pivots = rref(rows)
+    for i, row in enumerate(rows):
+        if row and (min(row) < 0 or max(row) >= ncols):
+            raise ValueError(f"row {i} has a column outside 0..{ncols - 1}")
+    reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [_ZERO] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            if mat[r][f]:
-                v[p] = -mat[r][f]
-        basis.append(v)
-    return basis
+    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
+    # a reduced row is zero at every other pivot, so its other entries all
+    # sit in free columns
+    for p, row in zip(pivots, reduced):
+        for c, x in row.items():
+            if c != p:
+                basis[c][p] = -x
+    return list(basis.values())
 
 
 class IncrementalRank:
     """Streaming independence test over the rationals.
 
-    Feeds vectors one at a time; `add` reports whether the vector enlarged the
-    span of everything fed so far.  The span is kept as sparse integer rows
-    in echelon form, keyed by their leading column; a new vector is reduced
-    against them with the same fraction-free step as `rref`.  Every vector
-    must have the length of the first one, or `add` raises `ValueError`.
+    Feeds rows one at a time; `add` reports whether the row enlarged the
+    span of everything fed so far.  A row is a `{column: int}` map of nonzero
+    entries, and the columns of all rows fed must be mutually comparable
+    (monomials, say).  The span is kept as sparse integer rows in echelon
+    form, keyed by their leading column; a new row is reduced against them
+    with the same fraction-free step as `rref`.
     """
 
     def __init__(self):
-        self._rows: Dict[int, Row] = {}
-        self._length = None
+        self._rows: Dict[Hashable, Row] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        if self._length is None:
-            self._length = len(vector)
-        elif len(vector) != self._length:
-            raise ValueError(
-                f"vector has length {len(vector)}, expected {self._length}"
-            )
-        row = _int_row(vector)
+    def add(self, row: Row) -> bool:
+        row = _primitive(row)
         while row:
             lead = min(row)
             pivot = self._rows.get(lead)

@@ -615,12 +615,16 @@ class Polynomial:
 # group's exponent and "*".  With no base the match stops in front of
 # whatever is there, so it matches at any position, even the end.
 _FACTOR_RE = re.compile(
-    r"\s*([-+])?\s*()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|(\d+)(?:/(\d+))?|(\)))"
-    r"(?:\s*\^\s*()(?:(\d+)(?:/(\d+))?)?)?\s*(\*)?)?"
+    r"\s*([-+])?\s*()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)(?:/([0-9]+))?|(\)))"
+    r"(?:\s*\^\s*()(?:([0-9]+)(?:/([0-9]+))?)?)?\s*(\*)?)?"
 )
 # groups: 1 sign, 2 base position, 3 "(", 4 name, 5 and 6 numerator and
-# denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*"
+# denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*".
+# Digits are ASCII only: `\d` would also read other scripts' digits.
 _EXPECTED_BASE = "expected a number, variable or parenthesized expression"
+# each "(" costs the parser one level of recursion; a fixed bound keeps deep
+# nesting a ParseError wherever the parser is called from
+_MAX_NESTING = 100
 
 
 def _literal(m, g: int) -> tuple:
@@ -686,9 +690,10 @@ class _Parser:
             self.fail("expected a non-negative integer exponent", m.start(8))
         return _literal(m, 9)[0]
 
-    def expr(self) -> tuple:
-        """Parse an expr from the next match on; return its term map and the
-        match after it, which has no sign and whose base is ")" or missing."""
+    def expr(self, depth: int = 0) -> tuple:
+        """Parse an expr, inside `depth` open parentheses, from the next match
+        on; return its term map and the match after it, which has no sign and
+        whose base is ")" or missing."""
         index, matches, nvars = self.index, self.matches, self.ring.nvars
         terms: dict = {}
         m = next(matches)
@@ -713,7 +718,9 @@ class _Parser:
                     if lit_den is not None:
                         den *= lit_den**e
                 elif opening is not None:
-                    inner, m = self.expr()
+                    if depth == _MAX_NESTING:
+                        self.fail(f"parentheses nested more than {_MAX_NESTING} deep", m.start(2))
+                    inner, m = self.expr(depth + 1)
                     if m[7] is None:
                         self.fail("expected ')'", m.start(2))
                     factor = Polynomial._make(self.ring, inner)

@@ -424,7 +424,8 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     polynomial in h alone; then g*h^(l+1) lies in (g, g*h, ..., g*h^l)R iff
     NF(h^(l+1)) falls in the span of the earlier normal forms, and the chosen
     h makes every step independent.  Each NF(h^k) is read from the ideal's
-    table of monomial normal forms, which `r_basis` shares.
+    table of monomial normal forms, which `r_basis` shares, and its integer
+    term map goes to `IncrementalRank` as a sparse row keyed by monomial.
     """
     config.check_index(i)
     if length < 0:
@@ -452,13 +453,10 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
 
     powers = (tuple(k * (t == j) for t in range(config.ring.nvars)) for k in range(length + 1))
     evidence = [ideal.monomial_normal_form(m) for m in powers]
-    # each vector is a normal form's integer map: scaling by the content
-    # changes no rank
-    maps = [nf.integer_form()[0] for nf in evidence]
-    monos = sorted({m for ints in maps for m in ints}, key=monomial_key(GREVLEX))
     tracker = IncrementalRank()
-    for ints in maps:
-        if not tracker.add([ints.get(m, 0) for m in monos]):
+    # scaling a normal form by its content changes no rank
+    for nf in evidence:
+        if not tracker.add(nf.integer_form()[0]):
             raise RuntimeError(
                 "normal forms of powers became dependent although the chosen "
                 "direction promised independence; engine bug"
@@ -475,8 +473,11 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
 
     Sets up one exact linear system: writing f over all monomials of degree
     at most d, f is in R iff for each ideal the nonconstant part of the
-    normal form of f vanishes.  The kernel of that constraint matrix, read
-    along monomials in descending grevlex order, is the basis.
+    normal form of f vanishes: each ideal gives one sparse integer row per
+    nonconstant monomial of its normal forms, over columns that stand for
+    the monomials in descending grevlex order.  Each sparse kernel vector of
+    that constraint matrix, read back along those monomials, is a basis
+    element.
 
     The normal forms come from each ideal's table of monomial normal forms
     (`Ideal.monomial_normal_form`), which `chain_witness` shares: a monomial
@@ -494,17 +495,17 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
         # keeps it integral and changes no kernel
         forms = [ideal.monomial_normal_form(m).integer_form() for m in unknowns]
         den = lcm(*[c.denominator for _, c in forms])
-        columns = [(ints, c.numerator * (den // c.denominator)) for ints, c in forms]
-        constraint_monomials = sorted(
-            {m for ints, _ in forms for m in ints if sum(m) > 0}, key=key
-        )
-        for cm in constraint_monomials:
-            rows.append([ints.get(cm, 0) * s for ints, s in columns])
-    basis = []
-    for vec in kernel_basis(rows, len(unknowns)):
-        terms = {m: c for m, c in zip(unknowns, vec) if c}
-        basis.append(Polynomial(ring, terms))
-    return basis
+        constraints = {}
+        for col, (ints, c) in enumerate(forms):
+            s = c.numerator * (den // c.denominator)
+            for m, v in ints.items():
+                if any(m):
+                    constraints.setdefault(m, {})[col] = v * s
+        rows.extend(constraints.values())
+    return [
+        Polynomial(ring, {unknowns[col]: c for col, c in vec.items()})
+        for vec in kernel_basis(rows, len(unknowns))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,21 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "too many digits (at position 2)" in err
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("radical", True, '"radical" must list one boolean per ideal'),
+        ("ideals", [[1], ["x - 1"]], "ideal 1, generator 1 must be a polynomial string"),
+        ("ring", {"variables": "xy"}, '"variables" must be a list of names'),
+    ],
+)
+def test_problem_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, message):
+    doc = dict(THREE_LINES, ideals=[["x"], ["x - 1"]], radical=[True, True])
+    doc[field] = value
+    assert main(["run", str(write_problem(tmp_path, doc))]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_query_error_exits_1_and_batch_continues(tmp_path):
     doc = dict(THREE_LINES)
     doc["queries"] = [
@@ -205,6 +220,20 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
     assert payload_of(lines, 6)["status"] == "error"
     assert "too many digits (at position 4)" in payload_of(lines, 6)["error"]
     assert lines[-1]["errors"] == 4
+
+
+def test_deep_nesting_is_a_query_error(tmp_path, capsys):
+    doc = dict(THREE_LINES)
+    doc["queries"] = ["member " + "(" * 3000 + "x" + ")" * 3000, "dims"]
+    rc, lines, problem, out = run_to_file(tmp_path, doc)
+    assert rc == 1
+    assert payload_of(lines, 1)["error"] == (
+        "parentheses nested more than 100 deep (at position 100)"
+    )
+    assert payload_of(lines, 2)["status"] == "ok"
+    assert lines[-1] == {"errors": 1, "ok": False, "results": 2, "type": "summary"}
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
 
 
 def test_strict_stops_at_first_error(tmp_path):

@@ -285,6 +285,32 @@ def test_parse_error_reports_position(R2):
         ), text
 
 
+@pytest.mark.parametrize("text,position", [("x + ٣", 4), ("３*x", 0), ("x^٣", 2)])
+def test_parse_reads_ascii_digits_only(R2, text, position):
+    with pytest.raises(ParseError) as info:
+        R2.parse(text)
+    assert (info.value.position, str(info.value)) == (
+        position, f"unexpected character {text[position]!r} (at position {position})"
+    )
+
+
+def test_parse_bounds_nesting(R2):
+    assert R2.parse("(" * 100 + "x" + ")" * 100) == R2.var("x")
+    deep = "parentheses nested more than 100 deep"
+    for text, message, position in [
+        ("(" * 101 + "x" + ")" * 101, deep, 100),
+        ("(" * 3000 + "x" + ")" * 3000, deep, 100),
+        ("x + " + "(" * 3000 + "x", deep, 104),
+        # a bad character anywhere still comes first
+        ("(" * 3000 + "x" + ")" * 3000 + " + 3.5", "unexpected character '.'", 6005),
+    ]:
+        with pytest.raises(ParseError) as info:
+            R2.parse(text)
+        assert (info.value.position, str(info.value)) == (
+            position, f"{message} (at position {position})"
+        ), text[-20:]
+
+
 def test_polynomials_hash_and_compare(R2):
     f = R2.parse("x + y")
     g = R2.parse("y + x")
@@ -301,7 +327,7 @@ def test_polynomials_hash_and_compare(R2):
 # in the tokenizer, which the engine's parser shares.
 
 _REF_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>\d+(?:/\d+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
 
 
