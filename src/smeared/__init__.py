@@ -6,7 +6,7 @@ The interesting objects are built in `smeared.ring`; `smeared.poly`,
 arithmetic underneath, and `smeared.cli` exposes a batch interface.
 """
 
-from .groebner import DivisionResult, GroebnerBasis, divide, groebner_basis, normal_form
+from .groebner import DivisionResult, GroebnerBasis, divide, groebner_basis
 from .ideals import INFINITE, Ideal
 from .poly import (
     EliminationOrder,
@@ -15,7 +15,6 @@ from .poly import (
     ParseError,
     Polynomial,
     PolyRing,
-    Rational,
     RingMismatchError,
     parse_poly,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "PartitionWitness",
     "PolyRing",
     "Polynomial",
-    "Rational",
     "RingMismatchError",
     "SmearedRingConfig",
     "ValidationReport",
@@ -76,7 +74,6 @@ __all__ = [
     "groebner_basis",
     "locus_member",
     "member",
-    "normal_form",
     "parse_poly",
     "partition_of_unity",
     "r_basis",

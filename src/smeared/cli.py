@@ -5,10 +5,12 @@ ring, the ideal family, and a list of queries, executes the queries in
 order, and emits a line-oriented JSON result document (one object per line:
 header, one result per query, summary).  `smeared verify results.jsonl
 problem.json` re-checks a previously emitted document against the problem
-file's query list, one result line per query in order.  Certificate lines
-are checked by arithmetic (cofactor identities of memberships and
-partitions) or by evaluation (locus evidence); every other line is checked
-by re-running its query and comparing canonical text.
+file's query list, one result line per query in order.  The query
+arguments a payload echoes must be written as `run` writes them, in
+canonical text.  Certificate lines are checked by arithmetic (cofactor
+identities of memberships and partitions, summed by `poly.sum_of_products`)
+or by evaluation (locus evidence); every other line is checked by re-running
+its query and comparing canonical text.
 
 Problem file layout::
 
@@ -21,8 +23,10 @@ Problem file layout::
       "queries": ["verdict", "member x*(x - 1)*(x - 2)*y", ["eval", "x", 2]]
     }
 
-Queries may be strings (whitespace-separated; the polynomial argument may
-itself contain spaces where it is the only free-form argument) or arrays.
+Queries may be strings (split at spaces, tabs, CR and LF, the parser's
+whitespace; the polynomial argument may itself contain spaces where it is
+the only free-form argument) or arrays.  `format` must be the number 1 and
+`check_radicality`, if given, a JSON boolean.
 All ideal indices, generator indices and point positions in files and result
 documents are 1-based; the Python API is 0-based.
 
@@ -39,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -46,7 +51,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .ideals import Ideal
-from .poly import GREVLEX, LEX, ParseError, Polynomial, PolyRing
+from .poly import GREVLEX, LEX, ParseError, Polynomial, PolyRing, sum_of_products
 from .ring import (
     SmearedRingConfig,
     chain_witness,
@@ -89,7 +94,8 @@ def load_problem(path: str):
         raise ProblemFileError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ProblemFileError(f"{path} is not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format") != 1:
+    # `True == 1` and `1.0 == 1`, so the type is checked first
+    if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
         raise ProblemFileError('problem file must carry "format": 1')
 
     ring_doc = doc.get("ring")
@@ -134,14 +140,18 @@ def load_problem(path: str):
     if not isinstance(queries, list):
         raise ProblemFileError('"queries" must be a list')
 
+    check_radicality = doc.get("check_radicality", False)
+    if type(check_radicality) is not bool:
+        raise ProblemFileError('"check_radicality" must be a boolean')
+
     config = SmearedRingConfig(ring, tuple(ideals), tuple(radical))
-    return config, queries, bool(doc.get("check_radicality", False))
+    return config, queries, check_radicality
 
 
 def _normalize_query(raw):
     """(name, argument list) from either the string or the array form."""
     if isinstance(raw, str):
-        parts = raw.split()
+        parts = re.findall("[^ \t\r\n]+", raw)  # the parser's whitespace
         if not parts:
             raise QueryError("empty query")
         return parts[0], parts[1:]
@@ -193,15 +203,6 @@ def _arg_point(config: SmearedRingConfig, tokens) -> list:
 # query payloads
 
 
-def _cofactors(ideal: Ideal, quotients: tuple) -> tuple:
-    """Cofactors over the generators from a membership certificate's quotients."""
-    plain = ideal.groebner().elements
-    tracked = ideal.groebner(track=True)
-    if tracked.elements != plain:  # a reduced basis is unique
-        raise RuntimeError("tracked and plain reduced bases differ")
-    return tracked.lift_to_generators(quotients)
-
-
 def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
     """A query's arguments, parsed and range-checked, under the names its
     payload echoes them by (`index` is 0-based here); `run` and `verify`
@@ -245,6 +246,12 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
     raise QueryError(f"unknown query {name!r}")
 
 
+def _echo(q: dict) -> dict:
+    """The parsed query arguments a payload repeats: all but `points`, with
+    `index` 1-based as in documents."""
+    return {k: v + 1 if k == "index" else v for k, v in q.items() if k != "points"}
+
+
 def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radicality: bool) -> dict:
     """One query of `run`; `verify` has parsed its arguments already and
     calls `_payload` directly."""
@@ -252,12 +259,15 @@ def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radic
 
 
 def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bool) -> dict:
-    """The result payload of one query, from its parsed arguments `q`.
+    """The result payload of one query from its parsed arguments `q`: the
+    derived fields and `_echo(q)`.  Values stay engine objects (`Polynomial`,
+    `Fraction` and tuples of them) that `_dump` writes as text.  `run` emits
+    this payload and `verify` re-derives it, so each format lives here only."""
+    return {**_derive(name, q, config, check_radicality), **_echo(q)}
 
-    Values stay engine objects (`Polynomial`, `Fraction` and tuples of
-    them); `_dump` writes them as text.  `run` emits this payload and
-    `verify` re-derives it, so each payload format lives here only.
-    """
+
+def _derive(name: str, q: dict, config: SmearedRingConfig, check_radicality: bool) -> dict:
+    """The fields of a query's payload that do not echo its arguments."""
     f, i = q.get("poly"), q.get("index")
     try:
         if name == "validate":
@@ -279,42 +289,36 @@ def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bo
             cert = member(f, config)
             if not cert.member:
                 return {
-                    "poly": f,
                     "member": False,
                     "witness_index": cert.witness_index + 1,
                     "remainder": cert.nonconstant_remainder,
                 }
             return {
-                "poly": f,
                 "member": True,
                 "constants": cert.constants,
-                "cofactors": [
-                    _cofactors(ideal, q) for ideal, q in zip(config.ideals, cert.quotients)
-                ],
+                "cofactors": [ideal.cofactors(qs) for ideal, qs in zip(config.ideals, cert.quotients)],
             }
 
         if name == "eval":
-            value = evaluate_at_smeared_point(f, i, config)
-            return {"poly": f, "index": i + 1, "value": value}
+            return {"value": evaluate_at_smeared_point(f, i, config)}
 
         if name == "partition":
             w = partition_of_unity(i, config)
             return {
-                "index": i + 1,
                 "a": w.a,
                 "b": w.b,
                 "a_constants": w.a_membership.constants,
                 "b_constants": w.b_membership.constants,
-                "a_cofactors": _cofactors(config.ideals[i], w.a_membership.quotients[i]),
+                "a_cofactors": config.ideals[i].cofactors(w.a_membership.quotients[i]),
                 "b_cofactors": [
-                    None if j == i else _cofactors(ideal, q)
-                    for j, (ideal, q) in enumerate(zip(config.ideals, w.b_membership.quotients))
+                    None if j == i else ideal.cofactors(qs)
+                    for j, (ideal, qs) in enumerate(zip(config.ideals, w.b_membership.quotients))
                 ],
             }
 
         if name == "chain":
             w = chain_witness(i, q["length"], config)
-            return {"index": i + 1, "g": w.g, "h": w.h, "length": w.length, "evidence": w.evidence}
+            return {"g": w.g, "h": w.h, "evidence": w.evidence}
 
         if name == "dims":
             return {"dims": verdicts(config).per_ideal_dims}
@@ -336,17 +340,15 @@ def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bo
                     entry["generator_index"] = e.generator_index + 1
                     entry["value"] = e.value
                 evidence.append(entry)
-            return {"point": q["point"], "in_locus": report.in_locus, "evidence": evidence}
+            return {"in_locus": report.in_locus, "evidence": evidence}
 
         if name == "basis":
             basis = r_basis(q["degree"], config)
-            return {"degree": q["degree"], "dimension": len(basis), "basis": basis}
+            return {"dimension": len(basis), "basis": basis}
 
         # constancy: `_query_args` has rejected every other name
         report = smeared_constancy_check(f, i, q["points"], config)
         return {
-            "poly": f,
-            "index": i + 1,
             "expected": report.expected,
             "values": report.values,
             "ok": report.ok,
@@ -476,25 +478,24 @@ def _parse_document(path: str) -> list:
 def _combine(cofactor_texts, generators, ring) -> Polynomial:
     if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
         raise QueryError(f"need one cofactor per generator ({len(generators)})")
-    total = ring.zero()
-    for text, g in zip(cofactor_texts, generators):
-        total = total + ring.parse(text) * g
-    return total
+    return sum_of_products(ring, [(1, ring.parse(t), g) for t, g in zip(cofactor_texts, generators)])
 
 
 class _Verifier:
     """Re-checks one emitted result payload against the problem file.
 
     `_bind` has already bound the lines to the problem's query list, one
-    line per query in order.  Each line is also bound to its own query: the
-    payload's `poly`, `index`, `length`, `degree` and `point` must equal the
-    query's arguments as values, every per-ideal list must hold one entry
-    per ideal in order, and the checks then use the query's arguments.
-    Certificate lines are checked by arithmetic on their cofactors (positive
-    memberships, partitions) or by evaluation (locus evidence).  Every other
-    line has no finite certificate: `_rederive` re-runs its query and
-    compares canonical text; an error line must fail again with its text.  A
-    malformed or wrong claim raises `QueryError` naming the field at fault.
+    line per query in order.  Each line is also bound to its own query: every
+    field the payload echoes (`_echo`: `poly`, `index`, `length`, `degree`,
+    `point`) must be the query's argument written as canonical text, as
+    `run` writes it, every per-ideal list must hold one entry per ideal in
+    order, and the checks then use the query's arguments.  Certificate lines
+    are checked by arithmetic on their cofactors (positive memberships,
+    partitions) or by evaluation (locus evidence).  Every other line has no
+    finite certificate: `_rederive` re-runs its query and compares the
+    canonical text of the fields that are not echoed; an error line must
+    fail again with its text.  A malformed or wrong claim raises `QueryError`
+    naming the field at fault.
     """
 
     def __init__(self, config: SmearedRingConfig, check_radicality: bool):
@@ -509,24 +510,12 @@ class _Verifier:
         name, args = _normalize_query(entry["query"])
         q = _query_args(name, args, self.config)
         payload = entry["payload"]
-        self.texts = {}  # fields bound by their canonical text, for `_rederive`
-        for field, want in q.items():
-            if field == "points":
-                continue  # constancy echoes no points
-            got = payload[field]
-            if field == "poly":
-                # emitted text is canonical: an equal string needs no parse
-                text = str(want)
-                read = want if got == text else self.config.ring.parse(got)
-                self.texts = {field: text} if got == text else {}
-            elif field == "point":
-                read = [_parse_frac(c) for c in got]
-            else:
-                read = got
-                if field == "index":
-                    want += 1  # 1-based in documents
-            if type(read) is not type(want) or read != want:
-                raise QueryError(f"{field} {got!r} does not match the query")
+        if not isinstance(payload, dict):
+            raise QueryError("payload is not a JSON object")
+        for k, v in _echo(q).items():
+            got = payload[k]
+            if _dump(got) != _dump(v):
+                raise QueryError(f"{k} {got!r} does not match the query")
         checker = getattr(self, "_check_" + name, None)
         if checker is not None:
             return checker(q, payload)
@@ -536,7 +525,7 @@ class _Verifier:
     def _check_error(self, entry: dict) -> Optional[str]:
         try:
             name, args = _normalize_query(entry["query"])
-            _payload(name, _query_args(name, args, self.config), self.config, self.check_radicality)
+            _derive(name, _query_args(name, args, self.config), self.config, self.check_radicality)
         except QueryError as e:
             return None if str(e) == entry["error"] else "error text disagrees with the re-run query"
         return "the query succeeds when re-run"
@@ -548,18 +537,19 @@ class _Verifier:
         return entries
 
     def _rederive(self, name: str, q: dict, payload: dict) -> dict:
-        """Re-run the query and require the payload's canonical text; the
-        re-derived payload is returned for further checks.  A query argument
-        the payload echoes is written with the text `check` bound it by."""
-        derived = _payload(name, q, self.config, self.check_radicality)
-        shown = {**derived, **{k: t for k, t in self.texts.items() if derived.get(k) is q[k]}}
-        if _dump(payload) != _dump(shown):
-            for field in sorted(set(payload) | set(shown)):
-                if field not in payload:
+        """Re-run the query and require the canonical text of each field
+        that `check` has not bound as an echo; the re-derived fields are
+        returned for further checks."""
+        derived = _derive(name, q, self.config, self.check_radicality)
+        echo = _echo(q)
+        claimed = {k: v for k, v in payload.items() if k not in echo}
+        if _dump(claimed) != _dump(derived):
+            for field in sorted(set(claimed) | set(derived)):
+                if field not in claimed:
                     raise QueryError(f"missing field {field!r}")
-                if field not in shown:
+                if field not in derived:
                     raise QueryError(f"unexpected field {field!r}")
-                if _dump(payload[field]) != _dump(shown[field]):
+                if _dump(claimed[field]) != _dump(derived[field]):
                     raise QueryError(f"{field} disagrees with the re-derived {name} result")
         return derived
 

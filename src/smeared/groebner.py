@@ -34,18 +34,20 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
+from operator import mul
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .poly import (
     Polynomial,
     PolyRing,
     RingMismatchError,
+    _lift,
     mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
     monomial_key,
+    sum_of_products,
 )
 
 # re-checked on every call to divide() when True; tests switch this on
@@ -241,18 +243,6 @@ def _reduce(ints: dict, packs: list, layout: tuple):
     return quotients, remainder
 
 
-def _lift(acc: list, den: int) -> int:
-    """Raise `acc` = [tau, {monomial: int}] to a denominator that `den`
-    divides; return the factor tau // den that turns v / den into acc's."""
-    tau, terms = acc
-    if tau % den:
-        t = den // gcd(tau, den)
-        for k in terms:
-            terms[k] *= t
-        acc[0] = tau = tau * t
-    return tau // den
-
-
 def _finish(ring, acc: list, decode, num: int, den: int, content: Fraction = None) -> Polynomial:
     """(num / den) * map / tau for a nonempty `acc` = [tau, map] over packed
     monomials; `content`, if given, is num / den, kept when the map's gcd is tau."""
@@ -264,19 +254,13 @@ def _finish(ring, acc: list, decode, num: int, den: int, content: Fraction = Non
 
 
 def _check_division(f, divisors, key, result):
-    total = result.remainder
-    for q, d in zip(result.quotients, divisors):
-        total = total + q * d
-    if total != f:
+    products = [(1, q, d) for q, d in zip(result.quotients, divisors)]
+    if sum_of_products(f.ring, products + [(1, result.remainder, f.ring.one())]) != f:
         raise RuntimeError("division identity violated")
     leads = [d.leading_monomial(key) for d in divisors if not d.is_zero()]
     for m in result.remainder.terms:
         if any(mono_divides(lm, m) for lm in leads):
             raise RuntimeError("reducible remainder")
-
-
-def normal_form(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> Polynomial:
-    return divide(f, divisors, key).remainder
 
 
 @dataclass(frozen=True)
@@ -327,42 +311,10 @@ class GroebnerBasis:
         rows = [(1, q, row) for q, row in zip(quotients, self.transform) if not q.is_zero()]
         return tuple(_combine_rows(self.ring, rows, len(self.generators)))
 
-    def membership_certificate(self, f: Polynomial):
-        """(cofactors over generators, remainder); f is a member iff r == 0."""
-        res = self.divide(f)
-        return self.lift_to_generators(res.quotients), res.remainder
-
-
-def _sum_of_products(ring: PolyRing, products) -> Polynomial:
-    """sum(s * p * q for s, p, q in products), summed in one integer map
-    over a common denominator and built as a `Polynomial` once, instead of
-    copying a growing sum once per product."""
-    acc = [1, {}]
-    get = acc[1].get
-    for s, p, q in products:
-        (a, ca), (b, cb) = p.integer_form(), q.integer_form()
-        if not a or not b:
-            continue
-        num = s.numerator * ca.numerator * cb.numerator
-        den = s.denominator * ca.denominator * cb.denominator
-        g = gcd(num, den)
-        c = num // g * _lift(acc, den // g)
-        b = b.items()
-        for m1, v1 in a.items():
-            v1 *= c
-            for m2, v2 in b:
-                m = tuple(map(add, m1, m2))
-                acc[1][m] = get(m, 0) + v1 * v2
-    terms = {m: v for m, v in acc[1].items() if v}
-    if not terms:
-        return ring.zero()
-    h = gcd(*terms.values())
-    return Polynomial._new(ring, {m: v // h for m, v in terms.items()}, Fraction(h, acc[0]))
-
 
 def _combine_rows(ring: PolyRing, rows: list, n: int) -> list:
     """Entries 0..n-1 of sum(s * q * row) over (s, q, row) in rows."""
-    return [_sum_of_products(ring, [(s, q, row[t]) for s, q, row in rows]) for t in range(n)]
+    return [sum_of_products(ring, [(s, q, row[t]) for s, q, row in rows]) for t in range(n)]
 
 
 def groebner_basis(
@@ -475,7 +427,7 @@ def groebner_basis(
         transform = tuple(tuple(row) for row in rows)
         if VERIFY_DIVISION:
             for g, row in zip(basis, transform):
-                if _sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) != g:
+                if sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) != g:
                     raise RuntimeError("transformation identity violated")
 
     return GroebnerBasis(ring, order, tuple(basis), tuple(gens), transform)

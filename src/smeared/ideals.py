@@ -1,5 +1,5 @@
 """Ideals of a polynomial ring and the operations the rest of the package
-needs: membership with certificates, intersection, elimination, Krull
+needs: cofactors over the generators, intersection, elimination, Krull
 dimension of the quotient, its vector-space dimension, coprimality, and
 radical membership.
 
@@ -136,16 +136,22 @@ class Ideal:
             nf = table.setdefault(m, self.normal_form(nf.mul_term(x_k, 1)))
         return nf
 
-    def membership_certificate(self, f: Polynomial):
-        """(cofactors over the generators, remainder); member iff r == 0."""
-        return self.groebner(track=True).membership_certificate(f)
+    def cofactors(self, quotients: Sequence[Polynomial]) -> tuple:
+        """Cofactors c over the generators from quotients q over the reduced
+        basis, sum(c[i] * generators[i]) == sum(q[j] * basis[j]); q may come
+        from the plain basis, which must equal the tracked one."""
+        plain = self.groebner().elements
+        tracked = self.groebner(track=True)
+        if tracked.elements != plain:
+            raise RuntimeError("tracked and plain reduced bases differ")
+        return tracked.lift_to_generators(quotients)
 
     def unit_certificate(self) -> tuple:
         """Cofactors c with 1 == sum(c[i] * generators[i]); ideal must be unit."""
-        cof, rem = self.membership_certificate(self.ring.one())
-        if not rem.is_zero():
+        res = self.groebner(track=True).divide(self.ring.one())
+        if not res.remainder.is_zero():
             raise ValueError("ideal does not contain 1")
-        return cof
+        return self.cofactors(res.quotients)
 
     # -- elimination and intersection
 

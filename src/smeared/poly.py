@@ -9,8 +9,8 @@ lazily are pure functions of the stored form, so a race at worst
 recomputes one.  Coefficients are `int` or `Fraction`; any other scalar is
 a `TypeError`.
 
-Text grammar accepted by `parse_poly` (whitespace insignificant, implicit
-multiplication rejected)::
+Text grammar accepted by `parse_poly` (space, tab, CR and LF insignificant,
+implicit multiplication rejected)::
 
     expr   := ['+'|'-'] term (('+'|'-') term)*
     term   := factor ('*' factor)*
@@ -38,7 +38,6 @@ from math import gcd, lcm
 from operator import add
 from typing import Sequence, Union
 
-Rational = Fraction
 Monomial = tuple  # dense exponent vector, one entry per ring variable
 Scalar = Union[int, Fraction]
 
@@ -126,15 +125,6 @@ def monomial_key(order):
 
         return key
     raise ValueError(f"unknown monomial order: {order!r}")
-
-
-def compare_monomials(m1: Monomial, m2: Monomial, order=GREVLEX) -> int:
-    """Three-way comparison of exponent tuples under `order` (-1, 0 or 1)."""
-    if len(m1) != len(m2):
-        raise ValueError("monomials have different lengths")
-    key = monomial_key(order)
-    k1, k2 = key(m1), key(m2)
-    return (k1 > k2) - (k1 < k2)
 
 
 def monomials_up_to_degree(nvars: int, d: int) -> list:
@@ -543,10 +533,6 @@ class Polynomial:
         total = sum(v * pow(den, d - k) for k, v in by_degree.items())
         return Fraction(total * c.numerator, c.denominator * pow(den, d))
 
-    def content(self) -> Fraction:
-        """Positive rational c with self/c integer-coefficient, content 1."""
-        return self._form[1]
-
     def primitive_part(self) -> tuple:
         """(primitive polynomial g with positive lead, scalar c) with self = c * g."""
         ints, c = self._form
@@ -606,6 +592,45 @@ class Polynomial:
         return f"<{self} in {self.ring!r}>"
 
 
+def _lift(acc: list, den: int) -> int:
+    """Raise `acc` = [tau, {monomial: int}] to a denominator that `den`
+    divides; return the factor tau // den that turns v / den into acc's."""
+    tau, terms = acc
+    if tau % den:
+        t = den // gcd(tau, den)
+        for k in terms:
+            terms[k] *= t
+        acc[0] = tau = tau * t
+    return tau // den
+
+
+def sum_of_products(ring: PolyRing, products) -> Polynomial:
+    """sum(s * p * q for s, p, q in products), s an int or a Fraction, summed
+    in one integer map over a common denominator (`_lift`) and built as a
+    `Polynomial` once; every cofactor sum of the package goes through here."""
+    acc = [1, {}]
+    get = acc[1].get
+    for s, p, q in products:
+        (a, ca), (b, cb) = p.integer_form(), q.integer_form()
+        if not a or not b:
+            continue
+        num = s.numerator * ca.numerator * cb.numerator
+        den = s.denominator * ca.denominator * cb.denominator
+        g = gcd(num, den)
+        c = num // g * _lift(acc, den // g)
+        b = b.items()
+        for m1, v1 in a.items():
+            v1 *= c
+            for m2, v2 in b:
+                m = tuple(map(add, m1, m2))
+                acc[1][m] = get(m, 0) + v1 * v2
+    terms = {m: v for m, v in acc[1].items() if v}
+    if not terms:
+        return ring.zero()
+    h = gcd(*terms.values())
+    return Polynomial._new(ring, {m: v // h for m, v in terms.items()}, Fraction(h, acc[0]))
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
@@ -614,13 +639,15 @@ class Polynomial:
 # "^" with an empty group at the exponent, and "*".  A ")" carries its
 # group's exponent and "*".  With no base the match stops in front of
 # whatever is there, so it matches at any position, even the end.
+_SPACE = r"[ \t\r\n]*"
 _FACTOR_RE = re.compile(
-    r"\s*([-+])?\s*()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)(?:/([0-9]+))?|(\)))"
-    r"(?:\s*\^\s*()(?:([0-9]+)(?:/([0-9]+))?)?)?\s*(\*)?)?"
+    rf"{_SPACE}([-+])?{_SPACE}()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)(?:/([0-9]+))?|(\)))"
+    rf"(?:{_SPACE}\^{_SPACE}()(?:([0-9]+)(?:/([0-9]+))?)?)?{_SPACE}(\*)?)?"
 )
 # groups: 1 sign, 2 base position, 3 "(", 4 name, 5 and 6 numerator and
 # denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*".
-# Digits are ASCII only: `\d` would also read other scripts' digits.
+# Digits and whitespace are ASCII only: `\d` and `\s` would also read other
+# scripts' digits and Unicode spaces.
 _EXPECTED_BASE = "expected a number, variable or parenthesized expression"
 # each "(" costs the parser one level of recursion; a fixed bound keeps deep
 # nesting a ParseError wherever the parser is called from

@@ -34,6 +34,7 @@ from .poly import (
     RingMismatchError,
     monomial_key,
     monomials_up_to_degree,
+    sum_of_products,
 )
 
 
@@ -341,10 +342,7 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
             cof = config.pair_sums[i, j].unit_certificate()
         except ValueError:
             raise NotCoprimeError(i, j) from None
-        b_j = ring.zero()
-        for c, g in zip(cof[k:], ideal_j.generators):
-            b_j = b_j + c * g
-        b = b * b_j
+        b = b * sum_of_products(ring, [(1, c, g) for c, g in zip(cof[k:], ideal_j.generators)])
     a = ring.one() - b
 
     if a + b != ring.one():

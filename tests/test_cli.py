@@ -194,6 +194,10 @@ def test_malformed_file_exits_2(tmp_path, capsys):
         ("radical", True, '"radical" must list one boolean per ideal'),
         ("ideals", [[1], ["x - 1"]], "ideal 1, generator 1 must be a polynomial string"),
         ("ring", {"variables": "xy"}, '"variables" must be a list of names'),
+        # `True == 1` and `1.0 == 1`, but neither is the format number
+        ("format", True, 'problem file must carry "format": 1'),
+        ("format", 1.0, 'problem file must carry "format": 1'),
+        ("check_radicality", "false", '"check_radicality" must be a boolean'),
     ],
 )
 def test_problem_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, message):
@@ -220,6 +224,17 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
     assert payload_of(lines, 6)["status"] == "error"
     assert "too many digits (at position 4)" in payload_of(lines, 6)["error"]
     assert lines[-1]["errors"] == 4
+
+
+def test_query_splits_on_ascii_whitespace_only(tmp_path, capsys):
+    # an ideographic space is no separator, so it reaches the parser
+    doc = dict(THREE_LINES, queries=["member x\u3000+ 1", "member\tx *\r\n(x - 1)"])
+    rc, lines, problem, out = run_to_file(tmp_path, doc)
+    assert rc == 1
+    assert payload_of(lines, 1)["error"] == "unexpected character '\\u3000' (at position 1)"
+    assert payload_of(lines, 2)["payload"]["poly"] == "x^2 - x"
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
 
 
 def test_deep_nesting_is_a_query_error(tmp_path, capsys):
@@ -343,6 +358,44 @@ def test_verify_catches_tampering(tmp_path, capsys):
     for index, (_, text) in TAMPERING.items():
         assert text in bad[index], (index, bad[index])
     assert lines[-1] == {"checked": 22, "failures": len(TAMPERING), "type": "verify-summary"}
+
+
+def test_verify_binds_echoes_by_canonical_text(tmp_path, capsys):
+    # each echo is re-spelled to an equal value; the certificate lines (a
+    # positive member, a locus) fail like the re-derived one (member y)
+    doc = dict(THREE_LINES, queries=["member x*(x - 1)*(x - 2)*y", "locus 3 5", "member y"])
+    respell = {
+        1: lambda p: p.update(poly=f"({p['poly']})"),
+        2: lambda p: p["point"].__setitem__(0, "3/1"),
+        3: lambda p: p.update(poly=f"({p['poly']})"),
+    }
+    rc, _, problem, out = run_to_file(tmp_path, doc)
+    assert rc == 0
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    assert entries[1]["payload"]["member"] is True
+    for e in entries:
+        if e["type"] == "result":
+            respell[e["index"]](e["payload"])
+    out.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [
+        (1, "poly '(x^3*y - 3*x^2*y + 2*x*y)' does not match the query"),
+        (2, "point ['3/1', '5'] does not match the query"),
+        (3, "poly '(y)' does not match the query"),
+    ]
+
+
+def test_verify_rejects_a_payload_that_is_no_object(tmp_path, capsys):
+    doc = dict(THREE_LINES, queries=["dims", "member y", "member x*(x - 1)*(x - 2)*y"])
+    rc, _, problem, out = run_to_file(tmp_path, doc)
+    entries = [json.loads(line) for line in out.read_text().splitlines()]
+    for e, payload in zip(entries[1:4], ([], "y", ["0"])):
+        e["payload"] = payload
+    out.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(k, "payload is not a JSON object") for k in (1, 2, 3)]
 
 
 def test_verify_checks_cofactor_identities(tmp_path, capsys):
@@ -553,9 +606,10 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
     ring = config.ring
 
     def reference(ideal, f):
-        cof, rem = ideal.membership_certificate(f)
-        assert rem.is_zero()
-        return cof
+        gb = ideal.groebner(track=True)
+        res = gb.divide(f)
+        assert res.remainder.is_zero()
+        return gb.lift_to_generators(res.quotients)
 
     members = [ring.one(), ring.parse("x^2 + 3")]
     for i in range(config.n):

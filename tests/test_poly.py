@@ -12,12 +12,12 @@ from smeared.poly import (
     EliminationOrder,
     GREVLEX,
     LEX,
-    compare_monomials,
     mono_divides,
     mono_lcm,
     monomial_key,
     monomials_up_to_degree,
     parse_poly,
+    sum_of_products,
 )
 
 
@@ -122,14 +122,14 @@ def test_grevlex_order():
     # x^2 > xy > y^2 > x > y > 1 in two variables
     ordered = [(2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)]
     assert sorted(ordered, key=key, reverse=True) == ordered
-    assert compare_monomials((1, 1), (0, 2)) == 1
-    assert compare_monomials((1, 0), (1, 0)) == 0
+    assert key((1, 1)) > key((0, 2))
+    assert key((1, 0)) == key((1, 0))
 
 
 def test_lex_vs_grevlex():
     # x > y^5 under lex, x < y^5 under grevlex
-    assert compare_monomials((1, 0), (0, 5), "lex") == 1
-    assert compare_monomials((1, 0), (0, 5), "grevlex") == -1
+    assert monomial_key("lex")((1, 0)) > monomial_key("lex")((0, 5))
+    assert monomial_key("grevlex")((1, 0)) < monomial_key("grevlex")((0, 5))
 
 
 def test_elimination_order_blocks():
@@ -198,7 +198,7 @@ def test_primitive_part(R2):
     f = R2.parse("4/3*x^2 - 2*y")
     prim, c = f.primitive_part()
     assert prim == R2.parse("2*x^2 - 3*y") and c == Fraction(2, 3)
-    assert prim.content() == 1
+    assert prim.integer_form()[1] == 1
     assert prim.leading_coefficient() > 0
     assert prim.scale(c) == f
 
@@ -294,6 +294,17 @@ def test_parse_reads_ascii_digits_only(R2, text, position):
     )
 
 
+@pytest.mark.parametrize(
+    "text,position", [("x +\u3000 1", 3), ("x\xa0+ 1", 1), ("x\x0b+1", 1)]
+)
+def test_parse_reads_ascii_whitespace_only(R2, text, position):
+    with pytest.raises(ParseError) as info:
+        R2.parse(text)
+    assert (info.value.position, str(info.value)) == (
+        position, f"unexpected character {text[position]!r} (at position {position})"
+    )
+
+
 def test_parse_bounds_nesting(R2):
     assert R2.parse("(" * 100 + "x" + ")" * 100) == R2.var("x")
     deep = "parentheses nested more than 100 deep"
@@ -309,6 +320,27 @@ def test_parse_bounds_nesting(R2):
         assert (info.value.position, str(info.value)) == (
             position, f"{message} (at position {position})"
         ), text[-20:]
+
+
+def test_sum_of_products_matches_polynomial_arithmetic():
+    rng = random.Random(20261)
+    monos = monomials_up_to_degree(3, 2)
+    scalars = [1, -1, 0, 6, Fraction(-2, 3), Fraction(5, 4)]
+
+    def rand_poly():
+        if rng.random() < 0.2:
+            return R3.zero()
+        k = rng.randint(1, 4)
+        terms = {m: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for m in rng.sample(monos, k)}
+        return Polynomial(R3, terms)
+
+    for _ in range(200):
+        products = [(rng.choice(scalars), rand_poly(), rand_poly()) for _ in range(rng.randint(0, 5))]
+        want = sum((s * p * q for s, p, q in products), R3.zero())
+        assert sum_of_products(R3, products) == want
+        # the same products less their sum cancel to the zero polynomial
+        cancelled = sum_of_products(R3, products + [(-1, want, R3.one())])
+        assert cancelled.integer_form() == ({}, Fraction(1))
 
 
 def test_polynomials_hash_and_compare(R2):
@@ -327,7 +359,7 @@ def test_polynomials_hash_and_compare(R2):
 # in the tokenizer, which the engine's parser shares.
 
 _REF_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
+    r"[ \t\r\n]*(?:(?P<number>[0-9]+(?:/[0-9]+)?)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()]))"
 )
 
 
@@ -335,7 +367,7 @@ def _ref_tokenize(text):
     pos = 0
     n = len(text)
     while pos < n:
-        if text[pos].isspace():
+        if text[pos] in " \t\r\n":
             pos += 1
             continue
         m = _REF_TOKEN_RE.match(text, pos)
