@@ -76,6 +76,9 @@ class QueryError(ValueError):
 
 def _parse_frac(text: str) -> Fraction:
     try:
+        # Fraction would also read non-ASCII digits and "_" separators
+        if not str(text).isascii() or "_" in str(text):
+            raise ValueError("only ASCII digits, no '_'")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
         raise QueryError(f"bad rational {text!r}: {e}") from None
@@ -174,20 +177,20 @@ def _arg_poly(config: SmearedRingConfig, parts: Sequence) -> Polynomial:
 
 
 def _arg_index(config: SmearedRingConfig, token) -> int:
-    try:
-        i = int(token)
-    except (TypeError, ValueError):
-        raise QueryError(f"bad ideal index {token!r}") from None
+    i = _arg_int(token, "ideal index")
     if not 1 <= i <= config.n:
         raise QueryError(f"ideal index {i} out of range 1..{config.n}")
     return i - 1
 
 
 def _arg_int(token, what: str) -> int:
-    try:
+    """A JSON int that is no bool, or a string -?[0-9]+ that int() reads."""
+    if type(token) is int:
+        return token
+    # int() reads at most 4300 digits
+    if isinstance(token, str) and re.fullmatch("-?[0-9]{1,4300}", token):
         return int(token)
-    except (TypeError, ValueError):
-        raise QueryError(f"bad {what} {token!r}") from None
+    raise QueryError(f"bad {what} {token!r}")
 
 
 def _arg_point(config: SmearedRingConfig, tokens) -> list:

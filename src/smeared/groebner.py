@@ -1,10 +1,10 @@
 """Groebner bases over the rationals, by Buchberger's algorithm.
 
-Division and basis computation are exact.  A basis can optionally carry a
-transformation matrix expressing each basis element as a combination of the
-original generators, which is what lets callers hand out membership
-certificates over the generators they actually supplied instead of over the
-computed basis.
+Division and basis computation are exact.  A basis records its steps and
+builds from them, on first use, the transformation matrix expressing each
+element as a combination of the original generators (Cox, Little and
+O'Shea, "Ideals, Varieties, and Algorithms", 2.6-2.7), which is what lets
+callers hand out membership certificates over the generators they supplied.
 
 `divide` packs each monomial into one int (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
@@ -23,7 +23,7 @@ can (x^k divided by x - y^2 leaves y^(2k)).
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
-every division call.
+every division call, and each transformation row when it is built.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from __future__ import annotations
 import functools
 import heapq
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import mul
@@ -267,7 +267,8 @@ def _check_division(f, divisors, key, result):
 class GroebnerBasis:
     """Reduced Groebner basis under `order`, elements sorted largest lead first.
 
-    `transform`, present when the basis was computed with tracking, satisfies
+    `transform`, built from the record `steps` on first read and memoised
+    (a race only builds it twice), satisfies
     elements[j] == sum(transform[j][i] * generators[i] for all i).
     """
 
@@ -275,7 +276,15 @@ class GroebnerBasis:
     order: object
     elements: tuple
     generators: tuple
-    transform: Optional[tuple] = None
+    steps: tuple = field(repr=False, compare=False)
+
+    @property
+    def transform(self) -> tuple:
+        memo = getattr(self, "_transform", None)
+        if memo is None:
+            memo = _replay(self)
+            object.__setattr__(self, "_transform", memo)
+        return memo
 
     def key(self):
         return monomial_key(self.order)
@@ -306,8 +315,6 @@ class GroebnerBasis:
         Given q with f = sum(q[j] * elements[j]) + r, returns c with
         f = sum(c[i] * generators[i]) + r.
         """
-        if self.transform is None:
-            raise ValueError("basis was computed without tracking")
         rows = [(1, q, row) for q, row in zip(quotients, self.transform) if not q.is_zero()]
         return tuple(_combine_rows(self.ring, rows, len(self.generators)))
 
@@ -321,7 +328,6 @@ def groebner_basis(
     generators: Iterable[Polynomial],
     order=None,
     ring: Optional[PolyRing] = None,
-    track: bool = False,
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal the generators span.
 
@@ -340,8 +346,8 @@ def groebner_basis(
     the ideal is then the unit ideal.  Running on would change nothing, since
     every later S-polynomial reduces to 0 by that constant and
     `_reduce_basis` keeps only it (it is the one element of degree 0).  So
-    the stop returns the same basis [1] and, when tracking, the same
-    transform row: the constant's own.
+    the stop returns the same basis [1] and the same transform row: the
+    constant's own.  For `_replay`, the loop records only values it holds.
     """
     gens = list(generators)
     if ring is None:
@@ -354,20 +360,13 @@ def groebner_basis(
     if order is None:
         order = ring.order
     key = monomial_key(order)
-    ngens, zero = len(gens), ring.zero()
 
     # generators enter as they are (scaling an element scales its quotients
     # and its row inversely), so a generator's packed divisor form carries
     # over between the bases it belongs to; remainders are made primitive
-    polys: list = []
-    coeffs: list = []  # cofactor rows over the original generators
-    one = ring.one()
-    for i, g in enumerate(gens):
-        if g.is_zero():
-            continue
-        polys.append(g)
-        if track:
-            coeffs.append([one if t == i else zero for t in range(ngens)])
+    sources = tuple(i for i, g in enumerate(gens) if not g.is_zero())
+    polys = [gens[i] for i in sources]
+    spairs: list = []  # (i, j, mi, mj, lc_i, lc_j, c, quotients) per later element
 
     leads: list = []
     heap: list = []  # (degree, key(lcm), i, j, lcm) of each pair still to reduce
@@ -408,65 +407,67 @@ def groebner_basis(
         if r.is_zero():
             continue
         prim, c = r.primitive_part()
-        if track:
-            # the S-polynomial's row less the quotients' rows, over c
-            rows = [(1 / (lc_i * c), Polynomial._new(ring, {mi: 1}, _ONE), coeffs[i])]
-            rows.append((-1 / (lc_j * c), Polynomial._new(ring, {mj: 1}, _ONE), coeffs[j]))
-            rows += [(-1 / c, q, coeffs[k]) for k, q in enumerate(res.quotients) if not q.is_zero()]
-            coeffs.append(_combine_rows(ring, rows, ngens))
+        spairs.append((i, j, mi, mj, lc_i, lc_j, c, res.quotients))
         polys.append(prim)
         leads.append(prim.leading_monomial(key))
         if prim.is_constant():
             break
         update(len(polys) - 1)
 
-    basis, rows = _reduce_basis(polys, coeffs if track else None, ring, key)
-
-    transform = None
-    if track:
-        transform = tuple(tuple(row) for row in rows)
-        if VERIFY_DIVISION:
-            for g, row in zip(basis, transform):
-                if sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) != g:
-                    raise RuntimeError("transformation identity violated")
-
-    return GroebnerBasis(ring, order, tuple(basis), tuple(gens), transform)
+    basis, reduction = _reduce_basis(polys, key)
+    return GroebnerBasis(ring, order, tuple(basis), tuple(gens), (sources, spairs, reduction))
 
 
-def _reduce_basis(polys, coeffs, ring, key):
-    """Minimal, interreduced, monic basis sorted largest lead first."""
+def _reduce_basis(polys, key):
+    """Minimal, interreduced, monic basis sorted largest lead first, and the
+    record `_replay` reads: the indices of the kept elements, each one's
+    tail division quotients and leading coefficient, and the output order."""
     order_idx = sorted(range(len(polys)), key=lambda i: key(polys[i].leading_monomial(key)))
-    kept: list = []
-    kept_rows: list = []
+    kept_idx: list = []
     for i in order_idx:
         lm = polys[i].leading_monomial(key)
-        if any(mono_divides(g.leading_monomial(key), lm) for g in kept):
-            continue
-        kept.append(polys[i])
-        if coeffs is not None:
-            kept_rows.append(list(coeffs[i]))
+        if not any(mono_divides(polys[k].leading_monomial(key), lm) for k in kept_idx):
+            kept_idx.append(i)
+    kept = [polys[i] for i in kept_idx]
 
     # tail-reduce each element against the others (leads are incomparable,
     # so each element's lead survives and one sweep lands on the reduced form)
-    one = ring.one() if coeffs is not None else None
+    tails: list = []
     for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1 :]
-        res = divide(kept[idx], others, key)
+        res = divide(kept[idx], kept[:idx] + kept[idx + 1 :], key)
         kept[idx] = res.remainder
-        if coeffs is not None:
-            row = kept_rows[idx]
-            other_rows = kept_rows[:idx] + kept_rows[idx + 1 :]
-            rows = [(-1, q, orow) for q, orow in zip(res.quotients, other_rows) if not q.is_zero()]
-            if rows:
-                kept_rows[idx] = _combine_rows(ring, rows + [(1, one, row)], len(row))
+        tails.append(res.quotients)
 
-    for idx in range(len(kept)):
-        lc = kept[idx].leading_coefficient(key)
-        kept[idx] = kept[idx].scale(1 / lc)
-        if coeffs is not None:
-            kept_rows[idx] = [p.scale(1 / lc) for p in kept_rows[idx]]
-
+    lcs = [p.leading_coefficient(key) for p in kept]
+    kept = [p.scale(1 / lc) for p, lc in zip(kept, lcs)]
     final = sorted(range(len(kept)), key=lambda i: key(kept[i].leading_monomial(key)), reverse=True)
-    basis = [kept[i] for i in final]
-    rows = [kept_rows[i] for i in final] if coeffs is not None else None
-    return basis, rows
+    return [kept[i] for i in final], (kept_idx, tails, lcs, final)
+
+
+def _replay(gb: GroebnerBasis) -> tuple:
+    """`gb.transform`, from `gb.steps`: each element's row over the
+    generators, built by the same steps that built the element."""
+    ring, ngens = gb.ring, len(gb.generators)
+    sources, spairs, (kept_idx, tails, lcs, final) = gb.steps
+    one, zero = ring.one(), ring.zero()
+    rows = [[one if t == i else zero for t in range(ngens)] for i in sources]
+    for i, j, mi, mj, lc_i, lc_j, c, quotients in spairs:
+        # the S-polynomial's row less the quotients' rows, over c
+        terms = [(1 / (lc_i * c), Polynomial._new(ring, {mi: 1}, _ONE), rows[i])]
+        terms.append((-1 / (lc_j * c), Polynomial._new(ring, {mj: 1}, _ONE), rows[j]))
+        terms += [(-1 / c, q, rows[k]) for k, q in enumerate(quotients) if not q.is_zero()]
+        rows.append(_combine_rows(ring, terms, ngens))
+
+    rows = [rows[i] for i in kept_idx]
+    for idx, quotients in enumerate(tails):
+        others = rows[:idx] + rows[idx + 1 :]
+        terms = [(-1, q, row) for q, row in zip(quotients, others) if not q.is_zero()]
+        if terms:
+            rows[idx] = _combine_rows(ring, terms + [(1, one, rows[idx])], ngens)
+    transform = tuple(tuple(p.scale(1 / lcs[k]) for p in rows[k]) for k in final)
+
+    if VERIFY_DIVISION:
+        for g, row in zip(gb.elements, transform):
+            if sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gb.generators)]) != g:
+                raise RuntimeError("transformation identity violated")
+    return transform

@@ -98,15 +98,15 @@ class Ideal:
 
     # -- Groebner machinery
 
-    def groebner(self, order=None, track: bool = False) -> GroebnerBasis:
+    def groebner(self, order=None) -> GroebnerBasis:
+        """The reduced basis under `order` (the ring's by default), computed
+        once per order; its transform rows are built on first use."""
         if order is None:
             order = self.ring.order
         with self._lock:
-            cached = self._cache.get(order)
-            if cached is not None and (not track or cached.transform is not None):
-                return cached
-            gb = groebner_basis(self.generators, order=order, ring=self.ring, track=track)
-            self._cache[order] = gb
+            gb = self._cache.get(order)
+            if gb is None:
+                gb = self._cache[order] = groebner_basis(self.generators, order=order, ring=self.ring)
             return gb
 
     def is_zero(self) -> bool:
@@ -138,17 +138,13 @@ class Ideal:
 
     def cofactors(self, quotients: Sequence[Polynomial]) -> tuple:
         """Cofactors c over the generators from quotients q over the reduced
-        basis, sum(c[i] * generators[i]) == sum(q[j] * basis[j]); q may come
-        from the plain basis, which must equal the tracked one."""
-        plain = self.groebner().elements
-        tracked = self.groebner(track=True)
-        if tracked.elements != plain:
-            raise RuntimeError("tracked and plain reduced bases differ")
-        return tracked.lift_to_generators(quotients)
+        basis under the ring's order, sum(c[i] * generators[i]) ==
+        sum(q[j] * basis[j]), through that basis's transform rows."""
+        return self.groebner().lift_to_generators(quotients)
 
     def unit_certificate(self) -> tuple:
         """Cofactors c with 1 == sum(c[i] * generators[i]); ideal must be unit."""
-        res = self.groebner(track=True).divide(self.ring.one())
+        res = self.groebner().divide(self.ring.one())
         if not res.remainder.is_zero():
             raise ValueError("ideal does not contain 1")
         return self.cofactors(res.quotients)

@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 import smeared.cli as cli
+import smeared.groebner as groebner
+import smeared.ideals as ideals
 from smeared.cli import main
 from test_ring import curves_config, lines_config
 
@@ -224,6 +226,30 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
     assert payload_of(lines, 6)["status"] == "error"
     assert "too many digits (at position 4)" in payload_of(lines, 6)["error"]
     assert lines[-1]["errors"] == 4
+
+
+def test_integer_and_rational_arguments_are_read_strictly(tmp_path, capsys):
+    # an integer is a JSON int that is no bool, or a string -?[0-9]+, and a
+    # rational is ASCII without "_"; int() and Fraction() read more
+    errors = {
+        ("basis", 1.9): "bad degree bound 1.9",
+        ("eval", "x", 2.5): "bad ideal index 2.5",
+        ("chain", True, 3): "bad ideal index True",
+        ("basis", "1_0"): "bad degree bound '1_0'",
+        ("partition", "\u0663"): "bad ideal index '\u0663'",
+        ("locus", "1_0", "0"): "bad rational '1_0': only ASCII digits, no '_'",
+        ("locus", "\u0663", "0"): "bad rational '\u0663': only ASCII digits, no '_'",
+    }
+    queries = [list(q) for q in errors] + ["basis 1_0", "partition \u0663", ["basis", "1"]]
+    rc, lines, problem, out = run_to_file(tmp_path, dict(THREE_LINES, queries=queries))
+    assert rc == 1
+    for k, error in enumerate(errors.values(), start=1):
+        assert payload_of(lines, k)["error"] == error
+    assert payload_of(lines, 8)["error"] == errors["basis", "1_0"]
+    assert payload_of(lines, 9)["error"] == errors["partition", "\u0663"]
+    assert payload_of(lines, 10)["payload"]["dimension"] == 2
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
 
 
 def test_query_splits_on_ascii_whitespace_only(tmp_path, capsys):
@@ -601,12 +627,12 @@ def test_verify_needs_one_summary_line_last(tmp_path, capsys):
 @pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
 def test_cofactors_reuse_membership_quotients(make, monkeypatch):
     """Member and partition cofactors lifted from the membership quotients
-    equal the replaced path: a tracked division of f - alpha."""
+    equal the replaced path: a division of f - alpha, lifted."""
     config = make()
     ring = config.ring
 
     def reference(ideal, f):
-        gb = ideal.groebner(track=True)
+        gb = ideal.groebner()
         res = gb.divide(f)
         assert res.remainder.is_zero()
         return gb.lift_to_generators(res.quotients)
@@ -629,3 +655,45 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
             assert cof == reference(ideal, f - ring.const(alpha))
     # 1 and every partition piece are members
     assert checked >= 1 + 2 * config.n
+
+
+# the first member query of curves.json
+CURVES_MEMBER = (
+    "(x + 1)*x*(y - x^2 - 1)*(z - 5)*(x^2 + y^2 - 1)"
+    " - (y - 1)*y*(z - x^3)*(x*y - 1)*(z + 3) + 2"
+)
+
+
+def test_one_basis_per_ideal_and_order(monkeypatch):
+    # member cofactors and partition unit certificates reuse the bases the
+    # validation gate and the membership division computed
+    config, _, check_radicality = cli.load_problem(str(DATA / "curves.json"))
+    calls = []  # (generators, order) of every basis computation
+    real = ideals.groebner_basis
+
+    def counting(gens, **kwargs):
+        calls.append((tuple(gens), kwargs.get("order")))
+        return real(gens, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counting)
+    assert cli._payload("validate", {}, config, check_radicality)["ok"]
+    f = config.ring.parse(CURVES_MEMBER)
+    assert cli._payload("member", {"poly": f}, config, False)["cofactors"]
+    assert cli._payload("partition", {"index": 0}, config, False)["a_cofactors"]
+    assert calls and len(calls) == len(set(calls))
+
+
+def test_transform_rows_are_built_on_first_use(monkeypatch):
+    config, _, check_radicality = cli.load_problem(str(DATA / "curves.json"))
+    replays = []
+    real = groebner._replay
+    monkeypatch.setattr(groebner, "_replay", lambda gb: replays.append(gb) or real(gb))
+    assert cli._payload("validate", {}, config, check_radicality)["ok"]
+    y = config.ring.parse("y")
+    assert not cli._payload("member", {"poly": y}, config, False)["member"]
+    assert replays == []
+    # a member's cofactors build each ideal's rows once
+    f = config.ring.parse(CURVES_MEMBER)
+    for _ in range(2):
+        cli._payload("member", {"poly": f}, config, False)
+    assert sorted(map(id, replays)) == sorted(id(ideal.groebner()) for ideal in config.ideals)

@@ -279,8 +279,7 @@ def katsura4():
     return gens
 
 
-@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracked"])
-def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
+def test_katsura4_spair_reductions_are_pinned(monkeypatch):
     # the Gebauer-Moeller update leaves 30 S-pair reductions (the chain
     # criterion it replaced left 33); more means a pruning regression
     calls = []
@@ -291,7 +290,7 @@ def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
         return real_divide(f, divisors, key)
 
     monkeypatch.setattr(groebner, "divide", counting_divide)
-    gb = groebner_basis(katsura4(), track=track)
+    gb = groebner_basis(katsura4())
     assert len(gb.elements) == 13
     assert len(calls) - len(gb.elements) == 30
 
