@@ -279,9 +279,11 @@ def katsura4():
     return gens
 
 
-def test_katsura4_spair_reductions_are_pinned(monkeypatch):
+@pytest.mark.parametrize("track", [False, True], ids=["plain", "tracked"])
+def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
     # the Gebauer-Moeller update leaves 30 S-pair reductions (the chain
-    # criterion it replaced left 33); more means a pruning regression
+    # criterion it replaced left 33); more means a pruning regression.
+    # Reading the transform replays the record and divides nothing more.
     calls = []
     real_divide = groebner.divide
 
@@ -291,6 +293,8 @@ def test_katsura4_spair_reductions_are_pinned(monkeypatch):
 
     monkeypatch.setattr(groebner, "divide", counting_divide)
     gb = groebner_basis(katsura4())
+    if track:
+        assert len(gb.transform) == 13
     assert len(gb.elements) == 13
     assert len(calls) - len(gb.elements) == 30
 
