@@ -47,6 +47,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from . import __version__
@@ -74,11 +75,15 @@ class QueryError(ValueError):
     """A single query is malformed or failed; the batch can continue."""
 
 
-def _parse_frac(text: str) -> Fraction:
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+|\.[0-9]+)?")
+
+
+def _parse_frac(text) -> Fraction:
+    """A JSON number, or a string of the form 3, -5/3 or 2.5 (Fraction would
+    also read spaces, "+", "_", exponents and other scripts' digits)."""
     try:
-        # Fraction would also read non-ASCII digits and "_" separators
-        if not str(text).isascii() or "_" in str(text):
-            raise ValueError("only ASCII digits, no '_'")
+        if isinstance(text, str) and not _RATIONAL.fullmatch(text):
+            raise ValueError("not of the form 3, -5/3 or 2.5")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
         raise QueryError(f"bad rational {text!r}: {e}") from None
@@ -206,6 +211,11 @@ def _arg_point(config: SmearedRingConfig, tokens) -> list:
 # query payloads
 
 
+# the most monomials of degree <= d a `basis` slice spans, and the longest `chain`
+MAX_SLICE_MONOMIALS = 20_000
+MAX_CHAIN_LENGTH = 1_000
+
+
 def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
     """A query's arguments, parsed and range-checked, under the names its
     payload echoes them by (`index` is 0-based here); `run` and `verify`
@@ -225,8 +235,10 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
         return {"index": _arg_index(config, args[0])}
     if name == "chain":
         _want(args, 2, 2, "chain <i> <L>")
-        i = _arg_index(config, args[0])
-        return {"index": i, "length": _arg_int(args[1], "chain length")}
+        i, length = _arg_index(config, args[0]), _arg_int(args[1], "chain length")
+        if length > MAX_CHAIN_LENGTH:
+            raise QueryError(f"chain: the length is over the limit of {MAX_CHAIN_LENGTH}")
+        return {"index": i, "length": length}
     if name == "locus":
         _want(args, 1, None, "locus <coordinates>")
         return {"point": _arg_point(config, args)}
@@ -235,6 +247,9 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
         d = _arg_int(args[0], "degree bound")
         if d < 0:
             raise QueryError("degree bound must be non-negative")
+        n = config.ring.nvars
+        if d > MAX_SLICE_MONOMIALS or comb(n + d, n) > MAX_SLICE_MONOMIALS:
+            raise QueryError(f"basis: the slice holds over {MAX_SLICE_MONOMIALS} monomials, C({n} + d, {n})")
         return {"degree": d}
     if name == "constancy":
         _want(args, 3, None, "constancy <poly> <i> <points>")

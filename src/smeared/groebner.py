@@ -6,20 +6,22 @@ element as a combination of the original generators (Cox, Little and
 O'Shea, "Ideals, Varieties, and Algorithms", 2.6-2.7), which is what lets
 callers hand out membership certificates over the generators they supplied.
 
-`divide` packs each monomial into one int (Monagan and Pearce, "Polynomial
+Monomials are packed into one int each (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
 2007): `width`-bit fields holding, from the top, the order key's weighted
 sums (`monomial_key` is linear) and then the exponents, x_1 highest.  So a
 product is one int addition, int order is monomial order, and `lead | m`
 exactly when `m - lead` leaves every field's top (guard) bit clear, since a
-field that goes negative borrows into its guard bit.  Width rule: no field
-exceeds the total degree, so a division starts at the smallest width in 8,
-16, 32, ... whose guard bits stay clear on f and every divisor.  Two such
-fields add without carrying into the next, so a product that outgrows a
-field sets its guard bit: `divide` checks each new working monomial and
-starts again at twice the width.  Under grevlex no working monomial exceeds
-f's degree and the check never fires; under lex and elimination orders it
-can (x^k divided by x - y^2 leaves y^(2k)).
+field that goes negative borrows into its guard bit.  No field exceeds the
+total degree, so `divide` starts at the smallest width in 8, 16, 32, ...
+that f and every divisor fit, and starts again at twice the width when a
+new working monomial sets a guard bit (two fields that fit add without a
+carry): never under grevlex, but under lex and elimination orders x^k
+divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests packed
+leads and lcms the same way, at a width that fits twice the largest lead
+degree, repacking all of them when a lead outgrows it.  S-polynomials are
+built on integer forms, and quotients stay packed until read, so a zero
+reduction, or a transform never read, decodes none.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
@@ -34,15 +36,14 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import mul
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import add, mul
+from typing import Iterable, Optional, Sequence
 
 from .poly import (
     Polynomial,
     PolyRing,
     RingMismatchError,
     _lift,
-    mono_coprime,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -56,11 +57,37 @@ VERIFY_DIVISION = False
 _ONE = Fraction(1)
 
 
-class DivisionResult(NamedTuple):
-    """f = sum(quotients[i] * divisors[i]) + remainder, remainder irreducible."""
+class DivisionResult:
+    """f = sum(quotients[i] * divisors[i]) + remainder, remainder irreducible.
 
-    quotients: tuple
-    remainder: Polynomial
+    `divide` leaves the quotients packed in a callable that `quotients` calls
+    on first read and memoises (a race only decodes twice).  Unpacking
+    (`q, r = res`), `==`, `repr` and pickling read the quotients.
+    """
+
+    __slots__ = ("_quotients", "remainder")
+
+    def __init__(self, quotients, remainder: Polynomial):
+        self._quotients, self.remainder = quotients, remainder
+
+    @property
+    def quotients(self) -> tuple:
+        q = self._quotients
+        if callable(q):
+            q = self._quotients = q()
+        return q
+
+    def __iter__(self):
+        return iter((self.quotients, self.remainder))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DivisionResult) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return "DivisionResult(quotients=%r, remainder=%r)" % tuple(self)
+
+    def __reduce__(self):
+        return DivisionResult, tuple(self)
 
 
 @functools.lru_cache(maxsize=256)
@@ -122,8 +149,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     remainder monomial is divisible by any divisor's leading monomial.
 
     Monomials are packed ints (see the module docstring): f is packed on
-    entry, each divisor's packed form is memoised on it, and the quotients
-    and remainder are unpacked on exit.
+    entry, each divisor's packed form is memoised on it, the remainder is
+    unpacked on exit and the quotients on their first read.
 
     The arithmetic is over the integers, on the stored forms of f = c_f * F
     and of each divisor d = s * D (`Polynomial.integer_form`).  Division is
@@ -170,14 +197,13 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
             break
         width *= 2  # a working monomial outgrew its fields
 
-    (quotients, remainder), decode, zero = out, layout[2], ring.zero()
+    (quotients, remainder), decode = out, layout[2]
     num, den = f_content.numerator, f_content.denominator
+    # the nonzero quotients alone: a result kept unread holds no empty map
+    found = [(k, q, num * p[6], den * p[5]) for k, (q, p) in enumerate(zip(quotients, packs)) if q[1]]
     result = DivisionResult(
-        tuple(
-            _finish(ring, q, decode, num * p[6], den * p[5]) if q[1] else zero
-            for q, p in zip(quotients, packs)
-        ),
-        _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else zero,
+        functools.partial(_decode_quotients, ring, decode, len(packs), found),
+        _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else ring.zero(),
     )
     if VERIFY_DIVISION:
         _check_division(f, divisors, key, result)
@@ -253,6 +279,14 @@ def _finish(ring, acc: list, decode, num: int, den: int, content: Fraction = Non
     return Polynomial._new(ring, decode(terms, h), content)
 
 
+def _decode_quotients(ring, decode, n: int, found: list) -> tuple:
+    """n quotients: zero but at the `found` (index, map, numerator, denominator)."""
+    out = [ring.zero()] * n
+    for k, acc, num, den in found:
+        out[k] = _finish(ring, acc, decode, num, den)
+    return tuple(out)
+
+
 def _check_division(f, divisors, key, result):
     products = [(1, q, d) for q, d in zip(result.quotients, divisors)]
     if sum_of_products(f.ring, products + [(1, result.remainder, f.ring.one())]) != f:
@@ -284,6 +318,7 @@ class GroebnerBasis:
         if memo is None:
             memo = _replay(self)
             object.__setattr__(self, "_transform", memo)
+            object.__setattr__(self, "steps", None)  # the record is spent
         return memo
 
     def key(self):
@@ -347,7 +382,8 @@ def groebner_basis(
     every later S-polynomial reduces to 0 by that constant and
     `_reduce_basis` keeps only it (it is the one element of degree 0).  So
     the stop returns the same basis [1] and the same transform row: the
-    constant's own.  For `_replay`, the loop records only values it holds.
+    constant's own.  For `_replay`, the loop records only values it holds:
+    its nonzero reductions' division results keep their quotients packed.
     """
     gens = list(generators)
     if ring is None:
@@ -366,62 +402,93 @@ def groebner_basis(
     # over between the bases it belongs to; remainders are made primitive
     sources = tuple(i for i, g in enumerate(gens) if not g.is_zero())
     polys = [gens[i] for i in sources]
-    spairs: list = []  # (i, j, mi, mj, lc_i, lc_j, c, quotients) per later element
+    spairs: list = []  # (i, j, mi, mj, lc_i, lc_j, c, division result) per later element
 
+    # per element: its lead, the lead packed at `width` (see the module
+    # docstring) and the bitmask of the variables in the lead
     leads: list = []
-    heap: list = []  # (degree, key(lcm), i, j, lcm) of each pair still to reduce
+    heap: list = []  # (degree, packed lcm, i, j, lcm) of each pair still to reduce
     active: list = []  # elements whose lead no later lead divides
+    width = 8
+    units, guards = _layout(key, ring.nvars, width)[:2]
 
-    def update(h: int) -> None:
-        lm = leads[h]
-        new = [(g, mono_lcm(leads[g], lm)) for g in active]
+    def update(lm: tuple) -> None:
+        nonlocal width, units, guards
+        if 2 * sum(lm) >> (width - 1):
+            width = _width(2 * sum(lm))
+            units, guards = _layout(key, ring.nvars, width)[:2]
+            leads[:] = [(m, sum(map(mul, m, units)), b) for m, _, b in leads]
+            heap[:] = [(d, sum(map(mul, m, units)), i, j, m) for d, _, i, j, m in heap]
+        h, lead = len(leads), sum(map(mul, lm, units))
+        bits = sum(1 << v for v, e in enumerate(lm) if e)
+        new = [(g, mono_lcm(leads[g][0], lm)) for g in active]
+        new = [(g, sum(map(mul, m, units)), m) for g, m in new]  # packed once per pair
         kept = []
-        # selecting from the back, a pair meets the unselected ones before it
+        # selecting from the back, a pair meets the unselected ones before it;
+        # o | lcm exactly when lcm - o leaves every guard bit clear
         for pos in range(len(new) - 1, -1, -1):
-            g, lcm = new[pos]
-            others = new[:pos] + kept
-            if mono_coprime(leads[g], lm) or not any(mono_divides(o, lcm) for _, o in others):
-                kept.append((g, lcm))
+            g, lcm, m = new[pos]
+            if not leads[g][2] & bits or all((lcm - o) & guards for _, o, _ in new[:pos] + kept):
+                kept.append((g, lcm, m))
         heap[:] = [
             p
             for p in heap
-            if not mono_divides(lm, p[4])
-            or p[4] in (mono_lcm(leads[p[2]], lm), mono_lcm(leads[p[3]], lm))
+            if (p[1] - lead) & guards
+            or p[4] in (mono_lcm(leads[p[2]][0], lm), mono_lcm(leads[p[3]][0], lm))
         ]
-        heap.extend((sum(m), key(m), g, h, m) for g, m in kept if not mono_coprime(leads[g], lm))
+        heap.extend((sum(m), lcm, g, h, m) for g, lcm, m in kept if leads[g][2] & bits)
         heapq.heapify(heap)
-        active[:] = [g for g in active if not mono_divides(lm, leads[g])] + [h]
+        active[:] = [g for g in active if (leads[g][1] - lead) & guards] + [h]
+        leads.append((lm, lead, bits))
 
-    for n, p in enumerate(polys):
-        leads.append(p.leading_monomial(key))
-        update(n)
+    for p in polys:
+        update(p.leading_monomial(key))
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
-        lm_i, lc_i = polys[i].leading_term(key)
-        lm_j, lc_j = polys[j].leading_term(key)
-        mi, mj = mono_div(lcm, lm_i), mono_div(lcm, lm_j)
-        s = polys[i].mul_term(mi, 1 / lc_i) - polys[j].mul_term(mj, 1 / lc_j)
-        res = divide(s, polys, key)
+        mi, mj = mono_div(lcm, leads[i][0]), mono_div(lcm, leads[j][0])
+        res = divide(_spoly(polys[i], polys[j], mi, mj, key), polys, key)
         r = res.remainder
         if r.is_zero():
             continue
         prim, c = r.primitive_part()
-        spairs.append((i, j, mi, mj, lc_i, lc_j, c, res.quotients))
+        lc_i, lc_j = polys[i].leading_coefficient(key), polys[j].leading_coefficient(key)
+        spairs.append((i, j, mi, mj, lc_i, lc_j, c, res))
         polys.append(prim)
-        leads.append(prim.leading_monomial(key))
         if prim.is_constant():
             break
-        update(len(polys) - 1)
+        update(prim.leading_monomial(key))
 
     basis, reduction = _reduce_basis(polys, key)
     return GroebnerBasis(ring, order, tuple(basis), tuple(gens), (sources, spairs, reduction))
 
 
+def _spoly(p: Polynomial, q: Polynomial, mi: tuple, mj: tuple, key) -> Polynomial:
+    """x^mi * p / lc(p) - x^mj * q / lc(q) in one pass over the integer forms:
+    (b/g) * x^mi * P - (a/g) * x^mj * Q over a*b/g, leads a, b, g = gcd(a, b)."""
+    (P, _), (Q, _) = p.integer_form(), q.integer_form()
+    a, b = P[p.leading_monomial(key)], Q[q.leading_monomial(key)]
+    g = gcd(a, b)
+    sa, sb = b // g, a // g
+    out = {tuple(map(add, m, mi)): sa * v for m, v in P.items()}
+    for m, v in Q.items():
+        t = tuple(map(add, m, mj))
+        v = out.get(t, 0) - sb * v
+        if v:
+            out[t] = v
+        else:
+            del out[t]
+    if not out:
+        return p.ring.zero()
+    h, den = gcd(*out.values()), a * sa
+    h = -h if den < 0 else h  # the content h / |den| is positive
+    return Polynomial._new(p.ring, {m: v // h for m, v in out.items()}, Fraction(abs(h), abs(den)))
+
+
 def _reduce_basis(polys, key):
     """Minimal, interreduced, monic basis sorted largest lead first, and the
     record `_replay` reads: the indices of the kept elements, each one's
-    tail division quotients and leading coefficient, and the output order."""
+    tail division and leading coefficient, and the output order."""
     order_idx = sorted(range(len(polys)), key=lambda i: key(polys[i].leading_monomial(key)))
     kept_idx: list = []
     for i in order_idx:
@@ -436,7 +503,7 @@ def _reduce_basis(polys, key):
     for idx in range(len(kept)):
         res = divide(kept[idx], kept[:idx] + kept[idx + 1 :], key)
         kept[idx] = res.remainder
-        tails.append(res.quotients)
+        tails.append(res)
 
     lcs = [p.leading_coefficient(key) for p in kept]
     kept = [p.scale(1 / lc) for p, lc in zip(kept, lcs)]
@@ -445,23 +512,27 @@ def _reduce_basis(polys, key):
 
 
 def _replay(gb: GroebnerBasis) -> tuple:
-    """`gb.transform`, from `gb.steps`: each element's row over the
-    generators, built by the same steps that built the element."""
+    """`gb.transform`, from the record `gb.steps`: each element's row over
+    the generators, built by the same steps that built the element.  Each
+    recorded division's quotients are decoded here."""
+    steps = gb.steps
+    if steps is None:  # a racing reader built the memo, then dropped the record
+        return gb._transform
     ring, ngens = gb.ring, len(gb.generators)
-    sources, spairs, (kept_idx, tails, lcs, final) = gb.steps
+    sources, spairs, (kept_idx, tails, lcs, final) = steps
     one, zero = ring.one(), ring.zero()
     rows = [[one if t == i else zero for t in range(ngens)] for i in sources]
-    for i, j, mi, mj, lc_i, lc_j, c, quotients in spairs:
+    for i, j, mi, mj, lc_i, lc_j, c, res in spairs:
         # the S-polynomial's row less the quotients' rows, over c
         terms = [(1 / (lc_i * c), Polynomial._new(ring, {mi: 1}, _ONE), rows[i])]
         terms.append((-1 / (lc_j * c), Polynomial._new(ring, {mj: 1}, _ONE), rows[j]))
-        terms += [(-1 / c, q, rows[k]) for k, q in enumerate(quotients) if not q.is_zero()]
+        terms += [(-1 / c, q, rows[k]) for k, q in enumerate(res.quotients) if not q.is_zero()]
         rows.append(_combine_rows(ring, terms, ngens))
 
     rows = [rows[i] for i in kept_idx]
-    for idx, quotients in enumerate(tails):
+    for idx, res in enumerate(tails):
         others = rows[:idx] + rows[idx + 1 :]
-        terms = [(-1, q, row) for q, row in zip(quotients, others) if not q.is_zero()]
+        terms = [(-1, q, row) for q, row in zip(res.quotients, others) if not q.is_zero()]
         if terms:
             rows[idx] = _combine_rows(ring, terms + [(1, one, rows[idx])], ngens)
     transform = tuple(tuple(p.scale(1 / lcs[k]) for p in rows[k]) for k in final)

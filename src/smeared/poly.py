@@ -75,10 +75,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(max, a, b))
 
 
-def mono_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
-
-
 def _grevlex_key(m: Monomial) -> tuple:
     # the sums of the first k exponents, k from n down to 1: a higher total
     # degree wins, then a smaller last exponent, then a smaller one before it

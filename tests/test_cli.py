@@ -230,15 +230,15 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
 
 def test_integer_and_rational_arguments_are_read_strictly(tmp_path, capsys):
     # an integer is a JSON int that is no bool, or a string -?[0-9]+, and a
-    # rational is ASCII without "_"; int() and Fraction() read more
+    # rational string has the README's syntax; int() and Fraction() read more
     errors = {
         ("basis", 1.9): "bad degree bound 1.9",
         ("eval", "x", 2.5): "bad ideal index 2.5",
         ("chain", True, 3): "bad ideal index True",
         ("basis", "1_0"): "bad degree bound '1_0'",
         ("partition", "\u0663"): "bad ideal index '\u0663'",
-        ("locus", "1_0", "0"): "bad rational '1_0': only ASCII digits, no '_'",
-        ("locus", "\u0663", "0"): "bad rational '\u0663': only ASCII digits, no '_'",
+        ("locus", "1_0", "0"): "bad rational '1_0': not of the form 3, -5/3 or 2.5",
+        ("locus", "\u0663", "0"): "bad rational '\u0663': not of the form 3, -5/3 or 2.5",
     }
     queries = [list(q) for q in errors] + ["basis 1_0", "partition \u0663", ["basis", "1"]]
     rc, lines, problem, out = run_to_file(tmp_path, dict(THREE_LINES, queries=queries))
@@ -248,6 +248,40 @@ def test_integer_and_rational_arguments_are_read_strictly(tmp_path, capsys):
     assert payload_of(lines, 8)["error"] == errors["basis", "1_0"]
     assert payload_of(lines, 9)["error"] == errors["partition", "\u0663"]
     assert payload_of(lines, 10)["payload"]["dimension"] == 2
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
+
+
+def test_string_coordinates_follow_the_readme_syntax(tmp_path, capsys):
+    # Fraction() would read " 3", "+2" and "1e3" as 3, 2 and 1000
+    queries = [["locus", bad, "0"] for bad in (" 3", "+2", "1e3")]
+    queries += [["locus", good, "0"] for good in ("3", "-5/3", "2.5")] + [["locus", 2.5, 1e20]]
+    rc, lines, problem, out = run_to_file(tmp_path, dict(THREE_LINES, queries=queries))
+    assert rc == 1
+    for k, bad in enumerate((" 3", "+2", "1e3"), start=1):
+        assert payload_of(lines, k)["error"] == f"bad rational {bad!r}: not of the form 3, -5/3 or 2.5"
+    points = [payload_of(lines, k)["payload"]["point"] for k in range(4, 8)]
+    assert points == [["3", "0"], ["-5/3", "0"], ["5/2", "0"], ["5/2", str(10**20)]]
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
+
+
+def test_basis_and_chain_sizes_are_bounded(tmp_path, capsys):
+    # C(2 + d, 2) monomials of degree at most d in x, y: 19,900 at d = 198
+    config = cli.load_problem(str(write_problem(tmp_path, THREE_LINES)))[0]
+    assert cli._query_args("basis", ["198"], config) == {"degree": 198}
+    assert cli._query_args("chain", [1, cli.MAX_CHAIN_LENGTH], config)["length"] == 1000
+    too_big = {
+        ("basis", "199"): "basis: the slice holds over 20000 monomials, C(2 + d, 2)",
+        ("basis", "9" * 4000): "basis: the slice holds over 20000 monomials, C(2 + d, 2)",
+        ("chain", "1", "1001"): "chain: the length is over the limit of 1000",
+        ("chain", "1", "9" * 4000): "chain: the length is over the limit of 1000",
+    }
+    rc, lines, problem, out = run_to_file(tmp_path, dict(THREE_LINES, queries=list(map(list, too_big))))
+    assert rc == 1
+    for k, error in enumerate(too_big.values(), start=1):
+        assert payload_of(lines, k)["error"] == error
+        assert payload_of(lines, k)["elapsed_us"] < 1_000_000
     assert main(["verify", str(out), str(problem)]) == 0
     capsys.readouterr()
 

@@ -7,7 +7,9 @@ test.  Seeded and `hypothesis` cases run both, and the quotients and
 remainder must agree as values and as text, under grevlex, lex and an
 elimination order, including exponents past the first field width and lex
 divisions whose exponents outgrow the inputs'.  The Buchberger loop that
-drives `divide` is pinned by its S-pair reduction counts.
+drives `divide` is pinned by its S-pair reduction counts, and its pair
+update on packed leads must reduce the S-polynomials, in order, that
+`reference_spolys`, the tuple-lead update it replaced, reduces.
 """
 
 import heapq
@@ -299,6 +301,32 @@ def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
     assert len(calls) - len(gb.elements) == 30
 
 
+def cyclic5():
+    ring = PolyRing(tuple(f"x{i}" for i in range(5)))
+    x = [ring.var(v) for v in ring.variables]
+    gens = []
+    for k in range(1, 6):
+        s = ring.zero()
+        for i in range(5):
+            t = ring.one()
+            for j in range(k):
+                t = t * x[(i + j) % 5]
+            s = s + t
+        gens.append(s)
+    return gens[:4] + [gens[4] - 5]  # the last sum is 5 * x0*x1*x2*x3*x4
+
+
+def test_cyclic5_spair_reductions_are_pinned(monkeypatch):
+    # pair-bound where Katsura-4 is division-bound: 107 S-pair reductions
+    # under the Gebauer-Moeller update on packed leads, as on tuple leads
+    calls = []
+    real_divide = groebner.divide
+    monkeypatch.setattr(groebner, "divide", lambda f, ds, key=None: calls.append(f) or real_divide(f, ds, key))
+    gb = groebner_basis(cyclic5())
+    assert len(gb.elements) == 20
+    assert len(calls) - len(gb.elements) == 107
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
 def test_every_spair_of_the_basis_reduces_to_zero(order):
     # Buchberger's criterion on the output checks the pair pruning
@@ -313,3 +341,86 @@ def test_every_spair_of_the_basis_reduces_to_zero(order):
                 lcm = tuple(map(max, li, lj))
                 s = els[i].mul_term(mono_div(lcm, li), 1 / ci) - els[j].mul_term(mono_div(lcm, lj), 1 / cj)
                 assert divide(s, els, key).remainder.is_zero()
+
+
+def reference_spolys(gens, key):
+    """The S-polynomials Buchberger's loop reduces, in order, when its
+    Gebauer-Moeller update works on tuple leads, as it did before the leads
+    were packed: textbook S-polynomials, `mono_divides` and tuple lcms."""
+    polys = [g for g in gens if not g.is_zero()]
+    leads, heap, active, out = [], [], [], []
+
+    def coprime(a, b):
+        return not any(map(min, a, b))
+
+    def update(h):
+        lm = leads[h]
+        new = [(g, tuple(map(max, leads[g], lm))) for g in active]
+        kept = []
+        for pos in range(len(new) - 1, -1, -1):
+            g, lcm = new[pos]
+            if coprime(leads[g], lm) or not any(mono_divides(o, lcm) for _, o in new[:pos] + kept):
+                kept.append((g, lcm))
+        heap[:] = [
+            p
+            for p in heap
+            if not mono_divides(lm, p[4])
+            or p[4] in (tuple(map(max, leads[p[2]], lm)), tuple(map(max, leads[p[3]], lm)))
+        ]
+        heap.extend((sum(m), key(m), g, h, m) for g, m in kept if not coprime(leads[g], lm))
+        heapq.heapify(heap)
+        active[:] = [g for g in active if not mono_divides(lm, leads[g])] + [h]
+
+    for p in polys:
+        leads.append(p.leading_monomial(key))
+        update(len(leads) - 1)
+    while heap:
+        _, _, i, j, lcm = heapq.heappop(heap)
+        (li, ci), (lj, cj) = polys[i].leading_term(key), polys[j].leading_term(key)
+        s = polys[i].mul_term(mono_div(lcm, li), 1 / ci) - polys[j].mul_term(mono_div(lcm, lj), 1 / cj)
+        out.append(s)
+        r = divide(s, polys, key).remainder
+        if r.is_zero():
+            continue
+        polys.append(r.primitive_part()[0])
+        if polys[-1].is_constant():
+            break
+        leads.append(polys[-1].leading_monomial(key))
+        update(len(leads) - 1)
+    return out
+
+
+def lex_tower():
+    # every generator has degree below 64, so the pair update starts at
+    # 8-bit fields; the lex basis ends at the lead e^320
+    ring = PolyRing(("a", "b", "c", "d", "e"), "lex")
+    return [ring.parse(t) for t in ("a - b^2", "b - c^2", "c - d^2", "d - e^2", "a^20 - 1")]
+
+
+def test_lex_tower_widens_the_pair_update():
+    gens = lex_tower()
+    gb = groebner_basis(gens)
+    assert [str(g) for g in gb.elements] == ["a - e^16", "b - e^8", "c - e^4", "d - e^2", "e^320 - 1"]
+    for g, row in zip(gb.elements, gb.transform):
+        assert sum((t * gen for t, gen in zip(row, gens)), gens[0].ring.zero()) == g
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
+def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
+    # the same S-polynomials in the same order, so the same pairs pruned.
+    # Scaled exponents take the leads past 8-bit fields, and the scaled
+    # generator entering after three small ones widens a nonempty pair heap
+    rng = random.Random(79)
+    cases = [[random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)] for _ in range(12)]
+    cases += [[random_poly(rng, 2, 3, scale=s) for _ in range(3)] for s in (20, 40) for _ in range(6)]
+    cases.append([random_poly(rng, 2, 3) for _ in range(3)] + [random_poly(rng, 2, 3, scale=40)])
+    cases += [katsura4()] if order == "grevlex" else [lex_tower()] if order == "lex" else []
+    key = monomial_key(order)
+    wants = [reference_spolys(gens, key) for gens in cases]
+    real_divide = groebner.divide
+    for gens, want in zip(cases, wants):
+        calls = []
+        monkeypatch.setattr(groebner, "divide", lambda f, ds, k=None: calls.append(f) or real_divide(f, ds, k))
+        gb = groebner_basis(gens, order=order, ring=gens[0].ring)
+        assert calls[: len(want)] == want
+        assert len(calls) == len(want) + len(gb.elements)

@@ -426,3 +426,86 @@ def test_basis_stops_at_first_constant_remainder(track, monkeypatch):
     else:
         # the transform is built on first read, not by the basis run
         assert getattr(gb, "_transform", None) is None
+
+
+# ---------------------------------------------------------------------------
+# packed Buchberger state
+
+
+def test_integer_spoly_matches_rational_reference():
+    # negative and fractional leading coefficients, under each order
+    R3 = PolyRing(("x", "y", "z"))
+    rng = random.Random(47)
+    for order, key in REDUCER_KEYS.items():
+        for _ in range(40):
+            p, q = awkward_divisor(rng, R3, key), rational_poly(rng, R3, 3, 5)
+            if q.is_zero():
+                continue
+            if rng.random() < 0.5:
+                p, q = q, p.scale(Fraction(-7, 3))
+            (lp, _), (lq, _) = p.leading_term(key), q.leading_term(key)
+            lcm = mono_lcm(lp, lq)
+            s = groebner._spoly(p, q, mono_div(lcm, lp), mono_div(lcm, lq), key)
+            assert s == spoly(p, q, key), order
+            assert s.integer_form() == spoly(p, q, key).integer_form()
+    x = R3.var("x")
+    assert groebner._spoly(x, x.scale(-3), (0, 0, 0), (0, 0, 0), REDUCER_KEYS["lex"]).is_zero()
+
+
+def katsura3_ring_gens():
+    R4 = PolyRing(("u0", "u1", "u2", "u3"))
+    return R4, [R4.parse(t) for t in KATSURA3]
+
+
+def test_basis_decodes_no_quotient_until_transform_is_read(monkeypatch):
+    # VERIFY_DIVISION reads every quotient, so it is off here
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    R4, gens = katsura3_ring_gens()
+    finished, nonzero = [], []
+    real_finish, real_divide = groebner._finish, groebner.divide
+    monkeypatch.setattr(groebner, "_finish", lambda *a: finished.append(a) or real_finish(*a))
+
+    def counting_divide(f, divisors, key=None):
+        res = real_divide(f, divisors, key)
+        nonzero.append(not res.remainder.is_zero())
+        return res
+
+    monkeypatch.setattr(groebner, "divide", counting_divide)
+    gb = groebner_basis(gens)
+    # one `_finish` per nonzero remainder, none for a quotient
+    assert len(finished) == sum(nonzero) and not all(nonzero)
+    sources, spairs, (kept_idx, tails, lcs, final) = gb.steps
+    recorded = [step[-1] for step in spairs] + list(tails)
+    assert recorded and all(callable(res._quotients) for res in recorded)
+    rows = gb.transform
+    assert len(finished) > sum(nonzero)
+    assert gb.steps is None  # the record is dropped with the transform memoised
+    assert gb.transform is rows
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", True)
+    assert groebner_basis(gens).transform == rows
+
+
+def test_division_result_reads_like_a_pair(monkeypatch):
+    import copy
+    import pickle
+
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    R3 = PolyRing(("x", "y", "z"))
+    f, divisors = R3.parse("x^2*y - 3/2*z + y"), [R3.parse("x*y - 1"), R3.parse("z^2 - y")]
+    want = (divide(f, divisors).quotients, divide(f, divisors).remainder)
+
+    def fresh():
+        res = divide(f, divisors)
+        assert callable(res._quotients)  # still packed
+        return res
+
+    for read in (False, True):
+        for clone in (lambda r: r, copy.deepcopy, copy.copy, lambda r: pickle.loads(pickle.dumps(r))):
+            res = fresh()
+            if read:
+                res.quotients
+            q, r = clone(res)
+            assert (q, r) == want
+            assert clone(fresh()) == res == groebner.DivisionResult(*want)
+        assert repr(fresh()) == f"DivisionResult(quotients={want[0]!r}, remainder={want[1]!r})"
+    assert fresh() != groebner.DivisionResult(want[0], R3.zero())
