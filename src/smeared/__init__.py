@@ -24,8 +24,11 @@ from .ring import (
     LocusEvidence,
     LocusReport,
     MembershipCertificate,
+    NegativeDegreeError,
+    NegativeLengthError,
     NoChainError,
     NotCoprimeError,
+    OffZeroSetError,
     PartitionWitness,
     SmearedRingConfig,
     ValidationReport,
@@ -57,8 +60,11 @@ __all__ = [
     "LocusEvidence",
     "LocusReport",
     "MembershipCertificate",
+    "NegativeDegreeError",
+    "NegativeLengthError",
     "NoChainError",
     "NotCoprimeError",
+    "OffZeroSetError",
     "ParseError",
     "PartitionWitness",
     "PolyRing",

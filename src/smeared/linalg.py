@@ -1,19 +1,18 @@
-"""Exact linear algebra over the rationals, on sparse rows.
+"""Exact linear algebra over the rationals, on sparse integer rows.
 
-A row is a `{column: int}` dict of its nonzero entries, and the results come
-back as `{column: Fraction}` dicts, so no zero is ever stored.  Rows are
-eliminated fraction-free (Bareiss 1968; the sparse-row form is the one F4
-uses): a row update `b*row - a*pivot` stays integral, and dividing every
-updated row by the gcd of its entries keeps the numbers small.  `Fraction`s
-come back only in the final back-substitution.  A reduced row echelon form is
-unique, so neither the order of the rows nor the choice of pivot rows changes
-the result.
+A row is a `{column: int}` dict of its nonzero entries.  Rows are
+eliminated and back-substituted fraction-free (Bareiss 1968; the sparse-row
+form is the one F4 uses): a row update `b*row - a*pivot` stays integral, and
+dividing every updated row by the gcd of its entries keeps the numbers
+small; a kernel vector's content is its one `Fraction`.  A reduced row
+echelon form is unique, and so is its primitive integer form with positive
+pivots, so the order, scaling and repetition of the rows do not change it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Dict, Hashable, Iterable, List, Sequence
 
 Row = Dict[Hashable, int]
@@ -47,10 +46,10 @@ def rref(rows: Iterable[Row]) -> tuple:
     """(reduced rows, pivot columns) of the matrix with the given rows.
 
     Rows are `{column: int}` maps of nonzero entries over mutually comparable
-    columns.  There is one reduced row per pivot, in ascending pivot order,
-    as a `{column: Fraction}` map whose pivot entry is 1; zero rows are
-    dropped.  Forward elimination is sparse and fraction-free; the pivot for
-    each column is the shortest remaining row that is nonzero there.
+    columns.  There is one reduced row per pivot, in ascending pivot order:
+    the reduced row echelon form's row as a primitive `{column: int}` map
+    with a positive pivot entry; zero rows are dropped.  The pivot for each
+    column is the shortest remaining row that is nonzero there.
     """
     # each row waits in the bucket of its leading column; once the columns
     # left of c are eliminated, the rows nonzero at c are exactly bucket c
@@ -72,21 +71,13 @@ def rref(rows: Iterable[Row]) -> tuple:
         echelon.append(pivot)
         pivots.append(col)
 
-    # back-substitution, last pivot first, so each row subtracts only rows
-    # that are already fully reduced
-    reduced: Dict[Hashable, Dict[Hashable, Fraction]] = {}
+    # back-substitution, last pivot first, so each row clears its later
+    # pivot columns with rows that are already fully reduced
+    reduced: Dict[Hashable, Row] = {}
     for row, p in zip(reversed(echelon), reversed(pivots)):
-        lead = row[p]
-        out = {c: Fraction(v, lead) for c, v in row.items()}
-        for s in [c for c in out if c in reduced]:
-            f = out[s]
-            for c, v in reduced[s].items():
-                x = out.get(c, 0) - f * v
-                if x:
-                    out[c] = x
-                else:
-                    del out[c]
-        reduced[p] = out
+        for s in [c for c in row if c in reduced]:
+            row = _eliminate(row, s, reduced[s])
+        reduced[p] = row if row[p] > 0 else {c: -v for c, v in row.items()}
     return [reduced[p] for p in pivots], pivots
 
 
@@ -94,23 +85,31 @@ def kernel_basis(rows: Sequence[Row], ncols: int) -> list:
     """Canonical basis of the null space of the matrix with `ncols` columns.
 
     Rows are `{column: int}` maps of nonzero entries over the columns
-    `0..ncols-1`; any other column raises `ValueError`.  There is one
-    `{column: Fraction}` vector per free column, in ascending free-column
-    order: entry 1 at the free column, and the pivot entries that cancel it.
+    `0..ncols-1`; any other column raises `ValueError`.  There is one vector
+    per free column, in ascending free-column order: entry 1 at the free
+    column, then the pivot entries that cancel it.  Each comes as the pair
+    (primitive `{column: int}` map, positive `Fraction` content) that
+    `Polynomial.integer_form` returns.
     """
     for i, row in enumerate(rows):
         if row and (min(row) < 0 or max(row) >= ncols):
             raise ValueError(f"row {i} has a column outside 0..{ncols - 1}")
     reduced, pivots = rref(rows)
     pivot_set = set(pivots)
-    basis = {f: {f: Fraction(1)} for f in range(ncols) if f not in pivot_set}
     # a reduced row is zero at every other pivot, so its other entries all
-    # sit in free columns
+    # sit in free columns: (pivot, pivot entry, entry) per row touching f
+    touching = {f: [] for f in range(ncols) if f not in pivot_set}
     for p, row in zip(pivots, reduced):
         for c, x in row.items():
             if c != p:
-                basis[c][p] = -x
-    return list(basis.values())
+                touching[c].append((p, row[p], x))
+    basis = []
+    for f, entries in touching.items():
+        den = lcm(*[a for _, a, _ in entries])
+        vec = {f: den, **{p: -x * (den // a) for p, a, x in entries}}
+        g = gcd(*vec.values())
+        basis.append(({c: v // g for c, v in vec.items()}, Fraction(g, den)))
+    return basis
 
 
 class IncrementalRank:

@@ -54,6 +54,34 @@ class NotCoprimeError(ValueError):
         self.pair = (i, j)
 
 
+class NegativeDegreeError(ValueError):
+    """`r_basis` got the negative degree bound `degree`."""
+
+    def __init__(self, degree: int):
+        super().__init__("degree bound must be non-negative")
+        self.degree = degree
+
+
+class NegativeLengthError(ValueError):
+    """`chain_witness` got the negative chain length `length`."""
+
+    def __init__(self, length: int):
+        super().__init__("chain length must be non-negative")
+        self.length = length
+
+
+class OffZeroSetError(ValueError):
+    """Sample point `point` (0-based) is not on the zero set of ideal
+    `index`: its generator `generator` does not vanish there."""
+
+    def __init__(self, point: int, index: int, generator: Polynomial):
+        super().__init__(
+            f"point {point} is not on the zero set of ideal {index}: "
+            f"generator {generator} does not vanish there"
+        )
+        self.point, self.index, self.generator = point, index, generator
+
+
 @dataclass(frozen=True)
 class SmearedRingConfig:
     """R = intersection of (QQ + I_i) inside ring; immutable once built.
@@ -427,7 +455,7 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     """
     config.check_index(i)
     if length < 0:
-        raise ValueError("chain length must be non-negative")
+        raise NegativeLengthError(length)
     ideal = config.ideals[i]
     # I meets QQ[x_j] trivially when no basis lead is a power of x_j, which
     # the lead of a member in x_j alone would be; such a lead-free x_j
@@ -473,9 +501,9 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     at most d, f is in R iff for each ideal the nonconstant part of the
     normal form of f vanishes: each ideal gives one sparse integer row per
     nonconstant monomial of its normal forms, over columns that stand for
-    the monomials in descending grevlex order.  Each sparse kernel vector of
-    that constraint matrix, read back along those monomials, is a basis
-    element.
+    the monomials in descending grevlex order.  Each kernel vector of that
+    constraint matrix, an `(ints, content)` pair read back along those
+    monomials, is a basis element's stored form.
 
     The normal forms come from each ideal's table of monomial normal forms
     (`Ideal.monomial_normal_form`), which `chain_witness` shares: a monomial
@@ -483,7 +511,7 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     alone costs.
     """
     if d < 0:
-        raise ValueError("degree bound must be non-negative")
+        raise NegativeDegreeError(d)
     ring = config.ring
     key = monomial_key(GREVLEX)
     unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=key, reverse=True)
@@ -501,8 +529,8 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
                     constraints.setdefault(m, {})[col] = v * s
         rows.extend(constraints.values())
     return [
-        Polynomial(ring, {unknowns[col]: c for col, c in vec.items()})
-        for vec in kernel_basis(rows, len(unknowns))
+        Polynomial._new(ring, {unknowns[col]: v for col, v in ints.items()}, content)
+        for ints, content in kernel_basis(rows, len(unknowns))
     ]
 
 
@@ -524,10 +552,7 @@ def smeared_constancy_check(
     for pi, point in enumerate(points):
         for g in ideal.generators:
             if g.evaluate(point):
-                raise ValueError(
-                    f"point {pi} is not on the zero set of ideal {i}: "
-                    f"generator {g} does not vanish there"
-                )
+                raise OffZeroSetError(pi, i, g)
         v = f.evaluate(point)
         values.append(v)
         if v != expected:

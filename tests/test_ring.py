@@ -5,13 +5,14 @@ import random
 import sys
 import threading
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import smeared as sm
 import smeared.groebner as groebner
 import smeared.ideals as ideals_module
-from smeared import Ideal, PolyRing, RingMismatchError, SmearedRingConfig
+from smeared import Ideal, Polynomial, PolyRing, RingMismatchError, SmearedRingConfig
 from oracle import oracle_r_slice_dim
 
 
@@ -287,12 +288,24 @@ def test_chain_witness_arg_checks(three_lines):
         sm.chain_witness(5, 3, three_lines)
 
 
+def test_chain_witness_negative_length_is_typed(three_lines):
+    with pytest.raises(sm.NegativeLengthError, match=r"^chain length must be non-negative$") as e:
+        sm.chain_witness(0, -3, three_lines)
+    assert e.value.length == -3
+
+
 def test_r_basis_degree_zero(three_lines, R2):
     basis = sm.r_basis(0, three_lines)
     assert len(basis) == 1
     assert basis[0].is_constant()
     with pytest.raises(ValueError):
         sm.r_basis(-1, three_lines)
+
+
+def test_r_basis_negative_degree_is_typed(three_lines):
+    with pytest.raises(sm.NegativeDegreeError, match=r"^degree bound must be non-negative$") as e:
+        sm.r_basis(-2, three_lines)
+    assert e.value.degree == -2
 
 
 def test_r_basis_members_and_monotone(three_lines):
@@ -335,6 +348,20 @@ def test_incremental_r_basis_matches_oracle(make, multiplier_slack):
         assert len(basis) == oracle_r_slice_dim(gens, config.ring, d, bound)
         for p in basis:
             assert sm.member(p, config).member
+
+
+# r_basis builds its elements through the unchecked Polynomial._new, so each
+# must store exactly what the checked constructor makes of its terms
+@pytest.mark.parametrize("make", [lines_config, four_curves_config], ids=["lines", "curves"])
+def test_r_basis_elements_are_canonical(make):
+    config = make()
+    for d in range(7):
+        for p in sm.r_basis(d, config):
+            checked = Polynomial(config.ring, p.terms)
+            assert p == checked and hash(p) == hash(checked)
+            (ints, content), (ref_ints, ref_content) = p.integer_form(), checked.integer_form()
+            assert list(ints.items()) == list(ref_ints.items()) and content == ref_content
+            assert content > 0 and gcd(*ints.values()) == 1
 
 
 @pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
@@ -416,6 +443,16 @@ def test_constancy_check(three_lines, R2):
 
     with pytest.raises(ValueError):
         sm.smeared_constancy_check(f, 0, [(1, 0)], three_lines)
+
+
+def test_constancy_point_off_zero_set_is_typed(three_lines, R2):
+    x = R2.var("x")
+    with pytest.raises(
+        sm.OffZeroSetError,
+        match=r"^point 1 is not on the zero set of ideal 0: generator x does not vanish there$",
+    ) as e:
+        sm.smeared_constancy_check(x + 7, 0, [(0, 3), (1, 0)], three_lines)
+    assert (e.value.point, e.value.index, e.value.generator) == (1, 0, x)
 
 
 def _counting(monkeypatch, module, name):
@@ -520,3 +557,4 @@ def test_shared_tables_under_threads():
     assert len(results) == 32
     for key, got in results:
         assert got == want[key], key
+
