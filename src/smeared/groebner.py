@@ -184,7 +184,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
             raise RingMismatchError("divisor from a different ring")
     ints, f_content = f.integer_form()
     degree = max(map(sum, ints), default=0)
-    width = 8 if degree < 128 else _width(degree)
+    width = _width(degree)
     while True:
         packs = [_packed(d, key, width) for d in divisors]
         widest = max([p[1] for p in packs if p is not None], default=width)
@@ -330,6 +330,15 @@ class GroebnerBasis:
     def leading_monomials(self) -> tuple:
         key = self.key()
         return tuple(g.leading_monomial(key) for g in self.elements)
+
+    def pure_powers(self) -> list:
+        """Per variable x_j, the e with x_j^e a leading monomial (a reduced
+        basis has at most one; a lead 1 gives 0 for every j), or None.  None
+        means the ideal meets QQ[x_j] only in 0, since some lead divides the
+        lead x_j^k of any nonzero member in x_j alone.  The converse fails:
+        (x^2 + y) has the lead x^2 and meets QQ[x] only in 0."""
+        leads = self.leading_monomials()
+        return [next((m[j] for m in leads if m[j] == sum(m)), None) for j in range(self.ring.nvars)]
 
     def divide(self, f: Polynomial) -> DivisionResult:
         return divide(f, self.elements, self.key())

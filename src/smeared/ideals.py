@@ -210,27 +210,19 @@ class Ideal:
         """dim_QQ of ring/ideal: a non-negative int, or INFINITE.
 
         Finite exactly when every variable has a pure power among the leading
-        monomials; then the monomials outside the lead staircase are counted.
+        monomials (`pure_powers`); then the standard monomials are counted.
         """
         gb = self.groebner()
         if gb.contains_one():
             raise ValueError("quotient by the unit ideal is the zero ring")
-        lms = gb.leading_monomials()
-        n = self.ring.nvars
-        bound = [None] * n
-        for m in lms:
-            sup = [i for i, e in enumerate(m) if e]
-            if len(sup) == 1:
-                i = sup[0]
-                if bound[i] is None or m[i] < bound[i]:
-                    bound[i] = m[i]
-        if any(b is None for b in bound):
+        bound = gb.pure_powers()
+        if None in bound:
             return INFINITE
-        count = 0
-        for m in itertools.product(*(range(b) for b in bound)):
-            if not any(all(x >= y for x, y in zip(m, lm)) for lm in lms):
-                count += 1
-        return count
+        lms = gb.leading_monomials()
+        return sum(
+            not any(all(x >= y for x, y in zip(m, lm)) for lm in lms)
+            for m in itertools.product(*(range(b) for b in bound))
+        )
 
     # -- relations with other ideals and elements
 

@@ -14,7 +14,8 @@ agree away from the union of the Z(I_i), with matching spectra) exactly when
 every S/I_i has dimension at least one.  For a positive-dimensional I_i,
 `chain_witness` certifies a finite prefix of the strictly ascending chain
 gR < (g, gh)R < (g, gh, gh^2)R < ... that witnesses the failure of the
-noetherian property.
+noetherian property.  Its h is a variable that no basis lead is a power
+of, and its evidence is the powers of h.
 """
 
 from __future__ import annotations
@@ -194,8 +195,8 @@ class PartitionWitness:
 class ChainWitness:
     """Certificate that gR < (g, gh)R < ... is strict for `length` steps.
 
-    `evidence[j]` is the normal form of h^j modulo I_i; their linear
-    independence over QQ is exactly strictness of each inclusion.
+    `evidence[j]` is the normal form of h^j modulo I_i, which is h^j; their
+    linear independence over QQ is exactly strictness of each inclusion.
     """
 
     index: int
@@ -284,10 +285,9 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
         if ideal.is_zero():
             violations.append(Violation("zero", (i,)))
             continue
-        # residue dimension 1 exactly when the reduced basis leads are the
-        # nvars variables themselves: the staircase is then just {1}
-        leads = ideal.groebner().leading_monomials()
-        if len(leads) == config.ring.nvars and all(sum(m) == 1 for m in leads):
+        # residue dimension 1 exactly when every variable is a basis lead:
+        # the staircase is then just {1}
+        if ideal.groebner().pure_powers() == [1] * config.ring.nvars:
             violations.append(Violation("maximal", (i,)))
     for i, j in itertools.combinations(range(config.n), 2):
         if not proper[i] or not proper[j]:
@@ -446,32 +446,24 @@ def locus_member(point: Sequence, config: SmearedRingConfig) -> LocusReport:
 def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitness:
     """Certify `length` strict steps of the chain gR < (g, gh)R < ...
 
-    Requires dim S/I_i >= 1.  h is picked so that I_i contains no nonzero
-    polynomial in h alone; then g*h^(l+1) lies in (g, g*h, ..., g*h^l)R iff
-    NF(h^(l+1)) falls in the span of the earlier normal forms, and the chosen
-    h makes every step independent.  Each NF(h^k) is read from the ideal's
-    table of monomial normal forms, which `r_basis` shares, and its integer
-    term map goes to `IncrementalRank` as a sparse row keyed by monomial.
+    Requires dim S/I_i >= 1.  h is the first variable that no basis lead is
+    a power of (`GroebnerBasis.pure_powers`), so I_i meets QQ[h] only in 0
+    and the evidence NF(h^k) is h^k, for k = 0..length.  g*h^(l+1) lies in
+    (g, ..., g*h^l)R iff NF(h^(l+1)) falls in the span of the earlier normal
+    forms.  Each is read from the ideal's table of monomial normal forms,
+    which `r_basis` shares, and goes to `IncrementalRank` as a sparse row
+    keyed by monomial, so the certificate checks its own independence.
     """
     config.check_index(i)
     if length < 0:
         raise NegativeLengthError(length)
     ideal = config.ideals[i]
-    # I meets QQ[x_j] trivially when no basis lead is a power of x_j, which
-    # the lead of a member in x_j alone would be; such a lead-free x_j
-    # exists exactly when dim S/I >= 1.  An earlier variable may still meet
-    # I trivially, and only an elimination tells, so h is the first variable
-    # that passes either test.
-    leads = ideal.groebner().leading_monomials()
-    free = next(
-        (j for j in range(config.ring.nvars) if all(sum(m) != m[j] for m in leads)), None
-    )
-    if free is None:
+    j = next((j for j, e in enumerate(ideal.groebner().pure_powers()) if e is None), None)
+    if j is None:
         raise NoChainError(
             f"dim of the quotient by ideal {i} is 0; the chain construction "
             "needs positive dimension"
         )
-    j = next((j for j in range(free) if ideal.eliminate({j}).is_zero()), free)
     h = config.ring.var(config.ring.variables[j])
     g = next((p for p in ideal.generators if not p.is_zero()), None)
     if g is None:

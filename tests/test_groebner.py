@@ -509,3 +509,31 @@ def test_division_result_reads_like_a_pair(monkeypatch):
             assert clone(fresh()) == res == groebner.DivisionResult(*want)
         assert repr(fresh()) == f"DivisionResult(quotients={want[0]!r}, remainder={want[1]!r})"
     assert fresh() != groebner.DivisionResult(want[0], R3.zero())
+
+
+# the leads of a reduced basis alone decide maximality, finiteness and chain
+# directions, so the bases are checked against an independent implementation
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_reduced_basis_matches_sympy(order):
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("x", "y", "z"), order)
+    syms = sympy.symbols(ring.variables)
+    rng = random.Random(41)
+    for _ in range(25):
+        gens = [rand_poly(rng, ring, deg=2, nterms=3) for _ in range(rng.randint(1, 3))]
+        if all(g.is_zero() for g in gens):
+            continue
+        exprs = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+                for m, c in g.terms.items()
+            )
+            for g in gens
+        ]
+        theirs = sympy.groebner(exprs, *syms, order=order, domain="QQ").polys
+        gb = groebner_basis(gens, ring=ring)
+        assert {frozenset(g.terms.items()) for g in gb.elements} == {
+            frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms()) for p in theirs
+        }
+        assert set(gb.leading_monomials()) == {p.LM(order=order).exponents for p in theirs}

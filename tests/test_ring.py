@@ -8,6 +8,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import smeared as sm
 import smeared.groebner as groebner
@@ -374,23 +376,17 @@ def test_incremental_chain_evidence(make):
             assert nf == ideal.normal_form(w.h**j)
 
 
-def _first_zero_elimination(ideal):
-    ring = ideal.ring
-    return next(ring.var(v) for j, v in enumerate(ring.variables) if ideal.eliminate({j}).is_zero())
-
-
-# (config, h per ideal, Ideal.eliminate calls per ideal): a variable no basis
-# lead is a power of needs no elimination, and none after it is tried
+# (config, h per ideal): h is the first variable that is no power of a basis
+# lead, read with no elimination; elimination stays the oracle that I_i meets
+# QQ[h] only in 0
 @pytest.mark.parametrize(
-    "make,directions,eliminations",
-    [
-        (four_curves_config, ("z", "x", "x", "x"), (2, 1, 0, 1)),
-        (lines_config, ("y", "y", "y"), (1, 1, 1)),
-    ],
+    "make,directions",
+    [(four_curves_config, ("z", "z", "x", "y")), (lines_config, ("y", "y", "y"))],
     ids=["curves", "lines"],
 )
-def test_chain_direction_from_leads(make, directions, eliminations, monkeypatch):
+def test_chain_direction_from_leads(make, directions, monkeypatch):
     config = make()
+    ring = config.ring
     eliminate = Ideal.eliminate
     calls = []
 
@@ -398,14 +394,67 @@ def test_chain_direction_from_leads(make, directions, eliminations, monkeypatch)
         calls.append(keep)
         return eliminate(self, keep)
 
+    monkeypatch.setattr(Ideal, "eliminate", counting)
     for i, ideal in enumerate(config.ideals):
-        old = _first_zero_elimination(ideal)
+        h = sm.chain_witness(i, 3, config).h
+        assert calls == [] and list(ideal._cache) == [ring.order]
+        leads = ideal.groebner().leading_monomials()
+        j = next(j for j in range(ring.nvars) if all(sum(m) != m[j] for m in leads))
+        assert h == ring.var(ring.variables[j]) == ring.var(directions[i])
+        assert ideal.eliminate({j}).is_zero()
         calls.clear()
-        with monkeypatch.context() as m:
-            m.setattr(Ideal, "eliminate", counting)
-            h = sm.chain_witness(i, 3, config).h
-        assert h == old == config.ring.var(directions[i])
-        assert len(calls) == eliminations[i]
+
+
+# random ideals in 2 or 3 variables: term maps of up to two generators of any
+# shape, and per variable maybe a generator x_j^e + c, which makes finite and
+# maximal quotients common
+_random_ideals = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 3)] * n),
+                st.integers(1, 4) | st.integers(-4, -1),
+                min_size=1,
+                max_size=4,
+            ),
+            max_size=2,
+        ),
+        st.lists(
+            st.none() | st.tuples(st.integers(1, 2), st.integers(-2, 2)), min_size=n, max_size=n
+        ),
+    )
+)
+
+
+def _ideal_from(case):
+    nvars, maps, univariate = case
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    for j, pick in enumerate(univariate):
+        if pick is not None:
+            e, c = pick
+            maps = maps + [{tuple(e * (t == j) for t in range(nvars)): 1, (0,) * nvars: c}]
+    return Ideal(ring, tuple(Polynomial(ring, terms) for terms in maps))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_random_ideals)
+def test_lead_readings_agree(case):
+    ideal = _ideal_from(case)
+    assume(ideal.generators and not ideal.contains_one())
+    config = SmearedRingConfig(ideal.ring, (ideal,))
+    finite = None not in ideal.groebner().pure_powers()
+    vdim = ideal.quotient_vdim()
+    assert finite == (ideal.krull_dim() == 0) == (vdim is not sm.INFINITE)
+    maximal = "maximal" in [v.kind for v in sm.validate(config).violations]
+    assert maximal == (vdim == 1)
+    if finite:
+        with pytest.raises(sm.NoChainError):
+            sm.chain_witness(0, 4, config)
+        return
+    w = sm.chain_witness(0, 4, config)
+    for k, nf in enumerate(w.evidence):
+        assert nf == w.h**k == ideal.normal_form(w.h**k)
 
 
 def test_corollary_configs(R2):
