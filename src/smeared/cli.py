@@ -93,14 +93,21 @@ def _parse_frac(text) -> Fraction:
 # problem loading
 
 
+def _no_constant(name: str):
+    """`parse_constant` for `json`: NaN and the infinities are no JSON numbers."""
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def load_problem(path: str):
-    """(config, queries, check_radicality) from a problem file."""
+    """(config, queries) from a problem file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_no_constant)
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    # besides syntax errors: an integer literal over int()'s digit limit,
+    # NaN or an infinity (`_no_constant`), or bytes that do not decode
+    except ValueError as e:
         raise ProblemFileError(f"{path} is not valid JSON: {e}") from None
     # `True == 1` and `1.0 == 1`, so the type is checked first
     if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
@@ -152,8 +159,7 @@ def load_problem(path: str):
     if type(check_radicality) is not bool:
         raise ProblemFileError('"check_radicality" must be a boolean')
 
-    config = SmearedRingConfig(ring, tuple(ideals), tuple(radical))
-    return config, queries, check_radicality
+    return SmearedRingConfig(ring, tuple(ideals), tuple(radical), check_radicality), queries
 
 
 def _normalize_query(raw):
@@ -270,26 +276,26 @@ def _echo(q: dict) -> dict:
     return {k: v + 1 if k == "index" else v for k, v in q.items() if k != "points"}
 
 
-def _run_query(name: str, args: Sequence, config: SmearedRingConfig, check_radicality: bool) -> dict:
-    """One query of `run`; `verify` has parsed its arguments already and
-    calls `_payload` directly."""
-    return _payload(name, _query_args(name, args, config), config, check_radicality)
+def _run_query(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
+    """One query of `run`, from its raw arguments."""
+    return _payload(name, _query_args(name, args, config), config)
 
 
-def _payload(name: str, q: dict, config: SmearedRingConfig, check_radicality: bool) -> dict:
+def _payload(name: str, q: dict, config: SmearedRingConfig) -> dict:
     """The result payload of one query from its parsed arguments `q`: the
     derived fields and `_echo(q)`.  Values stay engine objects (`Polynomial`,
     `Fraction` and tuples of them) that `_dump` writes as text.  `run` emits
-    this payload and `verify` re-derives it, so each format lives here only."""
-    return {**_derive(name, q, config, check_radicality), **_echo(q)}
+    this payload; `verify` binds the echo itself and re-derives the rest with
+    `_derive`, so each format lives here only."""
+    return {**_derive(name, q, config), **_echo(q)}
 
 
-def _derive(name: str, q: dict, config: SmearedRingConfig, check_radicality: bool) -> dict:
+def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
     """The fields of a query's payload that do not echo its arguments."""
     f, i = q.get("poly"), q.get("index")
     try:
         if name == "validate":
-            report = validate(config, check_radicality=check_radicality)
+            report = validate(config)
             return {
                 "ok": report.ok,
                 "radicality_checked": report.radicality_checked,
@@ -393,6 +399,14 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_text)
 
 
+def _summary(errors: int = 0, results: int = 0, aborted: bool = False) -> dict:
+    """The last line of a result document: a validation abort, or the count
+    of result lines and of error lines among them."""
+    if aborted:
+        return {"type": "summary", "ok": False, "aborted": "validation"}
+    return {"type": "summary", "ok": errors == 0, "errors": errors, "results": results}
+
+
 def _emit(lines, out_path: Optional[str], human: str) -> None:
     text = "\n".join(lines) + "\n"
     if out_path:
@@ -406,7 +420,7 @@ def _emit(lines, out_path: Optional[str], human: str) -> None:
 
 def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int:
     try:
-        config, queries, check_radicality = load_problem(problem_path)
+        config, queries = load_problem(problem_path)
     except ProblemFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -423,45 +437,23 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
         )
     ]
 
-    gate = validate(config, check_radicality=check_radicality)
-    if not gate.ok:
-        lines.append(
-            _dump(
-                {
-                    "type": "result",
-                    "index": 0,
-                    "query": "validate",
-                    "status": "ok",
-                    "payload": _run_query("validate", [], config, check_radicality),
-                }
-            )
-        )
-        lines.append(_dump({"type": "summary", "ok": False, "aborted": "validation"}))
-        _emit(lines, out_path, f"validation failed: {len(gate.violations)} violation(s)")
+    gate = _payload("validate", {}, config)
+    if not gate["ok"]:
+        abort = {"type": "result", "index": 0, "query": "validate", "status": "ok", "payload": gate}
+        lines += [_dump(abort), _dump(_summary(aborted=True))]
+        _emit(lines, out_path, f"validation failed: {len(gate['violations'])} violation(s)")
         return 2
 
     errors = 0
     for qi, raw in enumerate(queries, start=1):
         started = time.perf_counter_ns()
+        entry = {"type": "result", "index": qi, "query": raw}
         try:
             name, args = _normalize_query(raw)
-            payload = _run_query(name, args, config, check_radicality)
-            entry = {
-                "type": "result",
-                "index": qi,
-                "query": raw,
-                "status": "ok",
-                "payload": payload,
-            }
+            entry.update(status="ok", payload=_run_query(name, args, config))
         except QueryError as e:
             errors += 1
-            entry = {
-                "type": "result",
-                "index": qi,
-                "query": raw,
-                "status": "error",
-                "error": str(e),
-            }
+            entry.update(status="error", error=str(e))
         # the timing covers writing the payload's engine values as text;
         # "elapsed_us" sorts before every other key, so it leads the line
         text = _dump(entry)
@@ -471,7 +463,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
             break
 
     ran = len(lines) - 1
-    lines.append(_dump({"type": "summary", "ok": errors == 0, "errors": errors, "results": ran}))
+    lines.append(_dump(_summary(errors, ran)))
     _emit(lines, out_path, f"{ran} result(s), {errors} error(s)")
     return 0 if errors == 0 else 1
 
@@ -483,10 +475,10 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
 def _parse_document(path: str) -> list:
     try:
         with open(path) as fh:
-            entries = [json.loads(line) for line in fh if line.strip()]
+            entries = [json.loads(line, parse_constant=_no_constant) for line in fh if line.strip()]
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
-    except json.JSONDecodeError as e:
+    except ValueError as e:
         raise ProblemFileError(f"{path} line is not valid JSON: {e}") from None
     if not all(isinstance(e, dict) for e in entries):
         raise ProblemFileError(f"{path} has a line that is not a JSON object")
@@ -516,9 +508,8 @@ class _Verifier:
     naming the field at fault.
     """
 
-    def __init__(self, config: SmearedRingConfig, check_radicality: bool):
+    def __init__(self, config: SmearedRingConfig):
         self.config = config
-        self.check_radicality = check_radicality
 
     def check(self, entry: dict) -> Optional[str]:
         if entry.get("status") == "error":
@@ -543,7 +534,7 @@ class _Verifier:
     def _check_error(self, entry: dict) -> Optional[str]:
         try:
             name, args = _normalize_query(entry["query"])
-            _derive(name, _query_args(name, args, self.config), self.config, self.check_radicality)
+            _derive(name, _query_args(name, args, self.config), self.config)
         except QueryError as e:
             return None if str(e) == entry["error"] else "error text disagrees with the re-run query"
         return "the query succeeds when re-run"
@@ -558,7 +549,7 @@ class _Verifier:
         """Re-run the query and require the canonical text of each field
         that `check` has not bound as an echo; the re-derived fields are
         returned for further checks."""
-        derived = _derive(name, q, self.config, self.check_radicality)
+        derived = _derive(name, q, self.config)
         echo = _echo(q)
         claimed = {k: v for k, v in payload.items() if k not in echo}
         if _dump(claimed) != _dump(derived):
@@ -663,9 +654,7 @@ def _bind(entries: list, queries: list):
         yield None, None, "the summary is not the single last line"
     else:
         errors = sum(e.get("status") == "error" for e in results)
-        want = {"type": "summary", "ok": errors == 0, "errors": errors, "results": len(results)}
-        if aborted:
-            want = {"type": "summary", "ok": False, "aborted": "validation"}
+        want = _summary(errors, len(results), aborted)
         got = summaries[0]
         for k in sorted(set(want) | set(got)):
             if k not in got or k not in want or _dump(got[k]) != _dump(want[k]):
@@ -690,13 +679,13 @@ def _bind(entries: list, queries: list):
 
 def verify_command(result_path: str, problem_path: str) -> int:
     try:
-        config, queries, check_radicality = load_problem(problem_path)
+        config, queries = load_problem(problem_path)
         entries = _parse_document(result_path)
     except ProblemFileError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    verifier = _Verifier(config, check_radicality)
+    verifier = _Verifier(config)
     failures = 0
     checked = 0
     for index, entry, problem in _bind(entries, queries):

@@ -88,16 +88,18 @@ class SmearedRingConfig:
     """R = intersection of (QQ + I_i) inside ring; immutable once built.
 
     `radical_asserted[i]` records the caller's promise that I_i is radical;
-    the verdicts rely on it and validate() can spot-check it.
+    the verdicts rely on it, and `validate` spot-checks it when
+    `check_radicality` is set.
 
     `pair_sums[i, j]` is the handle of I_i + I_j (I_i's generators first)
-    for each ordered pair i != j; `validate` and `partition_of_unity` share
+    for each unordered pair i < j; `validate` and `partition_of_unity` share
     them, so each pair sum's basis is computed once, when first asked for.
     """
 
     ring: PolyRing
     ideals: tuple
     radical_asserted: tuple = ()
+    check_radicality: bool = False
     pair_sums: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -111,7 +113,7 @@ class SmearedRingConfig:
         if len(flags) != len(self.ideals):
             raise ValueError("one radicality flag per ideal")
         object.__setattr__(self, "radical_asserted", flags)
-        pairs = itertools.permutations(range(len(self.ideals)), 2)
+        pairs = itertools.combinations(range(len(self.ideals)), 2)
         sums = {(i, j): self.ideals[i] + self.ideals[j] for i, j in pairs}
         object.__setattr__(self, "pair_sums", sums)
 
@@ -266,13 +268,14 @@ def _radicality_candidates(ideal: Ideal):
             yield ring.monomial(cand)
 
 
-def validate(config: SmearedRingConfig, check_radicality: bool = False) -> ValidationReport:
+def validate(config: SmearedRingConfig) -> ValidationReport:
     """Check the hypotheses the whole theory rests on.
 
     Per ideal: proper, nonzero, and non-maximal (a maximal I_i would make
     QQ + I_i all of S, so the ideal contributes nothing and should be dropped
     from the configuration instead).  Per pair: coprime, i.e. the zero sets
-    are disjoint.  Optionally spot-checks asserted radicality.
+    are disjoint.  With `config.check_radicality`, spot-checks asserted
+    radicality.
     """
     violations = []
     proper = []
@@ -294,7 +297,7 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
             continue
         if not config.pair_sums[i, j].contains_one():
             violations.append(Violation("not_coprime", (i, j)))
-    if check_radicality:
+    if config.check_radicality:
         for i, ideal in enumerate(config.ideals):
             if not config.radical_asserted[i] or not proper[i]:
                 continue
@@ -302,7 +305,7 @@ def validate(config: SmearedRingConfig, check_radicality: bool = False) -> Valid
                 if ideal.radical_member(cand) and not ideal.contains(cand):
                     violations.append(Violation("not_radical", (i,), cand))
                     break
-    return ValidationReport(tuple(violations), radicality_checked=check_radicality)
+    return ValidationReport(tuple(violations), radicality_checked=config.check_radicality)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +349,10 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
     """Split 1 = a + b with a in I_i and b in every other ideal.
 
     Built from the pairwise coprimality alone, with no intersection: for
-    each j != i, in index order, the unit certificate of I_i + I_j gives
-    1 = a_j + b_j with a_j in I_i and b_j in I_j.  Then b = prod_j b_j lies
+    each j != i, in index order, the unit certificate of the pair sum
+    `pair_sums[min(i, j), max(i, j)]` gives 1 = a_j + b_j with a_j in I_i
+    and b_j in I_j (b_j sums the I_j part of the cofactors, which comes
+    after I_i's when i < j and first when j < i).  Then b = prod_j b_j lies
     in every I_j, j != i, and a = 1 - b lies in I_i, because each
     b_j = 1 - a_j is 1 modulo I_i and so is their product.  The first pair
     with no unit certificate raises `NotCoprimeError`.
@@ -359,18 +364,18 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
     config.check_index(i)
     if config.n < 2:
         raise ValueError("a partition of unity needs at least two ideals")
-    ideal_i = config.ideals[i]
-    k = len(ideal_i.generators)
+    k = len(config.ideals[i].generators)
     ring = config.ring
     b = ring.one()
     for j, ideal_j in enumerate(config.ideals):
         if j == i:
             continue
         try:
-            cof = config.pair_sums[i, j].unit_certificate()
+            cof = config.pair_sums[min(i, j), max(i, j)].unit_certificate()
         except ValueError:
             raise NotCoprimeError(i, j) from None
-        b = b * sum_of_products(ring, [(1, c, g) for c, g in zip(cof[k:], ideal_j.generators)])
+        cof_j = cof[k:] if i < j else cof[: len(ideal_j.generators)]
+        b = b * sum_of_products(ring, [(1, c, g) for c, g in zip(cof_j, ideal_j.generators)])
     a = ring.one() - b
 
     if a + b != ring.one():

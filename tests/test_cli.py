@@ -136,6 +136,18 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert lines[-1]["aborted"] == "validation"
 
 
+def test_failing_gate_validates_once(tmp_path, monkeypatch):
+    # the abort line writes the gate's own payload
+    calls = []
+    real = cli.validate
+    monkeypatch.setattr(cli, "validate", lambda config: calls.append(config) or real(config))
+    doc = dict(THREE_LINES, ideals=[["x"], ["y"]], radical=[True, True])
+    rc, lines, _, _ = run_to_file(tmp_path, doc)
+    assert rc == 2 and len(calls) == 1
+    assert lines[1]["payload"]["ok"] is False
+    assert lines[-1] == {"aborted": "validation", "ok": False, "type": "summary"}
+
+
 def test_malformed_file_exits_2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
@@ -188,6 +200,25 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "ideal 1, generator 3" in err
     assert "too many digits (at position 2)" in err
+
+    # `json` refuses an integer literal over int()'s 4,300 digits with a
+    # plain ValueError, and would read NaN and the infinities as floats;
+    # both a problem file and a result document holding one exit 2
+    problem = write_problem(tmp_path, THREE_LINES, "valid.json")
+    for k, arg in enumerate(("1" * 5000, "NaN", "-Infinity")):
+        path = tmp_path / f"j{k}.json"
+        path.write_text(
+            '{"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["x - 1"]],'
+            f' "queries": [["locus", {arg}, 1]]}}'
+        )
+        assert main(["run", str(path)]) == 2
+        assert f"{path} is not valid JSON" in capsys.readouterr().err
+        path.write_text(f'{{"type": "header", "query_count": {arg}}}\n')
+        assert main(["verify", str(path), str(problem)]) == 2
+        assert f"{path} line is not valid JSON" in capsys.readouterr().err
+    # a byte that is no UTF-8 raises UnicodeDecodeError, a ValueError too
+    path.write_bytes(b'{"format": 1, "ring": {"variables": ["x"]}, "ideals": [["x \xff"]]}')
+    assert main(["run", str(path)]) == 2
 
 
 @pytest.mark.parametrize(
@@ -673,7 +704,7 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
 
     members = [ring.one(), ring.parse("x^2 + 3")]
     for i in range(config.n):
-        w = cli._payload("partition", {"index": i}, config, False)
+        w = cli._payload("partition", {"index": i}, config)
         assert w["a_cofactors"] == reference(config.ideals[i], w["a"])
         for j, ideal in enumerate(config.ideals):
             want = None if j == i else reference(ideal, w["b"])
@@ -681,7 +712,7 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
         members += [w["a"], w["b"] + 5]
     checked = 0
     for f in members:
-        payload = cli._payload("member", {"poly": f}, config, False)
+        payload = cli._payload("member", {"poly": f}, config)
         if not payload["member"]:
             continue
         checked += 1
@@ -701,7 +732,7 @@ CURVES_MEMBER = (
 def test_one_basis_per_ideal_and_order(monkeypatch):
     # member cofactors and partition unit certificates reuse the bases the
     # validation gate and the membership division computed
-    config, _, check_radicality = cli.load_problem(str(DATA / "curves.json"))
+    config, _ = cli.load_problem(str(DATA / "curves.json"))
     calls = []  # (generators, order) of every basis computation
     real = ideals.groebner_basis
 
@@ -710,24 +741,24 @@ def test_one_basis_per_ideal_and_order(monkeypatch):
         return real(gens, **kwargs)
 
     monkeypatch.setattr(ideals, "groebner_basis", counting)
-    assert cli._payload("validate", {}, config, check_radicality)["ok"]
+    assert cli._payload("validate", {}, config)["ok"]
     f = config.ring.parse(CURVES_MEMBER)
-    assert cli._payload("member", {"poly": f}, config, False)["cofactors"]
-    assert cli._payload("partition", {"index": 0}, config, False)["a_cofactors"]
+    assert cli._payload("member", {"poly": f}, config)["cofactors"]
+    assert cli._payload("partition", {"index": 0}, config)["a_cofactors"]
     assert calls and len(calls) == len(set(calls))
 
 
 def test_transform_rows_are_built_on_first_use(monkeypatch):
-    config, _, check_radicality = cli.load_problem(str(DATA / "curves.json"))
+    config, _ = cli.load_problem(str(DATA / "curves.json"))
     replays = []
     real = groebner._replay
     monkeypatch.setattr(groebner, "_replay", lambda gb: replays.append(gb) or real(gb))
-    assert cli._payload("validate", {}, config, check_radicality)["ok"]
+    assert cli._payload("validate", {}, config)["ok"]
     y = config.ring.parse("y")
-    assert not cli._payload("member", {"poly": y}, config, False)["member"]
+    assert not cli._payload("member", {"poly": y}, config)["member"]
     assert replays == []
     # a member's cofactors build each ideal's rows once
     f = config.ring.parse(CURVES_MEMBER)
     for _ in range(2):
-        cli._payload("member", {"poly": f}, config, False)
+        cli._payload("member", {"poly": f}, config)
     assert sorted(map(id, replays)) == sorted(id(ideal.groebner()) for ideal in config.ideals)

@@ -74,12 +74,13 @@ def test_validate_radicality_spot_check(R2):
     x = R2.var("x")
     config = SmearedRingConfig(R2, (Ideal(R2, (x**2,)),))
     assert sm.validate(config).ok  # structural hypotheses fine
-    report = sm.validate(config, check_radicality=True)
+    checked = SmearedRingConfig(R2, (Ideal(R2, (x**2,)),), check_radicality=True)
+    report = sm.validate(checked)
     assert [v.kind for v in report.violations] == ["not_radical"]
     assert report.radicality_checked
     # honest flags suppress the check
-    humble = SmearedRingConfig(R2, (Ideal(R2, (x**2,)),), (False,))
-    assert sm.validate(humble, check_radicality=True).ok
+    humble = SmearedRingConfig(R2, (Ideal(R2, (x**2,)),), (False,), check_radicality=True)
+    assert sm.validate(humble).ok
 
 
 def test_member_examples(three_lines, R2):
@@ -566,10 +567,24 @@ def test_validate_builds_each_pair_sum_once(monkeypatch):
     assert len(bases) == n + n * (n - 1) // 2
     assert sm.validate(config).ok
     assert len(bases) == n + n * (n - 1) // 2
-    # one handle per ordered pair, I_i's generators first
-    assert len(config.pair_sums) == n * (n - 1)
+    # one handle per unordered pair, keyed i < j, I_i's generators first
+    assert len(config.pair_sums) == n * (n - 1) // 2
     for (i, j), pair_sum in config.pair_sums.items():
+        assert i < j
         assert pair_sum.generators == config.ideals[i].generators + config.ideals[j].generators
+
+
+def test_partitions_reuse_the_validated_pair_sums(monkeypatch):
+    config = four_curves_config()
+    bases = _counting(monkeypatch, ideals_module, "groebner_basis")
+    assert sm.validate(config).ok
+    for i in range(config.n):
+        w = sm.partition_of_unity(i, config)
+        assert w.a + w.b == config.ring.one()
+    # one basis per ideal and one per unordered pair: I_i + I_j serves both
+    # partition i and partition j
+    n = config.n
+    assert len(bases) == n + n * (n - 1) // 2 == 10
 
 
 def test_shared_tables_under_threads():
