@@ -10,7 +10,9 @@ arguments a payload echoes must be written as `run` writes them, in
 canonical text.  Certificate lines are checked by arithmetic (cofactor
 identities of memberships and partitions, summed by `poly.sum_of_products`)
 or by evaluation (locus evidence); every other line is checked by re-running
-its query and comparing canonical text.
+its query and comparing canonical text.  A `basis` line is re-derived and
+compared so too; then each element's membership is checked from the tabled
+monomial normal forms, by linearity, with no division.
 
 Problem file layout::
 
@@ -61,6 +63,7 @@ from .ring import (
     member,
     partition_of_unity,
     r_basis,
+    scaled_normal_forms,
     smeared_constancy_check,
     validate,
     verdicts,
@@ -504,8 +507,10 @@ class _Verifier:
     partitions) or by evaluation (locus evidence).  Every other line has no
     finite certificate: `_rederive` re-runs its query and compares the
     canonical text of the fields that are not echoed; an error line must
-    fail again with its text.  A malformed or wrong claim raises `QueryError`
-    naming the field at fault.
+    fail again with its text.  A `basis` line is re-derived so, and then each
+    element's membership is checked from the tabled monomial normal forms by
+    linearity (`scaled_normal_forms`), with no division.  A malformed or
+    wrong claim raises `QueryError` naming the field at fault.
     """
 
     def __init__(self, config: SmearedRingConfig):
@@ -625,9 +630,19 @@ class _Verifier:
         return None
 
     def _check_basis(self, q, payload) -> Optional[str]:
-        for p in self._rederive("basis", q, payload)["basis"]:
-            if not member(p, self.config).member:
-                return f"basis element {p} is not a member"
+        # NF is linear: for p = c * sum(v_m * x^m), sum(v_m * row m) is den / c
+        # times NF(p) less its constant, so p is a member when it is 0
+        basis = self._rederive("basis", q, payload)["basis"]
+        support = list({m for p in basis for m in p.integer_form()[0]})
+        tables = [dict(zip(support, scaled_normal_forms(ideal, support))) for ideal in self.config.ideals]
+        for p in basis:
+            for table in tables:
+                nf = {}
+                for m, v in p.integer_form()[0].items():
+                    for mu, w in table[m].items():
+                        nf[mu] = nf.get(mu, 0) + v * w
+                if any(nf.values()):
+                    return f"basis element {p} is not a member"
         return None
 
 

@@ -94,6 +94,7 @@ class SmearedRingConfig:
     `pair_sums[i, j]` is the handle of I_i + I_j (I_i's generators first)
     for each unordered pair i < j; `validate` and `partition_of_unity` share
     them, so each pair sum's basis is computed once, when first asked for.
+    `report` is `validate`'s report, kept once it is first computed.
     """
 
     ring: PolyRing
@@ -101,6 +102,7 @@ class SmearedRingConfig:
     radical_asserted: tuple = ()
     check_radicality: bool = False
     pair_sums: dict = field(init=False, repr=False, compare=False)
+    report: Optional[ValidationReport] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "ideals", tuple(self.ideals))
@@ -171,15 +173,20 @@ class MembershipCertificate:
 
     Member iff NF(f, I_i) is a constant for every i; `constants` is then the
     vector of those constants, and `quotients[i]` combines the reduced basis
-    of I_i to f - constants[i].  On failure, `witness_index` is the first bad
-    ideal and `nonconstant_remainder` its normal form.
+    of I_i to f - constants[i].  The quotients are decoded on first read from
+    `divisions`, each ideal's `DivisionResult`.  On failure, `witness_index`
+    is the first bad ideal and `nonconstant_remainder` its normal form.
     """
 
     member: bool
     constants: Optional[tuple] = None
-    quotients: Optional[tuple] = None
     witness_index: Optional[int] = None
     nonconstant_remainder: Optional[Polynomial] = None
+    divisions: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def quotients(self) -> Optional[tuple]:
+        return tuple(res.quotients for res in self.divisions) if self.member else None
 
 
 @dataclass(frozen=True)
@@ -277,6 +284,8 @@ def validate(config: SmearedRingConfig) -> ValidationReport:
     are disjoint.  With `config.check_radicality`, spot-checks asserted
     radicality.
     """
+    if config.report is not None:
+        return config.report
     violations = []
     proper = []
     for i, ideal in enumerate(config.ideals):
@@ -305,7 +314,8 @@ def validate(config: SmearedRingConfig) -> ValidationReport:
                 if ideal.radical_member(cand) and not ideal.contains(cand):
                     violations.append(Violation("not_radical", (i,), cand))
                     break
-    return ValidationReport(tuple(violations), radicality_checked=config.check_radicality)
+    object.__setattr__(config, "report", ValidationReport(tuple(violations), config.check_radicality))
+    return config.report
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +326,7 @@ def member(f: Polynomial, config: SmearedRingConfig) -> MembershipCertificate:
     """Does f restrict to a constant on every configured zero set?"""
     if f.ring != config.ring:
         raise RingMismatchError("polynomial from a different ring")
-    constants, quotients = [], []
+    constants, divisions = [], []
     for i, ideal in enumerate(config.ideals):
         res = ideal.groebner().divide(f)
         nf = res.remainder
@@ -325,8 +335,8 @@ def member(f: Polynomial, config: SmearedRingConfig) -> MembershipCertificate:
                 member=False, witness_index=i, nonconstant_remainder=nf
             )
         constants.append(nf.constant_value())
-        quotients.append(res.quotients)
-    return MembershipCertificate(True, tuple(constants), tuple(quotients))
+        divisions.append(res)
+    return MembershipCertificate(True, tuple(constants), divisions=tuple(divisions))
 
 
 def evaluate_at_smeared_point(f: Polynomial, i: int, config: SmearedRingConfig) -> Fraction:
@@ -491,6 +501,16 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
 # finite-dimensional slices of R
 
 
+def scaled_normal_forms(ideal: Ideal, monomials) -> list:
+    """Per tabled NF(x^m), in order, den * NF(x^m) less its constant term as
+    an integer map, for the lcm den of the contents' denominators: one scale
+    for all, as `r_basis`'s rows and `verify`'s sums of slice members need."""
+    forms = [ideal.monomial_normal_form(m).integer_form() for m in monomials]
+    den = lcm(*[c.denominator for _, c in forms])
+    scales = [c.numerator * (den // c.denominator) for _, c in forms]
+    return [{m: v * s for m, v in ints.items() if any(m)} for (ints, _), s in zip(forms, scales)]
+
+
 def r_basis(d: int, config: SmearedRingConfig) -> list:
     """A QQ-basis of {f in R : deg f <= d}.
 
@@ -503,9 +523,9 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     monomials, is a basis element's stored form.
 
     The normal forms come from each ideal's table of monomial normal forms
-    (`Ideal.monomial_normal_form`), which `chain_witness` shares: a monomial
-    is divided once per configuration, so `basis 0..d` costs what `basis d`
-    alone costs.
+    (`Ideal.monomial_normal_form`), which `chain_witness` and `verify`'s
+    slice membership check share: a monomial is divided once per
+    configuration, so `basis 0..d` costs what `basis d` alone costs.
     """
     if d < 0:
         raise NegativeDegreeError(d)
@@ -514,16 +534,10 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=key, reverse=True)
     rows = []
     for ideal in config.ideals:
-        # each row is scaled by the lcm of the contents' denominators, which
-        # keeps it integral and changes no kernel
-        forms = [ideal.monomial_normal_form(m).integer_form() for m in unknowns]
-        den = lcm(*[c.denominator for _, c in forms])
         constraints = {}
-        for col, (ints, c) in enumerate(forms):
-            s = c.numerator * (den // c.denominator)
-            for m, v in ints.items():
-                if any(m):
-                    constraints.setdefault(m, {})[col] = v * s
+        for col, nf in enumerate(scaled_normal_forms(ideal, unknowns)):
+            for m, v in nf.items():
+                constraints.setdefault(m, {})[col] = v
         rows.extend(constraints.values())
     return [
         Polynomial._new(ring, {unknowns[col]: v for col, v in ints.items()}, content)

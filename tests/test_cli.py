@@ -572,6 +572,19 @@ def test_verify_binds_lines_to_the_problem_file(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_verify_catches_a_slice_non_member(tmp_path, capsys, monkeypatch):
+    # run and verify both append y, which is no constant on the line x = 0,
+    # so the canonical texts agree and only the membership check by the
+    # tabled normal forms can refuse the element
+    real = cli.r_basis
+    monkeypatch.setattr(cli, "r_basis", lambda d, config: real(d, config) + [config.ring.var("y")])
+    rc, lines, problem, out = run_to_file(tmp_path, dict(THREE_LINES, queries=["basis 2"]))
+    assert rc == 0 and lines[1]["payload"]["basis"][-1] == "y"
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(1, "basis element y is not a member")]
+
+
 def test_verify_accepts_strict_and_aborted_documents(tmp_path, capsys):
     doc = dict(THREE_LINES, queries=["dims", "eval y 1", "dims"])
     problem = write_problem(tmp_path, doc)

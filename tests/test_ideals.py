@@ -6,6 +6,8 @@ import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smeared import INFINITE, Ideal, PolyRing, Polynomial, RingMismatchError
 from oracle import oracle_member
@@ -209,6 +211,37 @@ def test_unit_certificate(R2):
     assert acc == R2.one()
     with pytest.raises(ValueError):
         Ideal(R2, (x,)).unit_certificate()
+
+
+# small ideals in 2 or 3 variables and the monomials to look up, in the
+# order that fills the table
+_tabled = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * n),
+                st.integers(1, 3) | st.integers(-3, -1),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=2,
+        ),
+        st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=8),
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_tabled)
+def test_monomial_normal_forms_match_division(case):
+    # r_basis, chain_witness and verify's slice check read NF(x^m) from the
+    # table, which is filled in whatever order they ask
+    maps, monomials = case
+    ring = PolyRing(("x", "y", "z")[: len(monomials[0])])
+    ideal = Ideal(ring, tuple(Polynomial(ring, terms) for terms in maps))
+    for m in monomials + monomials[::-1]:
+        assert ideal.monomial_normal_form(m) == ideal.normal_form(ring.monomial(m))
 
 
 def test_ring_mismatch(R2):

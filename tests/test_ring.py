@@ -574,6 +574,19 @@ def test_validate_builds_each_pair_sum_once(monkeypatch):
         assert pair_sum.generators == config.ideals[i].generators + config.ideals[j].generators
 
 
+def test_validate_report_is_computed_once(monkeypatch):
+    # the radicality spot-check builds a basis per candidate monomial; the
+    # report is kept on the configuration, so a second call builds none
+    base = four_curves_config()
+    config = SmearedRingConfig(base.ring, base.ideals, check_radicality=True)
+    bases = _counting(monkeypatch, ideals_module, "groebner_basis")
+    report = sm.validate(config)
+    assert report.ok and report.radicality_checked and bases
+    bases.clear()
+    assert sm.validate(config) is report
+    assert bases == []
+
+
 def test_partitions_reuse_the_validated_pair_sums(monkeypatch):
     config = four_curves_config()
     bases = _counting(monkeypatch, ideals_module, "groebner_basis")
