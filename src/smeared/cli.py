@@ -280,21 +280,14 @@ def _echo(q: dict) -> dict:
 
 
 def _run_query(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
-    """One query of `run`, from its raw arguments."""
-    return _payload(name, _query_args(name, args, config), config)
-
-
-def _payload(name: str, q: dict, config: SmearedRingConfig) -> dict:
-    """The result payload of one query from its parsed arguments `q`: the
-    derived fields and `_echo(q)`.  Values stay engine objects (`Polynomial`,
-    `Fraction` and tuples of them) that `_dump` writes as text.  `run` emits
-    this payload; `verify` binds the echo itself and re-derives the rest with
-    `_derive`, so each format lives here only."""
+    """One query's payload from its raw arguments: `_derive`'s fields and the echo."""
+    q = _query_args(name, args, config)
     return {**_derive(name, q, config), **_echo(q)}
 
 
 def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
-    """The fields of a query's payload that do not echo its arguments."""
+    """A payload's fields besides `_echo(q)`, as engine values that `_dump`
+    writes as text; `run` and `verify` read each format from here only."""
     f, i = q.get("poly"), q.get("index")
     try:
         if name == "validate":
@@ -323,7 +316,7 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
             return {
                 "member": True,
                 "constants": cert.constants,
-                "cofactors": [ideal.cofactors(qs) for ideal, qs in zip(config.ideals, cert.quotients)],
+                "cofactors": [ideal.cofactors(d.quotients) for ideal, d in zip(config.ideals, cert.divisions)],
             }
 
         if name == "eval":
@@ -336,10 +329,10 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
                 "b": w.b,
                 "a_constants": w.a_membership.constants,
                 "b_constants": w.b_membership.constants,
-                "a_cofactors": config.ideals[i].cofactors(w.a_membership.quotients[i]),
+                "a_cofactors": config.ideals[i].cofactors(w.a_membership.divisions[i].quotients),
                 "b_cofactors": [
-                    None if j == i else ideal.cofactors(qs)
-                    for j, (ideal, qs) in enumerate(zip(config.ideals, w.b_membership.quotients))
+                    None if j == i else ideal.cofactors(d.quotients)
+                    for j, (ideal, d) in enumerate(zip(config.ideals, w.b_membership.divisions))
                 ],
             }
 
@@ -440,7 +433,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
         )
     ]
 
-    gate = _payload("validate", {}, config)
+    gate = _derive("validate", {}, config)
     if not gate["ok"]:
         abort = {"type": "result", "index": 0, "query": "validate", "status": "ok", "payload": gate}
         lines += [_dump(abort), _dump(_summary(aborted=True))]
@@ -488,6 +481,20 @@ def _parse_document(path: str) -> list:
     return entries
 
 
+def _fields(obj: dict, names) -> None:
+    """Fail an object whose fields are not exactly `names`, those `run` writes."""
+    odd = sorted(set(obj) ^ set(names))
+    if odd:
+        raise QueryError(f"{'unexpected' if odd[0] in obj else 'missing'} field {odd[0]!r}")
+
+
+def _flag(obj: dict, name: str) -> bool:
+    """obj[name], which must be a JSON boolean (`1 == True`)."""
+    if type(obj[name]) is not bool:
+        raise QueryError(f"{name} {obj[name]!r} is not a JSON boolean")
+    return obj[name]
+
+
 def _combine(cofactor_texts, generators, ring) -> Polynomial:
     if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
         raise QueryError(f"need one cofactor per generator ({len(generators)})")
@@ -504,7 +511,8 @@ class _Verifier:
     `run` writes it, every per-ideal list must hold one entry per ideal in
     order, and the checks then use the query's arguments.  Certificate lines
     are checked by arithmetic on their cofactors (positive memberships,
-    partitions) or by evaluation (locus evidence).  Every other line has no
+    partitions) or by evaluation (locus evidence), and hold exactly the
+    fields `run` writes, with JSON booleans for flags.  Every other line has no
     finite certificate: `_rederive` re-runs its query and compares the
     canonical text of the fields that are not echoed; an error line must
     fail again with its text.  A `basis` line is re-derived so, and then each
@@ -555,22 +563,17 @@ class _Verifier:
         that `check` has not bound as an echo; the re-derived fields are
         returned for further checks."""
         derived = _derive(name, q, self.config)
-        echo = _echo(q)
-        claimed = {k: v for k, v in payload.items() if k not in echo}
-        if _dump(claimed) != _dump(derived):
-            for field in sorted(set(claimed) | set(derived)):
-                if field not in claimed:
-                    raise QueryError(f"missing field {field!r}")
-                if field not in derived:
-                    raise QueryError(f"unexpected field {field!r}")
-                if _dump(claimed[field]) != _dump(derived[field]):
-                    raise QueryError(f"{field} disagrees with the re-derived {name} result")
+        _fields(payload, [*derived, *_echo(q)])
+        for field in sorted(derived):
+            if _dump(payload[field]) != _dump(derived[field]):
+                raise QueryError(f"{field} disagrees with the re-derived {name} result")
         return derived
 
     def _check_member(self, q, payload) -> Optional[str]:
-        if not payload["member"]:
+        if not _flag(payload, "member"):
             self._rederive("member", q, payload)
             return None
+        _fields(payload, ("member", "constants", "cofactors", *_echo(q)))
         ring = self.config.ring
         constants = self._per_ideal(payload, "constants")
         cofactors = self._per_ideal(payload, "cofactors")
@@ -581,6 +584,7 @@ class _Verifier:
         return None
 
     def _check_partition(self, q, payload) -> Optional[str]:
+        _fields(payload, ("a", "b", "a_constants", "b_constants", "a_cofactors", "b_cofactors", *_echo(q)))
         ring = self.config.ring
         i = q["index"]
         a = ring.parse(payload["a"])
@@ -607,11 +611,14 @@ class _Verifier:
 
     def _check_locus(self, q, payload) -> Optional[str]:
         point = q["point"]
+        _fields(payload, ("in_locus", "evidence", *_echo(q)))
         evidence = self._per_ideal(payload, "evidence")
         for k, (ideal, e) in enumerate(zip(self.config.ideals, evidence), start=1):
+            on_variety = _flag(e, "on_variety")
+            _fields(e, ("ideal", "on_variety") + (() if on_variety else ("generator_index", "value")))
             if type(e["ideal"]) is not int or e["ideal"] != k:
                 return f"evidence entry {k} names ideal {e['ideal']!r}"
-            if e["on_variety"]:
+            if on_variety:
                 for g in ideal.generators:
                     if g.evaluate(point):
                         return f"generator {g} does not vanish as claimed"
@@ -625,7 +632,7 @@ class _Verifier:
             if _parse_frac(e["value"]) != value:
                 return "claimed nonvanishing value disagrees"
         claimed = all(not e["on_variety"] for e in evidence)
-        if claimed != payload["in_locus"]:
+        if claimed != _flag(payload, "in_locus"):
             return "in_locus flag contradicts its own evidence"
         return None
 

@@ -497,7 +497,7 @@ def _spoly(p: Polynomial, q: Polynomial, mi: tuple, mj: tuple, key) -> Polynomia
 def _reduce_basis(polys, key):
     """Minimal, interreduced, monic basis sorted largest lead first, and the
     record `_replay` reads: the indices of the kept elements, each one's
-    tail division and leading coefficient, and the output order."""
+    tail division and leading coefficient, smallest (distinct) lead first."""
     order_idx = sorted(range(len(polys)), key=lambda i: key(polys[i].leading_monomial(key)))
     kept_idx: list = []
     for i in order_idx:
@@ -516,8 +516,7 @@ def _reduce_basis(polys, key):
 
     lcs = [p.leading_coefficient(key) for p in kept]
     kept = [p.scale(1 / lc) for p, lc in zip(kept, lcs)]
-    final = sorted(range(len(kept)), key=lambda i: key(kept[i].leading_monomial(key)), reverse=True)
-    return [kept[i] for i in final], (kept_idx, tails, lcs, final)
+    return kept[::-1], (kept_idx, tails, lcs)
 
 
 def _replay(gb: GroebnerBasis) -> tuple:
@@ -528,7 +527,7 @@ def _replay(gb: GroebnerBasis) -> tuple:
     if steps is None:  # a racing reader built the memo, then dropped the record
         return gb._transform
     ring, ngens = gb.ring, len(gb.generators)
-    sources, spairs, (kept_idx, tails, lcs, final) = steps
+    sources, spairs, (kept_idx, tails, lcs) = steps
     one, zero = ring.one(), ring.zero()
     rows = [[one if t == i else zero for t in range(ngens)] for i in sources]
     for i, j, mi, mj, lc_i, lc_j, c, res in spairs:
@@ -544,7 +543,7 @@ def _replay(gb: GroebnerBasis) -> tuple:
         terms = [(-1, q, row) for q, row in zip(res.quotients, others) if not q.is_zero()]
         if terms:
             rows[idx] = _combine_rows(ring, terms + [(1, one, rows[idx])], ngens)
-    transform = tuple(tuple(p.scale(1 / lcs[k]) for p in rows[k]) for k in final)
+    transform = tuple(tuple(p.scale(1 / lc) for p in row) for row, lc in zip(rows[::-1], lcs[::-1]))
 
     if VERIFY_DIVISION:
         for g, row in zip(gb.elements, transform):

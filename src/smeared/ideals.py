@@ -3,9 +3,9 @@ needs: cofactors over the generators, intersection, elimination, Krull
 dimension of the quotient, its vector-space dimension, coprimality, and
 radical membership.
 
-An `Ideal` is identified by its ordered generator tuple.  Its Groebner bases
-(per monomial order, under a lock) and monomial normal forms (where a race
-only computes an entry twice) are computed lazily and cached on the handle.
+An `Ideal` is identified by its ordered generator tuple.  Its one Groebner
+basis, under the ring's order (under a lock), and its monomial normal forms
+(where a race only computes an entry twice) are computed lazily and cached.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class Ideal:
                 raise RingMismatchError("generator from a different ring")
         self.ring = ring
         self.generators = gens
-        self._cache: dict = {}
+        self._basis = None  # the reduced basis, once computed
         self._lock = threading.Lock()
         self._monomial_nf: dict = {}
 
@@ -98,16 +98,13 @@ class Ideal:
 
     # -- Groebner machinery
 
-    def groebner(self, order=None) -> GroebnerBasis:
-        """The reduced basis under `order` (the ring's by default), computed
-        once per order; its transform rows are built on first use."""
-        if order is None:
-            order = self.ring.order
+    def groebner(self) -> GroebnerBasis:
+        """The reduced basis under the ring's order, computed once; its
+        transform rows are built on first use."""
         with self._lock:
-            gb = self._cache.get(order)
-            if gb is None:
-                gb = self._cache[order] = groebner_basis(self.generators, order=order, ring=self.ring)
-            return gb
+            if self._basis is None:
+                self._basis = groebner_basis(self.generators, ring=self.ring)
+            return self._basis
 
     def is_zero(self) -> bool:
         return self.groebner().is_zero_ideal()
@@ -138,17 +135,16 @@ class Ideal:
         return nf
 
     def cofactors(self, quotients: Sequence[Polynomial]) -> tuple:
-        """Cofactors c over the generators from quotients q over the reduced
-        basis under the ring's order, sum(c[i] * generators[i]) ==
-        sum(q[j] * basis[j]), through that basis's transform rows."""
+        """Cofactors c over the generators from quotients q over the ideal's
+        one reduced basis, sum(c[i] * generators[i]) == sum(q[j] * basis[j]),
+        through that basis's transform rows."""
         return self.groebner().lift_to_generators(quotients)
 
     def unit_certificate(self) -> tuple:
-        """Cofactors c with 1 == sum(c[i] * generators[i]); ideal must be unit."""
-        res = self.groebner().divide(self.ring.one())
-        if not res.remainder.is_zero():
+        """The row of the unit ideal's basis [1]: c with 1 == sum(c[i] * generators[i])."""
+        if not self.contains_one():
             raise ValueError("ideal does not contain 1")
-        return self.cofactors(res.quotients)
+        return self.groebner().transform[0]
 
     # -- elimination and intersection
 
@@ -168,7 +164,7 @@ class Ideal:
         elim = tuple(i for i in range(self.ring.nvars) if i not in kept)
         if not elim:
             return self
-        gb = self.groebner(EliminationOrder(elim, self.ring.nvars))
+        gb = groebner_basis(self.generators, EliminationOrder(elim, self.ring.nvars), self.ring)
         dropped = set(elim)
         return Ideal(
             self.ring, tuple(g for g in gb.elements if not (g.support() & dropped))

@@ -172,10 +172,10 @@ class MembershipCertificate:
     """Outcome of testing f against every ideal's normal form.
 
     Member iff NF(f, I_i) is a constant for every i; `constants` is then the
-    vector of those constants, and `quotients[i]` combines the reduced basis
-    of I_i to f - constants[i].  The quotients are decoded on first read from
-    `divisions`, each ideal's `DivisionResult`.  On failure, `witness_index`
-    is the first bad ideal and `nonconstant_remainder` its normal form.
+    vector of those constants, and `divisions[i]`, I_i's `DivisionResult`,
+    has the quotients that combine I_i's reduced basis to f - constants[i],
+    decoded on their first read.  On failure, `witness_index` is the first
+    bad ideal and `nonconstant_remainder` its normal form.
     """
 
     member: bool
@@ -183,10 +183,6 @@ class MembershipCertificate:
     witness_index: Optional[int] = None
     nonconstant_remainder: Optional[Polynomial] = None
     divisions: tuple = field(default=(), compare=False, repr=False)
-
-    @property
-    def quotients(self) -> Optional[tuple]:
-        return tuple(res.quotients for res in self.divisions) if self.member else None
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import smeared.cli as cli
 import smeared.groebner as groebner
 import smeared.ideals as ideals
 from smeared.cli import main
-from test_ring import curves_config, lines_config
+from test_ring import THREE_CONFIGS, curves_config, lines_config
 
 DATA = Path(__file__).parent / "data"
 
@@ -407,6 +407,16 @@ TAMPERING = {
         lambda p: p["evidence"][0].update(generator_index=0),
         "generator index 0 of ideal 1 out of range",
     ),
+    # certificate lines carry exactly the fields `run` writes
+    23: (lambda p: p.update(remainder="x"), "unexpected field 'remainder'"),
+    24: (lambda p: p.update(note="made up"), "unexpected field 'note'"),
+    25: (lambda p: p.update(reason="made up"), "unexpected field 'reason'"),
+    26: (lambda p: p["evidence"][0].update(generator_index=1), "unexpected field 'generator_index'"),
+    # and their flags are JSON booleans
+    27: (lambda p: p.update(member=1), "member 1 is not a JSON boolean"),
+    28: (lambda p: p.update(in_locus=1), "in_locus 1 is not a JSON boolean"),
+    29: (lambda p: p["evidence"][0].update(on_variety=1), "on_variety 1 is not a JSON boolean"),
+    30: (lambda p: p["evidence"][0].update(on_variety="yes"), "on_variety 'yes' is not a JSON boolean"),
     # lines with no certificate: the query is re-run and the texts compared
     1: (lambda p: p.update(ok=False), "ok disagrees with the re-derived validate result"),
     2: (lambda p: p.update(noetherian=True), "noetherian disagrees"),
@@ -431,6 +441,14 @@ def test_verify_catches_tampering(tmp_path, capsys):
         "dims",
         "partition 2",
         "locus 3 5",
+        "member x*(x - 1)*(x - 2)*y",
+        "partition 1",
+        "locus 3 5",
+        "locus 0 7",
+        "member x*(x - 1)*(x - 2)*y",
+        "locus 3 5",
+        "locus 0 7",
+        "locus 0 7",
     ]
     rc, _, problem, out = run_to_file(tmp_path, doc)
     assert rc == 0
@@ -448,7 +466,7 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert set(bad) == set(TAMPERING)
     for index, (_, text) in TAMPERING.items():
         assert text in bad[index], (index, bad[index])
-    assert lines[-1] == {"checked": 22, "failures": len(TAMPERING), "type": "verify-summary"}
+    assert lines[-1] == {"checked": 30, "failures": len(TAMPERING), "type": "verify-summary"}
 
 
 def test_verify_binds_echoes_by_canonical_text(tmp_path, capsys):
@@ -717,7 +735,7 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
 
     members = [ring.one(), ring.parse("x^2 + 3")]
     for i in range(config.n):
-        w = cli._payload("partition", {"index": i}, config)
+        w = cli._derive("partition", {"index": i}, config)
         assert w["a_cofactors"] == reference(config.ideals[i], w["a"])
         for j, ideal in enumerate(config.ideals):
             want = None if j == i else reference(ideal, w["b"])
@@ -725,7 +743,7 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
         members += [w["a"], w["b"] + 5]
     checked = 0
     for f in members:
-        payload = cli._payload("member", {"poly": f}, config)
+        payload = cli._derive("member", {"poly": f}, config)
         if not payload["member"]:
             continue
         checked += 1
@@ -754,11 +772,28 @@ def test_one_basis_per_ideal_and_order(monkeypatch):
         return real(gens, **kwargs)
 
     monkeypatch.setattr(ideals, "groebner_basis", counting)
-    assert cli._payload("validate", {}, config)["ok"]
+    assert cli._derive("validate", {}, config)["ok"]
     f = config.ring.parse(CURVES_MEMBER)
-    assert cli._payload("member", {"poly": f}, config)["cofactors"]
-    assert cli._payload("partition", {"index": 0}, config)["a_cofactors"]
+    assert cli._derive("member", {"poly": f}, config)["cofactors"]
+    assert cli._derive("partition", {"index": 0}, config)["a_cofactors"]
     assert calls and len(calls) == len(set(calls))
+
+
+@THREE_CONFIGS
+def test_partition_decodes_only_the_quotients_it_writes(make, monkeypatch):
+    # a partition writes a's cofactors over I_i and b's over every other
+    # I_j: n of the 2n quotient tuples its two membership divisions hold
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    config = make()
+    for i in range(config.n):
+        cli._derive("partition", {"index": i}, config)  # builds every transform read below
+    decoded = []
+    real = groebner._decode_quotients
+    monkeypatch.setattr(groebner, "_decode_quotients", lambda *a: decoded.append(a) or real(*a))
+    for i in range(config.n):
+        decoded.clear()
+        assert cli._derive("partition", {"index": i}, config)["b_cofactors"][i] is None
+        assert len(decoded) == config.n
 
 
 def test_transform_rows_are_built_on_first_use(monkeypatch):
@@ -766,12 +801,12 @@ def test_transform_rows_are_built_on_first_use(monkeypatch):
     replays = []
     real = groebner._replay
     monkeypatch.setattr(groebner, "_replay", lambda gb: replays.append(gb) or real(gb))
-    assert cli._payload("validate", {}, config)["ok"]
+    assert cli._derive("validate", {}, config)["ok"]
     y = config.ring.parse("y")
-    assert not cli._payload("member", {"poly": y}, config)["member"]
+    assert not cli._derive("member", {"poly": y}, config)["member"]
     assert replays == []
     # a member's cofactors build each ideal's rows once
     f = config.ring.parse(CURVES_MEMBER)
     for _ in range(2):
-        cli._payload("member", {"poly": f}, config)
+        cli._derive("member", {"poly": f}, config)
     assert sorted(map(id, replays)) == sorted(id(ideal.groebner()) for ideal in config.ideals)

@@ -10,6 +10,9 @@ The problems are the README example, Katsura-3 with a linear companion
 ideal found late in Buchberger) and the four curves in QQ[x,y,z] (every
 partition, chains, `basis 0..4`, members and non-members, one query error).
 
+Each golden run document, cut short or edited in one certificate or echo,
+must fail `verify`.
+
 To regenerate after a deliberate format change, run
 `PYTHONPATH=src python tests/test_documents.py` and say so in CHANGES.md.
 """
@@ -78,6 +81,83 @@ def test_golden_polynomial_texts_round_trip(name):
     assert len(texts) > 10
     for text in texts:
         assert str(ring.parse(text)) == text
+
+
+def _first_payload(entries: list, has) -> dict:
+    return next(e["payload"] for e in entries if has(e.get("payload", {})))
+
+
+def _cut(entries: list) -> None:
+    # the header, the first result and the summary no longer answer the problem
+    del entries[2:-1]
+
+
+def _flip(entries: list) -> None:
+    summary = entries[-1]
+    summary.update(errors=int(not summary["errors"]), ok=not summary["ok"])
+
+
+def _err(entries: list) -> None:
+    result = next(e for e in entries if e.get("status") == "ok")
+    result.pop("payload")
+    result.update(status="error", error="made up")
+
+
+def _paren(entries: list) -> None:
+    # an echoed argument must be the query's canonical text
+    payload = _first_payload(entries, lambda p: p.get("member") is True)
+    payload["poly"] = "(" + payload["poly"] + ")"
+
+
+def _cof(entries: list) -> None:
+    # the cofactor identity must fail
+    cofactors = _first_payload(entries, lambda p: p.get("member") is True)["cofactors"]
+    cofactors[0][0] = "(" + cofactors[0][0] + ") + 1"
+
+
+def _base(entries: list) -> None:
+    # the slice must match its re-derivation
+    _first_payload(entries, lambda p: "basis" in p)["basis"][0] += " + x"
+
+
+def _chain(entries: list) -> None:
+    # the evidence must be the normal forms of the powers of h
+    _first_payload(entries, lambda p: "h" in p)["evidence"][-1] += " + 1"
+
+
+def _partition(entries: list) -> None:
+    # b's cofactor identity must fail
+    payload = _first_payload(entries, lambda p: "b_cofactors" in p)
+    cofactors = next(c for c in payload["b_cofactors"] if c is not None)
+    cofactors[0] = "(" + cofactors[0] + ") + 1"
+
+
+# edits of a golden run document that verify must reject, each with a text
+# its verify output must hold
+TAMPERED = {
+    "cut": (_cut, "no result for query 2"),
+    "flipped": (_flip, "does not match the result lines"),
+    "erred": (_err, "the query succeeds when re-run"),
+    "parened": (_paren, "does not match the query"),
+    "cofed": (_cof, "cofactor identity fails for ideal 1"),
+    "based": (_base, "basis disagrees"),
+    "chained": (_chain, "evidence disagrees"),
+    "partitioned": (_partition, "cofactors for b do not reproduce b"),
+}
+
+
+@pytest.mark.parametrize("edit", TAMPERED)
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_tampered_golden_documents_fail_verify(name, edit, tmp_path):
+    tamper, text = TAMPERED[edit]
+    entries = [json.loads(line) for line in (DATA / f"{name}.run.jsonl").read_text().splitlines()]
+    tamper(entries)
+    doc = tmp_path / "tampered.jsonl"
+    doc.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(doc), str(DATA / f"{name}.json")]) == 1
+    assert text in out.getvalue()
 
 
 if __name__ == "__main__":

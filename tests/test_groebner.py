@@ -474,7 +474,7 @@ def test_basis_decodes_no_quotient_until_transform_is_read(monkeypatch):
     gb = groebner_basis(gens)
     # one `_finish` per nonzero remainder, none for a quotient
     assert len(finished) == sum(nonzero) and not all(nonzero)
-    sources, spairs, (kept_idx, tails, lcs, final) = gb.steps
+    sources, spairs, (kept_idx, tails, lcs) = gb.steps
     recorded = [step[-1] for step in spairs] + list(tails)
     assert recorded and all(callable(res._quotients) for res in recorded)
     rows = gb.transform

@@ -6,6 +6,7 @@ import sys
 import threading
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +16,7 @@ import smeared as sm
 import smeared.groebner as groebner
 import smeared.ideals as ideals_module
 from smeared import Ideal, Polynomial, PolyRing, RingMismatchError, SmearedRingConfig
+from smeared.cli import load_problem
 from oracle import oracle_r_slice_dim
 
 
@@ -398,7 +400,7 @@ def test_chain_direction_from_leads(make, directions, monkeypatch):
     monkeypatch.setattr(Ideal, "eliminate", counting)
     for i, ideal in enumerate(config.ideals):
         h = sm.chain_witness(i, 3, config).h
-        assert calls == [] and list(ideal._cache) == [ring.order]
+        assert calls == []
         leads = ideal.groebner().leading_monomials()
         j = next(j for j in range(ring.nvars) if all(sum(m) != m[j] for m in leads))
         assert h == ring.var(ring.variables[j]) == ring.var(directions[i])
@@ -598,6 +600,45 @@ def test_partitions_reuse_the_validated_pair_sums(monkeypatch):
     # partition i and partition j
     n = config.n
     assert len(bases) == n + n * (n - 1) // 2 == 10
+
+
+def katsura3_config():
+    return load_problem(str(Path(__file__).parent / "data" / "katsura3.json"))[0]
+
+
+# the four curves of curves.json, three lines and Katsura-3 with a linear companion
+THREE_CONFIGS = pytest.mark.parametrize(
+    "make", [four_curves_config, lines_config, katsura3_config], ids=["curves", "lines", "katsura3"]
+)
+
+
+@THREE_CONFIGS
+def test_unit_certificate_is_the_basis_row(make):
+    # a pair sum's reduced basis is [1], so its transform row is the
+    # certificate that dividing 1 by the basis and lifting the quotients gives
+    config = make()
+    for pair_sum in config.pair_sums.values():
+        gb = pair_sum.groebner()
+        want = gb.lift_to_generators(gb.divide(config.ring.one()).quotients)
+        assert pair_sum.unit_certificate() == want
+        assert sum(c * g for c, g in zip(want, pair_sum.generators)) == config.ring.one()
+
+
+@THREE_CONFIGS
+def test_eliminate_leaves_the_cached_basis(make):
+    config = make()
+    ring = config.ring
+    kept = range(1, ring.nvars)
+    for ideal in config.ideals:
+        gb = ideal.groebner()
+        contraction = ideal.eliminate(kept)
+        assert ideal.groebner() is gb
+        assert all(0 not in g.support() for g in contraction.generators)
+        # an elimination before the first request is not the ideal's basis
+        fresh = Ideal(ring, ideal.generators)
+        fresh.eliminate(kept)
+        assert fresh.groebner().order == ring.order
+        assert fresh.groebner().elements == gb.elements
 
 
 def test_shared_tables_under_threads():
