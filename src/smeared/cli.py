@@ -414,6 +414,11 @@ def _emit(lines, out_path: Optional[str], human: str) -> None:
         print(human, file=sys.stderr)
 
 
+# the header fields a document must carry to verify; `version` is left out,
+# so a document from another release of format 1 still verifies
+_FORMAT = {"format": 1, "engine": "smeared"}
+
+
 def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int:
     try:
         config, queries = load_problem(problem_path)
@@ -421,17 +426,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    lines = [
-        _dump(
-            {
-                "type": "header",
-                "format": 1,
-                "engine": "smeared",
-                "version": __version__,
-                "query_count": len(queries),
-            }
-        )
-    ]
+    lines = [_dump({"type": "header", **_FORMAT, "version": __version__, "query_count": len(queries)})]
 
     gate = _derive("validate", {}, config)
     if not gate["ok"]:
@@ -495,10 +490,19 @@ def _flag(obj: dict, name: str) -> bool:
     return obj[name]
 
 
-def _combine(cofactor_texts, generators, ring) -> Polynomial:
+def _poly(ring, text, field: str) -> Polynomial:
+    """The polynomial a document writes as `text` in `field`; every
+    polynomial text that verify reads comes through here."""
+    if not isinstance(text, str):
+        raise QueryError(f"{field} is not a string")
+    return ring.parse(text)
+
+
+def _combine(cofactor_texts, generators, ring, field: str) -> Polynomial:
     if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
         raise QueryError(f"need one cofactor per generator ({len(generators)})")
-    return sum_of_products(ring, [(1, ring.parse(t), g) for t, g in zip(cofactor_texts, generators)])
+    cofactors = [_poly(ring, t, f"{field} entry {k}") for k, t in enumerate(cofactor_texts, start=1)]
+    return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, generators)])
 
 
 class _Verifier:
@@ -579,7 +583,7 @@ class _Verifier:
         cofactors = self._per_ideal(payload, "cofactors")
         for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
             target = q["poly"] - ring.const(_parse_frac(alpha))
-            if _combine(cof, ideal.generators, ring) != target:
+            if _combine(cof, ideal.generators, ring, f"cofactors for ideal {i + 1}") != target:
                 return f"cofactor identity fails for ideal {i + 1}"
         return None
 
@@ -587,11 +591,10 @@ class _Verifier:
         _fields(payload, ("a", "b", "a_constants", "b_constants", "a_cofactors", "b_cofactors", *_echo(q)))
         ring = self.config.ring
         i = q["index"]
-        a = ring.parse(payload["a"])
-        b = ring.parse(payload["b"])
+        a, b = _poly(ring, payload["a"], "a"), _poly(ring, payload["b"], "b")
         if a + b != ring.one():
             return "a + b is not 1"
-        if _combine(payload["a_cofactors"], self.config.ideals[i].generators, ring) != a:
+        if _combine(payload["a_cofactors"], self.config.ideals[i].generators, ring, "a_cofactors") != a:
             return "cofactors for a do not reproduce a"
         b_cofactors = self._per_ideal(payload, "b_cofactors")
         for j, (ideal, cof) in enumerate(zip(self.config.ideals, b_cofactors)):
@@ -599,7 +602,7 @@ class _Verifier:
                 if cof is not None:
                     return "unexpected cofactors for the distinguished ideal"
                 continue
-            if _combine(cof, ideal.generators, ring) != b:
+            if _combine(cof, ideal.generators, ring, f"b_cofactors for ideal {j + 1}") != b:
                 return f"cofactors for b do not reproduce b in ideal {j + 1}"
         # the identities force the constants: a is 0 on Z(I_i), 1 elsewhere
         want_a = [Fraction(int(j != i)) for j in range(self.config.n)]
@@ -614,6 +617,8 @@ class _Verifier:
         _fields(payload, ("in_locus", "evidence", *_echo(q)))
         evidence = self._per_ideal(payload, "evidence")
         for k, (ideal, e) in enumerate(zip(self.config.ideals, evidence), start=1):
+            if not isinstance(e, dict):
+                raise QueryError(f"evidence entry {k} is not a JSON object")
             on_variety = _flag(e, "on_variety")
             _fields(e, ("ideal", "on_variety") + (() if on_variety else ("generator_index", "value")))
             if type(e["ideal"]) is not int or e["ideal"] != k:
@@ -661,9 +666,13 @@ def _bind(entries: list, queries: list):
     document may stop at its first error, and a validation abort holds one
     index-0 `validate` line and a summary saying so.  The summary is the
     single last line and counts the result and error lines.  A breach of the
-    header or the summary, or a missing tail, gets a line with no entry.
+    header (`_FORMAT`, `query_count`) or the summary, or a missing tail, gets
+    a line with no entry.
     """
     header = next((e for e in entries if e.get("type") == "header"), {})
+    for k, want in _FORMAT.items():
+        if type(header.get(k)) is not type(want) or header[k] != want:
+            yield None, None, f"header {k} {header.get(k)!r} is not {want!r}"
     if header.get("query_count") != len(queries):
         yield None, None, (
             f"header query_count {header.get('query_count')!r} does not match "

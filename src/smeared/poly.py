@@ -19,10 +19,11 @@ implicit multiplication rejected)::
 
 Rational literals look like ``3`` or ``5/2``; a denominator must be nonzero.
 The optional sign on the first term is a strict superset of the grammar
-needed so canonical serialization round-trips.  The parser reads one regex
-match per factor (sign, base, exponent, ``*``), so its cost is linear in the
-text's length, and builds the term map directly: only parenthesized factors
-build a `Polynomial`, through polynomial multiplication and powers.
+needed so canonical serialization round-trips.  The parser reads a flat
+term (no parenthesis) in one regex match, its monomial through the ring's
+monomial table, and any other term in one match per factor, so its cost is
+linear in the text's length.  It builds the term map directly: only
+parenthesized factors build a `Polynomial`, by multiplication and powers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import itertools
 import operator
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -202,12 +203,24 @@ class _Terms(Mapping):
         return repr(dict(self.items()))
 
 
+_MONOMIAL_TABLE_SIZE = 4096  # entries; past it monomials are still read, not kept
+
+
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring QQ[variables] with a monomial order tag."""
+    """Polynomial ring QQ[variables] with a monomial order tag.
+
+    `_monomials`, the monomial table of at most `_MONOMIAL_TABLE_SIZE`
+    entries, maps monomial texts the parser has read (``x^4*y^3*z``) to
+    exponent tuples, and tuples `__str__` has spelled back to text.
+    Equality, hashing, `repr`, pickling and copies ignore it, so every ring
+    starts cold.  An entry is a pure function of its key, so racing threads
+    at worst store one twice, or pass the bound by one entry each.
+    """
 
     variables: tuple
     order: str = GREVLEX
+    _monomials: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -217,6 +230,31 @@ class PolyRing:
         if self.order not in (GREVLEX, LEX):
             raise ValueError(f"unknown order tag: {self.order!r}")
         object.__setattr__(self, "variables", tuple(self.variables))
+        one = (0,) * len(self.variables)
+        object.__setattr__(self, "_monomials", {"": one, one: ""})
+
+    def __reduce__(self):
+        return (PolyRing, (self.variables, self.order))
+
+    def _monomial(self, key):
+        """The monomial table's entry for `key`: the exponent tuple of a flat
+        monomial text (``x^4*y^3*z``; None if a name is no variable), or the
+        text of an exponent tuple as `Polynomial.__str__` writes it."""
+        value = self._monomials.get(key)
+        if value is None:
+            if isinstance(key, str):
+                expo = [0] * self.nvars
+                for factor in key.split("*"):
+                    name, _, e = factor.partition("^")
+                    if name not in self.variables:
+                        return None
+                    expo[self.variables.index(name)] += int(e) if e else 1
+                value = tuple(expo)
+            else:
+                value = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, key) if e)
+            if len(self._monomials) < _MONOMIAL_TABLE_SIZE:
+                self._monomials[key] = value
+        return value
 
     @property
     def nvars(self) -> int:
@@ -560,24 +598,15 @@ class Polynomial:
         if not ints:
             return "0"
         n, d = c.numerator, c.denominator
-        names = self.ring.variables
+        spell = self.ring._monomial
         parts = []
         for m in sorted(ints, key=monomial_key(self.ring.order), reverse=True):
             v = ints[m]
             num = (-v if v < 0 else v) * n
             g = gcd(num, d) if d != 1 else 1
-            if d != g:
-                factors = [f"{num // g}/{d // g}"]
-            elif num != g or not any(m):
-                factors = [str(num // g)]
-            else:
-                factors = []
-            for name, e in zip(names, m):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            body = "*".join(factors)
+            mono = spell(m)
+            coeff = f"{num // g}/{d // g}" if d != g else "" if num == g and mono else str(num // g)
+            body = f"{coeff}*{mono}" if coeff and mono else coeff or mono
             if not parts:
                 parts.append(f"-{body}" if v < 0 else body)
             else:
@@ -636,14 +665,25 @@ def sum_of_products(ring: PolyRing, products) -> Polynomial:
 # group's exponent and "*".  With no base the match stops in front of
 # whatever is there, so it matches at any position, even the end.
 _SPACE = r"[ \t\r\n]*"
+_NAME = r"[A-Za-z_][A-Za-z_0-9]*"
 _FACTOR_RE = re.compile(
-    rf"{_SPACE}([-+])?{_SPACE}()(?:(\()|(?:([A-Za-z_][A-Za-z_0-9]*)|([0-9]+)(?:/([0-9]+))?|(\)))"
+    rf"{_SPACE}([-+])?{_SPACE}()(?:(\()|(?:({_NAME})|([0-9]+)(?:/([0-9]+))?|(\)))"
     rf"(?:{_SPACE}\^{_SPACE}()(?:([0-9]+)(?:/([0-9]+))?)?)?{_SPACE}(\*)?)?"
 )
 # groups: 1 sign, 2 base position, 3 "(", 4 name, 5 and 6 numerator and
 # denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*".
 # Digits and whitespace are ASCII only: `\d` and `\s` would also read other
 # scripts' digits and Unicode spaces.
+# One match per flat term as `__str__` writes it: a sign, a literal and a
+# monomial text (either may be missing), then a sign, ")" or the end.  Its
+# literals have no leading zero and at most 640 digits, the least digit limit
+# `int()` can be given, so all it takes is valid; the factor loop reads the
+# rest.  Groups: 1 sign, 2 and 3 literal, 4 monomial text.
+_LIT = r"[1-9][0-9]{0,639}"
+_FLAT_TERM_RE = re.compile(
+    rf"{_SPACE}([-+])?{_SPACE}(?=[0-9A-Za-z_])(?:({_LIT})(?:/({_LIT}))?(?:\*(?=[A-Za-z_])|(?![A-Za-z_])))?"
+    rf"((?:{_NAME}(?:\^{_LIT})?(?:\*{_NAME}(?:\^{_LIT})?)*)?)(?={_SPACE}(?:[-+)]|\Z))"
+)
 _EXPECTED_BASE = "expected a number, variable or parenthesized expression"
 # each "(" costs the parser one level of recursion; a fixed bound keeps deep
 # nesting a ParseError wherever the parser is called from
@@ -678,19 +718,18 @@ def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
 
 
 class _Parser:
-    """Recursive descent over one stream of `_FACTOR_RE` matches; a group is
-    a recursive call that reads on from the same stream.  Each expression
-    adds its terms in place into one dict for `Polynomial._make`.  Errors
-    come in text order, except that a bad character or a zero-denominator or
-    overlong literal anywhere comes before a syntax error, as if tokenized.
+    """Recursive descent, a term at a time: a `_FLAT_TERM_RE` match, else
+    `_FACTOR_RE` matches from the term's start; a group is a recursive call.
+    Each expression adds its terms in place into one dict for
+    `Polynomial._make`.  Errors come in text order, except that a bad
+    character or a zero-denominator or overlong literal anywhere comes
+    before a syntax error, as if tokenized; a flat match never raises.
     """
 
     def __init__(self, text: str, ring: PolyRing):
         self.text = text
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring.variables)}
-        # the regex matches at any position, so no search skips a character
-        self.matches = _FACTOR_RE.finditer(text)
 
     def fail(self, message: str, at: int):
         """Raise the first bad character or literal from `at` on, if any,
@@ -713,14 +752,28 @@ class _Parser:
             self.fail("expected a non-negative integer exponent", m.start(8))
         return _literal(m, 9)[0]
 
-    def expr(self, depth: int = 0) -> tuple:
-        """Parse an expr, inside `depth` open parentheses, from the next match
-        on; return its term map and the match after it, which has no sign and
-        whose base is ")" or missing."""
-        index, matches, nvars = self.index, self.matches, self.ring.nvars
+    def expr(self, pos: int, depth: int = 0) -> tuple:
+        """Parse an expr, inside `depth` open parentheses, from `pos` on;
+        return its term map and the `_FACTOR_RE` match after it, which has
+        no sign and whose base is ")" or missing."""
+        text, ring, index, nvars = self.text, self.ring, self.index, self.ring.nvars
         terms: dict = {}
-        m = next(matches)
+        first = True
         while True:
+            # a flat term: one match and a table lookup
+            t = _FLAT_TERM_RE.match(text, pos)
+            if t is not None and (first or t[1]) and (mono := ring._monomial(t[4])) is not None:
+                sign, num, den, _ = t.groups()
+                num = -int(num or 1) if sign == "-" else int(num or 1)
+                _add_into(terms, mono, num if den is None else Fraction(num, int(den)))
+                pos, first = t.end(), False
+                continue
+            m = _FACTOR_RE.match(text, pos)
+            if not first and m[1] is None:
+                if m.lastindex > 2 and m[7] is None:  # a base right after a term
+                    self.fail("implicit multiplication not allowed", m.start(2))
+                return terms, m
+            first = False
             # one term: numbers and variable powers go into num/den and expo,
             # parenthesized factors into group
             expo = [0] * nvars
@@ -743,7 +796,7 @@ class _Parser:
                 elif opening is not None:
                     if depth == _MAX_NESTING:
                         self.fail(f"parentheses nested more than {_MAX_NESTING} deep", m.start(2))
-                    inner, m = self.expr(depth + 1)
+                    inner, m = self.expr(m.end(), depth + 1)
                     if m[7] is None:
                         self.fail("expected ')'", m.start(2))
                     factor = Polynomial._make(self.ring, inner)
@@ -755,7 +808,7 @@ class _Parser:
                     self.fail(_EXPECTED_BASE, m.start(2))
                 if star is None:
                     break
-                m = next(matches)
+                m = _FACTOR_RE.match(text, m.end())
                 if m[1] is not None:
                     self.fail(_EXPECTED_BASE, m.start(1))
             if num:
@@ -765,17 +818,14 @@ class _Parser:
                 else:
                     for mono, coeff in group.mul_term(mono, coeff).terms.items():
                         _add_into(terms, mono, coeff)
-            m = next(matches)
-            if m[1] is None:
-                if m.lastindex > 2 and m[7] is None:  # a base right after a term
-                    self.fail("implicit multiplication not allowed", m.start(2))
-                return terms, m
+            pos = m.end()
 
 
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
-    """Parse `text` in the grammar above into a canonical Polynomial."""
+    """Parse `text` in the grammar above into a canonical Polynomial;
+    `PolyRing.parse` calls this module global."""
     parser = _Parser(text, ring)
-    terms, m = parser.expr()
+    terms, m = parser.expr(0)
     at = m.start(2)  # in front of a ")", an operator, a bad character or the end
     if at != len(text):
         parser.fail(f"unexpected {text[at]!r}", at)

@@ -417,6 +417,18 @@ TAMPERING = {
     28: (lambda p: p.update(in_locus=1), "in_locus 1 is not a JSON boolean"),
     29: (lambda p: p["evidence"][0].update(on_variety=1), "on_variety 1 is not a JSON boolean"),
     30: (lambda p: p["evidence"][0].update(on_variety="yes"), "on_variety 'yes' is not a JSON boolean"),
+    # a polynomial text that is no string, and evidence that is no object,
+    # fail naming the field
+    31: (lambda p: p.update(a=1), "a is not a string"),
+    32: (lambda p: p["a_cofactors"].__setitem__(0, 0), "a_cofactors entry 1 is not a string"),
+    33: (
+        lambda p: p["cofactors"][0].__setitem__(0, 5),
+        "cofactors for ideal 1 entry 1 is not a string",
+    ),
+    34: (
+        lambda p: p["evidence"].__setitem__(0, [1, False]),
+        "evidence entry 1 is not a JSON object",
+    ),
     # lines with no certificate: the query is re-run and the texts compared
     1: (lambda p: p.update(ok=False), "ok disagrees with the re-derived validate result"),
     2: (lambda p: p.update(noetherian=True), "noetherian disagrees"),
@@ -449,6 +461,10 @@ def test_verify_catches_tampering(tmp_path, capsys):
         "locus 3 5",
         "locus 0 7",
         "locus 0 7",
+        "partition 1",
+        "partition 1",
+        "member x*(x - 1)*(x - 2)*y",
+        "locus 3 5",
     ]
     rc, _, problem, out = run_to_file(tmp_path, doc)
     assert rc == 0
@@ -466,7 +482,7 @@ def test_verify_catches_tampering(tmp_path, capsys):
     assert set(bad) == set(TAMPERING)
     for index, (_, text) in TAMPERING.items():
         assert text in bad[index], (index, bad[index])
-    assert lines[-1] == {"checked": 30, "failures": len(TAMPERING), "type": "verify-summary"}
+    assert lines[-1] == {"checked": 34, "failures": len(TAMPERING), "type": "verify-summary"}
 
 
 def test_verify_binds_echoes_by_canonical_text(tmp_path, capsys):

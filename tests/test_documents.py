@@ -132,6 +132,14 @@ def _partition(entries: list) -> None:
     cofactors[0] = "(" + cofactors[0] + ") + 1"
 
 
+def _header(**fields):
+    # a header from another engine or format: `True == 1`, but it is no 1
+    def edit(entries: list) -> None:
+        entries[0].update(fields)
+
+    return edit
+
+
 # edits of a golden run document that verify must reject, each with a text
 # its verify output must hold
 TAMPERED = {
@@ -143,6 +151,9 @@ TAMPERED = {
     "based": (_base, "basis disagrees"),
     "chained": (_chain, "evidence disagrees"),
     "partitioned": (_partition, "cofactors for b do not reproduce b"),
+    "format2": (_header(format=2), "header format 2 is not 1"),
+    "format_true": (_header(format=True), "header format True is not 1"),
+    "engine": (_header(engine="other"), "header engine 'other' is not 'smeared'"),
 }
 
 

@@ -5,9 +5,13 @@
 random operation sequences run on both, and every result must agree in
 value, text, terms, leading term, integer form, primitive part and value at
 a point.  `reference_evaluate` is the `Fraction`-power loop that
-`Polynomial.evaluate` ran before it summed in integers.
+`Polynomial.evaluate` ran before it summed in integers, and `reference_str`
+the loop that `Polynomial.__str__` ran before it spelled monomials through
+the ring's monomial table.
 """
 
+import copy
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -17,7 +21,7 @@ import pytest
 
 import smeared.poly
 from smeared import PolyRing, Polynomial
-from smeared.poly import LEX, monomial_key, monomials_up_to_degree
+from smeared.poly import _MONOMIAL_TABLE_SIZE, LEX, monomial_key, monomials_up_to_degree
 
 
 class RefPolynomial:
@@ -355,3 +359,117 @@ def test_evaluate_high_power_fills_no_power_table():
         elapsed = time.perf_counter() - start
         assert value == reference_evaluate(f, point) and type(value) is Fraction
         assert elapsed < 0.25, elapsed
+
+
+# ---------------------------------------------------------------------------
+# text: `Polynomial.__str__` and the monomial table against the loop it replaced
+
+
+def reference_str(p):
+    """The previous `Polynomial.__str__`: each term's factors spelled from
+    the exponent tuple, with no table."""
+    ints, c = p.integer_form()
+    if not ints:
+        return "0"
+    n, d = c.numerator, c.denominator
+    names = p.ring.variables
+    parts = []
+    for m in sorted(ints, key=monomial_key(p.ring.order), reverse=True):
+        v = ints[m]
+        num = (-v if v < 0 else v) * n
+        g = gcd(num, d) if d != 1 else 1
+        if d != g:
+            factors = [f"{num // g}/{d // g}"]
+        elif num != g or not any(m):
+            factors = [str(num // g)]
+        else:
+            factors = []
+        for name, e in zip(names, m):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        body = "*".join(factors)
+        if not parts:
+            parts.append(f"-{body}" if v < 0 else body)
+        else:
+            parts.append(f"{'-' if v < 0 else '+'} {body}")
+    return " ".join(parts)
+
+
+TEXT_RINGS = (
+    PolyRing(("x", "y")),
+    PolyRing(("x", "y", "z"), LEX),
+    PolyRing(("u10", "u2", "x_1")),
+    PolyRing(("z", "y", "x", "w"), LEX),
+)
+
+
+def _sweep_polynomial(rng, ring):
+    n = ring.nvars
+    kind = rng.random()
+    if kind < 0.1:
+        return ring.zero()
+    if kind < 0.2:  # a constant: integral, fractional, negative
+        return ring.const(rng.choice((1, -1, 7, Fraction(-3, 4), Fraction(22, 7))))
+    terms = {}
+    for _ in range(rng.randint(1, 7)):
+        # exponents 0-3 mostly, some of 10 and over
+        mono = tuple(rng.choice((0, 0, 1, 2, 3, 10, 11, 25)) for _ in range(n))
+        terms[mono] = _coeff(rng) * rng.choice((1, 1, 12, Fraction(1, 1000)))
+    f = Polynomial(ring, terms)
+    return -f if rng.random() < 0.3 else f
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_str_matches_reference(seed):
+    rng = random.Random(7200 + seed)
+    negative_leads = fractional = 0
+    for ring in TEXT_RINGS:
+        # one ring value per sweep, so its table is warm after the first texts
+        for _ in range(150):
+            f = _sweep_polynomial(rng, ring)
+            text = str(f)
+            assert text == reference_str(f), text
+            assert ring.parse(text) == f
+            assert str(ring.parse(text)) == text
+            if not f.is_zero():
+                negative_leads += f.leading_coefficient() < 0
+                fractional += f.integer_form()[1].denominator > 1
+    assert negative_leads and fractional
+
+
+def test_monomial_table_is_per_ring_and_bounded():
+    # the same text names different exponents in rings with the variables in
+    # another order, so a table shared between the two reads one of them wrong
+    xy, yx = PolyRing(("x", "y")), PolyRing(("y", "x"))
+    for _ in range(2):  # cold tables, then warm
+        f, g = xy.parse("3*x^2*y - x*y^10 + 1"), yx.parse("3*x^2*y - x*y^10 + 1")
+        assert f.integer_form()[0] == {(2, 1): 3, (1, 10): -1, (0, 0): 1}
+        assert g.integer_form()[0] == {(1, 2): 3, (10, 1): -1, (0, 0): 1}
+        assert str(f) == "-x*y^10 + 3*x^2*y + 1"
+        assert str(g) == "-y^10*x + 3*y*x^2 + 1"
+
+    # more distinct monomials than the table holds: it stops at its bound,
+    # and the monomials past it are read and written all the same
+    ring = PolyRing(("x", "y", "z"))
+    rng = random.Random(7300)
+    monos = monomials_up_to_degree(3, 30)
+    assert len(monos) > _MONOMIAL_TABLE_SIZE
+    f = Polynomial(
+        ring, {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)) for m in monos}
+    )
+    text = reference_str(f)
+    assert ring.parse(text) == f
+    assert len(ring._monomials) == _MONOMIAL_TABLE_SIZE
+    assert str(f) == text
+    assert len(ring._monomials) == _MONOMIAL_TABLE_SIZE
+
+    # the table is no part of the ring's value
+    cold = PolyRing(("x", "y", "z"))
+    assert ring == cold and hash(ring) == hash(cold) and repr(ring) == repr(cold)
+    assert pickle.dumps(ring) == pickle.dumps(cold)
+    for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring), copy.copy(ring)):
+        assert copied == ring and hash(copied) == hash(ring)
+        assert len(copied._monomials) < 10
+    assert cold.parse(text) == f and str(cold.parse(text)) == text
