@@ -386,7 +386,11 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
 
 def _text(value) -> str:
     if isinstance(value, (Polynomial, Fraction)):
-        return str(value)
+        try:
+            return str(value)
+        except ValueError:  # past int's digit limit for text, a query error
+            n = sys.get_int_max_str_digits()
+            raise QueryError(f"the result holds a number of over {n} digits, the limit for integer text") from None
     raise TypeError(f"{type(value).__name__} has no document form")
 
 
@@ -439,15 +443,14 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
     for qi, raw in enumerate(queries, start=1):
         started = time.perf_counter_ns()
         entry = {"type": "result", "index": qi, "query": raw}
-        try:
-            name, args = _normalize_query(raw)
-            entry.update(status="ok", payload=_run_query(name, args, config))
-        except QueryError as e:
-            errors += 1
-            entry.update(status="error", error=str(e))
         # the timing covers writing the payload's engine values as text;
         # "elapsed_us" sorts before every other key, so it leads the line
-        text = _dump(entry)
+        try:
+            name, args = _normalize_query(raw)
+            text = _dump({**entry, "status": "ok", "payload": _run_query(name, args, config)})
+        except QueryError as e:
+            errors += 1
+            text = _dump({**entry, "status": "error", "error": str(e)})
         elapsed = (time.perf_counter_ns() - started) // 1000
         lines.append(f'{{"elapsed_us":{elapsed},{text[1:]}')
         if errors and strict:
@@ -551,7 +554,8 @@ class _Verifier:
     def _check_error(self, entry: dict) -> Optional[str]:
         try:
             name, args = _normalize_query(entry["query"])
-            _derive(name, _query_args(name, args, self.config), self.config)
+            q = _query_args(name, args, self.config)
+            _dump({**_derive(name, q, self.config), **_echo(q)})
         except QueryError as e:
             return None if str(e) == entry["error"] else "error text disagrees with the re-run query"
         return "the query succeeds when re-run"

@@ -523,6 +523,12 @@ class Polynomial:
         shifted = {tuple(map(add, m, mono)): v for m, v in ints.items()}
         return Polynomial._new(self.ring, shifted, content if coeff == 1 else content * coeff)
 
+    def derivative(self, j: int) -> "Polynomial":
+        """The partial derivative by the j-th variable."""
+        ints, c = self._form
+        terms = {m[:j] + (m[j] - 1,) + m[j + 1 :]: v * m[j] for m, v in ints.items() if m[j]}
+        return Polynomial._make(self.ring, terms).scale(c)
+
     def __pow__(self, n: int) -> "Polynomial":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")

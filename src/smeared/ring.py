@@ -16,6 +16,9 @@ every S/I_i has dimension at least one.  For a positive-dimensional I_i,
 gR < (g, gh)R < (g, gh, gh^2)R < ... that witnesses the failure of the
 noetherian property.  Its h is a variable that no basis lead is a power
 of, and its evidence is the powers of h.
+
+With `check_radicality`, `validate` decides whether an ideal asserted radical
+is so by the Jacobian criterion where the ideal is a complete intersection.
 """
 
 from __future__ import annotations
@@ -88,8 +91,8 @@ class SmearedRingConfig:
     """R = intersection of (QQ + I_i) inside ring; immutable once built.
 
     `radical_asserted[i]` records the caller's promise that I_i is radical;
-    the verdicts rely on it, and `validate` spot-checks it when
-    `check_radicality` is set.
+    the verdicts rely on it, and `validate` checks it when `check_radicality`
+    is set (`jacobian_criterion`, else a spot-check).
 
     `pair_sums[i, j]` is the handle of I_i + I_j (I_i's generators first)
     for each unordered pair i < j; `validate` and `partition_of_unity` share
@@ -139,13 +142,16 @@ _VIOLATION_TEXTS = {
     "not_coprime": "ideals {0} and {1} are not coprime (their zero sets meet)",
     "not_radical": "ideal {0} asserted radical, but {monomial} lies in the radical "
     "and not in the ideal",
+    # a `not_radical` with no monomial: the Jacobian criterion refuted it
+    "not_reduced": "ideal {0} asserted radical, but its quotient is not reduced (Jacobian criterion)",
 }
 
 
 @dataclass(frozen=True)
 class Violation:
     """A failed hypothesis: its kind, the 0-based ideals at fault, and for
-    `not_radical` the monomial that refutes radicality."""
+    `not_radical` the monomial that refutes radicality, or None where the
+    Jacobian criterion refutes it and the spot-check finds no monomial."""
 
     kind: str
     ideals: tuple
@@ -154,7 +160,8 @@ class Violation:
     def render(self, base: int = 0) -> str:
         """The message, numbering ideals from `base` (the CLI uses 1)."""
         shown = (i + base for i in self.ideals)
-        return _VIOLATION_TEXTS[self.kind].format(*shown, monomial=self.monomial)
+        kind = "not_reduced" if self.kind == "not_radical" and self.monomial is None else self.kind
+        return _VIOLATION_TEXTS[kind].format(*shown, monomial=self.monomial)
 
 
 @dataclass(frozen=True)
@@ -254,9 +261,9 @@ class ConstancyReport:
 def _radicality_candidates(ideal: Ideal):
     """Monomials properly dividing a generator's leading monomial.
 
-    Cheap spot-check fodder: if such a monomial lies in the radical but not
-    in the ideal, the ideal is certainly not radical.  Finding nothing proves
-    nothing.
+    Spot-check fodder where `jacobian_criterion` proves nothing: if such a
+    monomial lies in the radical but not in the ideal, the ideal is certainly
+    not radical.  Finding nothing proves nothing.
     """
     ring = ideal.ring
     seen = set()
@@ -271,14 +278,51 @@ def _radicality_candidates(ideal: Ideal):
             yield ring.monomial(cand)
 
 
+def jacobian_criterion(ideal: Ideal) -> Optional[bool]:
+    """True if the proper ideal I is proven radical, False if refuted, None
+    if the test abstains: where its c nonzero generators leave dim S/I above
+    n - c, for n variables, I is no complete intersection.  A complete
+    intersection is radical iff dim S/(I + J) < dim S/I, J the ideal of the
+    c x c minors of the Jacobian matrix and the unit ideal of dimension -1
+    (Eisenbud, Commutative Algebra, Thm. 18.15).  The minors are expanded
+    along the rows, each (row, column set) sub-minor once; c = 0 is proven.
+    """
+    ring, gens = ideal.ring, [g for g in ideal.generators if not g.is_zero()]
+    c = len(gens)
+    if c == 0:
+        return True
+    dim = ideal.krull_dim()
+    if dim != ring.nvars - c:
+        return None
+    jac = [[g.derivative(j) for j in range(ring.nvars)] for g in gens]
+    memo = {(c, ()): ring.one()}
+
+    def minor(row: int, cols: tuple) -> Polynomial:
+        if (row, cols) not in memo:
+            expansion = [
+                ((-1) ** k, jac[row][j], minor(row + 1, cols[:k] + cols[k + 1 :]))
+                for k, j in enumerate(cols)
+                if not jac[row][j].is_zero()
+            ]
+            memo[row, cols] = sum_of_products(ring, expansion)
+        return memo[row, cols]
+
+    minors = [minor(0, cols) for cols in itertools.combinations(range(ring.nvars), c)]
+    if any(m.is_constant() and not m.is_zero() for m in minors):
+        return True  # I + J is the unit ideal, with no basis to compute
+    singular = Ideal(ring, (*gens, *minors))
+    return (-1 if singular.contains_one() else singular.krull_dim()) < dim
+
+
 def validate(config: SmearedRingConfig) -> ValidationReport:
     """Check the hypotheses the whole theory rests on.
 
     Per ideal: proper, nonzero, and non-maximal (a maximal I_i would make
     QQ + I_i all of S, so the ideal contributes nothing and should be dropped
     from the configuration instead).  Per pair: coprime, i.e. the zero sets
-    are disjoint.  With `config.check_radicality`, spot-checks asserted
-    radicality.
+    are disjoint.  With `config.check_radicality`, asserted radicality goes to
+    `jacobian_criterion`; where it is not proven, the spot-check looks for a
+    monomial witness, and a refutation with none reports monomial None.
     """
     if config.report is not None:
         return config.report
@@ -306,10 +350,13 @@ def validate(config: SmearedRingConfig) -> ValidationReport:
         for i, ideal in enumerate(config.ideals):
             if not config.radical_asserted[i] or not proper[i]:
                 continue
-            for cand in _radicality_candidates(ideal):
-                if ideal.radical_member(cand) and not ideal.contains(cand):
-                    violations.append(Violation("not_radical", (i,), cand))
-                    break
+            proven = jacobian_criterion(ideal)
+            if proven:
+                continue
+            in_radical = (m for m in _radicality_candidates(ideal) if ideal.radical_member(m))
+            witness = next((m for m in in_radical if not ideal.contains(m)), None)
+            if witness is not None or proven is False:
+                violations.append(Violation("not_radical", (i,), witness))
     object.__setattr__(config, "report", ValidationReport(tuple(violations), config.check_radicality))
     return config.report
 

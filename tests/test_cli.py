@@ -1,6 +1,7 @@
 """The batch interface: problem files, result documents, exit codes, verify."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -136,6 +137,26 @@ def test_validation_failure_exits_2(tmp_path, capsys):
     assert lines[-1]["aborted"] == "validation"
 
 
+def test_non_reduced_ideal_fails_the_gate(tmp_path, capsys):
+    # (x + y)^2 has no monomial witness; the Jacobian criterion refutes it
+    doc = dict(THREE_LINES, ideals=[["x^2 + 2*x*y + y^2"], ["x + y - 1"]], radical=[True, True])
+    rc, lines, problem, out = run_to_file(tmp_path, dict(doc, check_radicality=True))
+    assert rc == 2
+    assert lines[1]["payload"] == {
+        "ok": False,
+        "radicality_checked": True,
+        "violations": [
+            {
+                "ideals": [1],
+                "kind": "not_radical",
+                "message": "ideal 1 asserted radical, but its quotient is not reduced (Jacobian criterion)",
+            }
+        ],
+    }
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0 and verified[-1]["failures"] == 0
+
+
 def test_failing_gate_validates_once(tmp_path, monkeypatch):
     # the abort line writes the gate's own payload
     calls = []
@@ -257,6 +278,36 @@ def test_query_error_exits_1_and_batch_continues(tmp_path):
     assert payload_of(lines, 6)["status"] == "error"
     assert "too many digits (at position 4)" in payload_of(lines, 6)["error"]
     assert lines[-1]["errors"] == 4
+
+
+@pytest.fixture
+def digit_limit_1000():
+    """int's digit limit for text pinned at 1,000, restored afterwards."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_numbers_past_the_digit_limit_are_query_errors(tmp_path, capsys, digit_limit_1000):
+    doc = dict(THREE_LINES)
+    doc["queries"] = [
+        # the echoed argument holds 123456789^150, of 1,214 digits
+        ["member", "(123456789*y)^150"],
+        "dims",
+        # the value 2^3400 at x = 2, of 1,024 digits, where the echo is small
+        ["eval", "x^3400*(x - 1)", 3],
+        ["eval", "x^3300*(x - 1)", 3],
+    ]
+    rc, lines, problem, out = run_to_file(tmp_path, doc)
+    assert rc == 1
+    message = "the result holds a number of over 1000 digits, the limit for integer text"
+    assert [payload_of(lines, k).get("error") for k in (1, 2, 3, 4)] == [message, None, message, None]
+    assert payload_of(lines, 4)["payload"]["value"] == str(2**3300)
+    assert lines[-1] == {"errors": 2, "ok": False, "results": 4, "type": "summary"}
+    # verify re-runs each error line into the same check and the same text
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0 and verified[-1] == {"checked": 4, "failures": 0, "type": "verify-summary"}
 
 
 def test_integer_and_rational_arguments_are_read_strictly(tmp_path, capsys):

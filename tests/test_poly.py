@@ -104,6 +104,26 @@ def test_power(R2):
         x ** (-1)
 
 
+def test_derivative(R2):
+    f = R2.parse("3/4*x^3*y^2 - 5*x*y + 7")
+    assert f.derivative(0) == R2.parse("9/4*x^2*y^2 - 5*y")
+    assert f.derivative(1) == R2.parse("3/2*x^3*y - 5*x")
+    # a constant, or a polynomial free of the variable, differentiates to 0
+    assert R2.parse("y^2 + 1").derivative(0) == R2.zero() == R2.zero().derivative(1)
+    # the stored pair stays canonical: primitive integers, positive content
+    form = R2.parse("-2/3*x^2 + 4/3*x").derivative(0).integer_form()
+    assert form == ({(1, 0): -1, (0, 0): 1}, Fraction(4, 3))
+    # the product rule, on random polynomials
+    rng = random.Random(5)
+    for _ in range(20):
+        p, q = (
+            Polynomial(R2, {(rng.randint(0, 3), rng.randint(0, 3)): rng.randint(-5, 5) for _ in range(4)})
+            for _ in "pq"
+        )
+        for j in (0, 1):
+            assert (p * q).derivative(j) == p.derivative(j) * q + p * q.derivative(j)
+
+
 def test_ring_mismatch(R2):
     other = PolyRing(("x", "y", "z"))
     with pytest.raises(RingMismatchError):

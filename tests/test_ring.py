@@ -17,6 +17,7 @@ import smeared.groebner as groebner
 import smeared.ideals as ideals_module
 from smeared import Ideal, Polynomial, PolyRing, RingMismatchError, SmearedRingConfig
 from smeared.cli import load_problem
+from smeared.ring import jacobian_criterion
 from oracle import oracle_r_slice_dim
 
 
@@ -83,6 +84,139 @@ def test_validate_radicality_spot_check(R2):
     # honest flags suppress the check
     humble = SmearedRingConfig(R2, (Ideal(R2, (x**2,)),), (False,), check_radicality=True)
     assert sm.validate(humble).ok
+
+
+R3 = PolyRing(("x", "y", "z"))
+
+
+def _radicality(monkeypatch, *gens):
+    """validate's report on the one ideal (gens) of QQ[x, y, z] with
+    check_radicality, the criterion's answer, and the radical_member calls."""
+    ideal = Ideal(R3, tuple(map(R3.parse, gens)))
+    calls = _counting(monkeypatch, Ideal, "radical_member")
+    report = sm.validate(SmearedRingConfig(R3, (ideal,), check_radicality=True))
+    return report, jacobian_criterion(ideal), len(calls)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ("x*y", "z"),
+        ("y^2 - x^3", "z"),
+        ("x^2 + y^2 - 1", "z"),
+        ("x*(x*y - 3/2)",),
+        # smooth, but each needs the right minors: the sign of the second
+        # expansion term (det -2), that term itself (det -1), and the column
+        # set (0, 2) apart from (0, 1) (minor 1 - 2x)
+        ("x + y", "x - y - 1"),
+        ("y + x^2", "x"),
+        ("z", "x^2 - x"),
+    ],
+)
+def test_jacobian_criterion_proves_reduced_ideals(monkeypatch, gens):
+    # (x*y, z) and (y^2 - x^3, z) are singular at the origin, yet reduced:
+    # the singular locus has lower dimension, and no spot-check runs
+    report, proven, calls = _radicality(monkeypatch, *gens)
+    assert proven is True and report.ok and report.radicality_checked and calls == 0
+
+
+def test_jacobian_criterion_abstains_off_complete_intersections(monkeypatch):
+    # the coordinate axes: three generators, dimension 1, no complete
+    # intersection; the spot-check runs and finds nothing, as before
+    report, proven, calls = _radicality(monkeypatch, "x*y", "y*z", "x*z")
+    assert proven is None and calls > 0
+    assert report == sm.ValidationReport((), True)
+    # no generators at all: the zero ideal is radical
+    assert jacobian_criterion(Ideal(R3, (R3.zero(),))) is True
+
+
+@pytest.mark.parametrize(
+    "gens, monomial, message",
+    [
+        (("x^2",), "x", "ideal 1 asserted radical, but x lies in the radical and not in the ideal"),
+        (
+            ("x^2 + y^2 - 1", "z^2"),
+            "z",
+            "ideal 1 asserted radical, but z lies in the radical and not in the ideal",
+        ),
+        (
+            ("x^2 + 2*x*y + y^2",),
+            None,
+            "ideal 1 asserted radical, but its quotient is not reduced (Jacobian criterion)",
+        ),
+    ],
+)
+def test_jacobian_refutations_report_a_witness_where_one_exists(monkeypatch, gens, monomial, message):
+    # the spot-check still names a monomial where it finds one; (x + y)^2 has
+    # no monomial witness, and passed validation before the criterion
+    report, proven, calls = _radicality(monkeypatch, *gens)
+    assert proven is False and calls > 0
+    [v] = report.violations
+    assert (v.kind, v.ideals, v.render(1)) == ("not_radical", (0,), message)
+    assert v.monomial == (None if monomial is None else R3.parse(monomial))
+
+
+def test_four_curves_are_proven_radical(monkeypatch):
+    base = four_curves_config()
+    config = SmearedRingConfig(base.ring, base.ideals, check_radicality=True)
+    calls = _counting(monkeypatch, Ideal, "radical_member")
+    assert sm.validate(config) == sm.ValidationReport((), True)
+    assert calls == []
+
+
+def _sympy_exprs(sympy, syms, polys):
+    def term(m, c):
+        return sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m)))
+
+    return [sum(term(m, c) for m, c in p.terms.items()) for p in polys]
+
+
+# proper complete intersections in 2 or 3 variables, most of the time:
+# c <= n generators of up to three terms of degree at most 2 in each variable
+_intersections = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.dictionaries(
+                st.tuples(*[st.integers(0, 2)] * n),
+                st.integers(1, 3) | st.integers(-3, -1),
+                min_size=1,
+                max_size=3,
+            ),
+            min_size=1,
+            max_size=n,
+        ),
+    )
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_intersections)
+def test_jacobian_verdicts_agree_with_a_rabinowitsch_oracle(case):
+    sympy = pytest.importorskip("sympy")
+    n, maps = case
+    ring = PolyRing(("x", "y", "z")[:n])
+    ideal = Ideal(ring, tuple(Polynomial(ring, terms) for terms in maps))
+    assume(not ideal.contains_one())
+    proven = jacobian_criterion(ideal)
+    assume(proven is not None)
+    if proven:
+        # no spot-check candidate lies in the radical and outside the ideal,
+        # by the Rabinowitsch test run through sympy: m is in the radical iff
+        # I + (1 - t*m) is the unit ideal
+        syms = sympy.symbols(ring.variables)
+        t = sympy.Symbol("t")
+        gens = _sympy_exprs(sympy, syms, ideal.generators)
+        basis = sympy.groebner(gens, *syms, order="grevlex", domain="QQ")
+        for m in sm.ring._radicality_candidates(ideal):
+            [mono] = _sympy_exprs(sympy, syms, [m])
+            extended = sympy.groebner([*gens, 1 - t * mono], *syms, t, order="grevlex", domain="QQ")
+            if extended.exprs == [1]:
+                assert basis.contains(mono)
+        # squaring a generator keeps the zero set and breaks reducedness
+        f = next(g for g in ideal.generators if not g.is_zero())
+        squared = Ideal(ring, tuple(g**2 if g is f else g for g in ideal.generators))
+        assert jacobian_criterion(squared) is False
 
 
 def test_member_examples(three_lines, R2):
@@ -577,8 +711,8 @@ def test_validate_builds_each_pair_sum_once(monkeypatch):
 
 
 def test_validate_report_is_computed_once(monkeypatch):
-    # the radicality spot-check builds a basis per candidate monomial; the
-    # report is kept on the configuration, so a second call builds none
+    # the Jacobian criterion builds a basis of I + J_c per ideal; the report
+    # is kept on the configuration, so a second call builds none
     base = four_curves_config()
     config = SmearedRingConfig(base.ring, base.ideals, check_radicality=True)
     bases = _counting(monkeypatch, ideals_module, "groebner_basis")
