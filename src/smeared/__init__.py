@@ -28,6 +28,7 @@ from .ring import (
     NegativeLengthError,
     NoChainError,
     NotCoprimeError,
+    NotMemberError,
     OffZeroSetError,
     PartitionWitness,
     SmearedRingConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "NegativeLengthError",
     "NoChainError",
     "NotCoprimeError",
+    "NotMemberError",
     "OffZeroSetError",
     "ParseError",
     "PartitionWitness",

@@ -56,6 +56,9 @@ from . import __version__
 from .ideals import Ideal
 from .poly import GREVLEX, LEX, ParseError, Polynomial, PolyRing, sum_of_products
 from .ring import (
+    NoChainError,
+    NotMemberError,
+    OffZeroSetError,
     SmearedRingConfig,
     chain_witness,
     evaluate_at_smeared_point,
@@ -374,9 +377,11 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
             "ok": report.ok,
             "mismatches": [p + 1 for p in report.mismatches],
         }
+    except (NoChainError, NotMemberError, OffZeroSetError) as e:
+        # refusals that name an ideal or a point number it from 1, as documents do
+        raise QueryError(e.render(1)) from None
     except ValueError as e:
-        # the engine's refusals (not a member, not coprime, dimension 0,
-        # a point off the zero set) are query errors
+        # the engine's other refusals (not coprime, say) are query errors too
         raise QueryError(str(e)) from None
 
 
@@ -677,7 +682,7 @@ def _bind(entries: list, queries: list):
     for k, want in _FORMAT.items():
         if type(header.get(k)) is not type(want) or header[k] != want:
             yield None, None, f"header {k} {header.get(k)!r} is not {want!r}"
-    if header.get("query_count") != len(queries):
+    if type(header.get("query_count")) is not int or header["query_count"] != len(queries):
         yield None, None, (
             f"header query_count {header.get('query_count')!r} does not match "
             f"the problem file's {len(queries)} queries"

@@ -123,7 +123,7 @@ class Ideal:
         entry is NF(x_k * NF(m / x_k)), which differs from x^m by a member, for
         m's last variable x_k (fewer division steps than the first on the
         benchmark's curves); the walk to the nearest stored entry is a loop.
-        `r_basis`, `chain_witness` and `verify`'s slice check read the table."""
+        `r_basis` and `verify`'s slice check read the table."""
         table, path = self._monomial_nf, []
         while m not in table and any(m):
             k = max(j for j, e in enumerate(m) if e)

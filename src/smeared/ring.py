@@ -30,7 +30,7 @@ from math import lcm
 from typing import Optional, Sequence
 
 from .ideals import Ideal
-from .linalg import IncrementalRank, kernel_basis
+from .linalg import kernel_basis
 from .poly import (
     GREVLEX,
     Polynomial,
@@ -43,8 +43,30 @@ from .poly import (
 
 
 class NoChainError(ValueError):
-    """The quotient is zero-dimensional: k + I is noetherian there and no
-    strictly ascending chain of the certified form exists."""
+    """The quotient by ideal `index` (0-based) is zero-dimensional: k + I is
+    noetherian there and no strictly ascending chain of the certified form
+    exists.  `render(base)` numbers the ideal from `base` (the CLI uses 1)."""
+
+    def __init__(self, index: int):
+        self.index = index
+        super().__init__(self.render())
+
+    def render(self, base: int = 0) -> str:
+        i = self.index + base
+        return f"dim of the quotient by ideal {i} is 0; the chain construction needs positive dimension"
+
+
+class NotMemberError(ValueError):
+    """The polynomial is not in R: its normal form `remainder` modulo ideal
+    `index` (0-based) is not a constant.  `render(base)` as `NoChainError`'s."""
+
+    def __init__(self, index: int, remainder: Polynomial):
+        self.index, self.remainder = index, remainder
+        super().__init__(self.render())
+
+    def render(self, base: int = 0) -> str:
+        i = self.index + base
+        return f"polynomial is not in the subring: normal form modulo ideal {i} is {self.remainder}"
 
 
 class NotCoprimeError(ValueError):
@@ -76,14 +98,16 @@ class NegativeLengthError(ValueError):
 
 class OffZeroSetError(ValueError):
     """Sample point `point` (0-based) is not on the zero set of ideal
-    `index`: its generator `generator` does not vanish there."""
+    `index`: its generator `generator` does not vanish there.  `render(base)`
+    numbers the point and the ideal from `base` (the CLI uses 1)."""
 
     def __init__(self, point: int, index: int, generator: Polynomial):
-        super().__init__(
-            f"point {point} is not on the zero set of ideal {index}: "
-            f"generator {generator} does not vanish there"
-        )
         self.point, self.index, self.generator = point, index, generator
+        super().__init__(self.render())
+
+    def render(self, base: int = 0) -> str:
+        p, i = self.point + base, self.index + base
+        return f"point {p} is not on the zero set of ideal {i}: generator {self.generator} does not vanish there"
 
 
 @dataclass(frozen=True)
@@ -207,8 +231,8 @@ class PartitionWitness:
 class ChainWitness:
     """Certificate that gR < (g, gh)R < ... is strict for `length` steps.
 
-    `evidence[j]` is the normal form of h^j modulo I_i, which is h^j; their
-    linear independence over QQ is exactly strictness of each inclusion.
+    `evidence[j]` is h^j, its own normal form modulo I_i; their linear
+    independence over QQ is exactly strictness of each inclusion.
     """
 
     index: int
@@ -387,10 +411,7 @@ def evaluate_at_smeared_point(f: Polynomial, i: int, config: SmearedRingConfig) 
     config.check_index(i)
     cert = member(f, config)
     if not cert.member:
-        raise ValueError(
-            f"polynomial is not in the subring: normal form modulo ideal "
-            f"{cert.witness_index} is {cert.nonconstant_remainder}"
-        )
+        raise NotMemberError(cert.witness_index, cert.nonconstant_remainder)
     return cert.constants[i]
 
 
@@ -505,12 +526,12 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     """Certify `length` strict steps of the chain gR < (g, gh)R < ...
 
     Requires dim S/I_i >= 1.  h is the first variable that no basis lead is
-    a power of (`GroebnerBasis.pure_powers`), so I_i meets QQ[h] only in 0
-    and the evidence NF(h^k) is h^k, for k = 0..length.  g*h^(l+1) lies in
-    (g, ..., g*h^l)R iff NF(h^(l+1)) falls in the span of the earlier normal
-    forms.  Each is read from the ideal's table of monomial normal forms,
-    which `r_basis` shares, and goes to `IncrementalRank` as a sparse row
-    keyed by monomial, so the certificate checks its own independence.
+    a power of (`GroebnerBasis.pure_powers`), so I_i meets QQ[h] only in 0.
+    g*h^(l+1) lies in (g, ..., g*h^l)R iff NF(h^(l+1)) falls in the span of
+    the earlier normal forms.  A lead dividing a power of h would be 1 or a
+    power of h, so none does: each h^k is its own normal form, and the
+    evidence h^0..h^length, distinct monomials, is independent as built,
+    with no division and no rank test.
     """
     config.check_index(i)
     if length < 0:
@@ -518,26 +539,15 @@ def chain_witness(i: int, length: int, config: SmearedRingConfig) -> ChainWitnes
     ideal = config.ideals[i]
     j = next((j for j, e in enumerate(ideal.groebner().pure_powers()) if e is None), None)
     if j is None:
-        raise NoChainError(
-            f"dim of the quotient by ideal {i} is 0; the chain construction "
-            "needs positive dimension"
-        )
+        raise NoChainError(i)
     h = config.ring.var(config.ring.variables[j])
     g = next((p for p in ideal.generators if not p.is_zero()), None)
     if g is None:
         raise ValueError("chain needs a nonzero generator")
 
     powers = (tuple(k * (t == j) for t in range(config.ring.nvars)) for k in range(length + 1))
-    evidence = [ideal.monomial_normal_form(m) for m in powers]
-    tracker = IncrementalRank()
-    # scaling a normal form by its content changes no rank
-    for nf in evidence:
-        if not tracker.add(nf.integer_form()[0]):
-            raise RuntimeError(
-                "normal forms of powers became dependent although the chosen "
-                "direction promised independence; engine bug"
-            )
-    return ChainWitness(i, g, h, length, tuple(evidence))
+    evidence = tuple(Polynomial._new(config.ring, {m: 1}, Fraction(1)) for m in powers)
+    return ChainWitness(i, g, h, length, evidence)
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +576,9 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     monomials, is a basis element's stored form.
 
     The normal forms come from each ideal's table of monomial normal forms
-    (`Ideal.monomial_normal_form`), which `chain_witness` and `verify`'s
-    slice membership check share: a monomial is divided once per
-    configuration, so `basis 0..d` costs what `basis d` alone costs.
+    (`Ideal.monomial_normal_form`), which `verify`'s slice membership check
+    shares: a monomial is divided once per configuration, so `basis 0..d`
+    costs what `basis d` alone costs.
     """
     if d < 0:
         raise NegativeDegreeError(d)

@@ -657,6 +657,20 @@ def test_verify_binds_lines_to_the_problem_file(tmp_path, capsys):
     assert "not a JSON object" in capsys.readouterr().err
 
 
+def test_verify_needs_an_integer_query_count(tmp_path, capsys):
+    # `True == 1` and `1.0 == 1`, but a count is a JSON integer
+    rc, lines, problem, out = run_to_file(tmp_path, {**THREE_LINES, "queries": ["verdict"]})
+    assert rc == 0
+    texts = out.read_text().splitlines()
+    for count in (True, 1.0):
+        out.write_text("\n".join([json.dumps(dict(lines[0], query_count=count)), *texts[1:]]) + "\n")
+        rc, verified = _verify_lines(out, problem, capsys)
+        assert rc == 1
+        assert [(e["index"], e["problem"]) for e in verified if not e.get("ok", True)] == [
+            (None, f"header query_count {count!r} does not match the problem file's 1 queries")
+        ]
+
+
 def test_verify_catches_a_slice_non_member(tmp_path, capsys, monkeypatch):
     # run and verify both append y, which is no constant on the line x = 0,
     # so the canonical texts agree and only the membership check by the

@@ -7,11 +7,13 @@ division re-checking switched on and off.
 
 The problems are the README example, Katsura-3 with a linear companion
 (member cofactors over a non-monic tracked basis, partitions through a unit
-ideal found late in Buchberger) and the four curves in QQ[x,y,z] (every
-partition, chains, `basis 0..4`, members and non-members, one query error).
+ideal found late in Buchberger), the four curves in QQ[x,y,z] (every
+partition, chains, `basis 0..4`, members and non-members, one query error)
+and three ideals in QQ[x,y] whose queries fail with every engine refusal
+that names an ideal or a point, numbered from 1 as documents are.
 
-Each golden run document, cut short or edited in one certificate or echo,
-must fail `verify`.
+Each golden run document of the first three, cut short or edited in one
+certificate or echo, must fail `verify`.
 
 To regenerate after a deliberate format change, run
 `PYTHONPATH=src python tests/test_documents.py` and say so in CHANGES.md.
@@ -30,6 +32,8 @@ from smeared.cli import load_problem, main
 
 DATA = Path(__file__).parent / "data"
 PROBLEMS = ("readme", "katsura3", "curves")
+# every golden problem; `errors` has no certificate line to tamper with
+GOLDEN = PROBLEMS + ("errors",)
 _ELAPSED = re.compile(r'"elapsed_us":\d+')
 
 
@@ -46,7 +50,7 @@ def _documents(name: str, out: Path) -> tuple:
 
 
 @pytest.mark.parametrize("verify_division", [True, False], ids=["checked", "unchecked"])
-@pytest.mark.parametrize("name", PROBLEMS)
+@pytest.mark.parametrize("name", GOLDEN)
 def test_documents_match_golden(name, verify_division, tmp_path, monkeypatch):
     monkeypatch.setattr(groebner, "VERIFY_DIVISION", verify_division)
     run_text, verify_text = _documents(name, tmp_path / "out.jsonl")
@@ -140,6 +144,11 @@ def _header(**fields):
     return edit
 
 
+def _float_count(entries: list) -> None:
+    # `10.0 == 10`, but a count is a JSON integer
+    entries[0]["query_count"] = float(entries[0]["query_count"])
+
+
 # edits of a golden run document that verify must reject, each with a text
 # its verify output must hold
 TAMPERED = {
@@ -154,6 +163,7 @@ TAMPERED = {
     "format2": (_header(format=2), "header format 2 is not 1"),
     "format_true": (_header(format=True), "header format True is not 1"),
     "engine": (_header(engine="other"), "header engine 'other' is not 'smeared'"),
+    "count_float": (_float_count, "header query_count"),
 }
 
 
@@ -173,7 +183,7 @@ def test_tampered_golden_documents_fail_verify(name, edit, tmp_path):
 
 if __name__ == "__main__":
     scratch = DATA / "_regen.jsonl"
-    for name in PROBLEMS:
+    for name in GOLDEN:
         run_text, verify_text = _documents(name, scratch)
         (DATA / f"{name}.run.jsonl").write_text(run_text)
         (DATA / f"{name}.verify.jsonl").write_text(verify_text)

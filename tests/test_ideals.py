@@ -235,8 +235,8 @@ _tabled = st.integers(2, 3).flatmap(
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(_tabled)
 def test_monomial_normal_forms_match_division(case):
-    # r_basis, chain_witness and verify's slice check read NF(x^m) from the
-    # table, which is filled in whatever order they ask
+    # r_basis and verify's slice check read NF(x^m) from the table, which is
+    # filled in whatever order they ask
     maps, monomials = case
     ring = PolyRing(("x", "y", "z")[: len(monomials[0])])
     ideal = Ideal(ring, tuple(Polynomial(ring, terms) for terms in maps))

@@ -114,7 +114,7 @@ def test_incremental_rank():
 
 
 def test_incremental_rank_on_monomial_columns():
-    # chain_witness feeds normal forms' integer maps, keyed by exponent tuple
+    # columns may be exponent tuples, the keys of polynomials' integer maps
     tracker = IncrementalRank()
     assert tracker.add({(0, 0): 1})
     assert tracker.add({(1, 0): 1, (0, 0): -2})

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import smeared as sm
 import smeared.groebner as groebner
 import smeared.ideals as ideals_module
+import smeared.linalg as linalg
 from smeared import Ideal, Polynomial, PolyRing, RingMismatchError, SmearedRingConfig
 from smeared.cli import load_problem
 from smeared.ring import jacobian_criterion
@@ -639,6 +640,25 @@ def test_constancy_point_off_zero_set_is_typed(three_lines, R2):
     ) as e:
         sm.smeared_constancy_check(x + 7, 0, [(0, 3), (1, 0)], three_lines)
     assert (e.value.point, e.value.index, e.value.generator) == (1, 0, x)
+    assert e.value.render(1) == "point 2 is not on the zero set of ideal 1: generator x does not vanish there"
+
+
+def test_refusals_name_their_ideal_from_a_base(three_lines, R2):
+    # the texts number from 0, as the API does; `render(1)` is the CLI's
+    x, y = R2.var("x"), R2.var("y")
+    with pytest.raises(
+        sm.NotMemberError,
+        match=r"^polynomial is not in the subring: normal form modulo ideal 0 is y$",
+    ) as e:
+        sm.evaluate_at_smeared_point(y, 2, three_lines)
+    assert (e.value.index, e.value.remainder) == (0, y)
+    assert e.value.render(1) == "polynomial is not in the subring: normal form modulo ideal 1 is y"
+
+    config = SmearedRingConfig(R2, (Ideal(R2, (x - 1,)), Ideal(R2, (x, y))))
+    with pytest.raises(sm.NoChainError, match=r"^dim of the quotient by ideal 1 is 0;") as e:
+        sm.chain_witness(1, 3, config)
+    assert e.value.index == 1
+    assert e.value.render(1).startswith("dim of the quotient by ideal 2 is 0;")
 
 
 def _counting(monkeypatch, module, name):
@@ -678,16 +698,24 @@ def test_r_basis_divides_each_monomial_once(make, monkeypatch):
     assert [sm.r_basis(d, descending) for d in range(6, -1, -1)] == bases[::-1]
 
 
-def test_chain_and_slices_share_the_table(monkeypatch):
-    config = curves_config()
-    sm.r_basis(5, config)
-    divisions = _counting(monkeypatch, groebner.GroebnerBasis, "divide")
+@pytest.mark.parametrize("make", [lines_config, four_curves_config], ids=["lines", "curves"])
+@pytest.mark.parametrize("sliced", [False, True], ids=["cold", "after_slices"])
+def test_chain_evidence_is_read_off_the_leads(make, sliced, monkeypatch):
+    # no lead divides a power of h, so the evidence h^k needs no division
+    # and no rank test, whether or not slices have filled the tables of
+    # normal forms; the bases come first, as Buchberger divides S-pairs
+    config = make()
+    if sliced:
+        sm.r_basis(5, config)
+    for ideal in config.ideals:
+        ideal.groebner()
+    divisions = _counting(monkeypatch, groebner, "divide")
+    rank_adds = _counting(monkeypatch, linalg.IncrementalRank, "add")
     for i in range(config.n):
-        sm.chain_witness(i, 5, config)
-    # the evidence of a length-5 chain is NF(h^k) for k <= 5, all tabled
-    assert divisions == []
-    sm.chain_witness(0, 6, config)
-    assert len(divisions) == 1
+        for length in (1, 6, 50):
+            w = sm.chain_witness(i, length, config)
+            assert w.evidence == tuple(w.h**k for k in range(length + 1))
+    assert divisions == [] and rank_adds == []
 
 
 def test_validate_builds_each_pair_sum_once(monkeypatch):
