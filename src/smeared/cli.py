@@ -44,6 +44,7 @@ file or validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import re
 import sys
@@ -330,13 +331,10 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
             return {
                 "a": w.a,
                 "b": w.b,
-                "a_constants": w.a_membership.constants,
-                "b_constants": w.b_membership.constants,
-                "a_cofactors": config.ideals[i].cofactors(w.a_membership.divisions[i].quotients),
-                "b_cofactors": [
-                    None if j == i else ideal.cofactors(d.quotients)
-                    for j, (ideal, d) in enumerate(zip(config.ideals, w.b_membership.divisions))
-                ],
+                "a_constants": [Fraction(int(j != i)) for j in range(config.n)],
+                "b_constants": [Fraction(int(j == i)) for j in range(config.n)],
+                "a_cofactors": w.a_cofactors,
+                "b_cofactors": w.b_cofactors,
             }
 
         if name == "chain":
@@ -500,10 +498,22 @@ def _flag(obj: dict, name: str) -> bool:
 
 def _poly(ring, text, field: str) -> Polynomial:
     """The polynomial a document writes as `text` in `field`; every
-    polynomial text that verify reads comes through here."""
+    polynomial text verify reads comes through here, and fails naming it."""
     if not isinstance(text, str):
         raise QueryError(f"{field} is not a string")
-    return ring.parse(text)
+    try:
+        return ring.parse(text)
+    except ParseError as e:
+        raise QueryError(f"{field}: {e}") from None
+
+
+def _frac(text, field: str) -> Fraction:
+    """The rational a document writes as `text` in `field`: a JSON string in
+    canonical text, `str(Fraction)`, as `run` writes it; `_poly`'s twin."""
+    with contextlib.suppress(QueryError):
+        if isinstance(text, str) and str(value := _parse_frac(text)) == text:
+            return value
+    raise QueryError(f"{field} {text!r} is not a rational in canonical text")
 
 
 def _combine(cofactor_texts, generators, ring, field: str) -> Polynomial:
@@ -514,33 +524,40 @@ def _combine(cofactor_texts, generators, ring, field: str) -> Polynomial:
 
 
 class _Verifier:
-    """Re-checks one emitted result payload against the problem file.
+    """Re-checks one emitted result line against the problem file.
 
     `_bind` has already bound the lines to the problem's query list, one
     line per query in order.  Each line is also bound to its own query: every
     field the payload echoes (`_echo`: `poly`, `index`, `length`, `degree`,
     `point`) must be the query's argument written as canonical text, as
     `run` writes it, every per-ideal list must hold one entry per ideal in
-    order, and the checks then use the query's arguments.  Certificate lines
-    are checked by arithmetic on their cofactors (positive memberships,
-    partitions) or by evaluation (locus evidence), and hold exactly the
-    fields `run` writes, with JSON booleans for flags.  Every other line has no
-    finite certificate: `_rederive` re-runs its query and compares the
-    canonical text of the fields that are not echoed; an error line must
-    fail again with its text.  A `basis` line is re-derived so, and then each
-    element's membership is checked from the tabled monomial normal forms by
-    linearity (`scaled_normal_forms`), with no division.  A malformed or
-    wrong claim raises `QueryError` naming the field at fault.
+    order, and the checks then use the query's arguments.  A line, and a
+    certificate payload, holds exactly the fields `run` writes: JSON booleans
+    for flags, a non-negative integer `elapsed_us` (none on a validation
+    abort), polynomials that `_poly` reads and rationals that `_frac` reads.
+    Certificate lines are checked by arithmetic on their cofactors (positive
+    memberships, partitions) or by evaluation (locus evidence).  Every other
+    line has no finite certificate: `_rederive` re-runs its query and
+    compares the canonical text of the fields that are not echoed; an error
+    line must fail again with its text.  A `basis` line is re-derived so,
+    and then each element's membership is checked from the tabled monomial
+    normal forms by linearity (`scaled_normal_forms`), with no division.  A
+    malformed or wrong claim raises `QueryError` naming the field at fault.
     """
 
     def __init__(self, config: SmearedRingConfig):
         self.config = config
 
     def check(self, entry: dict) -> Optional[str]:
-        if entry.get("status") == "error":
+        status = entry.get("status")
+        if status not in ("ok", "error"):
+            raise QueryError(f"status {status!r} is neither 'ok' nor 'error'")
+        timed = ("elapsed_us",) if entry["index"] else ()  # `run` times no validation abort
+        _fields(entry, ("index", "query", "status", "type", "payload" if status == "ok" else "error", *timed))
+        if timed and (type(entry["elapsed_us"]) is not int or entry["elapsed_us"] < 0):
+            raise QueryError(f"elapsed_us {entry['elapsed_us']!r} is not a non-negative integer")
+        if status == "error":
             return self._check_error(entry)
-        if entry.get("status") != "ok":
-            raise QueryError(f"status {entry.get('status')!r} is neither 'ok' nor 'error'")
         name, args = _normalize_query(entry["query"])
         q = _query_args(name, args, self.config)
         payload = entry["payload"]
@@ -591,7 +608,7 @@ class _Verifier:
         constants = self._per_ideal(payload, "constants")
         cofactors = self._per_ideal(payload, "cofactors")
         for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
-            target = q["poly"] - ring.const(_parse_frac(alpha))
+            target = q["poly"] - ring.const(_frac(alpha, f"constants for ideal {i + 1}"))
             if _combine(cof, ideal.generators, ring, f"cofactors for ideal {i + 1}") != target:
                 return f"cofactor identity fails for ideal {i + 1}"
         return None
@@ -615,8 +632,8 @@ class _Verifier:
                 return f"cofactors for b do not reproduce b in ideal {j + 1}"
         # the identities force the constants: a is 0 on Z(I_i), 1 elsewhere
         want_a = [Fraction(int(j != i)) for j in range(self.config.n)]
-        got_a = [_parse_frac(c) for c in self._per_ideal(payload, "a_constants")]
-        got_b = [_parse_frac(c) for c in self._per_ideal(payload, "b_constants")]
+        got_a = [_frac(c, f"a_constants entry {j}") for j, c in enumerate(self._per_ideal(payload, "a_constants"), 1)]
+        got_b = [_frac(c, f"b_constants entry {j}") for j, c in enumerate(self._per_ideal(payload, "b_constants"), 1)]
         if got_a != want_a or got_b != [1 - c for c in want_a]:
             return "constant vectors do not match the forced pattern"
         return None
@@ -643,7 +660,7 @@ class _Verifier:
             value = ideal.generators[gi - 1].evaluate(point)
             if not value:
                 return "claimed nonvanishing generator vanishes"
-            if _parse_frac(e["value"]) != value:
+            if _frac(e["value"], f"evidence entry {k} value") != value:
                 return "claimed nonvanishing value disagrees"
         claimed = all(not e["on_variety"] for e in evidence)
         if claimed != _flag(payload, "in_locus"):

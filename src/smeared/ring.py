@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from typing import Optional, Sequence
 
 from .ideals import Ideal
@@ -218,13 +218,15 @@ class MembershipCertificate:
 
 @dataclass(frozen=True)
 class PartitionWitness:
-    """1 = a + b with a in I_i, b in every other I_j, both in R."""
+    """1 = a + b with a in I_i and b in every other I_j, both in R;
+    `a_cofactors` combine I_i's generators to a, `b_cofactors[j]` I_j's to
+    b (None at j = i)."""
 
     index: int
     a: Polynomial
     b: Polynomial
-    a_membership: MembershipCertificate
-    b_membership: MembershipCertificate
+    a_cofactors: tuple
+    b_cofactors: tuple
 
 
 @dataclass(frozen=True)
@@ -420,27 +422,24 @@ def evaluate_at_smeared_point(f: Polynomial, i: int, config: SmearedRingConfig) 
 
 
 def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
-    """Split 1 = a + b with a in I_i and b in every other ideal.
+    """Split 1 = a + b with a in I_i and b in every other ideal, with the
+    cofactors the construction determines (Atiyah and Macdonald, Prop. 1.10).
 
-    Built from the pairwise coprimality alone, with no intersection: for
-    each j != i, in index order, the unit certificate of the pair sum
-    `pair_sums[min(i, j), max(i, j)]` gives 1 = a_j + b_j with a_j in I_i
-    and b_j in I_j (b_j sums the I_j part of the cofactors, which comes
-    after I_i's when i < j and first when j < i).  Then b = prod_j b_j lies
-    in every I_j, j != i, and a = 1 - b lies in I_i, because each
-    b_j = 1 - a_j is 1 modulo I_i and so is their product.  The first pair
-    with no unit certificate raises `NotCoprimeError`.
-
-    Both pieces land in R: a is 0 on Z(I_i) and 1 on the other zero sets, b
-    the reverse.  All claimed invariants are re-verified before returning;
-    a failure there means the engine itself is broken.
+    For each j != i, in index order, the unit certificate of the pair sum
+    `pair_sums[min(i, j), max(i, j)]` splits into I_i's part cof_i^(j) and
+    I_j's part cof_j, so 1 = a_j + b_j, b_j = sum cof_j[k] * I_j[k].  Then
+    b = prod_j b_j has cofactors cof_j times the other b_l over I_j, and
+    a = 1 - b = sum_t a_(j_t) * prod_(s < t) b_(j_s) has cofactors
+    sum_t prod_(s < t) b_(j_s) * cof_i^(j_t) over I_i: no intersection, no
+    division, and no transform but the pair sums'.  The first pair with no
+    unit certificate raises `NotCoprimeError`.  a is 0 on Z(I_i) and 1 on
+    the other zero sets, b the reverse, as the identities force.
     """
     config.check_index(i)
     if config.n < 2:
         raise ValueError("a partition of unity needs at least two ideals")
-    k = len(config.ideals[i].generators)
-    ring = config.ring
-    b = ring.one()
+    ring, gens_i = config.ring, config.ideals[i].generators
+    b, a_cofactors, parts = ring.one(), [ring.zero()] * len(gens_i), []
     for j, ideal_j in enumerate(config.ideals):
         if j == i:
             continue
@@ -448,22 +447,17 @@ def partition_of_unity(i: int, config: SmearedRingConfig) -> PartitionWitness:
             cof = config.pair_sums[min(i, j), max(i, j)].unit_certificate()
         except ValueError:
             raise NotCoprimeError(i, j) from None
-        cof_j = cof[k:] if i < j else cof[: len(ideal_j.generators)]
-        b = b * sum_of_products(ring, [(1, c, g) for c, g in zip(cof_j, ideal_j.generators)])
-    a = ring.one() - b
-
-    if a + b != ring.one():
-        raise RuntimeError("partition does not sum to 1")
-    a_cert = member(a, config)
-    b_cert = member(b, config)
-    if not (a_cert.member and b_cert.member):
-        raise RuntimeError("partition pieces are not members of the subring")
-    # a constant 0 is a normal form 0: membership in that ideal
-    if a_cert.constants[i] != 0:
-        raise RuntimeError("partition piece a escaped its ideal")
-    if any(c != 0 for j, c in enumerate(b_cert.constants) if j != i):
-        raise RuntimeError("partition piece b escaped a complementary ideal")
-    return PartitionWitness(i, a, b, a_cert, b_cert)
+        cut = len(gens_i) if i < j else len(ideal_j.generators)
+        cof_i, cof_j = (cof[:cut], cof[cut:]) if i < j else (cof[cut:], cof[:cut])
+        a_cofactors = [s + b * c for s, c in zip(a_cofactors, cof_i)]  # b: the b_l so far
+        b_j = sum_of_products(ring, [(1, c, g) for c, g in zip(cof_j, ideal_j.generators)])
+        parts.append((j, cof_j, b_j))
+        b = b * b_j
+    b_cofactors = [None] * config.n
+    for j, cof_j, _ in parts:
+        others = prod((b_k for k, _, b_k in parts if k != j), start=ring.one())
+        b_cofactors[j] = tuple(c * others for c in cof_j)
+    return PartitionWitness(i, ring.one() - b, b, tuple(a_cofactors), tuple(b_cofactors))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from smeared import (
     verdicts,
 )
 from oracle import oracle_member, oracle_r_slice_dim
-from smeared.poly import monomials_up_to_degree
+from smeared.poly import monomials_up_to_degree, sum_of_products
 
 
 def rand_poly(rng, ring, deg, nterms=3):
@@ -115,6 +115,9 @@ def test_criterion_3_graded_slice_dimensions():
 def test_criterion_4_partition_of_unity():
     config = three_lines_config()
     one = config.ring.one()
+
+    def combine(cofactors, ideal):
+        return sum_of_products(config.ring, [(1, c, g) for c, g in zip(cofactors, ideal.generators)])
     for i in range(config.n):
         w = partition_of_unity(i, config)
         assert w.a + w.b == one
@@ -122,10 +125,17 @@ def test_criterion_4_partition_of_unity():
         for j in range(config.n):
             if j != i:
                 assert config.ideals[j].normal_form(w.b).is_zero()
-        assert w.a_membership.member and w.b_membership.member
+        # the cofactors combine the generators to the pieces they certify
+        assert combine(w.a_cofactors, config.ideals[i]) == w.a
         for j in range(config.n):
-            assert w.a_membership.constants[j] == (0 if j == i else 1)
-            assert w.b_membership.constants[j] == (1 if j == i else 0)
+            if j != i:
+                assert combine(w.b_cofactors[j], config.ideals[j]) == w.b
+        # membership, an oracle here, reads the constants the identities force
+        a_cert, b_cert = member(w.a, config), member(w.b, config)
+        assert a_cert.member and b_cert.member
+        for j in range(config.n):
+            assert a_cert.constants[j] == (0 if j == i else 1)
+            assert b_cert.constants[j] == (1 if j == i else 0)
 
 
 def test_criterion_5_chain_witnesses():

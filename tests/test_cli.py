@@ -10,6 +10,7 @@ import smeared.cli as cli
 import smeared.groebner as groebner
 import smeared.ideals as ideals
 from smeared.cli import main
+from smeared.poly import sum_of_products
 from test_ring import THREE_CONFIGS, curves_config, lines_config
 
 DATA = Path(__file__).parent / "data"
@@ -702,6 +703,12 @@ def test_verify_accepts_strict_and_aborted_documents(tmp_path, capsys):
         {"index": 0, "ok": True, "type": "verify"},
         {"checked": 1, "failures": 0, "type": "verify-summary"},
     ]
+    # `run` times no validation abort, so its line holds no elapsed_us
+    entries = [json.loads(t) for t in out.read_text().splitlines()]
+    entries[1]["elapsed_us"] = 0
+    out.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1 and _failures(verified) == [(0, "unexpected field 'elapsed_us'")]
 
 
 def _golden_copy(tmp_path, name, edit):
@@ -755,6 +762,66 @@ def test_verify_reruns_error_lines(tmp_path, capsys):
     assert _failures(verified) == [(21, "status 'skipped' is neither 'ok' nor 'error'")]
 
 
+def _payload(edit):
+    return lambda line: edit(line["payload"])
+
+
+# (golden, result index, edit of that line, the problem verify reports):
+# polynomial texts that do not parse, rationals that are no canonical text,
+# and result lines whose own fields are not those `run` writes
+STRICT_FIELDS = {
+    "unparsable_cofactor": (
+        "readme", 4, _payload(lambda p: p["cofactors"][0].__setitem__(0, "x +* 1")),
+        "cofactors for ideal 1 entry 1: expected a number, variable or parenthesized expression (at position 3)",
+    ),
+    "unparsable_a": (
+        "readme", 6, _payload(lambda p: p.update(a="x^")),
+        "a: expected a non-negative integer exponent (at position 2)",
+    ),
+    "number_constants": (
+        "readme", 4, _payload(lambda p: p.update(constants=[0, 0, 0])),
+        "constants for ideal 1 0 is not a rational in canonical text",
+    ),
+    "decimal_constant": (
+        "readme", 4, _payload(lambda p: p.update(constants=["0.0", "0", "0"])),
+        "constants for ideal 1 '0.0' is not a rational in canonical text",
+    ),
+    "number_a_constants": (
+        "readme", 6, _payload(lambda p: p.update(a_constants=["0", 1.0, "1"])),
+        "a_constants entry 2 1.0 is not a rational in canonical text",
+    ),
+    "unreduced_b_constant": (
+        "readme", 6, _payload(lambda p: p.update(b_constants=["1", "0/2", "0"])),
+        "b_constants entry 2 '0/2' is not a rational in canonical text",
+    ),
+    "number_value": (
+        "readme", 8, _payload(lambda p: p["evidence"][0].update(value=3)),
+        "evidence entry 1 value 3 is not a rational in canonical text",
+    ),
+    "line_note": ("readme", 4, lambda e: e.update(note="made up"), "unexpected field 'note'"),
+    "ok_line_error": ("readme", 4, lambda e: e.update(error="made up"), "unexpected field 'error'"),
+    "untimed": ("readme", 4, lambda e: e.pop("elapsed_us"), "missing field 'elapsed_us'"),
+    "error_line_payload": ("errors", 2, lambda e: e.update(payload={}), "unexpected field 'payload'"),
+    "text_elapsed": (
+        "errors", 2, lambda e: e.update(elapsed_us="soon"), "elapsed_us 'soon' is not a non-negative integer"
+    ),
+    "negative_elapsed": (
+        "readme", 3, lambda e: e.update(elapsed_us=-1), "elapsed_us -1 is not a non-negative integer"
+    ),
+    "bool_elapsed": (
+        "readme", 3, lambda e: e.update(elapsed_us=True), "elapsed_us True is not a non-negative integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", STRICT_FIELDS)
+def test_verify_reads_every_field_as_run_writes_it(tmp_path, capsys, case):
+    name, index, edit, problem_text = STRICT_FIELDS[case]
+    out, problem = _golden_copy(tmp_path, name, lambda entries: edit(entries[index]))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1 and _failures(verified) == [(index, problem_text)]
+
+
 @pytest.mark.parametrize(
     "edit,problem_text",
     [
@@ -803,8 +870,9 @@ def test_verify_needs_one_summary_line_last(tmp_path, capsys):
 
 @pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
 def test_cofactors_reuse_membership_quotients(make, monkeypatch):
-    """Member and partition cofactors lifted from the membership quotients
-    equal the replaced path: a division of f - alpha, lifted."""
+    """Member cofactors lifted from the membership quotients equal the
+    replaced path, a division of f - alpha, lifted; partition cofactors
+    combine the generators to the pieces they certify."""
     config = make()
     ring = config.ring
 
@@ -814,13 +882,18 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
         assert res.remainder.is_zero()
         return gb.lift_to_generators(res.quotients)
 
+    def combine(cofactors, ideal):
+        return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, ideal.generators)])
+
     members = [ring.one(), ring.parse("x^2 + 3")]
     for i in range(config.n):
         w = cli._derive("partition", {"index": i}, config)
-        assert w["a_cofactors"] == reference(config.ideals[i], w["a"])
+        assert combine(w["a_cofactors"], config.ideals[i]) == w["a"]
         for j, ideal in enumerate(config.ideals):
-            want = None if j == i else reference(ideal, w["b"])
-            assert w["b_cofactors"][j] == want
+            if j == i:
+                assert w["b_cofactors"][j] is None
+            else:
+                assert combine(w["b_cofactors"][j], ideal) == w["b"]
         members += [w["a"], w["b"] + 5]
     checked = 0
     for f in members:
@@ -861,20 +934,30 @@ def test_one_basis_per_ideal_and_order(monkeypatch):
 
 
 @THREE_CONFIGS
-def test_partition_decodes_only_the_quotients_it_writes(make, monkeypatch):
-    # a partition writes a's cofactors over I_i and b's over every other
-    # I_j: n of the 2n quotient tuples its two membership divisions hold
-    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+def test_partitions_read_only_the_pair_sums_certificates(make, monkeypatch):
+    # after the validation gate, partitions divide nothing: the first pass
+    # replays each pair sum's transform once, for its unit certificate, and
+    # no other transform (on the curves 0 divisions and 6 replays, where
+    # dividing and lifting made 32 and 10); the second pass finds every
+    # transform built, and divides, decodes and replays nothing
     config = make()
-    for i in range(config.n):
-        cli._derive("partition", {"index": i}, config)  # builds every transform read below
-    decoded = []
-    real = groebner._decode_quotients
-    monkeypatch.setattr(groebner, "_decode_quotients", lambda *a: decoded.append(a) or real(*a))
-    for i in range(config.n):
-        decoded.clear()
-        assert cli._derive("partition", {"index": i}, config)["b_cofactors"][i] is None
-        assert len(decoded) == config.n
+    logs = {name: [] for name in ("divide", "_decode_quotients", "_replay")}
+    for name, log in logs.items():
+        real = getattr(groebner, name)
+        monkeypatch.setattr(groebner, name, lambda *a, real=real, log=log: log.append(a) or real(*a))
+    assert cli._derive("validate", {}, config)["ok"]
+
+    def partitions():
+        for log in logs.values():
+            log.clear()
+        for i in range(config.n):
+            assert cli._derive("partition", {"index": i}, config)["b_cofactors"][i] is None
+        return sorted(id(gb) for (gb,) in logs["_replay"])
+
+    pair_sums = sorted(id(pair.groebner()) for pair in config.pair_sums.values())
+    assert partitions() == pair_sums and logs["divide"] == []
+    assert len(pair_sums) == config.n * (config.n - 1) // 2
+    assert partitions() == [] and logs["divide"] == [] and logs["_decode_quotients"] == []
 
 
 def test_transform_rows_are_built_on_first_use(monkeypatch):

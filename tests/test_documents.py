@@ -13,16 +13,20 @@ and three ideals in QQ[x,y] whose queries fail with every engine refusal
 that names an ideal or a point, numbered from 1 as documents are.
 
 Each golden run document of the first three, cut short or edited in one
-certificate or echo, must fail `verify`.
+certificate, echo, header or line field, must fail `verify`.
 
 To regenerate after a deliberate format change, run
 `PYTHONPATH=src python tests/test_documents.py` and say so in CHANGES.md.
+It writes nothing, and exits 1, if a `run` exits other than `RUN_EXIT`
+says or a `verify` line fails, so a faulty engine cannot pin its output.
 """
 
 import contextlib
 import io
 import json
 import re
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -37,23 +41,30 @@ GOLDEN = PROBLEMS + ("errors",)
 _ELAPSED = re.compile(r'"elapsed_us":\d+')
 
 
+# `run`'s exit code on each golden problem, as CI's golden step expects it:
+# curves holds one deliberate query error and errors three
+RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1}
+
+
 def _documents(name: str, out: Path) -> tuple:
-    """(run document with elapsed_us zeroed, verify output) for one problem."""
+    """(run exit code, run document with elapsed_us zeroed, verify output)
+    for one problem."""
     problem = str(DATA / f"{name}.json")
     with contextlib.redirect_stdout(io.StringIO()):
-        main(["run", problem, "--out", str(out)])
+        rc = main(["run", problem, "--out", str(out)])
     run_text = _ELAPSED.sub('"elapsed_us":0', out.read_text())
     captured = io.StringIO()
     with contextlib.redirect_stdout(captured):
         main(["verify", str(out), problem])
-    return run_text, captured.getvalue()
+    return rc, run_text, captured.getvalue()
 
 
 @pytest.mark.parametrize("verify_division", [True, False], ids=["checked", "unchecked"])
 @pytest.mark.parametrize("name", GOLDEN)
 def test_documents_match_golden(name, verify_division, tmp_path, monkeypatch):
     monkeypatch.setattr(groebner, "VERIFY_DIVISION", verify_division)
-    run_text, verify_text = _documents(name, tmp_path / "out.jsonl")
+    rc, run_text, verify_text = _documents(name, tmp_path / "out.jsonl")
+    assert rc == RUN_EXIT[name]
     assert run_text == (DATA / f"{name}.run.jsonl").read_text()
     assert verify_text == (DATA / f"{name}.verify.jsonl").read_text()
 
@@ -136,6 +147,22 @@ def _partition(entries: list) -> None:
     cofactors[0] = "(" + cofactors[0] + ") + 1"
 
 
+def _unparsable(entries: list) -> None:
+    # a cofactor text that does not parse fails naming its field
+    _first_payload(entries, lambda p: p.get("member") is True)["cofactors"][0][0] = "1 +* 1"
+
+
+def _float_constants(entries: list) -> None:
+    # `0.0 == 0`, but `run` writes each rational as canonical text
+    payload = _first_payload(entries, lambda p: "a_constants" in p)
+    payload["a_constants"] = [float(c) for c in payload["a_constants"]]
+
+
+def _noted(entries: list) -> None:
+    # a result line holds exactly the fields `run` writes
+    next(e for e in entries if e.get("status") == "ok")["note"] = "made up"
+
+
 def _header(**fields):
     # a header from another engine or format: `True == 1`, but it is no 1
     def edit(entries: list) -> None:
@@ -164,6 +191,9 @@ TAMPERED = {
     "format_true": (_header(format=True), "header format True is not 1"),
     "engine": (_header(engine="other"), "header engine 'other' is not 'smeared'"),
     "count_float": (_float_count, "header query_count"),
+    "unparsable": (_unparsable, "cofactors for ideal 1 entry 1: expected a number"),
+    "float_constants": (_float_constants, "a_constants entry 1 0.0 is not a rational in canonical text"),
+    "noted": (_noted, "unexpected field 'note'"),
 }
 
 
@@ -181,10 +211,43 @@ def test_tampered_golden_documents_fail_verify(name, edit, tmp_path):
     assert text in out.getvalue()
 
 
-if __name__ == "__main__":
-    scratch = DATA / "_regen.jsonl"
-    for name in GOLDEN:
-        run_text, verify_text = _documents(name, scratch)
+def _regenerate() -> int:
+    """Write every golden document afresh, or none: a run that exits other
+    than `RUN_EXIT` says, or a verify line that fails, refuses them all."""
+    with tempfile.TemporaryDirectory() as tmp:
+        documents = {name: _documents(name, Path(tmp) / "out.jsonl") for name in GOLDEN}
+    refused = 0
+    for name, (rc, _, verify_text) in documents.items():
+        failed = [line for line in verify_text.splitlines() if json.loads(line).get("ok") is False]
+        if rc != RUN_EXIT[name] or failed:
+            print(f"{name}: run exited {rc}, expected {RUN_EXIT[name]}; {len(failed)} failed verify line(s)")
+            refused += 1
+    if refused:
+        print("golden documents left as they were")
+        return 1
+    for name, (_, run_text, verify_text) in documents.items():
         (DATA / f"{name}.run.jsonl").write_text(run_text)
         (DATA / f"{name}.verify.jsonl").write_text(verify_text)
-    scratch.unlink()
+    return 0
+
+
+@pytest.mark.parametrize("fault", [None, "verify", "exit"])
+def test_regeneration_writes_no_failing_document(fault, tmp_path, monkeypatch):
+    # one failed verify line, or one run exit other than `RUN_EXIT`, leaves
+    # every golden file unwritten
+    module = sys.modules[__name__]
+
+    def documents(name, out):
+        rc = RUN_EXIT[name] + (fault == "exit" and name == "errors")
+        ok = not (fault == "verify" and name == "readme")
+        return rc, "run\n", json.dumps({"index": 1, "ok": ok, "type": "verify"}) + "\n"
+
+    monkeypatch.setattr(module, "DATA", tmp_path)
+    monkeypatch.setattr(module, "_documents", documents)
+    assert _regenerate() == (fault is not None)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == ([] if fault else sorted(f"{n}.{k}.jsonl" for n in GOLDEN for k in ("run", "verify")))
+
+
+if __name__ == "__main__":
+    sys.exit(_regenerate())

@@ -18,6 +18,7 @@ import smeared.ideals as ideals_module
 import smeared.linalg as linalg
 from smeared import Ideal, Polynomial, PolyRing, RingMismatchError, SmearedRingConfig
 from smeared.cli import load_problem
+from smeared.poly import sum_of_products
 from smeared.ring import jacobian_criterion
 from oracle import oracle_r_slice_dim
 
@@ -298,6 +299,30 @@ def four_curves_config():
     return SmearedRingConfig(ring, tuple(Ideal(ring, tuple(map(ring.parse, g))) for g in gens))
 
 
+def assert_partition_certified(w, config):
+    """The identities `verify` checks, a = sum(a_cofactors * I_i's generators)
+    and b = sum(b_cofactors[j] * I_j's) for every j != i, and the forced
+    constants, read off `member` as an oracle: a is 0 on Z(I_i) and 1 on the
+    other zero sets, b the reverse."""
+    ring, i = config.ring, w.index
+
+    def combine(cofactors, ideal):
+        assert len(cofactors) == len(ideal.generators)
+        return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, ideal.generators)])
+
+    assert w.a + w.b == ring.one()
+    assert combine(w.a_cofactors, config.ideals[i]) == w.a
+    assert len(w.b_cofactors) == config.n and w.b_cofactors[i] is None
+    for j, ideal in enumerate(config.ideals):
+        if j != i:
+            assert combine(w.b_cofactors[j], ideal) == w.b
+    expected_a = tuple(Fraction(int(j != i)) for j in range(config.n))
+    a_cert, b_cert = sm.member(w.a, config), sm.member(w.b, config)
+    assert a_cert.member and b_cert.member
+    assert a_cert.constants == expected_a
+    assert b_cert.constants == tuple(1 - c for c in expected_a)
+
+
 def test_partition_of_unity_invariants(three_lines, monkeypatch):
     def no_intersection(self, other):
         raise AssertionError("partition_of_unity computed an intersection")
@@ -305,20 +330,45 @@ def test_partition_of_unity_invariants(three_lines, monkeypatch):
     # pairwise unit certificates suffice; no ideal is ever intersected
     monkeypatch.setattr(Ideal, "intersect", no_intersection)
     for config in (three_lines, four_curves_config()):
-        n, one = config.n, config.ring.one()
+        n = config.n
         for i in range(n):
             w = sm.partition_of_unity(i, config)
-            assert w.a + w.b == one
-            assert config.ideals[i].contains(w.a)
+            assert w.index == i
+            assert_partition_certified(w, config)
             for j in range(n):
                 if j != i:
-                    assert config.ideals[j].contains(w.b)
                     # distinctness of the smeared points: a is in I_i, not in I_j
                     assert not config.ideals[j].contains(w.a)
             assert not config.ideals[i].contains(w.b)
-            expected_a = tuple(Fraction(0 if j == i else 1) for j in range(n))
-            assert w.a_membership.constants == expected_a
-            assert w.b_membership.constants == tuple(1 - c for c in expected_a)
+
+
+# shifted curves in QQ[x, y, z], none principal: a line along z, a twisted
+# cubic, a hyperbola in a plane z = a and a circle in one
+_CURVES = (
+    ("x - {a}", "y - {b}"),
+    ("y - x^2 - {a}", "z - x^3 - {b}"),
+    ("z - {a}", "x*y - {b}"),
+    ("x^2 + y^2 - {a}^2 - 1", "z - {b}"),
+)
+_curve_families = st.lists(
+    st.tuples(st.integers(0, len(_CURVES) - 1), st.integers(-3, 3), st.integers(-3, 3)),
+    min_size=3,
+    max_size=4,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_curve_families)
+def test_partitions_of_coprime_curves_are_certified(family):
+    ring = PolyRing(("x", "y", "z"))
+    ideals = [
+        Ideal(ring, tuple(ring.parse(g.format(a=f"({a})", b=f"({b})")) for g in _CURVES[kind]))
+        for kind, a, b in family
+    ]
+    config = SmearedRingConfig(ring, tuple(ideals))
+    assume(sm.validate(config).ok)
+    for i in range(config.n):
+        assert_partition_certified(sm.partition_of_unity(i, config), config)
 
 
 def test_partition_needs_two_ideals(R2):
