@@ -112,9 +112,9 @@ def load_problem(path: str):
             doc = json.load(fh, parse_constant=_no_constant)
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
-    # besides syntax errors: an integer literal over int()'s digit limit,
-    # NaN or an infinity (`_no_constant`), or bytes that do not decode
-    except ValueError as e:
+    # besides syntax errors: an integer literal over int()'s digit limit, NaN
+    # or an infinity (`_no_constant`), undecodable bytes, or too deep nesting
+    except (ValueError, RecursionError) as e:
         raise ProblemFileError(f"{path} is not valid JSON: {e}") from None
     # `True == 1` and `1.0 == 1`, so the type is checked first
     if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
@@ -205,9 +205,12 @@ def _arg_int(token, what: str) -> int:
     """A JSON int that is no bool, or a string -?[0-9]+ that int() reads."""
     if type(token) is int:
         return token
-    # int() reads at most 4300 digits
-    if isinstance(token, str) and re.fullmatch("-?[0-9]{1,4300}", token):
-        return int(token)
+    if isinstance(token, str) and re.fullmatch("-?[0-9]+", token):
+        try:
+            return int(token)
+        except ValueError:  # past int's digit limit for text, as in `_text`
+            n = sys.get_int_max_str_digits()
+            raise QueryError(f"bad {what}: over {n} digits, the limit for integer text") from None
     raise QueryError(f"bad {what} {token!r}")
 
 
@@ -421,8 +424,8 @@ def _emit(lines, out_path: Optional[str], human: str) -> None:
         print(human, file=sys.stderr)
 
 
-# the header fields a document must carry to verify; `version` is left out,
-# so a document from another release of format 1 still verifies
+# the header fields a document must carry to verify; `version` need only be a
+# string, so a document from another release of format 1 still verifies
 _FORMAT = {"format": 1, "engine": "smeared"}
 
 
@@ -475,7 +478,7 @@ def _parse_document(path: str) -> list:
             entries = [json.loads(line, parse_constant=_no_constant) for line in fh if line.strip()]
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
-    except ValueError as e:
+    except (ValueError, RecursionError) as e:
         raise ProblemFileError(f"{path} line is not valid JSON: {e}") from None
     if not all(isinstance(e, dict) for e in entries):
         raise ProblemFileError(f"{path} has a line that is not a JSON object")
@@ -490,9 +493,9 @@ def _fields(obj: dict, names) -> None:
 
 
 def _flag(obj: dict, name: str) -> bool:
-    """obj[name], which must be a JSON boolean (`1 == True`)."""
-    if type(obj[name]) is not bool:
-        raise QueryError(f"{name} {obj[name]!r} is not a JSON boolean")
+    """obj[name], which must be a JSON boolean (`1 == True`); missing, it reads as None."""
+    if type(obj.get(name)) is not bool:
+        raise QueryError(f"{name} {obj.get(name)!r} is not a JSON boolean")
     return obj[name]
 
 
@@ -518,7 +521,7 @@ def _frac(text, field: str) -> Fraction:
 
 def _combine(cofactor_texts, generators, ring, field: str) -> Polynomial:
     if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
-        raise QueryError(f"need one cofactor per generator ({len(generators)})")
+        raise QueryError(f"{field}: need one cofactor per generator ({len(generators)})")
     cofactors = [_poly(ring, t, f"{field} entry {k}") for k, t in enumerate(cofactor_texts, start=1)]
     return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, generators)])
 
@@ -541,14 +544,15 @@ class _Verifier:
     compares the canonical text of the fields that are not echoed; an error
     line must fail again with its text.  A `basis` line is re-derived so,
     and then each element's membership is checked from the tabled monomial
-    normal forms by linearity (`scaled_normal_forms`), with no division.  A
-    malformed or wrong claim raises `QueryError` naming the field at fault.
+    normal forms by linearity (`scaled_normal_forms`), with no division.
+    A malformed or wrong claim alike raises `QueryError` naming the field or
+    check at fault, the only way a line fails; every check returns None.
     """
 
     def __init__(self, config: SmearedRingConfig):
         self.config = config
 
-    def check(self, entry: dict) -> Optional[str]:
+    def check(self, entry: dict) -> None:
         status = entry.get("status")
         if status not in ("ok", "error"):
             raise QueryError(f"status {status!r} is neither 'ok' nor 'error'")
@@ -557,30 +561,31 @@ class _Verifier:
         if timed and (type(entry["elapsed_us"]) is not int or entry["elapsed_us"] < 0):
             raise QueryError(f"elapsed_us {entry['elapsed_us']!r} is not a non-negative integer")
         if status == "error":
-            return self._check_error(entry)
+            self._check_error(entry)
+            return
         name, args = _normalize_query(entry["query"])
         q = _query_args(name, args, self.config)
         payload = entry["payload"]
         if not isinstance(payload, dict):
             raise QueryError("payload is not a JSON object")
         for k, v in _echo(q).items():
-            got = payload[k]
+            got = payload.get(k)  # no echo is None
             if _dump(got) != _dump(v):
                 raise QueryError(f"{k} {got!r} does not match the query")
         checker = getattr(self, "_check_" + name, None)
-        if checker is not None:
-            return checker(q, payload)
-        self._rederive(name, q, payload)
-        return None
+        if checker is None:
+            self._rederive(name, q, payload)
+        else:
+            checker(q, payload)
 
-    def _check_error(self, entry: dict) -> Optional[str]:
+    def _check_error(self, entry: dict) -> None:
         try:
-            name, args = _normalize_query(entry["query"])
-            q = _query_args(name, args, self.config)
-            _dump({**_derive(name, q, self.config), **_echo(q)})
+            _dump(_run_query(*_normalize_query(entry["query"]), self.config))
         except QueryError as e:
-            return None if str(e) == entry["error"] else "error text disagrees with the re-run query"
-        return "the query succeeds when re-run"
+            if str(e) != entry["error"]:
+                raise QueryError("error text disagrees with the re-run query") from None
+            return
+        raise QueryError("the query succeeds when re-run")
 
     def _per_ideal(self, payload: dict, field: str) -> list:
         entries = payload[field]
@@ -599,10 +604,10 @@ class _Verifier:
                 raise QueryError(f"{field} disagrees with the re-derived {name} result")
         return derived
 
-    def _check_member(self, q, payload) -> Optional[str]:
+    def _check_member(self, q, payload) -> None:
         if not _flag(payload, "member"):
             self._rederive("member", q, payload)
-            return None
+            return
         _fields(payload, ("member", "constants", "cofactors", *_echo(q)))
         ring = self.config.ring
         constants = self._per_ideal(payload, "constants")
@@ -610,35 +615,33 @@ class _Verifier:
         for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
             target = q["poly"] - ring.const(_frac(alpha, f"constants for ideal {i + 1}"))
             if _combine(cof, ideal.generators, ring, f"cofactors for ideal {i + 1}") != target:
-                return f"cofactor identity fails for ideal {i + 1}"
-        return None
+                raise QueryError(f"cofactor identity fails for ideal {i + 1}")
 
-    def _check_partition(self, q, payload) -> Optional[str]:
+    def _check_partition(self, q, payload) -> None:
         _fields(payload, ("a", "b", "a_constants", "b_constants", "a_cofactors", "b_cofactors", *_echo(q)))
         ring = self.config.ring
         i = q["index"]
         a, b = _poly(ring, payload["a"], "a"), _poly(ring, payload["b"], "b")
         if a + b != ring.one():
-            return "a + b is not 1"
+            raise QueryError("a + b is not 1")
         if _combine(payload["a_cofactors"], self.config.ideals[i].generators, ring, "a_cofactors") != a:
-            return "cofactors for a do not reproduce a"
+            raise QueryError("cofactors for a do not reproduce a")
         b_cofactors = self._per_ideal(payload, "b_cofactors")
         for j, (ideal, cof) in enumerate(zip(self.config.ideals, b_cofactors)):
             if j == i:
                 if cof is not None:
-                    return "unexpected cofactors for the distinguished ideal"
+                    raise QueryError("unexpected cofactors for the distinguished ideal")
                 continue
             if _combine(cof, ideal.generators, ring, f"b_cofactors for ideal {j + 1}") != b:
-                return f"cofactors for b do not reproduce b in ideal {j + 1}"
+                raise QueryError(f"cofactors for b do not reproduce b in ideal {j + 1}")
         # the identities force the constants: a is 0 on Z(I_i), 1 elsewhere
         want_a = [Fraction(int(j != i)) for j in range(self.config.n)]
         got_a = [_frac(c, f"a_constants entry {j}") for j, c in enumerate(self._per_ideal(payload, "a_constants"), 1)]
         got_b = [_frac(c, f"b_constants entry {j}") for j, c in enumerate(self._per_ideal(payload, "b_constants"), 1)]
         if got_a != want_a or got_b != [1 - c for c in want_a]:
-            return "constant vectors do not match the forced pattern"
-        return None
+            raise QueryError("constant vectors do not match the forced pattern")
 
-    def _check_locus(self, q, payload) -> Optional[str]:
+    def _check_locus(self, q, payload) -> None:
         point = q["point"]
         _fields(payload, ("in_locus", "evidence", *_echo(q)))
         evidence = self._per_ideal(payload, "evidence")
@@ -648,26 +651,25 @@ class _Verifier:
             on_variety = _flag(e, "on_variety")
             _fields(e, ("ideal", "on_variety") + (() if on_variety else ("generator_index", "value")))
             if type(e["ideal"]) is not int or e["ideal"] != k:
-                return f"evidence entry {k} names ideal {e['ideal']!r}"
+                raise QueryError(f"evidence entry {k} names ideal {e['ideal']!r}")
             if on_variety:
                 for g in ideal.generators:
                     if g.evaluate(point):
-                        return f"generator {g} does not vanish as claimed"
+                        raise QueryError(f"generator {g} does not vanish as claimed")
                 continue
             gi = e["generator_index"]
             if type(gi) is not int or not 1 <= gi <= len(ideal.generators):
-                return f"generator index {gi!r} of ideal {k} out of range"
+                raise QueryError(f"generator index {gi!r} of ideal {k} out of range")
             value = ideal.generators[gi - 1].evaluate(point)
             if not value:
-                return "claimed nonvanishing generator vanishes"
+                raise QueryError("claimed nonvanishing generator vanishes")
             if _frac(e["value"], f"evidence entry {k} value") != value:
-                return "claimed nonvanishing value disagrees"
+                raise QueryError("claimed nonvanishing value disagrees")
         claimed = all(not e["on_variety"] for e in evidence)
         if claimed != _flag(payload, "in_locus"):
-            return "in_locus flag contradicts its own evidence"
-        return None
+            raise QueryError("in_locus flag contradicts its own evidence")
 
-    def _check_basis(self, q, payload) -> Optional[str]:
+    def _check_basis(self, q, payload) -> None:
         # NF is linear: for p = c * sum(v_m * x^m), sum(v_m * row m) is den / c
         # times NF(p) less its constant, so p is a member when it is 0
         basis = self._rederive("basis", q, payload)["basis"]
@@ -680,8 +682,7 @@ class _Verifier:
                     for mu, w in table[m].items():
                         nf[mu] = nf.get(mu, 0) + v * w
                 if any(nf.values()):
-                    return f"basis element {p} is not a member"
-        return None
+                    raise QueryError(f"basis element {p} is not a member")
 
 
 def _bind(entries: list, queries: list):
@@ -690,20 +691,31 @@ def _bind(entries: list, queries: list):
     Result lines are bound to the problem file's query list in order: a
     complete document holds results 1..n for its n queries, a `--strict`
     document may stop at its first error, and a validation abort holds one
-    index-0 `validate` line and a summary saying so.  The summary is the
-    single last line and counts the result and error lines.  A breach of the
-    header (`_FORMAT`, `query_count`) or the summary, or a missing tail, gets
-    a line with no entry.
+    index-0 `validate` line and a summary saying so.  The header is the
+    single first line, of exactly the fields `run` writes; the summary is the
+    single last line and counts the result and error lines.  A breach of
+    either, a line of another type, or a missing tail gets a line with no entry.
     """
-    header = next((e for e in entries if e.get("type") == "header"), {})
-    for k, want in _FORMAT.items():
-        if type(header.get(k)) is not type(want) or header[k] != want:
-            yield None, None, f"header {k} {header.get(k)!r} is not {want!r}"
-    if type(header.get("query_count")) is not int or header["query_count"] != len(queries):
-        yield None, None, (
-            f"header query_count {header.get('query_count')!r} does not match "
-            f"the problem file's {len(queries)} queries"
-        )
+    for e in entries:
+        if e.get("type") not in ("header", "result", "summary"):
+            yield None, None, f"type {e.get('type')!r} is not header, result or summary"
+    header = entries[0] if entries else {}
+    extra = sorted(set(header) - {"type", "version", "query_count", *_FORMAT})
+    if [e for e in entries if e.get("type") == "header"] != [header]:
+        yield None, None, "the header is not the single first line"
+    elif extra:
+        yield None, None, f"header unexpected field {extra[0]!r}"
+    else:
+        for k, want in _FORMAT.items():
+            if type(header.get(k)) is not type(want) or header[k] != want:
+                yield None, None, f"header {k} {header.get(k)!r} is not {want!r}"
+        if type(header.get("version")) is not str:
+            yield None, None, f"header version {header.get('version')!r} is not a string"
+        if type(header.get("query_count")) is not int or header["query_count"] != len(queries):
+            yield None, None, (
+                f"header query_count {header.get('query_count')!r} does not match "
+                f"the problem file's {len(queries)} queries"
+            )
     results = [e for e in entries if e.get("type") == "result"]
     summaries = [e for e in entries if e.get("type") == "summary"]
     aborted = any(e.get("aborted") == "validation" for e in summaries)
@@ -749,13 +761,9 @@ def verify_command(result_path: str, problem_path: str) -> int:
         checked += 1
         if problem is None:
             try:
-                problem = verifier.check(entry)
-            except KeyError as e:
-                problem = f"missing field {e}"
+                verifier.check(entry)
             except QueryError as e:
                 problem = str(e)
-            except (TypeError, ValueError, RuntimeError) as e:
-                problem = f"verification crashed: {e}"
         line = {"type": "verify", "index": index, "ok": problem is None}
         if problem is not None:
             failures += 1

@@ -1,7 +1,8 @@
-"""Ideals of a polynomial ring and the operations the rest of the package
-needs: cofactors over the generators, intersection, elimination, Krull
-dimension of the quotient, its vector-space dimension, coprimality, and
-radical membership.
+"""Ideals of a polynomial ring.  The rest of the package needs cofactors
+over the generators, the Krull dimension of the quotient and radical
+membership.  Intersection, elimination, the quotient's vector-space
+dimension and coprimality have no caller in the package; only the bench
+tracer's wrappers and the tests use them.
 
 An `Ideal` is identified by its ordered generator tuple.  Its one Groebner
 basis, under the ring's order (under a lock), and its monomial normal forms

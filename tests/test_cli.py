@@ -224,10 +224,11 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert "too many digits (at position 2)" in err
 
     # `json` refuses an integer literal over int()'s 4,300 digits with a
-    # plain ValueError, and would read NaN and the infinities as floats;
-    # both a problem file and a result document holding one exit 2
+    # plain ValueError, arrays nested past the recursion limit with a
+    # RecursionError, and would read NaN and the infinities as floats; both
+    # a problem file and a result document holding one exit 2
     problem = write_problem(tmp_path, THREE_LINES, "valid.json")
-    for k, arg in enumerate(("1" * 5000, "NaN", "-Infinity")):
+    for k, arg in enumerate(("1" * 5000, "NaN", "-Infinity", "[" * 100_000 + "]" * 100_000)):
         path = tmp_path / f"j{k}.json"
         path.write_text(
             '{"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["x - 1"]],'
@@ -309,6 +310,26 @@ def test_numbers_past_the_digit_limit_are_query_errors(tmp_path, capsys, digit_l
     # verify re-runs each error line into the same check and the same text
     rc, verified = _verify_lines(out, problem, capsys)
     assert rc == 0 and verified[-1] == {"checked": 4, "failures": 0, "type": "verify-summary"}
+
+    # an integer argument past the limit in force is an error line naming it
+    doc = json.loads((DATA / "readme.json").read_text())
+    doc["queries"] = ["chain 1 " + "9" * 2000, ["basis", "9" * 2000], ["eval", "x", "1" + "0" * 2000]]
+    rc, lines, problem, out = run_to_file(tmp_path, doc)
+    assert rc == 1
+    assert [payload_of(lines, k)["error"] for k in (1, 2, 3)] == [
+        f"bad {what}: over 1000 digits, the limit for integer text"
+        for what in ("chain length", "degree bound", "ideal index")
+    ]
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 0 and verified[-1] == {"checked": 3, "failures": 0, "type": "verify-summary"}
+    # written at the default limit, the same queries fail on their bounds,
+    # and verify under the limit names the error text it cannot reproduce
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    assert main(["run", str(problem), "--out", str(out)]) == 1
+    sys.set_int_max_str_digits(1000)
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1
+    assert _failures(verified) == [(k, "error text disagrees with the re-run query") for k in (1, 2, 3)]
 
 
 def test_integer_and_rational_arguments_are_read_strictly(tmp_path, capsys):

@@ -13,7 +13,9 @@ and three ideals in QQ[x,y] whose queries fail with every engine refusal
 that names an ideal or a point, numbered from 1 as documents are.
 
 Each golden run document of the first three, cut short or edited in one
-certificate, echo, header or line field, must fail `verify`.
+certificate, echo, header or line field, must fail `verify`; so must each
+of the four under a drawn mutation of one field, with a failed line that
+names a field or a check.
 
 To regenerate after a deliberate format change, run
 `PYTHONPATH=src python tests/test_documents.py` and say so in CHANGES.md.
@@ -22,14 +24,18 @@ says or a `verify` line fails, so a faulty engine cannot pin its output.
 """
 
 import contextlib
+import copy
 import io
 import json
 import re
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import smeared.groebner as groebner
 from smeared.cli import load_problem, main
@@ -176,6 +182,19 @@ def _float_count(entries: list) -> None:
     entries[0]["query_count"] = float(entries[0]["query_count"])
 
 
+def _unversioned(entries: list) -> None:
+    # the header holds exactly the fields `run` writes, `version` among them
+    del entries[0]["version"]
+
+
+def _insert(line: dict):
+    # a line among the results that is no result
+    def edit(entries: list) -> None:
+        entries.insert(2, line)
+
+    return edit
+
+
 # edits of a golden run document that verify must reject, each with a text
 # its verify output must hold
 TAMPERED = {
@@ -194,6 +213,14 @@ TAMPERED = {
     "unparsable": (_unparsable, "cofactors for ideal 1 entry 1: expected a number"),
     "float_constants": (_float_constants, "a_constants entry 1 0.0 is not a rational in canonical text"),
     "noted": (_noted, "unexpected field 'note'"),
+    "header_noted": (_header(note="made up"), "header unexpected field 'note'"),
+    "version_int": (_header(version=7), "header version 7 is not a string"),
+    "version_null": (_header(version=None), "header version None is not a string"),
+    "version_list": (_header(version=[1]), "header version [1] is not a string"),
+    "version_true": (_header(version=True), "header version True is not a string"),
+    "unversioned": (_unversioned, "header version None is not a string"),
+    "junk_line": (_insert({"type": "junk"}), "type 'junk' is not header, result or summary"),
+    "second_header": (_insert({"type": "header", "format": 2}), "the header is not the single first line"),
 }
 
 
@@ -209,6 +236,106 @@ def test_tampered_golden_documents_fail_verify(name, edit, tmp_path):
     with contextlib.redirect_stdout(out):
         assert main(["verify", str(doc), str(DATA / f"{name}.json")]) == 1
     assert text in out.getvalue()
+
+
+def _paths(value, path=()):
+    """The path to every field and list entry under `value`, outer first."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield path + (key,)
+        yield from _paths(item, path + (key,))
+
+
+# one value of each JSON type a swap may put in a field's place
+_SWAPS = ("x", 7, ["0"], None, True)
+
+
+def _swap_type(container, key, draw) -> None:
+    container[key] = draw(st.sampled_from([v for v in _SWAPS if type(v) is not type(container[key])]))
+
+
+def _drop(container, key, draw) -> None:
+    del container[key]
+
+
+def _add(container, key, draw) -> None:
+    # a field beside the one drawn, or a second copy of a list entry
+    if isinstance(container, dict):
+        container["note"] = copy.deepcopy(container[key])
+    else:
+        container.insert(key, copy.deepcopy(container[key]))
+
+
+def _plus_x(container, key, draw) -> None:
+    assume(isinstance(container[key], str))
+    container[key] += " + x"
+
+
+def _increment(container, key, draw) -> None:
+    # an index or count (a JSON integer) or a constant (a rational text)
+    value = container[key]
+    assume(type(value) is int or isinstance(value, str) and re.fullmatch(r"-?\d+(/\d+)?", value))
+    container[key] = value + 1 if type(value) is int else str(Fraction(value) + 1)
+
+
+def _swap_entries(container, key, draw) -> None:
+    assume(isinstance(container, list) and len(container) > 1)
+    other = draw(st.sampled_from([k for k in range(len(container)) if k != key]))
+    container[key], container[other] = container[other], container[key]
+
+
+# each changes `container[key]`, or `assume` passes over a field it does not apply to
+MUTATIONS = (_swap_type, _drop, _add, _plus_x, _increment, _swap_entries)
+
+
+def _exempt_text(entries: list) -> list:
+    """The lines as canonical text, less what verify may not check: a valid
+    `elapsed_us` and the header's `version` string."""
+    lines = copy.deepcopy(entries)
+    for line in lines:
+        if type(line.get("elapsed_us")) is int and line["elapsed_us"] >= 0:
+            line["elapsed_us"] = 0
+        if line.get("type") == "header" and isinstance(line.get("version"), str):
+            line["version"] = ""
+    return [json.dumps(line, sort_keys=True) for line in lines]
+
+
+# the checks a failed verify line may name in place of a field
+_CHECKS = re.compile(r"header|summary|result|cofactor|constant vectors|generator")
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_golden_documents_fail_verify_naming_the_fault(data):
+    # one mutation of one field of one line of a golden run document: verify
+    # raises nothing and names a field or a check on every failed line, and
+    # it fails the document unless the mutation changed nothing but a valid
+    # `elapsed_us` or the `version` string (or nothing at all, as a swap of
+    # two equal entries does)
+    name = data.draw(st.sampled_from(GOLDEN), label="golden")
+    original = [json.loads(t) for t in (DATA / f"{name}.run.jsonl").read_text().splitlines()]
+    entries = copy.deepcopy(original)
+    line = data.draw(st.integers(0, len(entries) - 1), label="line")
+    path = data.draw(st.sampled_from(list(_paths(entries[line]))), label="path")
+    mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    container = entries[line]
+    for key in path[:-1]:
+        container = container[key]
+    mutation(container, path[-1], data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "mutated.jsonl"
+        doc.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["verify", str(doc), str(DATA / f"{name}.json")])
+    verified = [json.loads(t) for t in out.getvalue().splitlines()]
+    fields = {k for lines in (original, entries) for p in _paths(lines) for k in p if isinstance(k, str)}
+    for problem in (v["problem"] for v in verified if v.get("ok") is False):
+        words = set(re.findall(r"\w+", problem))
+        assert not problem.startswith("verification crashed"), problem
+        assert words & fields or _CHECKS.search(problem), problem
+    if _exempt_text(entries) != _exempt_text(original):
+        assert rc == 1
 
 
 def _regenerate() -> int:
