@@ -323,7 +323,7 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
             return {
                 "member": True,
                 "constants": cert.constants,
-                "cofactors": [ideal.cofactors(d.quotients) for ideal, d in zip(config.ideals, cert.divisions)],
+                "cofactors": [ideal.cofactors(d) for ideal, d in zip(config.ideals, cert.divisions)],
             }
 
         if name == "eval":
@@ -688,13 +688,13 @@ class _Verifier:
 def _bind(entries: list, queries: list):
     """(index, result entry, binding problem) per verify line.
 
-    Result lines are bound to the problem file's query list in order: a
-    complete document holds results 1..n for its n queries, a `--strict`
-    document may stop at its first error, and a validation abort holds one
-    index-0 `validate` line and a summary saying so.  The header is the
-    single first line, of exactly the fields `run` writes; the summary is the
-    single last line and counts the result and error lines.  A breach of
-    either, a line of another type, or a missing tail gets a line with no entry.
+    Result lines bind to the problem file's queries in order: a complete
+    document holds results 1..n for its n queries, a `--strict` one may stop
+    at its first error (its one error line, and its last), and a validation
+    abort holds one index-0 `validate` line and a summary saying so.  The
+    header is the single first line, of exactly the fields `run` writes, the
+    summary the single last line, counting results and errors.  A breach of
+    either, another line type, or a missing tail gets a line with no entry.
     """
     for e in entries:
         if e.get("type") not in ("header", "result", "summary"):
@@ -740,7 +740,7 @@ def _bind(entries: list, queries: list):
         elif entry.get("query") != expected[pos][1]:
             problem = f"query does not match query {index} of the problem file"
         yield index, entry, problem
-    stopped = results and results[-1].get("status") == "error" and not aborted
+    stopped = not aborted and [e.get("status") == "error" for e in results] == [False] * (len(results) - 1) + [True]
     if len(results) < len(expected) and not stopped:
         missing = expected[len(results)][0]
         yield missing, None, f"no result for query {missing}"

@@ -21,7 +21,7 @@ divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests packed
 leads and lcms the same way, at a width that fits twice the largest lead
 degree, repacking all of them when a lead outgrows it.  S-polynomials are
 built on integer forms, and quotients stay packed until read, so a zero
-reduction, or a transform never read, decodes none.
+reduction, a transform never read, or a membership (lifted packed) decodes none.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
@@ -61,14 +61,16 @@ class DivisionResult:
     """f = sum(quotients[i] * divisors[i]) + remainder, remainder irreducible.
 
     `divide` leaves the quotients packed in a callable that `quotients` calls
-    on first read and memoises (a race only decodes twice).  Unpacking
-    (`q, r = res`), `==`, `repr` and pickling read the quotients.
+    on first read and memoises (a race only decodes twice).  `_packed` keeps
+    the maps for the lift, read or not: (key, width, (index, [tau, map], num,
+    den) per nonzero quotient), or None from plain quotients (unpickling).
+    Unpacking (`q, r = res`), `==`, `repr` and pickling read the quotients.
     """
 
-    __slots__ = ("_quotients", "remainder")
+    __slots__ = ("_quotients", "remainder", "_packed")
 
-    def __init__(self, quotients, remainder: Polynomial):
-        self._quotients, self.remainder = quotients, remainder
+    def __init__(self, quotients, remainder: Polynomial, packed: tuple = None):
+        self._quotients, self.remainder, self._packed = quotients, remainder, packed
 
     @property
     def quotients(self) -> tuple:
@@ -204,6 +206,7 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     result = DivisionResult(
         functools.partial(_decode_quotients, ring, decode, len(packs), found),
         _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else ring.zero(),
+        (key, width, found),
     )
     if VERIFY_DIVISION:
         _check_division(f, divisors, key, result)
@@ -353,14 +356,61 @@ class GroebnerBasis:
         # the reduced basis of the unit ideal is exactly [1]
         return len(self.elements) == 1 and self.elements[0].is_constant() and not self.elements[0].is_zero()
 
-    def lift_to_generators(self, quotients: Sequence[Polynomial]) -> tuple:
-        """Turn cofactors over basis elements into cofactors over generators.
+    def lift_to_generators(self, division: DivisionResult) -> tuple:
+        """Cofactors c over the generators from a division of f by the elements,
+        f = sum(q[k] * elements[k]) + r = sum(c[t] * generators[t]) + r, with
+        c[t] = sum(q[k] * T[k][t]) over the transform T summed on packed
+        monomials, one int addition per product term, from the division's
+        packed quotients, never decoded.  Plain ones (unpickled) are packed
+        here; any are re-packed at the rows' width if wider (`_packed_rows`)."""
+        ring, nvars = self.ring, self.ring.nvars
+        packed = division._packed
+        if packed is None:  # exponent maps at width 0, packed below
+            forms = [(k, q.integer_form()) for k, q in enumerate(division.quotients) if not q.is_zero()]
+            packed = self.key(), 0, [(k, (1, q), *c.as_integer_ratio()) for k, (q, c) in forms]
+        key, width, found = packed
+        degree = 0 if width else max((sum(m) for _, (_, q), _, _ in found for m in q), default=0)
+        wide, rows = self._packed_rows(key, width or _width(degree))
+        if wide != width:  # two fields that fit add without a carry: one width fits both
+            read = _layout(key, nvars, width)[2] if width else lambda q, h: q
+            u = _layout(key, nvars, wide)[0]
+            found = [(k, (t, {sum(map(mul, m, u)): v for m, v in read(q, 1).items()}), *nd) for k, (t, q), *nd in found]
+        accs = [[1, {}] for _ in self.generators]
+        for k, (tau, terms), num, den in found:
+            for t, tail, r_num, r_den in rows[k]:
+                s, out = Fraction(num * r_num, den * tau * r_den), accs[t][1]
+                c, get = s.numerator * _lift(accs[t], s.denominator), out.get
+                for m1, v1 in terms.items():
+                    v1 *= c
+                    for m2, v2 in tail:
+                        m = m1 + m2
+                        out[m] = get(m, 0) + v1 * v2
+        decode = _layout(key, nvars, wide)[2]
+        accs = [(tau, {m: v for m, v in out.items() if v}) for tau, out in accs]
+        cofactors = tuple(_finish(ring, acc, decode, 1, 1) if acc[1] else ring.zero() for acc in accs)
+        if VERIFY_DIVISION:
+            lifted = sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, self.generators)])
+            if lifted != sum_of_products(ring, [(1, q, g) for q, g in zip(division.quotients, self.elements)]):
+                raise RuntimeError("lift identity violated")
+        return cofactors
 
-        Given q with f = sum(q[j] * elements[j]) + r, returns c with
-        f = sum(c[i] * generators[i]) + r.
-        """
-        rows = [(1, q, row) for q, row in zip(quotients, self.transform) if not q.is_zero()]
-        return tuple(_combine_rows(self.ring, rows, len(self.generators)))
+    def _packed_rows(self, key, width: int) -> tuple:
+        """(w, rows), memoised per key and w (a race only packs twice): w the
+        smallest width from `width` up that the transform fits, rows[k] the (t,
+        packed terms, content numerator, denominator) of row k's nonzero entries."""
+        memo = getattr(self, "_rows", None)
+        if memo is None:  # the transform's own width, and the packed rows
+            degree = max((sum(m) for row in self.transform for p in row for m in p.integer_form()[0]), default=0)
+            object.__setattr__(self, "_rows", memo := (_width(degree), {}))
+        width = max(width, memo[0])
+        if (key, width) not in memo[1]:
+            u = _layout(key, self.ring.nvars, width)[0]
+            forms = [[(t, *p.integer_form()) for t, p in enumerate(row) if not p.is_zero()] for row in self.transform]
+            memo[1][key, width] = [
+                [(t, tuple((sum(map(mul, m, u)), v) for m, v in p.items()), *c.as_integer_ratio()) for t, p, c in row]
+                for row in forms
+            ]
+        return width, memo[1][key, width]
 
 
 def _combine_rows(ring: PolyRing, rows: list, n: int) -> list:

@@ -15,7 +15,7 @@ import itertools
 import threading
 from typing import Iterable, Sequence
 
-from .groebner import GroebnerBasis, groebner_basis
+from .groebner import DivisionResult, GroebnerBasis, groebner_basis
 from .poly import (
     EliminationOrder,
     Polynomial,
@@ -135,11 +135,11 @@ class Ideal:
             nf = table.setdefault(m, self.normal_form(nf.mul_term(x_k, 1)))
         return nf
 
-    def cofactors(self, quotients: Sequence[Polynomial]) -> tuple:
-        """Cofactors c over the generators from quotients q over the ideal's
-        one reduced basis, sum(c[i] * generators[i]) == sum(q[j] * basis[j]),
-        through that basis's transform rows."""
-        return self.groebner().lift_to_generators(quotients)
+    def cofactors(self, division: DivisionResult) -> tuple:
+        """Cofactors c over the generators from a division by the ideal's one
+        reduced basis, sum(c[i] * generators[i]) == sum(q[j] * basis[j]) for its
+        quotients q, lifted through the basis's rows on packed monomials."""
+        return self.groebner().lift_to_generators(division)
 
     def unit_certificate(self) -> tuple:
         """The row of the unit ideal's basis [1]: c with 1 == sum(c[i] * generators[i])."""

@@ -638,7 +638,7 @@ def _lift(acc: list, den: int) -> int:
 def sum_of_products(ring: PolyRing, products) -> Polynomial:
     """sum(s * p * q for s, p, q in products), s an int or a Fraction, summed
     in one integer map over a common denominator (`_lift`) and built as a
-    `Polynomial` once; every cofactor sum of the package goes through here."""
+    `Polynomial` once; every cofactor sum over polynomials goes through here."""
     acc = [1, {}]
     get = acc[1].get
     for s, p, q in products:

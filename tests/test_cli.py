@@ -892,7 +892,8 @@ def test_verify_needs_one_summary_line_last(tmp_path, capsys):
 @pytest.mark.parametrize("make", [lines_config, curves_config], ids=["lines", "curves"])
 def test_cofactors_reuse_membership_quotients(make, monkeypatch):
     """Member cofactors lifted from the membership quotients equal the
-    replaced path, a division of f - alpha, lifted; partition cofactors
+    replaced path, a division of f - alpha whose quotients q are summed
+    against the transform rows, sum(q[k] * T[k][t]); partition cofactors
     combine the generators to the pieces they certify."""
     config = make()
     ring = config.ring
@@ -901,7 +902,8 @@ def test_cofactors_reuse_membership_quotients(make, monkeypatch):
         gb = ideal.groebner()
         res = gb.divide(f)
         assert res.remainder.is_zero()
-        return gb.lift_to_generators(res.quotients)
+        rows = list(zip(res.quotients, gb.transform))
+        return tuple(sum_of_products(ring, [(1, q, row[t]) for q, row in rows]) for t in range(len(gb.generators)))
 
     def combine(cofactors, ideal):
         return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, ideal.generators)])
@@ -979,6 +981,27 @@ def test_partitions_read_only_the_pair_sums_certificates(make, monkeypatch):
     assert partitions() == pair_sums and logs["divide"] == []
     assert len(pair_sums) == config.n * (config.n - 1) // 2
     assert partitions() == [] and logs["divide"] == [] and logs["_decode_quotients"] == []
+
+
+@pytest.mark.parametrize("name", ["curves", "katsura3"])
+def test_memberships_decode_no_quotient(name, monkeypatch):
+    # the lift reads each membership division's packed quotients: with the
+    # division checks (which read every quotient) off, and the bases and
+    # their rows built by a first pass (replaying a transform decodes the
+    # Buchberger record), the first member query of curves and the member
+    # queries of katsura3 decode none
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    config, queries = cli.load_problem(str(DATA / f"{name}.json"))
+    members = [q.split(" ", 1)[1] for q in queries if isinstance(q, str) and q.startswith("member ")]
+    members = [config.ring.parse(text) for text in (members[:1] if name == "curves" else members)]
+    assert cli._derive("validate", {}, config)["ok"]
+    payloads = [cli._derive("member", {"poly": f}, config) for f in members]
+    assert [p["member"] for p in payloads].count(True) >= 1
+    decoded = []
+    real = groebner._decode_quotients
+    monkeypatch.setattr(groebner, "_decode_quotients", lambda *a: decoded.append(a) or real(*a))
+    assert [cli._derive("member", {"poly": f}, config) for f in members] == payloads
+    assert decoded == []
 
 
 def test_transform_rows_are_built_on_first_use(monkeypatch):

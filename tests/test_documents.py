@@ -338,6 +338,28 @@ def test_mutated_golden_documents_fail_verify_naming_the_fault(data):
         assert rc == 1
 
 
+@pytest.mark.parametrize("kept, rc", [(2, 0), (3, 1)], ids=["one_error", "two_errors"])
+def test_a_stopped_document_ends_at_its_one_error_line(kept, rc, tmp_path):
+    # `--strict` stops at the first error: the errors golden cut after its
+    # first error line (result 2) is a strict document, cut after its second
+    # (result 3) it misses query 4, whatever its recounted summary says
+    def cut(entries: list) -> None:
+        del entries[1 + kept : -1]
+        entries[-1].update(errors=kept - 1, results=kept)
+
+    entries = [json.loads(line) for line in (DATA / "errors.run.jsonl").read_text().splitlines()]
+    cut(entries)
+    doc = tmp_path / "stopped.jsonl"
+    doc.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", str(doc), str(DATA / "errors.json")]) == rc
+    lines = [json.loads(line) for line in out.getvalue().splitlines()]
+    failed = [(e["index"], e["problem"]) for e in lines if not e.get("ok", True)]
+    assert failed == ([] if rc == 0 else [(4, "no result for query 4")])
+    assert lines[-1] == {"checked": kept + rc, "failures": rc, "type": "verify-summary"}
+
+
 def _regenerate() -> int:
     """Write every golden document afresh, or none: a run that exits other
     than `RUN_EXIT` says, or a verify line that fails, refuses them all."""

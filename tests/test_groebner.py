@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import smeared.groebner as groebner
 from smeared import PolyRing, Polynomial, RingMismatchError, groebner_basis
@@ -15,6 +17,7 @@ from smeared.poly import (
     mono_lcm,
     monomial_key,
     monomials_up_to_degree,
+    sum_of_products,
 )
 
 
@@ -180,7 +183,7 @@ def test_membership_certificate(R2):
     gb = groebner_basis(gens)
     f = (x - y) * (x + 3) + (y**2 - 1) * y
     res = gb.divide(f)
-    cof, rem = gb.lift_to_generators(res.quotients), res.remainder
+    cof, rem = gb.lift_to_generators(res), res.remainder
     assert rem.is_zero()
     acc = R2.zero()
     for c, g in zip(cof, gens):
@@ -188,7 +191,7 @@ def test_membership_certificate(R2):
     assert acc == f
     g = x + 5
     res = gb.divide(g)
-    cof, rem = gb.lift_to_generators(res.quotients), res.remainder
+    cof, rem = gb.lift_to_generators(res), res.remainder
     acc = rem
     for c, gen in zip(cof, gens):
         acc = acc + c * gen
@@ -201,7 +204,7 @@ def test_contains_one_with_certificate(R2):
     gb = groebner_basis([x, x - 1])
     assert gb.contains_one()
     res = gb.divide(R2.one())
-    cof, rem = gb.lift_to_generators(res.quotients), res.remainder
+    cof, rem = gb.lift_to_generators(res), res.remainder
     assert rem.is_zero()
     assert list(cof) == [R2.one(), -R2.one()]
     assert not groebner_basis([x]).contains_one()
@@ -217,7 +220,7 @@ def test_contains_one_more_cases(R2):
     gb2 = groebner_basis([x**2, x - y, y - 1])
     assert gb2.contains_one()
     res = gb2.divide(R2.one())
-    cof, rem = gb2.lift_to_generators(res.quotients), res.remainder
+    cof, rem = gb2.lift_to_generators(res), res.remainder
     assert rem.is_zero()
     acc = R2.zero()
     for c, g in zip(cof, gb2.generators):
@@ -227,7 +230,7 @@ def test_contains_one_more_cases(R2):
     gb3 = groebner_basis([x**2, x - 1])
     assert gb3.contains_one()
     res3 = gb3.divide(R2.one())
-    cof3, rem3 = gb3.lift_to_generators(res3.quotients), res3.remainder
+    cof3, rem3 = gb3.lift_to_generators(res3), res3.remainder
     assert rem3.is_zero()
     acc = R2.zero()
     for c, g in zip(cof3, gb3.generators):
@@ -537,3 +540,104 @@ def test_reduced_basis_matches_sympy(order):
             frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms()) for p in theirs
         }
         assert set(gb.leading_monomials()) == {p.LM(order=order).exponents for p in theirs}
+
+
+# ---------------------------------------------------------------------------
+# the lift to the generators, on packed monomials, against the sum it computes
+
+
+def reference_lift(gb, res):
+    """sum(q[k] * T[k][t]) per generator t, over the decoded quotients and
+    the transform rows, summed with `sum_of_products`."""
+    rows = list(zip(res.quotients, gb.transform))
+    return tuple(sum_of_products(gb.ring, [(1, q, row[t]) for q, row in rows]) for t in range(len(gb.generators)))
+
+
+def assert_lift(gb, res, f):
+    cof = gb.lift_to_generators(res)
+    assert cof == reference_lift(gb, res)
+    assert sum_of_products(gb.ring, [(1, c, g) for c, g in zip(cof, gb.generators)]) == f - res.remainder
+    return cof
+
+
+_SMALL_MAPS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(
+    st.sampled_from(["grevlex", "lex"]),
+    st.lists(_SMALL_MAPS, min_size=1, max_size=3),
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * 3), st.fractions(min_value=-20, max_value=20, max_denominator=12), max_size=6
+    ),
+    st.booleans(),
+)
+def test_lift_matches_the_sum_over_the_transform(order, gens, f, checked):
+    # unchecked, the quotients stay packed until the reference reads them
+    ring = PolyRing(("x", "y", "z"), order)
+    gens = [Polynomial(ring, terms) for terms in gens]
+    assume(any(not g.is_zero() for g in gens))
+    f = Polynomial(ring, f)
+    saved, groebner.VERIFY_DIVISION = groebner.VERIFY_DIVISION, checked
+    try:
+        gb = groebner_basis(gens, ring=ring)
+        res = gb.divide(f)
+        assert callable(res._quotients) != checked
+        assert_lift(gb, res, f)
+    finally:
+        groebner.VERIFY_DIVISION = saved
+
+
+def test_lift_widens_to_rows_past_the_division_width(R2, monkeypatch):
+    # the unit ideal (x^200 - 1, x^201) has basis [1] and a row of degree
+    # 200, but 3 divided by [1] packs at width 8: the rows pack at 16, and
+    # the quotient map is re-packed there
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    x = R2.var("x")
+    gb = groebner_basis([x**200 - 1, x**201])
+    assert gb.contains_one() and max(p.degree() for p in gb.transform[0]) == 200
+    three = R2.const(3)
+    res = gb.divide(three)
+    assert res._packed[1] == 8
+    cof = assert_lift(gb, res, three)
+    assert gb._rows[0] == 16 and set(gb._rows[1]) == {(gb.key(), 16)}
+    assert cof == tuple(3 * c for c in gb.transform[0])
+
+
+def test_lift_reads_quotients_read_before_it(R2, monkeypatch):
+    # a traced run reads the quotients before the lift: the packed maps stay
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    x, y = R2.var("x"), R2.var("y")
+    gb = groebner_basis([x * y - 1, y**2 - 1])
+    f = (x - y) * (x + 3) + (y**2 - 1) * y + 5 * x**3
+    unread = gb.lift_to_generators(gb.divide(f))
+    res = gb.divide(f)
+    res.quotients
+    assert not callable(res._quotients) and res._packed is not None
+    assert assert_lift(gb, res, f) == unread
+
+
+@pytest.mark.parametrize("powers", [(2, 3), (200, 201)], ids=["width8", "width16"])
+def test_lift_packs_unpickled_quotients(R2, powers, monkeypatch):
+    # a result rebuilt from plain quotients is packed at the lift's width
+    import pickle
+
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    x, y = R2.var("x"), R2.var("y")
+    gb = groebner_basis([x ** powers[0] - y, x ** powers[1] + y**2 - 1])
+    f = x**5 * y - 7 * y**3 + x
+    res = gb.divide(f)
+    clone = pickle.loads(pickle.dumps(res))
+    assert clone._packed is None
+    assert assert_lift(gb, clone, f) == gb.lift_to_generators(res)
+
+
+def test_lift_of_zero_quotients(R2):
+    x, y = R2.var("x"), R2.var("y")
+    gb = groebner_basis([x**2 - y, x * y - 1])
+    for f in (R2.zero(), y + 3):
+        res = gb.divide(f)
+        assert all(q.is_zero() for q in res.quotients) and res.remainder == f
+        assert assert_lift(gb, res, f) == (R2.zero(), R2.zero())

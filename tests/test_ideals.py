@@ -193,7 +193,7 @@ def test_membership_certificate(R2):
     f = (x**2 - y) * x + (y**2 - 1) * (y + 2)
     gb = ideal.groebner()
     res = gb.divide(f)
-    cof, rem = gb.lift_to_generators(res.quotients), res.remainder
+    cof, rem = gb.lift_to_generators(res), res.remainder
     assert rem.is_zero()
     acc = R2.zero()
     for c, g in zip(cof, ideal.generators):
