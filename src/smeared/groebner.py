@@ -19,13 +19,14 @@ new working monomial sets a guard bit (two fields that fit add without a
 carry): never under grevlex, but under lex and elimination orders x^k
 divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests packed
 leads and lcms the same way, at a width that fits twice the largest lead
-degree, repacking all of them when a lead outgrows it.  S-polynomials are
-built on integer forms, and quotients stay packed until read, so a zero
-reduction, a transform never read, or a membership (lifted packed) decodes none.
+degree, repacking all of them when a lead outgrows it.  S-polynomials, the
+divisor set (`_Divisors`) and new elements (decoded once) stay packed, as do
+quotients until read: a zero reduction, an unread transform or a membership
+(lifted packed) decodes none.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
-every division call, and each transformation row when it is built.
+every division call, each new element's packed form, and each transform row.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import add, mul
-from typing import Iterable, Optional, Sequence
+from operator import mul, or_
+from typing import Iterable, Optional
 
 from .poly import (
     Polynomial,
@@ -115,6 +116,13 @@ def _layout(key, nvars: int, width: int) -> tuple:
     return units, guards, decode
 
 
+def _repack(terms: dict, key, nvars: int, width: int, wide: int) -> dict:
+    """A map over monomials packed at `width` (exponent tuples at 0), packed at `wide`."""
+    units = _layout(key, nvars, wide)[0]
+    read = _layout(key, nvars, width)[2] if width else lambda q, h: q
+    return {sum(map(mul, m, units)): v for m, v in read(terms, 1).items()}
+
+
 def _width(degree: int) -> int:
     # the smallest of 8, 16, 32, ... above degree.bit_length()
     return max(8, 1 << degree.bit_length().bit_length())
@@ -143,7 +151,7 @@ def _packed(d: Polynomial, key, width: int):
     return memo
 
 
-def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionResult:
+def divide(f, divisors, key=None) -> DivisionResult:
     """Multivariate division of f by an ordered list of divisors.
 
     Ties go to the first divisor whose leading monomial divides the current
@@ -152,7 +160,8 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
 
     Monomials are packed ints (see the module docstring): f is packed on
     entry, each divisor's packed form is memoised on it, the remainder is
-    unpacked on exit and the quotients on their first read.
+    unpacked on exit and the quotients on their first read.  Buchberger's
+    loop passes its `_Divisors` set and S-polynomials packed, as they are.
 
     The arithmetic is over the integers, on the stored forms of f = c_f * F
     and of each divisor d = s * D (`Polynomial.integer_form`).  Division is
@@ -177,30 +186,37 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
     is sound because every term a step adds is smaller than the term it
     pops, so a popped monomial never comes back.
     """
-    ring = f.ring
-    if key is None:
-        key = monomial_key(ring.order)
-    divisors = list(divisors)
-    for d in divisors:
-        if d.ring is not ring and d.ring != ring:
-            raise RingMismatchError("divisor from a different ring")
-    ints, f_content = f.integer_form()
-    degree = max(map(sum, ints), default=0)
-    width = _width(degree)
-    while True:
-        packs = [_packed(d, key, width) for d in divisors]
-        widest = max([p[1] for p in packs if p is not None], default=width)
-        if widest > width:
-            width = widest  # pack every divisor at the widest memo's width
-            continue
-        layout = _layout(key, len(ring.variables), width)
-        out = _reduce(ints, packs, layout)
-        if out is not None:
-            break
-        width *= 2  # a working monomial outgrew its fields
+    if isinstance(divisors, _Divisors):
+        ring, key, (width, terms, num, den), f_content = divisors.ring, divisors.key, f, None
+        while (out := _reduce(dict(terms), divisors.leads, _layout(key, ring.nvars, width)[1])) is None:
+            divisors.widen(2 * width)  # and re-pack the S-polynomial, whose terms fit the old width
+            terms, width = _repack(terms, key, ring.nvars, width, divisors.width), divisors.width
+        layout, packs, divisors.rest = _layout(key, ring.nvars, width), divisors.packs, (width, out[1][1])
+    else:
+        ring = f.ring
+        if key is None:
+            key = monomial_key(ring.order)
+        divisors = list(divisors)
+        for d in divisors:
+            if d.ring is not ring and d.ring != ring:
+                raise RingMismatchError("divisor from a different ring")
+        ints, f_content = f.integer_form()
+        width = _width(max(map(sum, ints), default=0))
+        while True:
+            packs = [_packed(d, key, width) for d in divisors]
+            widest = max([p[1] for p in packs if p is not None], default=width)
+            if widest > width:
+                width = widest  # pack every divisor at the widest memo's width
+                continue
+            layout = _layout(key, len(ring.variables), width)
+            leads = [(k, p[2], p[3], p[4]) for k, p in enumerate(packs) if p is not None]
+            out = _reduce({sum(map(mul, m, layout[0])): v for m, v in ints.items()}, leads, layout[1])
+            if out is not None:
+                break
+            width *= 2  # a working monomial outgrew its fields
+        num, den = f_content.numerator, f_content.denominator
 
     (quotients, remainder), decode = out, layout[2]
-    num, den = f_content.numerator, f_content.denominator
     # the nonzero quotients alone: a result kept unread holds no empty map
     found = [(k, q, num * p[6], den * p[5]) for k, (q, p) in enumerate(zip(quotients, packs)) if q[1]]
     result = DivisionResult(
@@ -208,19 +224,17 @@ def divide(f: Polynomial, divisors: Sequence[Polynomial], key=None) -> DivisionR
         _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else ring.zero(),
         (key, width, found),
     )
-    if VERIFY_DIVISION:
+    if VERIFY_DIVISION:  # a packed S-polynomial is decoded for the check
+        f = f if f_content is not None else _finish(ring, [1, terms], decode, num, den) if terms else ring.zero()
         _check_division(f, divisors, key, result)
     return result
 
 
-def _reduce(ints: dict, packs: list, layout: tuple):
-    """`divide`'s reduction: (quotient maps, remainder map), or None if a
-    working monomial overflows its fields."""
-    units, guards = layout[0], layout[1]
-    leads = [(idx, p[2], p[3], p[4]) for idx, p in enumerate(packs) if p is not None]
-    quotients = [[1, {}] for _ in packs]  # each map with its denominator in slot 0
+def _reduce(work: dict, leads: list, guards: int):
+    """`divide`'s reduction of the packed map `work`, which it consumes, by each nonzero divisor's
+    (index, lead, lc, tail): (quotient maps, remainder map), or None if a working monomial overflows."""
+    quotients = [[1, {}] for _ in range(leads[-1][0] + 1 if leads else 0)]  # to the last lead; tau in slot 0
     remainder = [1, {}]
-    work = {sum(map(mul, m, units)): v for m, v in ints.items()}
     sigma = 1
     heap = [-m for m in work]
     heapq.heapify(heap)
@@ -372,9 +386,7 @@ class GroebnerBasis:
         degree = 0 if width else max((sum(m) for _, (_, q), _, _ in found for m in q), default=0)
         wide, rows = self._packed_rows(key, width or _width(degree))
         if wide != width:  # two fields that fit add without a carry: one width fits both
-            read = _layout(key, nvars, width)[2] if width else lambda q, h: q
-            u = _layout(key, nvars, wide)[0]
-            found = [(k, (t, {sum(map(mul, m, u)): v for m, v in read(q, 1).items()}), *nd) for k, (t, q), *nd in found]
+            found = [(k, (t, _repack(q, key, nvars, width, wide)), *nd) for k, (t, q), *nd in found]
         accs = [[1, {}] for _ in self.generators]
         for k, (tau, terms), num, den in found:
             for t, tail, r_num, r_den in rows[k]:
@@ -433,8 +445,8 @@ def groebner_basis(
     goes if the new lead divides its lcm and both lcms with the new element
     differ from it (B_k).  New pairs use only elements whose lead no later
     lead divides; each S-polynomial is reduced by every element so far.
-    Remainders are kept primitive with integer coefficients, the final
-    basis is monic and interreduced.
+    S-pairs stay packed (`_Divisors`) up to a new element, decoded once; the
+    final basis is monic and interreduced.
 
     The loop stops at the first S-pair remainder that is a nonzero constant:
     the ideal is then the unit ideal.  Running on would change nothing, since
@@ -502,18 +514,18 @@ def groebner_basis(
 
     for p in polys:
         update(p.leading_monomial(key))
+    polys = _Divisors(ring, key, polys) if heap else polys  # packed only if a pair is to be reduced
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         mi, mj = mono_div(lcm, leads[i][0]), mono_div(lcm, leads[j][0])
-        res = divide(_spoly(polys[i], polys[j], mi, mj, key), polys, key)
+        res = divide(polys.spoly(i, j, mi, mj), polys, key)
         r = res.remainder
         if r.is_zero():
             continue
-        prim, c = r.primitive_part()
+        prim, c = polys.adopt(r)
         lc_i, lc_j = polys[i].leading_coefficient(key), polys[j].leading_coefficient(key)
         spairs.append((i, j, mi, mj, lc_i, lc_j, c, res))
-        polys.append(prim)
         if prim.is_constant():
             break
         update(prim.leading_monomial(key))
@@ -522,26 +534,64 @@ def groebner_basis(
     return GroebnerBasis(ring, order, tuple(basis), tuple(gens), (sources, spairs, reduction))
 
 
-def _spoly(p: Polynomial, q: Polynomial, mi: tuple, mj: tuple, key) -> Polynomial:
-    """x^mi * p / lc(p) - x^mj * q / lc(q) in one pass over the integer forms:
-    (b/g) * x^mi * P - (a/g) * x^mj * Q over a*b/g, leads a, b, g = gcd(a, b)."""
-    (P, _), (Q, _) = p.integer_form(), q.integer_form()
-    a, b = P[p.leading_monomial(key)], Q[q.leading_monomial(key)]
-    g = gcd(a, b)
-    sa, sb = b // g, a // g
-    out = {tuple(map(add, m, mi)): sa * v for m, v in P.items()}
-    for m, v in Q.items():
-        t = tuple(map(add, m, mj))
-        v = out.get(t, 0) - sb * v
-        if v:
-            out[t] = v
-        else:
-            del out[t]
-    if not out:
-        return p.ring.zero()
-    h, den = gcd(*out.values()), a * sa
-    h = -h if den < 0 else h  # the content h / |den| is positive
-    return Polynomial._new(p.ring, {m: v // h for m, v in out.items()}, Fraction(abs(h), abs(den)))
+class _Divisors(list):
+    """Buchberger's elements, packed at one `width` (`packs`, `leads`), which
+    `divide` takes as they are, leaving a nonzero remainder's map in `rest`."""
+
+    def __init__(self, ring: PolyRing, key, polys: list):
+        super().__init__(polys)
+        self.ring, self.key, self.rest = ring, key, None
+        self.widen(8)
+
+    def widen(self, width: int) -> None:
+        self.packs = [_packed(p, self.key, width) for p in self]
+        self.width = max([p[1] for p in self.packs], default=width)
+        if self.width > width:  # a memo (a generator's) or a degree is wider: pack all there
+            return self.widen(self.width)
+        self.leads = [(k, p[2], p[3], p[4]) for k, p in enumerate(self.packs)]  # as `_reduce` reads them
+
+    def spoly(self, i: int, j: int, mi: tuple, mj: tuple) -> tuple:
+        """(b/g) * x^mi * P - (a/g) * x^mj * Q over a*b/g, packed P, Q with leads a, b cancelled,
+        g = gcd(a, b): (width, primitive map, positive content's numerator, denominator)."""
+        units, guards = _layout(self.key, self.ring.nvars, self.width)[:2]
+        (*_, a, P, _, _), (*_, b, Q, _, _) = self.packs[i], self.packs[j]
+        sa, sb, si, sj = b // (g := gcd(a, b)), a // g, sum(map(mul, mi, units)), sum(map(mul, mj, units))
+        out = {si + m: sa * v for m, v in P}
+        for m, v in Q:
+            out[sj + m] = out.get(sj + m, 0) - sb * v
+        out = {m: v for m, v in out.items() if v}  # terms of P and Q may cancel
+        if functools.reduce(or_, out, 0) & guards:  # x^mi fits (it divides p_j's lead), not so x^mi * P
+            self.widen(2 * self.width)
+            return self.spoly(i, j, mi, mj)
+        h, den = gcd(*out.values()) or 1, a * sa
+        h = -h if den < 0 else h  # the content h / |den| is positive
+        return self.width, {m: v // h for m, v in out.items()}, abs(h), abs(den)
+
+    def adopt(self, r: Polynomial) -> tuple:
+        """Append r's primitive part p with `rest`, made primitive, as its packed form: (p, c), r = c * p."""
+        (width, terms), self.rest = self.rest, None
+        key, lead, h = self.key, max(terms), gcd(*terms.values())
+        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
+        prim, c = r.primitive_part()  # signs by the lead under the ring's order
+        lc = terms.pop(lead) // (h := h if c > 0 else -h)
+        object.__setattr__(prim, "_lead", (key, (lm, Fraction(lc))))
+        memo = (key, width, lead, lc, tuple([(m, v // h) for m, v in terms.items()]), 1, 1)
+        object.__setattr__(prim, "_pack", memo)
+        if VERIFY_DIVISION:
+            _check_packed(prim, memo)
+        self.leads.append((len(self), lead, lc, memo[4]))
+        self.append(prim)
+        self.packs.append(memo)
+        return prim, c
+
+
+def _check_packed(p: Polynomial, memo: tuple) -> None:
+    # the form (and lead) p's stored pair gives: primitive over a positive content
+    fresh, tail = _packed(Polynomial._new(p.ring, *p.integer_form()), memo[0], memo[1]), dict(memo[4])
+    if fresh[:4] + fresh[5:] != memo[:4] + memo[5:] or dict(fresh[4]) != tail or gcd(memo[3], *tail.values()) != 1:
+        raise RuntimeError("packed form differs from its element, or is not primitive")
+    if memo[5] <= 0 or max(p.integer_form()[0], key=memo[0]) != p.leading_monomial(memo[0]):
+        raise RuntimeError("packed form has a nonpositive content or another lead")
 
 
 def _reduce_basis(polys, key):

@@ -7,9 +7,11 @@ test.  Seeded and `hypothesis` cases run both, and the quotients and
 remainder must agree as values and as text, under grevlex, lex and an
 elimination order, including exponents past the first field width and lex
 divisions whose exponents outgrow the inputs'.  The Buchberger loop that
-drives `divide` is pinned by its S-pair reduction counts, and its pair
-update on packed leads must reduce the S-polynomials, in order, that
-`reference_spolys`, the tuple-lead update it replaced, reduces.
+drives `divide` is pinned by its S-pair reduction counts, as the benchmark's
+tracer reads them, and its pair update on packed leads must reduce the
+S-polynomials, in order, that `reference_spolys`, the tuple-lead update it
+replaced, reduces.  Its packed S-polynomials and divisor set must widen when
+a term outgrows their fields, and its bases must equal sympy's.
 """
 
 import heapq
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 import smeared.groebner as groebner
 from smeared import PolyRing, Polynomial, groebner_basis
 from smeared.groebner import divide
-from smeared.poly import EliminationOrder, mono_div, mono_divides, monomial_key
+from smeared.poly import EliminationOrder, mono_div, mono_divides, monomial_key, sum_of_products
 
 
 def reference_divide(f, divisors, key):
@@ -116,7 +118,7 @@ def _finish(ring, acc, num, den=Fraction(1)):
     return Polynomial._new(ring, terms, content)
 
 
-R3 = PolyRing(("x", "y", "z"))
+R2, R3 = PolyRing(("x", "y")), PolyRing(("x", "y", "z"))
 ORDERS = {
     "grevlex": monomial_key("grevlex"),
     "lex": monomial_key("lex"),
@@ -327,6 +329,41 @@ def test_cyclic5_spair_reductions_are_pinned(monkeypatch):
     assert len(calls) - len(gb.elements) == 107
 
 
+def load_tracer():
+    """The benchmark's `Tracer`, imported from bench/tracer.py as it is."""
+    import importlib.util
+    from pathlib import Path
+
+    spec = importlib.util.spec_from_file_location("tracer", Path(__file__).parents[1] / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize(
+    "make, reductions, zero, calls, steps",
+    [(katsura4, 30, 20, 43, 751), (cyclic5, 107, 66, 127, 1261)],
+    ids=["katsura4", "cyclic5"],
+)
+def test_tracer_counts_the_loop_divisions(make, reductions, zero, calls, steps):
+    # the benchmark counts S-pair reductions from the `groebner.divide` calls
+    # under a basis span: a loop that reduced without calling it would read 0
+    from smeared import Ideal
+
+    gens = make()
+    tracer = load_tracer()()
+    tracer.install()
+    try:
+        Ideal(gens[0].ring, gens).groebner()
+    finally:
+        tracer.restore()
+    m = tracer.summarize(1)
+    assert m["groebner.spair_reductions"] == reductions
+    assert m["groebner.spair_zero_ratio"] == zero / reductions
+    assert m["groebner.divide_calls"] == calls
+    assert m["groebner.divide_steps"] == steps
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
 def test_every_spair_of_the_basis_reduces_to_zero(order):
     # Buchberger's criterion on the output checks the pair pruning
@@ -341,6 +378,17 @@ def test_every_spair_of_the_basis_reduces_to_zero(order):
                 lcm = tuple(map(max, li, lj))
                 s = els[i].mul_term(mono_div(lcm, li), 1 / ci) - els[j].mul_term(mono_div(lcm, lj), 1 / cj)
                 assert divide(s, els, key).remainder.is_zero()
+
+
+def read_dividend(f, divisors):
+    """The value of the dividend `divide` was passed, as a `Polynomial`:
+    Buchberger's loop passes its S-polynomial packed, (width, map, num, den)
+    for num / den * map, with its `_Divisors` set."""
+    if not isinstance(divisors, groebner._Divisors):
+        return f
+    width, terms, num, den = f
+    decode = groebner._layout(divisors.key, divisors.ring.nvars, width)[2]
+    return Polynomial(divisors.ring, {m: Fraction(v * num, den) for m, v in decode(terms, 1).items()})
 
 
 def reference_spolys(gens, key):
@@ -405,6 +453,95 @@ def test_lex_tower_widens_the_pair_update():
         assert sum((t * gen for t, gen in zip(row, gens)), gens[0].ring.zero()) == g
 
 
+def assert_basis_and_rows(gens, order, ring):
+    """The reduced basis equals sympy's, and each transform row reproduces
+    its element from the generators."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.orderings import ProductOrder, grevlex
+
+    gb = groebner_basis(gens, order=order, ring=ring)
+    syms = sympy.symbols(ring.variables)
+    theirs_order = order
+    if isinstance(order, EliminationOrder):  # the eliminated block is a prefix
+        k = len(order.eliminated)
+        assert order.eliminated == tuple(range(k))
+        theirs_order = ProductOrder((grevlex, lambda m: m[:k]), (grevlex, lambda m: m[k:]))
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m))) for m, c in g.terms.items())
+        for g in gens
+    ]
+    theirs = sympy.groebner(exprs, *syms, order=theirs_order, domain="QQ").polys
+    assert {frozenset(g.terms.items()) for g in gb.elements} == {
+        frozenset((m, Fraction(int(c.p), int(c.q))) for m, c in p.terms()) for p in theirs if not p.is_zero
+    }
+    for g, row in zip(gb.elements, gb.transform):
+        assert sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) == g
+    return gb
+
+
+def widening_log(monkeypatch) -> list:
+    """In order, ("widen", w) per `_Divisors.widen(w)` and ("spoly", w) per
+    packed S-polynomial `divide` is passed, w its width."""
+    log = []
+    real_widen, real_divide = groebner._Divisors.widen, groebner.divide
+
+    def divide(f, divisors, key=None):
+        if isinstance(divisors, groebner._Divisors):
+            log.append(("spoly", f[0]))
+        return real_divide(f, divisors, key)
+
+    monkeypatch.setattr(groebner._Divisors, "widen", lambda ds, w: log.append(("widen", w)) or real_widen(ds, w))
+    monkeypatch.setattr(groebner, "divide", divide)
+    return log
+
+
+@pytest.mark.parametrize("order", ["lex", EliminationOrder((0,), 2)], ids=str)
+def test_spoly_widens_the_divisor_set(order, monkeypatch):
+    # x^2 - y^100 and x*y^30 - 1 fit 8-bit fields, but their S-polynomial
+    # x - y^130 sets a guard bit: the set re-packs at 16 before dividing
+    log = widening_log(monkeypatch)
+    gb = assert_basis_and_rows([R2.parse("x^2 - y^100"), R2.parse("x*y^30 - 1")], order, R2)
+    assert len(gb.elements) == 2
+    assert log[:3] == [("widen", 8), ("widen", 16), ("spoly", 16)]
+
+
+def test_reduction_widens_the_divisor_set(monkeypatch):
+    # the S-polynomial 1 - x^69*y^3 of x - y^2 and x^70*y - 1 fits 8-bit
+    # fields, but reducing it by x - y^2 reaches y^141: `divide` re-packs
+    # the set and the S-polynomial at 16
+    log = widening_log(monkeypatch)
+    gb = assert_basis_and_rows([R2.parse("x - y^2"), R2.parse("x^70*y - 1")], "lex", R2)
+    assert [str(g) for g in gb.elements] == ["-y^2 + x", "y^141 - 1"]
+    assert log == [("widen", 8), ("spoly", 8), ("widen", 16)]
+
+
+_COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# small generator sets, and pairs x^a - y^p*z^r, x*y^q - c*z^s whose
+# S-polynomial under lex, c*x^(a-1)*z^s - y^(p+q)*z^r, passes 8-bit fields
+# when p + q >= 128 while each generator fits them
+_GENERATOR_SETS = st.one_of(
+    st.lists(st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _COEFFS, max_size=3), min_size=1, max_size=3).map(
+        lambda maps: [Polynomial(R3, m) for m in maps]
+    ),
+    st.builds(
+        lambda a, p, r, q, s, c: [
+            Polynomial(R3, {(a, 0, 0): 1, (0, p, r): -1}),
+            Polynomial(R3, {(1, q, 0): 1, (0, 0, s): -c}),
+        ],
+        st.integers(1, 3), st.integers(64, 120), st.integers(0, 2), st.integers(20, 63), st.integers(0, 2),
+        _COEFFS.filter(bool),
+    ),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex", EliminationOrder((0,), 3)]), _GENERATOR_SETS)
+def test_packed_loop_matches_sympy_on_generated_ideals(order, gens):
+    if all(g.is_zero() for g in gens):
+        return
+    assert_basis_and_rows(gens, order, R3)
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
 def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
     # the same S-polynomials in the same order, so the same pairs pruned.
@@ -420,7 +557,9 @@ def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
     real_divide = groebner.divide
     for gens, want in zip(cases, wants):
         calls = []
-        monkeypatch.setattr(groebner, "divide", lambda f, ds, k=None: calls.append(f) or real_divide(f, ds, k))
+        monkeypatch.setattr(
+            groebner, "divide", lambda f, ds, k=None: calls.append(read_dividend(f, ds)) or real_divide(f, ds, k)
+        )
         gb = groebner_basis(gens, order=order, ring=gens[0].ring)
         assert calls[: len(want)] == want
         assert len(calls) == len(want) + len(gb.elements)

@@ -8,13 +8,14 @@ division re-checking switched on and off.
 The problems are the README example, Katsura-3 with a linear companion
 (member cofactors over a non-monic tracked basis, partitions through a unit
 ideal found late in Buchberger), the four curves in QQ[x,y,z] (every
-partition, chains, `basis 0..4`, members and non-members, one query error)
-and three ideals in QQ[x,y] whose queries fail with every engine refusal
-that names an ideal or a point, numbered from 1 as documents are.
+partition, chains, `basis 0..4`, members and non-members, one query error),
+three ideals in QQ[x,y] whose queries fail with every engine refusal that
+names an ideal or a point, numbered from 1 as documents are, and the curves'
+ideals and queries under lex order, the one golden run of the lex path.
 
 Each golden run document of the first three, cut short or edited in one
 certificate, echo, header or line field, must fail `verify`; so must each
-of the four under a drawn mutation of one field, with a failed line that
+of the five under a drawn mutation of one field, with a failed line that
 names a field or a check.
 
 To regenerate after a deliberate format change, run
@@ -42,14 +43,15 @@ from smeared.cli import load_problem, main
 
 DATA = Path(__file__).parent / "data"
 PROBLEMS = ("readme", "katsura3", "curves")
-# every golden problem; `errors` has no certificate line to tamper with
-GOLDEN = PROBLEMS + ("errors",)
+# every golden problem; `errors` has no certificate line to tamper with, and
+# `lex` has the same lines as `curves`
+GOLDEN = PROBLEMS + ("errors", "lex")
 _ELAPSED = re.compile(r'"elapsed_us":\d+')
 
 
 # `run`'s exit code on each golden problem, as CI's golden step expects it:
-# curves holds one deliberate query error and errors three
-RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1}
+# curves and lex hold one deliberate query error and errors three
+RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1, "lex": 1}
 
 
 def _documents(name: str, out: Path) -> tuple:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -19,6 +20,7 @@ from smeared.poly import (
     monomials_up_to_degree,
     sum_of_products,
 )
+from test_divide_reference import read_dividend
 
 
 def rand_poly(rng, ring, deg=3, nterms=4):
@@ -436,9 +438,20 @@ def test_basis_stops_at_first_constant_remainder(track, monkeypatch):
 
 
 def test_integer_spoly_matches_rational_reference():
-    # negative and fractional leading coefficients, under each order
+    # negative and fractional leading coefficients, under each order: the
+    # packed S-polynomial is a primitive map over a positive content
     R3 = PolyRing(("x", "y", "z"))
     rng = random.Random(47)
+
+    def packed_spoly(p, q, key):
+        (lp, _), (lq, _) = p.leading_term(key), q.leading_term(key)
+        lcm = mono_lcm(lp, lq)
+        divisors = groebner._Divisors(R3, key, [p, q])
+        f = divisors.spoly(0, 1, mono_div(lcm, lp), mono_div(lcm, lq))
+        _, terms, num, den = f
+        assert num > 0 and den > 0 and gcd(1, *terms.values()) == 1
+        return read_dividend(f, divisors)
+
     for order, key in REDUCER_KEYS.items():
         for _ in range(40):
             p, q = awkward_divisor(rng, R3, key), rational_poly(rng, R3, 3, 5)
@@ -446,13 +459,39 @@ def test_integer_spoly_matches_rational_reference():
                 continue
             if rng.random() < 0.5:
                 p, q = q, p.scale(Fraction(-7, 3))
-            (lp, _), (lq, _) = p.leading_term(key), q.leading_term(key)
-            lcm = mono_lcm(lp, lq)
-            s = groebner._spoly(p, q, mono_div(lcm, lp), mono_div(lcm, lq), key)
+            s = packed_spoly(p, q, key)
             assert s == spoly(p, q, key), order
             assert s.integer_form() == spoly(p, q, key).integer_form()
     x = R3.var("x")
-    assert groebner._spoly(x, x.scale(-3), (0, 0, 0), (0, 0, 0), REDUCER_KEYS["lex"]).is_zero()
+    assert packed_spoly(x, x.scale(-3), REDUCER_KEYS["lex"]).is_zero()
+
+
+def test_adopted_packed_form_is_checked_against_its_element():
+    # a nonzero S-pair remainder's packed map becomes the new element's
+    # divisor form; under VERIFY_DIVISION it must have the element's lead,
+    # primitive integer coefficients and a positive content, and each way a
+    # builder could get it wrong (a negated S-polynomial among them) fails
+    R2 = PolyRing(("x", "y"))
+    key = monomial_key("grevlex")
+    p, q = R2.parse("-3*x^2*y + 2*y - 1"), R2.parse("6*x*y^2 - 5/2*x")
+    divisors = groebner._Divisors(R2, key, [p, q])
+    res = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors, key)
+    prim, c = divisors.adopt(res.remainder)
+    assert res.remainder == prim.scale(c) and divisors[-1] is prim
+    memo = prim._pack
+    assert memo is divisors.packs[-1] and memo[5:] == (1, 1)
+    key_, width, lead, lc, tail, num, den = memo
+    (m, v), *rest = tail
+    negated = (key_, width, lead, -lc, tuple((t, -w) for t, w in tail), num, den)
+    for bad in (
+        negated,
+        (key_, width, lead, lc, tail, -num, den),
+        (key_, width, lead, 2 * lc, tuple((t, 2 * w) for t, w in tail), num, den),
+        (key_, width, m, v, ((lead, lc), *rest), num, den),
+    ):
+        with pytest.raises(RuntimeError):
+            groebner._check_packed(prim, bad)
+    groebner._check_packed(prim, memo)
 
 
 def katsura3_ring_gens():
