@@ -22,7 +22,10 @@ leads and lcms the same way, at a width that fits twice the largest lead
 degree, repacking all of them when a lead outgrows it.  S-polynomials, the
 divisor set (`_Divisors`) and new elements (decoded once) stay packed, as do
 quotients until read: a zero reduction, an unread transform or a membership
-(lifted packed) decodes none.
+(lifted packed) decodes none.  The set memoises, per packed monomial its
+divisions meet, the position of the first element whose lead divides it, or
+n for none of the first n: it only appends, so a later division resumes its
+scan there and picks the divisor a full scan would.  Re-packing empties it.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
@@ -36,6 +39,7 @@ import heapq
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, islice
 from math import gcd
 from operator import mul, or_
 from typing import Iterable, Optional
@@ -188,10 +192,10 @@ def divide(f, divisors, key=None) -> DivisionResult:
     """
     if isinstance(divisors, _Divisors):
         ring, key, (width, terms, num, den), f_content = divisors.ring, divisors.key, f, None
-        while (out := _reduce(dict(terms), divisors.leads, _layout(key, ring.nvars, width)[1])) is None:
+        while (out := _reduce(dict(terms), divisors.leads, _layout(key, ring.nvars, width)[1], divisors.memo)) is None:
             divisors.widen(2 * width)  # and re-pack the S-polynomial, whose terms fit the old width
             terms, width = _repack(terms, key, ring.nvars, width, divisors.width), divisors.width
-        layout, packs, divisors.rest = _layout(key, ring.nvars, width), divisors.packs, (width, out[1][1])
+        layout, packs = _layout(key, ring.nvars, width), divisors.packs
     else:
         ring = f.ring
         if key is None:
@@ -218,7 +222,9 @@ def divide(f, divisors, key=None) -> DivisionResult:
 
     (quotients, remainder), decode = out, layout[2]
     # the nonzero quotients alone: a result kept unread holds no empty map
-    found = [(k, q, num * p[6], den * p[5]) for k, (q, p) in enumerate(zip(quotients, packs)) if q[1]]
+    found = [(k, q, num * packs[k][6], den * packs[k][5]) for k, q in enumerate(quotients) if q]
+    if f_content is None:  # Buchberger's set memoises what the division met
+        divisors.note(found, remainder)
     result = DivisionResult(
         functools.partial(_decode_quotients, ring, decode, len(packs), found),
         _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else ring.zero(),
@@ -230,21 +236,26 @@ def divide(f, divisors, key=None) -> DivisionResult:
     return result
 
 
-def _reduce(work: dict, leads: list, guards: int):
+def _reduce(work: dict, leads: list, guards: int, memo: dict = None):
     """`divide`'s reduction of the packed map `work`, which it consumes, by each nonzero divisor's
-    (index, lead, lc, tail): (quotient maps, remainder map), or None if a working monomial overflows."""
-    quotients = [[1, {}] for _ in range(leads[-1][0] + 1 if leads else 0)]  # to the last lead; tau in slot 0
+    (index, lead, lc, tail): (quotient maps, None for a zero quotient; remainder map), or None if a
+    working monomial overflows.  Each popped monomial scans the leads from the first, or from its
+    `memo` position when Buchberger's set passes its memo (`_Divisors.note` fills it afterwards)."""
+    quotients = [None] * (leads[-1][0] + 1 if leads else 0)  # to the last lead; [tau, map] from the first step
     remainder = [1, {}]
     sigma = 1
     heap = [-m for m in work]
     heapq.heapify(heap)
     pop, push = heapq.heappop, heapq.heappush
+    scan = leads
     while heap:
         m = -pop(heap)
-        c = work.get(m)
+        c = work.pop(m, None)
         if c is None:
             continue
-        for idx, lead, lc, tail in leads:
+        if memo is not None:
+            scan = leads[k:] if (k := memo.get(m)) else leads
+        for idx, lead, lc, tail in scan:
             qm = m - lead
             if qm & guards:
                 continue  # lead does not divide m
@@ -252,7 +263,6 @@ def _reduce(work: dict, leads: list, guards: int):
             a, b = lc // g, c // g
             if a < 0:
                 a, b = -a, -b
-            del work[m]
             if a != 1:
                 sigma *= a
                 for t in work:
@@ -272,7 +282,10 @@ def _reduce(work: dict, leads: list, guards: int):
                     else:
                         del work[t]
             q = quotients[idx]
-            q[1][qm] = b * _lift(q, sigma)
+            if q is None:  # as _lift would raise [1, {}] to sigma
+                quotients[idx] = [sigma, {qm: b}]
+            else:
+                q[1][qm] = b * _lift(q, sigma)
             if a != 1:
                 g = gcd(sigma, *work.values())
                 if g != 1:
@@ -282,7 +295,6 @@ def _reduce(work: dict, leads: list, guards: int):
             break
         else:
             remainder[1][m] = c * _lift(remainder, sigma)
-            del work[m]
     return quotients, remainder
 
 
@@ -444,9 +456,12 @@ def groebner_basis(
     M; of equal lcms the smallest partner stays, F), and a pending pair
     goes if the new lead divides its lcm and both lcms with the new element
     differ from it (B_k).  New pairs use only elements whose lead no later
-    lead divides; each S-polynomial is reduced by every element so far.
-    S-pairs stay packed (`_Divisors`) up to a new element, decoded once; the
-    final basis is monic and interreduced.
+    lead divides; each S-polynomial is reduced by every element so far, the
+    first whose lead divides a term taking it.  S-pairs stay packed
+    (`_Divisors`) up to a new element, decoded once, and a term met before
+    resumes its scan for that first element where the set's memo says, so
+    the divisor is the one a full scan picks; re-packing the set empties the
+    memo.  The final basis is monic and interreduced.
 
     The loop stops at the first S-pair remainder that is a nonzero constant:
     the ideal is then the unit ideal.  Running on would change nothing, since
@@ -492,22 +507,29 @@ def groebner_basis(
             heap[:] = [(d, sum(map(mul, m, units)), i, j, m) for d, _, i, j, m in heap]
         h, lead = len(leads), sum(map(mul, lm, units))
         bits = sum(1 << v for v, e in enumerate(lm) if e)
-        new = [(g, mono_lcm(leads[g][0], lm)) for g in active]
-        new = [(g, sum(map(mul, m, units)), m) for g, m in new]  # packed once per pair
-        kept = []
-        # selecting from the back, a pair meets the unselected ones before it;
-        # o | lcm exactly when lcm - o leaves every guard bit clear
-        for pos in range(len(new) - 1, -1, -1):
-            g, lcm, m = new[pos]
-            if not leads[g][2] & bits or all((lcm - o) & guards for _, o, _ in new[:pos] + kept):
-                kept.append((g, lcm, m))
+        tuples = [mono_lcm(leads[g][0], lm) for g in active]
+        lcms = [sum(map(mul, m, units)) for m in tuples]  # packed once per pair
+        kept, pairs = [], []
+        # selecting from the back, a pair meets the unselected ones before it
+        # and the kept ones; o | lcm exactly when lcm - o leaves every guard bit clear
+        for pos in range(len(lcms) - 1, -1, -1):
+            g, lcm = active[pos], lcms[pos]
+            if leads[g][2] & bits:
+                for o in chain(islice(lcms, pos), kept):
+                    if not (lcm - o) & guards:
+                        break
+                else:
+                    kept.append(lcm)
+                    pairs.append((sum(tuples[pos]), lcm, g, h, tuples[pos]))
+            else:  # coprime leads: no pair, but the lcm still prunes
+                kept.append(lcm)
         heap[:] = [
             p
             for p in heap
             if (p[1] - lead) & guards
             or p[4] in (mono_lcm(leads[p[2]][0], lm), mono_lcm(leads[p[3]][0], lm))
         ]
-        heap.extend((sum(m), lcm, g, h, m) for g, lcm, m in kept if leads[g][2] & bits)
+        heap.extend(pairs)
         heapq.heapify(heap)
         active[:] = [g for g in active if (leads[g][1] - lead) & guards] + [h]
         leads.append((lm, lead, bits))
@@ -536,7 +558,8 @@ def groebner_basis(
 
 class _Divisors(list):
     """Buchberger's elements, packed at one `width` (`packs`, `leads`), which
-    `divide` takes as they are, leaving a nonzero remainder's map in `rest`."""
+    `divide` takes as they are, leaving a nonzero remainder's map in `rest`,
+    and the first-divisor `memo` (see the module docstring) that `widen` empties."""
 
     def __init__(self, ring: PolyRing, key, polys: list):
         super().__init__(polys)
@@ -549,6 +572,17 @@ class _Divisors(list):
         if self.width > width:  # a memo (a generator's) or a degree is wider: pack all there
             return self.widen(self.width)
         self.leads = [(k, p[2], p[3], p[4]) for k, p in enumerate(self.packs)]  # as `_reduce` reads them
+        self.memo = {}
+
+    def note(self, found: list, remainder: list) -> None:
+        """Memoise what a division by the n elements met: element k first divided x^(q + lead k) for
+        each x^q of quotient k, and none divides a remainder monomial.  Keep the remainder in `rest`."""
+        memo, leads, self.rest = self.memo, self.leads, (self.width, remainder[1])
+        for k, (_, terms), _, _ in found:
+            lead = leads[k][1]
+            for qm in terms:
+                memo[qm + lead] = k
+        memo.update(dict.fromkeys(remainder[1], len(self)))
 
     def spoly(self, i: int, j: int, mi: tuple, mj: tuple) -> tuple:
         """(b/g) * x^mi * P - (a/g) * x^mj * Q over a*b/g, packed P, Q with leads a, b cancelled,
@@ -568,19 +602,22 @@ class _Divisors(list):
         return self.width, {m: v // h for m, v in out.items()}, abs(h), abs(den)
 
     def adopt(self, r: Polynomial) -> tuple:
-        """Append r's primitive part p with `rest`, made primitive, as its packed form: (p, c), r = c * p."""
+        """Append r's primitive part p with `rest`, made primitive, as its packed form: (p, c), r = c * p.
+        A constant p ends the loop, and is not packed."""
         (width, terms), self.rest = self.rest, None
-        key, lead, h = self.key, max(terms), gcd(*terms.values())
-        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
         prim, c = r.primitive_part()  # signs by the lead under the ring's order
+        self.append(prim)
+        if not (lead := max(terms)):  # the packed monomial 1
+            return prim, c
+        key, h = self.key, gcd(*terms.values())
+        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
         lc = terms.pop(lead) // (h := h if c > 0 else -h)
         object.__setattr__(prim, "_lead", (key, (lm, Fraction(lc))))
         memo = (key, width, lead, lc, tuple([(m, v // h) for m, v in terms.items()]), 1, 1)
         object.__setattr__(prim, "_pack", memo)
         if VERIFY_DIVISION:
             _check_packed(prim, memo)
-        self.leads.append((len(self), lead, lc, memo[4]))
-        self.append(prim)
+        self.leads.append((len(self) - 1, lead, lc, memo[4]))
         self.packs.append(memo)
         return prim, c
 

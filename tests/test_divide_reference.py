@@ -11,14 +11,16 @@ drives `divide` is pinned by its S-pair reduction counts, as the benchmark's
 tracer reads them, and its pair update on packed leads must reduce the
 S-polynomials, in order, that `reference_spolys`, the tuple-lead update it
 replaced, reduces.  Its packed S-polynomials and divisor set must widen when
-a term outgrows their fields, and its bases must equal sympy's.
+a term outgrows their fields, and its bases must equal sympy's.  Each of its
+divisions must be the reference division by the same elements, and each
+entry of the set's first-divisor memo exact.
 """
 
 import heapq
 import random
 from fractions import Fraction
 from math import gcd
-from operator import add
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
@@ -495,11 +497,47 @@ def widening_log(monkeypatch) -> list:
     return log
 
 
+def checked_loop(monkeypatch) -> list:
+    """Checks each `_Divisors` division of the Buchberger loop against
+    `reference_divide`, and the set's first-divisor memo after it: every key
+    is a monomial packed at the set's width that no lead before its position
+    divides, and each entry the division wrote is exact, the first element
+    whose lead divides the monomial, or the set's length for none.  Returns
+    the memo's size before each division and each `_Divisors.widen`."""
+    log = []
+    real_widen, real_divide = groebner._Divisors.widen, groebner.divide
+
+    def widen(ds, width):
+        log.append(("widen", len(getattr(ds, "memo", ()))))
+        return real_widen(ds, width)
+
+    def divide(f, ds, key=None):
+        if not isinstance(ds, groebner._Divisors):
+            return real_divide(f, ds, key)
+        dividend, before = read_dividend(f, ds), dict(ds.memo)
+        log.append(("divide", len(before)))
+        res = real_divide(f, ds, key)
+        quotients, remainder = reference_divide(dividend, list(ds), ds.key)
+        assert list(res.quotients) == quotients and res.remainder == remainder
+        units, guards, decode = groebner._layout(ds.key, ds.ring.nvars, ds.width)
+        leads = [d.leading_monomial(ds.key) for d in ds]
+        for m, k in ds.memo.items():
+            (e,) = decode({m: 1}, 1)
+            assert not m & guards and sum(map(mul, e, units)) == m
+            first = next((i for i, lead in enumerate(leads) if mono_divides(lead, e)), len(leads))
+            assert k == first if before.get(m) != k else k <= first
+        return res
+
+    monkeypatch.setattr(groebner._Divisors, "widen", widen)
+    monkeypatch.setattr(groebner, "divide", divide)
+    return log
+
+
 @pytest.mark.parametrize("order", ["lex", EliminationOrder((0,), 2)], ids=str)
 def test_spoly_widens_the_divisor_set(order, monkeypatch):
     # x^2 - y^100 and x*y^30 - 1 fit 8-bit fields, but their S-polynomial
     # x - y^130 sets a guard bit: the set re-packs at 16 before dividing
-    log = widening_log(monkeypatch)
+    log, checked = widening_log(monkeypatch), checked_loop(monkeypatch)
     gb = assert_basis_and_rows([R2.parse("x^2 - y^100"), R2.parse("x*y^30 - 1")], order, R2)
     assert len(gb.elements) == 2
     assert log[:3] == [("widen", 8), ("widen", 16), ("spoly", 16)]
@@ -509,10 +547,22 @@ def test_reduction_widens_the_divisor_set(monkeypatch):
     # the S-polynomial 1 - x^69*y^3 of x - y^2 and x^70*y - 1 fits 8-bit
     # fields, but reducing it by x - y^2 reaches y^141: `divide` re-packs
     # the set and the S-polynomial at 16
-    log = widening_log(monkeypatch)
+    log, checked = widening_log(monkeypatch), checked_loop(monkeypatch)
     gb = assert_basis_and_rows([R2.parse("x - y^2"), R2.parse("x^70*y - 1")], "lex", R2)
     assert [str(g) for g in gb.elements] == ["-y^2 + x", "y^141 - 1"]
     assert log == [("widen", 8), ("spoly", 8), ("widen", 16)]
+    assert checked == [("widen", 0), ("divide", 0), ("widen", 0)]
+
+
+def test_widening_empties_the_first_divisor_memo(monkeypatch):
+    # the pair of y*z - 1 and z^2 - y comes first and fills the memo at 8
+    # bits; reducing the S-polynomial of x - y^2 and x^70*y - 1 then passes
+    # them, and the re-packed set must not scan from the 8-bit positions
+    checked = checked_loop(monkeypatch)
+    gens = [R3.parse(t) for t in ("x - y^2", "x^70*y - 1", "y*z - 1", "z^2 - y")]
+    gb = assert_basis_and_rows(gens, "lex", R3)
+    assert [str(g) for g in gb.elements] == ["x - z", "-z^2 + y", "z^3 - 1"]
+    assert checked == [("widen", 0), ("divide", 0), ("divide", 2), ("widen", 2)]
 
 
 _COEFFS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -542,16 +592,29 @@ def test_packed_loop_matches_sympy_on_generated_ideals(order, gens):
     assert_basis_and_rows(gens, order, R3)
 
 
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex", EliminationOrder((0,), 3)]), _GENERATOR_SETS)
+def test_first_divisor_memo_keeps_the_reference_divisions(order, gens):
+    # each S-pair division the loop makes with its memo is the reference
+    # division by the same elements, and its memo entries are exact
+    if all(g.is_zero() for g in gens):
+        return
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        checked_loop(monkeypatch)
+        groebner_basis(gens, order=order, ring=R3)
+
+
 @pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
 def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
     # the same S-polynomials in the same order, so the same pairs pruned.
     # Scaled exponents take the leads past 8-bit fields, and the scaled
-    # generator entering after three small ones widens a nonempty pair heap
+    # generator entering after three small ones widens a nonempty pair heap.
+    # Cyclic-5 is pair-bound: its update tests the most candidates
     rng = random.Random(79)
     cases = [[random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)] for _ in range(12)]
     cases += [[random_poly(rng, 2, 3, scale=s) for _ in range(3)] for s in (20, 40) for _ in range(6)]
     cases.append([random_poly(rng, 2, 3) for _ in range(3)] + [random_poly(rng, 2, 3, scale=40)])
-    cases += [katsura4()] if order == "grevlex" else [lex_tower()] if order == "lex" else []
+    cases += [katsura4(), cyclic5()] if order == "grevlex" else [lex_tower()] if order == "lex" else []
     key = monomial_key(order)
     wants = [reference_spolys(gens, key) for gens in cases]
     real_divide = groebner.divide

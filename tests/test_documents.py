@@ -10,12 +10,15 @@ The problems are the README example, Katsura-3 with a linear companion
 ideal found late in Buchberger), the four curves in QQ[x,y,z] (every
 partition, chains, `basis 0..4`, members and non-members, one query error),
 three ideals in QQ[x,y] whose queries fail with every engine refusal that
-names an ideal or a point, numbered from 1 as documents are, and the curves'
-ideals and queries under lex order, the one golden run of the lex path.
+names an ideal or a point, numbered from 1 as documents are, the curves'
+ideals and queries under lex order, the one golden run of the lex path, and
+the benchmark's seed-1 Katsura-4 file (`bench/gen.py`), whose member
+cofactors come from a 13-element tracked basis, so a changed divisor choice
+in Buchberger's loop changes them.
 
 Each golden run document of the first three, cut short or edited in one
 certificate, echo, header or line field, must fail `verify`; so must each
-of the five under a drawn mutation of one field, with a failed line that
+of the six under a drawn mutation of one field, with a failed line that
 names a field or a check.
 
 To regenerate after a deliberate format change, run
@@ -43,15 +46,15 @@ from smeared.cli import load_problem, main
 
 DATA = Path(__file__).parent / "data"
 PROBLEMS = ("readme", "katsura3", "curves")
-# every golden problem; `errors` has no certificate line to tamper with, and
-# `lex` has the same lines as `curves`
-GOLDEN = PROBLEMS + ("errors", "lex")
+# every golden problem; `errors` has no certificate line to tamper with,
+# `lex` has the same lines as `curves` and `katsura4` the kinds of `katsura3`
+GOLDEN = PROBLEMS + ("errors", "lex", "katsura4")
 _ELAPSED = re.compile(r'"elapsed_us":\d+')
 
 
 # `run`'s exit code on each golden problem, as CI's golden step expects it:
 # curves and lex hold one deliberate query error and errors three
-RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1, "lex": 1}
+RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1, "lex": 1, "katsura4": 0}
 
 
 def _documents(name: str, out: Path) -> tuple:

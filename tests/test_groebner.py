@@ -494,6 +494,19 @@ def test_adopted_packed_form_is_checked_against_its_element():
     groebner._check_packed(prim, memo)
 
 
+def test_constant_remainder_is_not_packed(monkeypatch):
+    # the S-pair remainder of (x - 1, x - 2) is a constant: the loop stops at
+    # it, so the set adopts it unpacked, and 1 = (x - 1) - (x - 2) still
+    R2 = PolyRing(("x", "y"))
+    x = R2.var("x")
+    adopted, real_adopt = [], groebner._Divisors.adopt
+    monkeypatch.setattr(groebner._Divisors, "adopt", lambda ds, r: adopted.append(real_adopt(ds, r)) or adopted[-1])
+    gb = groebner_basis([x - 1, x - 2])
+    ((prim, _),) = adopted
+    assert prim.is_constant() and getattr(prim, "_pack", None) is None
+    assert gb.elements == (R2.one(),) and gb.transform == ((R2.one(), -R2.one()),)
+
+
 def katsura3_ring_gens():
     R4 = PolyRing(("u0", "u1", "u2", "u3"))
     return R4, [R4.parse(t) for t in KATSURA3]
