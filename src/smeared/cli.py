@@ -519,11 +519,13 @@ def _frac(text, field: str) -> Fraction:
     raise QueryError(f"{field} {text!r} is not a rational in canonical text")
 
 
-def _combine(cofactor_texts, generators, ring, field: str) -> Polynomial:
+def _combine(cofactor_texts, generators, ring, field: str, constant: Fraction = 0) -> Polynomial:
+    """sum(c[k] * generators[k]) + constant over the cofactor texts, in one sum."""
     if not isinstance(cofactor_texts, list) or len(cofactor_texts) != len(generators):
         raise QueryError(f"{field}: need one cofactor per generator ({len(generators)})")
     cofactors = [_poly(ring, t, f"{field} entry {k}") for k, t in enumerate(cofactor_texts, start=1)]
-    return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, generators)])
+    one = ring.one()
+    return sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, generators)] + [(constant, one, one)])
 
 
 class _Verifier:
@@ -612,10 +614,10 @@ class _Verifier:
         ring = self.config.ring
         constants = self._per_ideal(payload, "constants")
         cofactors = self._per_ideal(payload, "cofactors")
-        for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors)):
-            target = q["poly"] - ring.const(_frac(alpha, f"constants for ideal {i + 1}"))
-            if _combine(cof, ideal.generators, ring, f"cofactors for ideal {i + 1}") != target:
-                raise QueryError(f"cofactor identity fails for ideal {i + 1}")
+        for i, (ideal, alpha, cof) in enumerate(zip(self.config.ideals, constants, cofactors), start=1):
+            alpha = _frac(alpha, f"constants for ideal {i}")  # read before the cofactors
+            if _combine(cof, ideal.generators, ring, f"cofactors for ideal {i}", alpha) != q["poly"]:
+                raise QueryError(f"cofactor identity fails for ideal {i}")
 
     def _check_partition(self, q, payload) -> None:
         _fields(payload, ("a", "b", "a_constants", "b_constants", "a_cofactors", "b_cofactors", *_echo(q)))

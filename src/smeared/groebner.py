@@ -26,6 +26,9 @@ quotients until read: a zero reduction, an unread transform or a membership
 divisions meet, the position of the first element whose lead divides it, or
 n for none of the first n: it only appends, so a later division resumes its
 scan there and picks the divisor a full scan would.  Re-packing empties it.
+A membership divides one f by n bases (`divide_each`): f is packed once per
+key and width for all n, and each `GroebnerBasis` packs its leads once per
+width, in its lazy `_leads` field.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
@@ -42,7 +45,7 @@ from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
 from operator import mul, or_
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .poly import (
     Polynomial,
@@ -124,7 +127,12 @@ def _repack(terms: dict, key, nvars: int, width: int, wide: int) -> dict:
     """A map over monomials packed at `width` (exponent tuples at 0), packed at `wide`."""
     units = _layout(key, nvars, wide)[0]
     read = _layout(key, nvars, width)[2] if width else lambda q, h: q
-    return {sum(map(mul, m, units)): v for m, v in read(terms, 1).items()}
+    return _pack_map(read(terms, 1), units)
+
+
+def _pack_map(terms: dict, units: tuple) -> dict:
+    """{exponents: v} as {packed monomial: v}, each exponent tuple packed by `units` (`_layout`)."""
+    return {sum(map(mul, m, units)): v for m, v in terms.items()}
 
 
 def _width(degree: int) -> int:
@@ -147,7 +155,7 @@ def _packed(d: Polynomial, key, width: int):
     if degree >> (width - 1):
         width = _width(degree)
     units = _layout(key, len(d.ring.variables), width)[0]
-    terms = {sum(map(mul, m, units)): v for m, v in ints.items()}
+    terms = _pack_map(ints, units)
     lead = max(terms)
     lc, tail = terms.pop(lead), tuple(terms.items())
     memo = (key, width, lead, lc, tail, content.numerator, content.denominator)
@@ -155,17 +163,21 @@ def _packed(d: Polynomial, key, width: int):
     return memo
 
 
-def divide(f, divisors, key=None) -> DivisionResult:
-    """Multivariate division of f by an ordered list of divisors.
+def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
+    """Multivariate division of f by an ordered list of divisors, or by a
+    `GroebnerBasis`'s elements under its order.
 
     Ties go to the first divisor whose leading monomial divides the current
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
 
     Monomials are packed ints (see the module docstring): f is packed on
-    entry, each divisor's packed form is memoised on it, the remainder is
-    unpacked on exit and the quotients on their first read.  Buchberger's
-    loop passes its `_Divisors` set and S-polynomials packed, as they are.
+    entry, or read from `packed`, a map {(key, width): packed f} shared by
+    the divisions of one f (`divide_each`), and a copy reduced; each
+    divisor's packed form is memoised on it, and a basis keeps its lead list
+    (`GroebnerBasis._packed_leads`).  The remainder is unpacked on exit and
+    the quotients on their first read.  Buchberger's loop passes its
+    `_Divisors` set and S-polynomials packed, as they are.
 
     The arithmetic is over the integers, on the stored forms of f = c_f * F
     and of each divisor d = s * D (`Polynomial.integer_form`).  Division is
@@ -198,23 +210,22 @@ def divide(f, divisors, key=None) -> DivisionResult:
         layout, packs = _layout(key, ring.nvars, width), divisors.packs
     else:
         ring = f.ring
-        if key is None:
-            key = monomial_key(ring.order)
-        divisors = list(divisors)
+        if isinstance(divisors, GroebnerBasis):
+            basis, key, divisors = divisors, divisors.key(), divisors.elements
+        else:
+            basis, key, divisors = None, key or monomial_key(ring.order), list(divisors)
         for d in divisors:
             if d.ring is not ring and d.ring != ring:
                 raise RingMismatchError("divisor from a different ring")
         ints, f_content = f.integer_form()
         width = _width(max(map(sum, ints), default=0))
         while True:
-            packs = [_packed(d, key, width) for d in divisors]
-            widest = max([p[1] for p in packs if p is not None], default=width)
-            if widest > width:
-                width = widest  # pack every divisor at the widest memo's width
-                continue
-            layout = _layout(key, len(ring.variables), width)
-            leads = [(k, p[2], p[3], p[4]) for k, p in enumerate(packs) if p is not None]
-            out = _reduce({sum(map(mul, m, layout[0])): v for m, v in ints.items()}, leads, layout[1])
+            width, packs, leads = basis._packed_leads(width) if basis else _pack_all(divisors, key, width)
+            layout = _layout(key, ring.nvars, width)
+            if packed is not None and (key, width) not in packed:
+                packed[key, width] = _pack_map(ints, layout[0])
+            work = _pack_map(ints, layout[0]) if packed is None else dict(packed[key, width])
+            out = _reduce(work, leads, layout[1])
             if out is not None:
                 break
             width *= 2  # a working monomial outgrew its fields
@@ -234,6 +245,24 @@ def divide(f, divisors, key=None) -> DivisionResult:
         f = f if f_content is not None else _finish(ring, [1, terms], decode, num, den) if terms else ring.zero()
         _check_division(f, divisors, key, result)
     return result
+
+
+def divide_each(f: Polynomial, bases: Iterable) -> Iterator[DivisionResult]:
+    """f's division by each basis in turn, as `GroebnerBasis.divide` gives it,
+    lazily: f is packed once per order key and width for all of them."""
+    packed: dict = {}
+    return (divide(f, gb, packed=packed) for gb in bases)
+
+
+def _pack_all(divisors, key, width: int) -> tuple:
+    """(w, packs, leads): every divisor's packed form at w, the smallest width
+    from `width` up that fits them and their memos, and the (index, lead, lc,
+    tail) of each nonzero one, as `_reduce` reads them."""
+    packs = [_packed(d, key, width) for d in divisors]
+    widest = max([p[1] for p in packs if p is not None], default=width)
+    if widest > width:  # pack every divisor at the widest memo's width
+        return _pack_all(divisors, key, widest)
+    return width, packs, [(k, p[2], p[3], p[4]) for k, p in enumerate(packs) if p is not None]
 
 
 def _reduce(work: dict, leads: list, guards: int, memo: dict = None):
@@ -332,7 +361,9 @@ class GroebnerBasis:
 
     `transform`, built from the record `steps` on first read and memoised
     (a race only builds it twice), satisfies
-    elements[j] == sum(transform[j][i] * generators[i] for all i).
+    elements[j] == sum(transform[j][i] * generators[i] for all i).  Two more
+    lazy fields pack once what every division or lift reads: `_leads`, the
+    elements' packed leads per width, and `_rows`, the packed transform.
     """
 
     ring: PolyRing
@@ -370,7 +401,17 @@ class GroebnerBasis:
         return [next((m[j] for m in leads if m[j] == sum(m)), None) for j in range(self.ring.nvars)]
 
     def divide(self, f: Polynomial) -> DivisionResult:
-        return divide(f, self.elements, self.key())
+        return divide(f, self)
+
+    def _packed_leads(self, width: int) -> tuple:
+        """`_pack_all` of the elements from `width` up, memoised per width in
+        `_leads` (a race only packs twice): built once, not per division."""
+        memo = getattr(self, "_leads", None)
+        if memo is None:
+            object.__setattr__(self, "_leads", memo := {})
+        if width not in memo:
+            memo[width] = _pack_all(self.elements, self.key(), width)
+        return memo[width]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
         return self.divide(f).remainder
@@ -567,11 +608,8 @@ class _Divisors(list):
         self.widen(8)
 
     def widen(self, width: int) -> None:
-        self.packs = [_packed(p, self.key, width) for p in self]
-        self.width = max([p[1] for p in self.packs], default=width)
-        if self.width > width:  # a memo (a generator's) or a degree is wider: pack all there
-            return self.widen(self.width)
-        self.leads = [(k, p[2], p[3], p[4]) for k, p in enumerate(self.packs)]  # as `_reduce` reads them
+        # a memo (a generator's) or a degree may be wider: `_pack_all` packs all there
+        self.width, self.packs, self.leads = _pack_all(self, self.key, width)
         self.memo = {}
 
     def note(self, found: list, remainder: list) -> None:
@@ -605,12 +643,15 @@ class _Divisors(list):
         """Append r's primitive part p with `rest`, made primitive, as its packed form: (p, c), r = c * p.
         A constant p ends the loop, and is not packed."""
         (width, terms), self.rest = self.rest, None
+        key, lead, h = self.key, max(terms), gcd(*terms.values())
+        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
+        if key is monomial_key(self.ring.order):  # r's lead, which `primitive_part` reads, is the packed one
+            ints, cr = r.integer_form()
+            object.__setattr__(r, "_lead", (key, (lm, Fraction(ints[lm] * cr.numerator, cr.denominator))))
         prim, c = r.primitive_part()  # signs by the lead under the ring's order
         self.append(prim)
-        if not (lead := max(terms)):  # the packed monomial 1
+        if not lead:  # the packed monomial 1
             return prim, c
-        key, h = self.key, gcd(*terms.values())
-        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
         lc = terms.pop(lead) // (h := h if c > 0 else -h)
         object.__setattr__(prim, "_lead", (key, (lm, Fraction(lc))))
         memo = (key, width, lead, lc, tuple([(m, v // h) for m, v in terms.items()]), 1, 1)

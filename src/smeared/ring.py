@@ -29,6 +29,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Optional, Sequence
 
+from .groebner import divide_each
 from .ideals import Ideal
 from .linalg import kernel_basis
 from .poly import (
@@ -396,8 +397,8 @@ def member(f: Polynomial, config: SmearedRingConfig) -> MembershipCertificate:
     if f.ring != config.ring:
         raise RingMismatchError("polynomial from a different ring")
     constants, divisions = [], []
-    for i, ideal in enumerate(config.ideals):
-        res = ideal.groebner().divide(f)
+    # one routine divides f by the bases in turn, each basis built when its division comes
+    for i, res in enumerate(divide_each(f, (ideal.groebner() for ideal in config.ideals))):
         nf = res.remainder
         if not nf.is_constant():
             return MembershipCertificate(

@@ -843,6 +843,27 @@ def test_verify_reads_every_field_as_run_writes_it(tmp_path, capsys, case):
     assert rc == 1 and _failures(verified) == [(index, problem_text)]
 
 
+def _bad_constant_and_cofactor(payload):
+    payload.update(constants=["0.0", "0", "0"])
+    payload["cofactors"][0][0] = "x +* 1"
+
+
+@pytest.mark.parametrize(
+    "edit,problem_text",
+    [
+        # the constant is added to the cofactor sum: moving it alone breaks the identity
+        (lambda p: p.update(constants=["0", "1", "0"]), "cofactor identity fails for ideal 2"),
+        # each ideal's constant is read before its cofactors
+        (_bad_constant_and_cofactor, "constants for ideal 1 '0.0' is not a rational in canonical text"),
+    ],
+    ids=["moved_constant", "constant_first"],
+)
+def test_verify_checks_member_constants_with_their_cofactors(tmp_path, capsys, edit, problem_text):
+    out, problem = _golden_copy(tmp_path, "readme", lambda entries: edit(entries[4]["payload"]))
+    rc, verified = _verify_lines(out, problem, capsys)
+    assert rc == 1 and _failures(verified) == [(4, problem_text)]
+
+
 @pytest.mark.parametrize(
     "edit,problem_text",
     [

@@ -494,6 +494,39 @@ def test_adopted_packed_form_is_checked_against_its_element():
     groebner._check_packed(prim, memo)
 
 
+def test_adopt_reads_the_remainders_lead_from_its_packed_form(monkeypatch):
+    # under the ring's order the packed remainder's largest monomial is its
+    # lead: `adopt` stores it on r, so `primitive_part` signs r with no
+    # key-function max over its terms
+    import smeared.poly as poly
+
+    R2 = PolyRing(("x", "y"))
+    key = monomial_key(R2.order)
+    divisors = groebner._Divisors(R2, key, [R2.parse("-3*x^2*y + 2*y - 1"), R2.parse("6*x*y^2 - 5/2*x")])
+    r = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors, key).remainder
+    assert r._lead is None and len(r.terms) > 1
+    scans = []
+    monkeypatch.setattr(poly, "max", lambda *a, **k: scans.append(k) or max(*a, **k), raising=False)
+    prim, c = divisors.adopt(r)
+    monkeypatch.undo()
+    assert not [k for k in scans if "key" in k]
+    assert r._lead == (key, Polynomial._new(R2, *r.integer_form()).leading_term(key))
+    assert prim.scale(c) == r and prim.leading_coefficient(key) > 0
+
+
+def test_basis_packs_its_lead_list_once_per_width(R2, monkeypatch):
+    # a basis keeps the packed leads `_reduce` reads, per width, across divisions
+    x, y = R2.var("x"), R2.var("y")
+    gb = groebner_basis([x**2 - y, x * y - 1])
+    calls, real = [], groebner._pack_all
+    monkeypatch.setattr(groebner, "_pack_all", lambda *a: calls.append(a) or real(*a))
+    for f in (x**3 + y, x * y**2 - 2, x + 1, x**3 + y, x**200 - y, x**201 * y):
+        assert gb.divide(f) == divide(f, list(gb.elements), gb.key())
+    own = [a for a in calls if a[0] is gb.elements]
+    assert [a[2] for a in own] == [8, 16] and sorted(gb._leads) == [8, 16]
+    assert len(calls) == len(own) + 6  # the list divisions pack theirs each time
+
+
 def test_constant_remainder_is_not_packed(monkeypatch):
     # the S-pair remainder of (x - 1, x - 2) is a constant: the loop stops at
     # it, so the set adopts it unpacked, and 1 = (x - 1) - (x - 2) still

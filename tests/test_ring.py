@@ -1,6 +1,7 @@
 """The subring layer: validation, membership, partitions, verdicts, loci,
 chains, finite slices, constancy."""
 
+import operator
 import random
 import sys
 import threading
@@ -237,6 +238,66 @@ def test_member_ring_mismatch(three_lines):
     other = PolyRing(("a",))
     with pytest.raises(RingMismatchError):
         sm.member(other.var("a"), three_lines)
+
+
+def _packings_of(monkeypatch, f):
+    """The units of every later `groebner._pack_map` call on f's exponent map."""
+    ints, calls, real = f.integer_form()[0], [], groebner._pack_map
+    monkeypatch.setattr(groebner, "_pack_map", lambda t, u: (t is ints and calls.append(u)) or real(t, u))
+    return calls
+
+
+def test_membership_packs_its_polynomial_once_per_width(monkeypatch):
+    # four curves under one order and one width: f is packed once, not once per basis
+    config = four_curves_config()
+    x, y, z = (config.ring.var(v) for v in "xyz")
+    f = x * (y - x**2 - 1) * (z - 5) * (z + 3) + 7
+    packings = _packings_of(monkeypatch, f)
+    cert = sm.member(f, config)
+    assert cert.member and cert.constants == (7, 7, 7, 7) and len(packings) == 1
+    sm.member(f, config)  # the packing lives as long as one membership
+    assert len(packings) == 2
+
+
+# (order, generators per ideal, a member f, the width of each division)
+EACH_BASIS_CASES = {
+    # the fourth basis has a lead of degree 130: 16-bit fields, the others 8
+    "widths": (
+        "grevlex",
+        (("x", "y"), ("y - x^2 - 1", "z - x^3"), ("z - 5", "x*y - 1"), ("y^130 - x - 2", "z + 3")),
+        "x*(y - x^2 - 1)*(z - 5)*(z + 3) + 7",
+        [8, 8, 8, 16],
+    ),
+    # x^71 divided by x - y^2 leaves y^142: that division re-packs at 16 partway through
+    "lex_repack": (
+        "lex",
+        (("x - y^2", "z"), ("x - 1", "y - 2"), ("z - 5", "y + 1")),
+        "x^70*z*(x - 1)*(z - 5) + 3",
+        [16, 8, 8],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", EACH_BASIS_CASES)
+def test_member_divisions_equal_each_basis_division(case, monkeypatch):
+    order, gens, text, widths = EACH_BASIS_CASES[case]
+    ring = PolyRing(("x", "y", "z"), order)
+    config = SmearedRingConfig(ring, tuple(Ideal(ring, tuple(map(ring.parse, g))) for g in gens))
+    bases, f = [ideal.groebner() for ideal in config.ideals], ring.parse(text)
+    divided, real_divide = [], groebner.divide
+    monkeypatch.setattr(groebner, "divide", lambda *a, **k: divided.append(a[1]) or real_divide(*a, **k))
+    packings = _packings_of(monkeypatch, f)
+    cert = sm.member(f, config)
+    # one call of the module's `divide` per basis, and one packing of f per width
+    assert cert.member and len(divided) == len(bases) and all(map(operator.is_, divided, bases))
+    assert [res._packed[1] for res in cert.divisions] == widths and len(packings) == len(set(widths))
+    for res, gb in zip(cert.divisions, bases):
+        assert res == gb.divide(f) == real_divide(f, list(gb.elements), gb.key())
+    other = PolyRing(("x", "y", "z"), "grevlex" if order == "lex" else "lex").parse(text)
+    with pytest.raises(RingMismatchError):
+        sm.member(other, config)
+    with pytest.raises(RingMismatchError):
+        next(groebner.divide_each(other, bases))
 
 
 def test_products_of_generators_have_zero_constants(three_lines, R2):
