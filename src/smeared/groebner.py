@@ -211,12 +211,12 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
     else:
         ring = f.ring
         if isinstance(divisors, GroebnerBasis):
-            basis, key, divisors = divisors, divisors.key(), divisors.elements
+            basis, key, divisors, rings = divisors, divisors.key(), divisors.elements, (divisors.ring,)
         else:
             basis, key, divisors = None, key or monomial_key(ring.order), list(divisors)
-        for d in divisors:
-            if d.ring is not ring and d.ring != ring:
-                raise RingMismatchError("divisor from a different ring")
+            rings = [d.ring for d in divisors]
+        if any(r is not ring and r != ring for r in rings):  # a basis's ring, even with no element
+            raise RingMismatchError("divisor from a different ring")
         ints, f_content = f.integer_form()
         width = _width(max(map(sum, ints), default=0))
         while True:

@@ -19,11 +19,11 @@ implicit multiplication rejected)::
 
 Rational literals look like ``3`` or ``5/2``; a denominator must be nonzero.
 The optional sign on the first term is a strict superset of the grammar
-needed so canonical serialization round-trips.  The parser reads a flat
-term (no parenthesis) in one regex match, its monomial through the ring's
-monomial table, and any other term in one match per factor, so its cost is
-linear in the text's length.  It builds the term map directly: only
-parenthesized factors build a `Polynomial`, by multiplication and powers.
+needed so canonical serialization round-trips.  `_read_flat` reads flat
+text, as `__str__` writes it, in one split and one monomial-table lookup per
+term; `_Parser` reads the rest, one regex match per factor, with the same
+results and errors.  Both build the term map directly: only parenthesized
+factors build a `Polynomial`, by multiplication and powers.
 """
 
 from __future__ import annotations
@@ -211,16 +211,18 @@ class PolyRing:
     """Polynomial ring QQ[variables] with a monomial order tag.
 
     `_monomials`, the monomial table of at most `_MONOMIAL_TABLE_SIZE`
-    entries, maps monomial texts the parser has read (``x^4*y^3*z``) to
-    exponent tuples, and tuples `__str__` has spelled back to text.
-    Equality, hashing, `repr`, pickling and copies ignore it, so every ring
-    starts cold.  An entry is a pure function of its key, so racing threads
-    at worst store one twice, or pass the bound by one entry each.
+    entries, maps monomial texts `_read_flat` has read (``x^4*y^3*z``) to
+    exponent tuples, and tuples `__str__` has spelled back to text; `_keys`,
+    as bounded, holds the grevlex keys `__str__` sorts by.  Equality, hashing,
+    `repr`, pickling and copies ignore both, so every ring starts cold.  An entry
+    is a pure function of its key, so racing threads at worst store one twice, or
+    pass the bound by one entry (`_keys`: one polynomial's) each.
     """
 
     variables: tuple
     order: str = GREVLEX
     _monomials: dict = field(init=False, repr=False, compare=False)
+    _keys: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -232,6 +234,7 @@ class PolyRing:
         object.__setattr__(self, "variables", tuple(self.variables))
         one = (0,) * len(self.variables)
         object.__setattr__(self, "_monomials", {"": one, one: ""})
+        object.__setattr__(self, "_keys", {})
 
     def __reduce__(self):
         return (PolyRing, (self.variables, self.order))
@@ -255,6 +258,17 @@ class PolyRing:
             if len(self._monomials) < _MONOMIAL_TABLE_SIZE:
                 self._monomials[key] = value
         return value
+
+    def _descending(self, monos) -> list:
+        """`monos` largest first; grevlex keys come from `_keys`, filled on a miss."""
+        if self.order == LEX:
+            return sorted(monos, reverse=True)
+        try:
+            return sorted(monos, key=self._keys.__getitem__, reverse=True)
+        except KeyError:
+            new = {m: _grevlex_key(m) for m in monos}
+            self._keys.update(itertools.islice(new.items(), _MONOMIAL_TABLE_SIZE - len(self._keys)))
+            return sorted(monos, key=new.__getitem__, reverse=True)
 
     @property
     def nvars(self) -> int:
@@ -604,19 +618,17 @@ class Polynomial:
         if not ints:
             return "0"
         n, d = c.numerator, c.denominator
-        spell = self.ring._monomial
+        spelled = self.ring._monomials.get
         parts = []
-        for m in sorted(ints, key=monomial_key(self.ring.order), reverse=True):
+        for m in self.ring._descending(ints):
             v = ints[m]
             num = (-v if v < 0 else v) * n
             g = gcd(num, d) if d != 1 else 1
-            mono = spell(m)
+            mono = spelled(m) or self.ring._monomial(m)  # a miss, or the constant's ""
             coeff = f"{num // g}/{d // g}" if d != g else "" if num == g and mono else str(num // g)
             body = f"{coeff}*{mono}" if coeff and mono else coeff or mono
-            if not parts:
-                parts.append(f"-{body}" if v < 0 else body)
-            else:
-                parts.append(f"{'-' if v < 0 else '+'} {body}")
+            parts.append(f"- {body}" if v < 0 else f"+ {body}")
+        parts[0] = parts[0][2:] if parts[0][0] == "+" else "-" + parts[0][2:]  # "+ x" to "x", "- x" to "-x"
         return " ".join(parts)
 
     def __repr__(self) -> str:
@@ -680,16 +692,10 @@ _FACTOR_RE = re.compile(
 # denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*".
 # Digits and whitespace are ASCII only: `\d` and `\s` would also read other
 # scripts' digits and Unicode spaces.
-# One match per flat term as `__str__` writes it: a sign, a literal and a
-# monomial text (either may be missing), then a sign, ")" or the end.  Its
-# literals have no leading zero and at most 640 digits, the least digit limit
-# `int()` can be given, so all it takes is valid; the factor loop reads the
-# rest.  Groups: 1 sign, 2 and 3 literal, 4 monomial text.
+# A monomial text that misses the monomial table; its exponents have at most
+# 640 digits, which `int()` reads at any digit limit it can be given.
 _LIT = r"[1-9][0-9]{0,639}"
-_FLAT_TERM_RE = re.compile(
-    rf"{_SPACE}([-+])?{_SPACE}(?=[0-9A-Za-z_])(?:({_LIT})(?:/({_LIT}))?(?:\*(?=[A-Za-z_])|(?![A-Za-z_])))?"
-    rf"((?:{_NAME}(?:\^{_LIT})?(?:\*{_NAME}(?:\^{_LIT})?)*)?)(?={_SPACE}(?:[-+)]|\Z))"
-)
+_MONOMIAL_RE = re.compile(rf"{_NAME}(?:\^{_LIT})?(?:\*{_NAME}(?:\^{_LIT})?)*")
 _EXPECTED_BASE = "expected a number, variable or parenthesized expression"
 # each "(" costs the parser one level of recursion; a fixed bound keeps deep
 # nesting a ParseError wherever the parser is called from
@@ -724,12 +730,12 @@ def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
 
 
 class _Parser:
-    """Recursive descent, a term at a time: a `_FLAT_TERM_RE` match, else
-    `_FACTOR_RE` matches from the term's start; a group is a recursive call.
+    """Recursive descent over the text `_read_flat` declines, a term at a
+    time, one `_FACTOR_RE` match per factor; a group is a recursive call.
     Each expression adds its terms in place into one dict for
     `Polynomial._make`.  Errors come in text order, except that a bad
     character or a zero-denominator or overlong literal anywhere comes
-    before a syntax error, as if tokenized; a flat match never raises.
+    before a syntax error, as if tokenized.
     """
 
     def __init__(self, text: str, ring: PolyRing):
@@ -762,18 +768,10 @@ class _Parser:
         """Parse an expr, inside `depth` open parentheses, from `pos` on;
         return its term map and the `_FACTOR_RE` match after it, which has
         no sign and whose base is ")" or missing."""
-        text, ring, index, nvars = self.text, self.ring, self.index, self.ring.nvars
+        text, index, nvars = self.text, self.index, self.ring.nvars
         terms: dict = {}
         first = True
         while True:
-            # a flat term: one match and a table lookup
-            t = _FLAT_TERM_RE.match(text, pos)
-            if t is not None and (first or t[1]) and (mono := ring._monomial(t[4])) is not None:
-                sign, num, den, _ = t.groups()
-                num = -int(num or 1) if sign == "-" else int(num or 1)
-                _add_into(terms, mono, num if den is None else Fraction(num, int(den)))
-                pos, first = t.end(), False
-                continue
             m = _FACTOR_RE.match(text, pos)
             if not first and m[1] is None:
                 if m.lastindex > 2 and m[7] is None:  # a base right after a term
@@ -827,9 +825,50 @@ class _Parser:
             pos = m.end()
 
 
+def _read_flat(text: str, ring: PolyRing):
+    """The stored pair (ints, content) of flat text, as `__str__` writes it,
+    or None to leave `text` to `_Parser`: one split, then per term one
+    partition and one monomial-table lookup (`_MONOMIAL_RE` on a miss)."""
+    if text == "0":
+        return {}, _ONE
+    words = ("- " + text[1:] if text[:1] == "-" else "+ " + text).split(" ")
+    if not text.isascii() or len(words) % 2 or not {"+", "-"}.issuperset(words[::2]):
+        return None
+    table, words, ints, dens = ring._monomials, iter(words), {}, []
+    for sign, body in zip(words, words):
+        if body < ":":  # a literal first; the checks decline what else sorts before ":"
+            lit, star, body = body.partition("*")
+            n, slash, d = lit.partition("/")
+            if not n.isdigit() or slash and not d.isdigit() or star and not body:
+                return None
+            try:
+                n, d = int(n), int(d) if slash else 1
+            except ValueError:  # past the digit limit in force
+                return None
+        else:
+            n = d = 1
+        mono = table.get(body)
+        if mono is None and (not _MONOMIAL_RE.fullmatch(body) or (mono := ring._monomial(body)) is None):
+            return None
+        ints[mono] = -n if sign == "-" else n
+        dens.append(d)
+    den = lcm(*dens)  # 0 for a zero denominator
+    if len(ints) != len(dens) or not den or not all(ints.values()):  # a repeated monomial, a zero
+        return None
+    if den != 1:
+        ints = {m: n * (den // d) for (m, n), d in zip(ints.items(), dens)}
+    g = gcd(*ints.values())
+    if g != 1:
+        ints = {m: v // g for m, v in ints.items()}
+    return ints, Fraction(g, den)
+
+
 def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     """Parse `text` in the grammar above into a canonical Polynomial;
     `PolyRing.parse` calls this module global."""
+    form = _read_flat(text, ring)
+    if form is not None:
+        return Polynomial._new(ring, *form)
     parser = _Parser(text, ring)
     terms, m = parser.expr(0)
     at = m.start(2)  # in front of a ")", an operator, a bad character or the end

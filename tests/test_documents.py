@@ -42,6 +42,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import smeared.groebner as groebner
+import smeared.poly as poly
 from smeared.cli import load_problem, main
 
 DATA = Path(__file__).parent / "data"
@@ -78,6 +79,25 @@ def test_documents_match_golden(name, verify_division, tmp_path, monkeypatch):
     assert rc == RUN_EXIT[name]
     assert run_text == (DATA / f"{name}.run.jsonl").read_text()
     assert verify_text == (DATA / f"{name}.verify.jsonl").read_text()
+
+
+def test_flat_reader_reads_every_written_text(tmp_path, monkeypatch):
+    # run and verify of every golden problem: the grammar parser reads only
+    # texts with a parenthesis (queries in the problem files); every other
+    # problem text and every text of the documents takes the flat reader
+    read, fell_back = [], []
+    reader = poly._read_flat
+
+    def recording(text, ring):
+        form = reader(text, ring)
+        (read if form is not None else fell_back).append(text)
+        return form
+
+    monkeypatch.setattr(poly, "_read_flat", recording)
+    for name in GOLDEN:
+        _documents(name, tmp_path / "out.jsonl")
+    assert [text for text in fell_back if "(" not in text] == []
+    assert len(read) > 300
 
 
 # payload fields that hold polynomial texts, alone or in (nested) lists

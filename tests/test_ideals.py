@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from smeared import INFINITE, Ideal, PolyRing, Polynomial, RingMismatchError
 from oracle import oracle_member
+from smeared.groebner import divide_each
 from smeared.poly import monomials_up_to_degree
 
 
@@ -250,6 +251,18 @@ def test_ring_mismatch(R2):
         Ideal(R2, (other.var("a"),))
     with pytest.raises(RingMismatchError):
         Ideal(R2, (R2.var("x"),)).intersect(Ideal(other, (other.var("a"),)))
+
+
+@pytest.mark.parametrize("generators", [(), ("x^2 - y",)], ids=["zero-ideal", "principal"])
+def test_division_rejects_a_foreign_polynomial(R2, generators):
+    # the zero ideal's basis has no element to compare rings with, so the
+    # division compares the polynomial's ring with the basis's
+    ideal = Ideal(R2, tuple(map(R2.parse, generators)))
+    foreign = PolyRing(("a",)).var("a")
+    with pytest.raises(RingMismatchError):
+        ideal.normal_form(foreign)
+    with pytest.raises(RingMismatchError):
+        next(divide_each(foreign, [ideal.groebner()]))
 
 
 def test_concurrent_groebner_requests(R2):

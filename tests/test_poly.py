@@ -6,12 +6,16 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smeared import ParseError, PolyRing, Polynomial, RingMismatchError
 from smeared.poly import (
     EliminationOrder,
     GREVLEX,
     LEX,
+    _Parser,
+    _read_flat,
     mono_divides,
     mono_lcm,
     monomial_key,
@@ -605,22 +609,110 @@ def test_flat_parse_builds_no_intermediate_polynomials(monkeypatch):
     )
     text = str(f)
     made = []
-    make = Polynomial._make.__func__
+    new = Polynomial._new.__func__
 
-    def counting_make(cls, ring, terms):
-        made.append(len(terms))
-        return make(cls, ring, terms)
+    def counting_new(cls, ring, ints, content):
+        made.append(len(ints))
+        return new(cls, ring, ints, content)
 
     def forbidden(*args):
         raise AssertionError("flat input built an intermediate Polynomial")
 
-    monkeypatch.setattr(Polynomial, "_make", classmethod(counting_make))
+    # every construction goes through _new, _make's included
+    monkeypatch.setattr(Polynomial, "_new", classmethod(counting_new))
     for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale", "mul_term"):
         monkeypatch.setattr(Polynomial, name, forbidden)
     got = parse_poly(text, R3)
     monkeypatch.undo()
     assert made == [500]
     assert got == f == reference_parse(text, R3)
+
+
+# ---------------------------------------------------------------------------
+# The flat reader reads text as `__str__` writes it, or declines it; the
+# grammar parser reads what it declines.  Wherever it reads, it must build
+# the pair the parser and `_make` build, with the terms in the same order.
+
+
+def _reads_as_parser(text, ring) -> bool:
+    """Whether the flat reader read `text`; if it did, its pair is the
+    parser's, and the parser reads the whole text."""
+    form = _read_flat(text, ring)
+    if form is not None:
+        terms, m = _Parser(text, ring).expr(0)
+        assert m.start(2) == len(text), text
+        ints, content = Polynomial._make(ring, terms).integer_form()
+        assert (list(form[0].items()), form[1]) == (list(ints.items()), content), text
+    return form is not None
+
+
+_LONG = "7" * 639
+_FLAT_CASES = [
+    # spacing
+    "x  + y", "x +  y", "x\t+ y", "x +\ty", "x\r\n+ y", "x + y\n", "x+y", "x-1",
+    " x + y", "x + y ", " ", "", "- x", "-", "x +", "+ x",
+    # signs
+    "+x", "x - -1", "--x", "x + -y", "x - +1",
+    # zeros and leading zeros
+    "0", "-0", "0*x", "x + 0", "00", "01*x", "x^01", "x - 0/3",
+    # ones
+    "1*x", "x^0", "3/1*x", "x^1*y^1", "1/1",
+    # literals at and past 640 digits
+    f"3{_LONG}*x - 1", f"x - 3{_LONG}1", f"x - 1/3{_LONG}1", f"x^3{_LONG}", f"x^3{_LONG}1",
+    # Unicode digits and spaces
+    "x + \u0663", "\uff13*x", "x^\u0663", "x +\u3000y", "x\xa0+ y",
+    # unknown names, repeated factors and monomials, literal products
+    "w", "x + w^2", "x*x", "x^2*x", "x + x", "x - x", "2*3", "2*3*x", "x*2", "3*", "3/", "3/*x",
+    "x^", "x^y", "x**2", "(x)", "x*(y)", "3.5*x", "1_0*x",
+]
+
+
+@pytest.mark.parametrize("text", _FLAT_CASES)
+def test_flat_reader_declines_or_agrees_on_cases(text):
+    for ring in (R3, PolyRing(R3.variables), PolyRing(R3.variables, LEX)):
+        _reads_as_parser(text, ring)
+
+
+def test_flat_reader_reads_canonical_text_and_declines_the_rest():
+    for text in ("0", "x", "-x", "1*x", "3/1*x", "-1/2*x*y^3 + 3", "x^2 - 2/3*y*z + 7/6"):
+        assert _reads_as_parser(text, R3), text
+    for text in ("x + x", "x^0", "0*x", "x+y", "x + y\n", "1/0*x", f"x^3{_LONG}1"):
+        assert not _reads_as_parser(text, R3), text
+    # a zero denominator is the grammar parser's error, at its position
+    with pytest.raises(ParseError) as info:
+        parse_poly("1/0*x", R3)
+    assert (info.value.position, str(info.value)) == (0, "zero denominator (at position 0)")
+
+
+# one-occurrence edits of canonical text: spacing, signs, zeros and leading
+# zeros, ones, Unicode digits and spaces, unknown names and repeated factors
+_FLAT_EDITS = [
+    (" + ", "  + "), (" - ", " -  "), (" + ", "\t+ "), (" - ", " -\r\n"), (" + ", "+"), (" - ", "-"),
+    (" - ", " - -"), (" + ", " + +"), (" + ", " +\u3000"), (" - ", "\xa0- "), ("", " "), ("", "\n"),
+    ("", "-"), ("", "+"), ("", "--"), ("", "0*"), ("", "1*"), ("", "01*"), ("", "3/1*"), ("", "1/0*"),
+    ("x", "x*x"), ("x", "x^01"), ("y", "y^0"), ("z", "z^1"), ("y", "w"), ("x", "x*2"), ("1", "\u0661"),
+    ("2", "0"), ("2", "02"), ("/", "//"), ("*", ""), ("*", "**"), ("^", ""),
+]
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_flat_reader_declines_or_agrees(seed):
+    # a canonical text under grevlex or lex, in a warm or a cold ring, with
+    # none, one or two edits at random places
+    rng = random.Random(seed)
+    ring = rng.choice((R3, PolyRing(R3.variables), PolyRing(R3.variables, LEX)))
+    monos = monomials_up_to_degree(3, 3)
+    terms = {m: Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 6))) for m in rng.sample(monos, rng.randint(0, 5))}
+    text = str(Polynomial(ring, terms))
+    for _ in range(rng.choice((0, 1, 1, 2))):
+        old, new = rng.choice(_FLAT_EDITS)
+        at = text.find(old, rng.randrange(len(text) + 1))
+        if at < 0:
+            at = text.find(old)
+        if at >= 0:
+            text = text[:at] + new + text[at + len(old):]
+    _reads_as_parser(text, ring)
 
 
 def test_rings_pickle_and_copy():

@@ -21,7 +21,7 @@ import pytest
 
 import smeared.poly
 from smeared import PolyRing, Polynomial
-from smeared.poly import _MONOMIAL_TABLE_SIZE, LEX, monomial_key, monomials_up_to_degree
+from smeared.poly import _MONOMIAL_TABLE_SIZE, LEX, _read_flat, monomial_key, monomials_up_to_degree
 
 
 class RefPolynomial:
@@ -431,6 +431,8 @@ def test_str_matches_reference(seed):
             f = _sweep_polynomial(rng, ring)
             text = str(f)
             assert text == reference_str(f), text
+            # canonical text is the flat reader's to read, never the parser's
+            assert _read_flat(text, ring) == f.integer_form(), text
             assert ring.parse(text) == f
             assert str(ring.parse(text)) == text
             if not f.is_zero():
@@ -464,6 +466,14 @@ def test_monomial_table_is_per_ring_and_bounded():
     assert len(ring._monomials) == _MONOMIAL_TABLE_SIZE
     assert str(f) == text
     assert len(ring._monomials) == _MONOMIAL_TABLE_SIZE
+    # so does the order-key cache, filled from polynomials a part at a time
+    assert len(ring._keys) == _MONOMIAL_TABLE_SIZE
+    for k in range(0, len(monos), 700):
+        part = Polynomial(ring, {m: 1 for m in monos[k:k + 700]})
+        assert str(part) == reference_str(part)
+    assert len(ring._keys) == _MONOMIAL_TABLE_SIZE
+    grevlex = monomial_key(ring.order)
+    assert all(key == grevlex(m) for m, key in ring._keys.items())
 
     # the table is no part of the ring's value
     cold = PolyRing(("x", "y", "z"))
@@ -471,5 +481,5 @@ def test_monomial_table_is_per_ring_and_bounded():
     assert pickle.dumps(ring) == pickle.dumps(cold)
     for copied in (pickle.loads(pickle.dumps(ring)), copy.deepcopy(ring), copy.copy(ring)):
         assert copied == ring and hash(copied) == hash(ring)
-        assert len(copied._monomials) < 10
+        assert len(copied._monomials) < 10 and not copied._keys
     assert cold.parse(text) == f and str(cold.parse(text)) == text
