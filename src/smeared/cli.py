@@ -195,23 +195,24 @@ def _arg_poly(config: SmearedRingConfig, parts: Sequence) -> Polynomial:
 
 
 def _arg_index(config: SmearedRingConfig, token) -> int:
-    i = _arg_int(token, "ideal index")
-    if not 1 <= i <= config.n:
-        raise QueryError(f"ideal index {i} out of range 1..{config.n}")
+    i = _arg_int(token, "ideal index", config.n)
+    if not 1 <= i <= config.n:  # i may stand in for a longer index (`_arg_int`): name it as written
+        name = re.sub("^(-?)0*", r"\1", token) if i and type(token) is str else i
+        raise QueryError(f"ideal index {name} out of range 1..{config.n}")
     return i - 1
 
 
-def _arg_int(token, what: str) -> int:
-    """A JSON int that is no bool, or a string -?[0-9]+ that int() reads."""
+def _arg_int(token, what: str, bound: int) -> int:
+    """A JSON int that is no bool, or a string -?[0-9]+, read as bound + 1
+    with its sign if it has more significant digits than `bound`: past the
+    bound either way, so the caller's bound error names it before int() could
+    refuse it at the interpreter's digit limit for integer text."""
     if type(token) is int:
         return token
-    if isinstance(token, str) and re.fullmatch("-?[0-9]+", token):
-        try:
-            return int(token)
-        except ValueError:  # past int's digit limit for text, as in `_text`
-            n = sys.get_int_max_str_digits()
-            raise QueryError(f"bad {what}: over {n} digits, the limit for integer text") from None
-    raise QueryError(f"bad {what} {token!r}")
+    m = re.fullmatch("(-?)0*([0-9]+)", token) if isinstance(token, str) else None
+    if m is None:
+        raise QueryError(f"bad {what} {token!r}")
+    return int(m[1] + (m[2] if len(m[2]) <= len(str(bound)) else str(bound + 1)))
 
 
 def _arg_point(config: SmearedRingConfig, tokens) -> list:
@@ -251,7 +252,7 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
         return {"index": _arg_index(config, args[0])}
     if name == "chain":
         _want(args, 2, 2, "chain <i> <L>")
-        i, length = _arg_index(config, args[0]), _arg_int(args[1], "chain length")
+        i, length = _arg_index(config, args[0]), _arg_int(args[1], "chain length", MAX_CHAIN_LENGTH)
         if length > MAX_CHAIN_LENGTH:
             raise QueryError(f"chain: the length is over the limit of {MAX_CHAIN_LENGTH}")
         return {"index": i, "length": length}
@@ -260,7 +261,7 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
         return {"point": _arg_point(config, args)}
     if name == "basis":
         _want(args, 1, 1, "basis <d>")
-        d = _arg_int(args[0], "degree bound")
+        d = _arg_int(args[0], "degree bound", MAX_SLICE_MONOMIALS)
         if d < 0:
             raise QueryError("degree bound must be non-negative")
         n = config.ring.nvars

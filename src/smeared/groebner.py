@@ -21,14 +21,17 @@ divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests packed
 leads and lcms the same way, at a width that fits twice the largest lead
 degree, repacking all of them when a lead outgrows it.  S-polynomials, the
 divisor set (`_Divisors`) and new elements (decoded once) stay packed, as do
-quotients until read: a zero reduction, an unread transform or a membership
-(lifted packed) decodes none.  The set memoises, per packed monomial its
-divisions meet, the position of the first element whose lead divides it, or
-n for none of the first n: it only appends, so a later division resumes its
-scan there and picks the divisor a full scan would.  Re-packing empties it.
-A membership divides one f by n bases (`divide_each`): f is packed once per
-key and width for all n, and each `GroebnerBasis` packs its leads once per
-width, in its lazy `_leads` field.
+quotients, transform rows and cofactors in one entry form, (index, [tau,
+map], num, den) for (num / den) * map / tau: one kernel (`_combine`) sums
+their products for the transform's replay and for the lift, and one decoder
+(`_decode_quotients`) reads them, so only a quotient's reader decodes it.
+The set memoises, per packed monomial its divisions meet, the position of
+the first element whose lead divides it, or n for none of the first n: it
+only appends, so a later division resumes its scan there and picks the
+divisor a full scan would.  Re-packing empties it.  A membership divides
+one f by n bases (`divide_each`): f is packed once per key and width for
+all n, and each `GroebnerBasis` packs its leads once per width, in its
+lazy `_leads` field.
 
 Set `VERIFY_DIVISION = True` (the test suite does) to re-check the division
 identity f = sum(q_i * d_i) + r and the irreducibility of every remainder on
@@ -62,17 +65,16 @@ from .poly import (
 # re-checked on every call to divide() when True; tests switch this on
 VERIFY_DIVISION = False
 
-_ONE = Fraction(1)
-
 
 class DivisionResult:
     """f = sum(quotients[i] * divisors[i]) + remainder, remainder irreducible.
 
     `divide` leaves the quotients packed in a callable that `quotients` calls
     on first read and memoises (a race only decodes twice).  `_packed` keeps
-    the maps for the lift, read or not: (key, width, (index, [tau, map], num,
-    den) per nonzero quotient), or None from plain quotients (unpickling).
-    Unpacking (`q, r = res`), `==`, `repr` and pickling read the quotients.
+    the maps for the lift, read or not, pickled or copied too: (width, the
+    entry (index, [tau, map], num, den), quotient (num / den) * map / tau, of
+    each nonzero quotient).  Unpacking (`q, r = res`), `==`, `repr` and
+    pickling read the quotients.
     """
 
     __slots__ = ("_quotients", "remainder", "_packed")
@@ -97,7 +99,7 @@ class DivisionResult:
         return "DivisionResult(quotients=%r, remainder=%r)" % tuple(self)
 
     def __reduce__(self):
-        return DivisionResult, tuple(self)
+        return DivisionResult, (*self, self._packed)
 
 
 @functools.lru_cache(maxsize=256)
@@ -124,10 +126,15 @@ def _layout(key, nvars: int, width: int) -> tuple:
 
 
 def _repack(terms: dict, key, nvars: int, width: int, wide: int) -> dict:
-    """A map over monomials packed at `width` (exponent tuples at 0), packed at `wide`."""
-    units = _layout(key, nvars, wide)[0]
-    read = _layout(key, nvars, width)[2] if width else lambda q, h: q
-    return _pack_map(read(terms, 1), units)
+    """A map over monomials packed at `width`, packed at `wide`."""
+    return _pack_map(_layout(key, nvars, width)[2](terms, 1), _layout(key, nvars, wide)[0])
+
+
+def _widen(entries: list, key, nvars: int, width: int, wide: int) -> list:
+    """Entries (index, [tau, map], num, den) packed at `width`, packed at `wide`."""
+    if wide == width:
+        return entries
+    return [(k, [tau, _repack(q, key, nvars, width, wide)], num, den) for k, (tau, q), num, den in entries]
 
 
 def _pack_map(terms: dict, units: tuple) -> dict:
@@ -239,7 +246,7 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
     result = DivisionResult(
         functools.partial(_decode_quotients, ring, decode, len(packs), found),
         _finish(ring, remainder, decode, num, den, f_content) if remainder[1] else ring.zero(),
-        (key, width, found),
+        (width, found),
     )
     if VERIFY_DIVISION:  # a packed S-polynomial is decoded for the check
         f = f if f_content is not None else _finish(ring, [1, terms], decode, num, den) if terms else ring.zero()
@@ -332,17 +339,40 @@ def _finish(ring, acc: list, decode, num: int, den: int, content: Fraction = Non
     monomials; `content`, if given, is num / den, kept when the map's gcd is tau."""
     tau, terms = acc
     h = gcd(*terms.values())
+    if num < 0:  # a transform row's num may be; den > 0, and the stored content is positive
+        h = -h
     if content is None or h != tau:
         content = Fraction(h * num, tau * den)
     return Polynomial._new(ring, decode(terms, h), content)
 
 
-def _decode_quotients(ring, decode, n: int, found: list) -> tuple:
-    """n quotients: zero but at the `found` (index, map, numerator, denominator)."""
-    out = [ring.zero()] * n
-    for k, acc, num, den in found:
+def _decode_quotients(ring, decode, n: int, entries: list) -> tuple:
+    """n polynomials, zero but at the `entries` (index, [tau, map], num, den):
+    a division's quotients, a transform row or a lift's cofactors."""
+    out = [ring.zero() if len(entries) < n else None] * n  # each index in entries at most once
+    for k, acc, num, den in entries:
         out[k] = _finish(ring, acc, decode, num, den)
     return tuple(out)
+
+
+def _combine(entries: list, rows: list, n: int) -> list:
+    """The entries (t, [tau, map], 1, 1) of the nonzero sums sum(q * r), t < n, over the `entries`
+    (k, q) and row k's entries (t, r), all packed at one width: one int addition and multiplication
+    per product term.  A sum may set a guard bit: two fields that fit add without a carry."""
+    accs = [[1, {}] for _ in range(n)]
+    for k, (tau, terms), num, den in entries:
+        for t, (r_tau, row), r_num, r_den in rows[k]:
+            s, out = Fraction(num * r_num, den * tau * r_den * r_tau), accs[t][1]
+            c, get = s.numerator * _lift(accs[t], s.denominator), out.get
+            short, long = (terms, row) if len(terms) <= len(row) else (row, terms)
+            long = long.items()  # the longer map in the inner loop
+            for m1, v1 in short.items():
+                v1 *= c
+                for m2, v2 in long:
+                    m = m1 + m2
+                    out[m] = get(m, 0) + v1 * v2
+    accs = [(t, [tau, {m: v for m, v in out.items() if v}], 1, 1) for t, (tau, out) in enumerate(accs)]
+    return [entry for entry in accs if entry[1][1]]
 
 
 def _check_division(f, divisors, key, result):
@@ -359,11 +389,12 @@ def _check_division(f, divisors, key, result):
 class GroebnerBasis:
     """Reduced Groebner basis under `order`, elements sorted largest lead first.
 
-    `transform`, built from the record `steps` on first read and memoised
-    (a race only builds it twice), satisfies
-    elements[j] == sum(transform[j][i] * generators[i] for all i).  Two more
-    lazy fields pack once what every division or lift reads: `_leads`, the
-    elements' packed leads per width, and `_rows`, the packed transform.
+    `transform` satisfies
+    elements[j] == sum(transform[j][i] * generators[i] for all i).  Lazy
+    fields hold what is built once (a race only builds it twice): `_leads`,
+    the elements' packed leads per width; `_rows`, the transform packed per
+    width, replayed from the record `steps` on the first lift or `transform`
+    read, which drops the record; and `_transform`, the rows decoded once.
     """
 
     ring: PolyRing
@@ -376,9 +407,15 @@ class GroebnerBasis:
     def transform(self) -> tuple:
         memo = getattr(self, "_transform", None)
         if memo is None:
-            memo = _replay(self)
+            ring, gens = self.ring, self.generators
+            width, rows = self._packed_rows(0)
+            decode = _layout(self.key(), ring.nvars, width)[2]
+            memo = tuple(_decode_quotients(ring, decode, len(gens), row) for row in rows)
+            if VERIFY_DIVISION:
+                for g, row in zip(self.elements, memo):
+                    if sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gens)]) != g:
+                        raise RuntimeError("transformation identity violated")
             object.__setattr__(self, "_transform", memo)
-            object.__setattr__(self, "steps", None)  # the record is spent
         return memo
 
     def key(self):
@@ -426,61 +463,32 @@ class GroebnerBasis:
     def lift_to_generators(self, division: DivisionResult) -> tuple:
         """Cofactors c over the generators from a division of f by the elements,
         f = sum(q[k] * elements[k]) + r = sum(c[t] * generators[t]) + r, with
-        c[t] = sum(q[k] * T[k][t]) over the transform T summed on packed
-        monomials, one int addition per product term, from the division's
-        packed quotients, never decoded.  Plain ones (unpickled) are packed
-        here; any are re-packed at the rows' width if wider (`_packed_rows`)."""
-        ring, nvars = self.ring, self.ring.nvars
-        packed = division._packed
-        if packed is None:  # exponent maps at width 0, packed below
-            forms = [(k, q.integer_form()) for k, q in enumerate(division.quotients) if not q.is_zero()]
-            packed = self.key(), 0, [(k, (1, q), *c.as_integer_ratio()) for k, (q, c) in forms]
-        key, width, found = packed
-        degree = 0 if width else max((sum(m) for _, (_, q), _, _ in found for m in q), default=0)
-        wide, rows = self._packed_rows(key, width or _width(degree))
-        if wide != width:  # two fields that fit add without a carry: one width fits both
-            found = [(k, (t, _repack(q, key, nvars, width, wide)), *nd) for k, (t, q), *nd in found]
-        accs = [[1, {}] for _ in self.generators]
-        for k, (tau, terms), num, den in found:
-            for t, tail, r_num, r_den in rows[k]:
-                s, out = Fraction(num * r_num, den * tau * r_den), accs[t][1]
-                c, get = s.numerator * _lift(accs[t], s.denominator), out.get
-                for m1, v1 in terms.items():
-                    v1 *= c
-                    for m2, v2 in tail:
-                        m = m1 + m2
-                        out[m] = get(m, 0) + v1 * v2
-        decode = _layout(key, nvars, wide)[2]
-        accs = [(tau, {m: v for m, v in out.items() if v}) for tau, out in accs]
-        cofactors = tuple(_finish(ring, acc, decode, 1, 1) if acc[1] else ring.zero() for acc in accs)
+        c[t] = sum(q[k] * T[k][t]) over the packed transform T, summed by
+        `_combine` from the division's packed quotients, never decoded, each
+        re-packed at the rows' width if that is wider (`_packed_rows`)."""
+        ring, key, n = self.ring, self.key(), len(self.generators)
+        width, found = division._packed
+        wide, rows = self._packed_rows(width)
+        found = _widen(found, key, ring.nvars, width, wide)
+        cofactors = _decode_quotients(ring, _layout(key, ring.nvars, wide)[2], n, _combine(found, rows, n))
         if VERIFY_DIVISION:
             lifted = sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, self.generators)])
             if lifted != sum_of_products(ring, [(1, q, g) for q, g in zip(division.quotients, self.elements)]):
                 raise RuntimeError("lift identity violated")
         return cofactors
 
-    def _packed_rows(self, key, width: int) -> tuple:
-        """(w, rows), memoised per key and w (a race only packs twice): w the
-        smallest width from `width` up that the transform fits, rows[k] the (t,
-        packed terms, content numerator, denominator) of row k's nonzero entries."""
+    def _packed_rows(self, width: int) -> tuple:
+        """(w, rows), rows[k] the entries (t, [tau, map], num, den) of row k
+        packed at w, the larger of `width` and the replay's own width, from
+        the `_rows` memo (replay width, {w: rows}), per w (a race only packs twice)."""
         memo = getattr(self, "_rows", None)
-        if memo is None:  # the transform's own width, and the packed rows
-            degree = max((sum(m) for row in self.transform for p in row for m in p.integer_form()[0]), default=0)
-            object.__setattr__(self, "_rows", memo := (_width(degree), {}))
-        width = max(width, memo[0])
-        if (key, width) not in memo[1]:
-            u = _layout(key, self.ring.nvars, width)[0]
-            forms = [[(t, *p.integer_form()) for t, p in enumerate(row) if not p.is_zero()] for row in self.transform]
-            memo[1][key, width] = [
-                [(t, tuple((sum(map(mul, m, u)), v) for m, v in p.items()), *c.as_integer_ratio()) for t, p, c in row]
-                for row in forms
-            ]
-        return width, memo[1][key, width]
-
-
-def _combine_rows(ring: PolyRing, rows: list, n: int) -> list:
-    """Entries 0..n-1 of sum(s * q * row) over (s, q, row) in rows."""
-    return [sum_of_products(ring, [(s, q, row[t]) for s, q, row in rows]) for t in range(n)]
+        if memo is None:
+            object.__setattr__(self, "_rows", memo := _replay(self))
+            object.__setattr__(self, "steps", None)  # the record is spent
+        base, rows = memo
+        if width > base and width not in rows:
+            rows[width] = [_widen(row, self.key(), self.ring.nvars, base, width) for row in rows[base]]
+        return max(width, base), rows[max(width, base)]
 
 
 def groebner_basis(
@@ -498,11 +506,8 @@ def groebner_basis(
     goes if the new lead divides its lcm and both lcms with the new element
     differ from it (B_k).  New pairs use only elements whose lead no later
     lead divides; each S-polynomial is reduced by every element so far, the
-    first whose lead divides a term taking it.  S-pairs stay packed
-    (`_Divisors`) up to a new element, decoded once, and a term met before
-    resumes its scan for that first element where the set's memo says, so
-    the divisor is the one a full scan picks; re-packing the set empties the
-    memo.  The final basis is monic and interreduced.
+    first whose lead divides a term taking it, in the packed set `_Divisors`
+    (see the module docstring).  The final basis is monic and interreduced.
 
     The loop stops at the first S-pair remainder that is a nonzero constant:
     the ideal is then the unit ideal.  Running on would change nothing, since
@@ -698,33 +703,47 @@ def _reduce_basis(polys, key):
 
 
 def _replay(gb: GroebnerBasis) -> tuple:
-    """`gb.transform`, from the record `gb.steps`: each element's row over
-    the generators, built by the same steps that built the element.  Each
-    recorded division's quotients are decoded here."""
+    """`gb._rows`, (w, {w: rows}), from the record `gb.steps`: each element's
+    row over the generators, by the steps that built the element, each one
+    `_combine` of its recorded packed quotients and the rows so far.  It
+    packs at the widest recorded width, and at twice the width when a row
+    sets a guard bit, as `divide` does."""
     steps = gb.steps
     if steps is None:  # a racing reader built the memo, then dropped the record
-        return gb._transform
-    ring, ngens = gb.ring, len(gb.generators)
+        return gb._rows
     sources, spairs, (kept_idx, tails, lcs) = steps
-    one, zero = ring.one(), ring.zero()
-    rows = [[one if t == i else zero for t in range(ngens)] for i in sources]
-    for i, j, mi, mj, lc_i, lc_j, c, res in spairs:
-        # the S-polynomial's row less the quotients' rows, over c
-        terms = [(1 / (lc_i * c), Polynomial._new(ring, {mi: 1}, _ONE), rows[i])]
-        terms.append((-1 / (lc_j * c), Polynomial._new(ring, {mj: 1}, _ONE), rows[j]))
-        terms += [(-1 / c, q, rows[k]) for k, q in enumerate(res.quotients) if not q.is_zero()]
-        rows.append(_combine_rows(ring, terms, ngens))
+    key, nvars, n = gb.key(), gb.ring.nvars, len(gb.generators)
+    recorded = [step[-1]._packed for step in spairs] + [res._packed for res in tails]
+    width = max((w for w, _ in recorded), default=8)
+    while True:
+        units, guards = _layout(key, nvars, width)[:2]
+        found = [_widen(q, key, nvars, w, width) for w, q in recorded]
+        made = [[(i, [1, {0: 1}], 1, 1)] for i in sources]
+        for (i, j, mi, mj, lc_i, lc_j, c, _), q in zip(spairs, found):
+            # the S-polynomial's row less the quotients' rows, over c
+            entries = [(k, acc, -num * c.denominator, den * c.numerator) for k, acc, num, den in q]
+            entries.append((i, [1, _pack_map({mi: 1}, units)], *(1 / (lc_i * c)).as_integer_ratio()))
+            entries.append((j, [1, _pack_map({mj: 1}, units)], *(-1 / (lc_j * c)).as_integer_ratio()))
+            made.append(_primitive(_combine(entries, made, n)))
+        rows = [made[i] for i in kept_idx]
+        for idx, q in enumerate(found[len(spairs) :]):
+            if q:  # the element's row less the other elements' rows by its tail quotients
+                entries = [(k + (k >= idx), acc, -num, den) for k, acc, num, den in q]
+                rows[idx] = _primitive(_combine(entries + [(idx, [1, {0: 1}], 1, 1)], rows, n))
+        # the first row past the width is kept, in `made` or `rows`, with a guard bit set
+        if not functools.reduce(or_, (m for row in made + rows for _, (_, q), _, _ in row for m in q), 0) & guards:
+            break
+        width *= 2
+    for idx, lc in enumerate(lcs):  # each element is its kept polynomial over lc, and so is its row
+        rows[idx] = [(t, q, *(Fraction(num, den) / lc).as_integer_ratio()) for t, q, num, den in rows[idx]]
+    return width, {width: rows[::-1]}
 
-    rows = [rows[i] for i in kept_idx]
-    for idx, res in enumerate(tails):
-        others = rows[:idx] + rows[idx + 1 :]
-        terms = [(-1, q, row) for q, row in zip(res.quotients, others) if not q.is_zero()]
-        if terms:
-            rows[idx] = _combine_rows(ring, terms + [(1, one, rows[idx])], ngens)
-    transform = tuple(tuple(p.scale(1 / lc) for p in row) for row, lc in zip(rows[::-1], lcs[::-1]))
 
-    if VERIFY_DIVISION:
-        for g, row in zip(gb.elements, transform):
-            if sum_of_products(ring, [(1, t, gen) for t, gen in zip(row, gb.generators)]) != g:
-                raise RuntimeError("transformation identity violated")
-    return transform
+def _primitive(entries: list) -> list:
+    """`_combine`'s entries, each map's gcd divided out into its content so
+    that numbers do not grow."""
+    out = []
+    for t, (tau, terms), _, _ in entries:
+        h = gcd(*terms.values())
+        out.append((t, [1, {m: v // h for m, v in terms.items()}], *Fraction(h, tau).as_integer_ratio()))
+    return out

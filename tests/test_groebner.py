@@ -565,8 +565,10 @@ def test_basis_decodes_no_quotient_until_transform_is_read(monkeypatch):
     sources, spairs, (kept_idx, tails, lcs) = gb.steps
     recorded = [step[-1] for step in spairs] + list(tails)
     assert recorded and all(callable(res._quotients) for res in recorded)
+    # the replay sums the packed quotients: reading `transform` decodes the
+    # rows and no recorded quotient
     rows = gb.transform
-    assert len(finished) > sum(nonzero)
+    assert len(finished) > sum(nonzero) and all(callable(res._quotients) for res in recorded)
     assert gb.steps is None  # the record is dropped with the transform memoised
     assert gb.transform is rows
     monkeypatch.setattr(groebner, "VERIFY_DIVISION", True)
@@ -685,10 +687,24 @@ def test_lift_widens_to_rows_past_the_division_width(R2, monkeypatch):
     assert gb.contains_one() and max(p.degree() for p in gb.transform[0]) == 200
     three = R2.const(3)
     res = gb.divide(three)
-    assert res._packed[1] == 8
+    assert res._packed[0] == 8
     cof = assert_lift(gb, res, three)
-    assert gb._rows[0] == 16 and set(gb._rows[1]) == {(gb.key(), 16)}
+    assert gb._rows[0] == 16 and list(gb._rows[1]) == [16]
     assert cof == tuple(3 * c for c in gb.transform[0])
+
+
+def test_lift_widens_rows_to_a_wider_division(R2, monkeypatch):
+    # the rows of (x*y - 1, y^2 - 1) pack at 8 bits, but f of degree 131
+    # divides at 16: the rows are re-packed there once, and kept
+    monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
+    x, y = R2.var("x"), R2.var("y")
+    gb = groebner_basis([x * y - 1, y**2 - 1])
+    f = x**130 * y - 2 * x**129 + y
+    res = gb.divide(f)
+    assert res._packed[0] == 16
+    cof = assert_lift(gb, res, f)
+    assert gb._rows[0] == 8 and list(gb._rows[1]) == [8, 16]
+    assert gb.lift_to_generators(gb.divide(f)) == cof and list(gb._rows[1]) == [8, 16]
 
 
 def test_lift_reads_quotients_read_before_it(R2, monkeypatch):
@@ -704,18 +720,23 @@ def test_lift_reads_quotients_read_before_it(R2, monkeypatch):
     assert assert_lift(gb, res, f) == unread
 
 
-@pytest.mark.parametrize("powers", [(2, 3), (200, 201)], ids=["width8", "width16"])
-def test_lift_packs_unpickled_quotients(R2, powers, monkeypatch):
-    # a result rebuilt from plain quotients is packed at the lift's width
+@pytest.mark.parametrize(
+    "powers, order",
+    [((2, 3), None), ((200, 201), None), ((2, 3), EliminationOrder((0,), 2))],
+    ids=["width8", "width16", "elimination"],
+)
+def test_lift_packs_unpickled_quotients(R2, powers, order, monkeypatch):
+    # an unpickled result keeps its packed maps, and the lift reads them; the
+    # maps hold no order key, which under an elimination order is a closure
     import pickle
 
     monkeypatch.setattr(groebner, "VERIFY_DIVISION", False)
     x, y = R2.var("x"), R2.var("y")
-    gb = groebner_basis([x ** powers[0] - y, x ** powers[1] + y**2 - 1])
+    gb = groebner_basis([x ** powers[0] - y, x ** powers[1] + y**2 - 1], order=order)
     f = x**5 * y - 7 * y**3 + x
     res = gb.divide(f)
     clone = pickle.loads(pickle.dumps(res))
-    assert clone._packed is None
+    assert clone._packed == res._packed and clone._packed is not res._packed
     assert assert_lift(gb, clone, f) == gb.lift_to_generators(res)
 
 
@@ -726,3 +747,69 @@ def test_lift_of_zero_quotients(R2):
         res = gb.divide(f)
         assert all(q.is_zero() for q in res.quotients) and res.remainder == f
         assert assert_lift(gb, res, f) == (R2.zero(), R2.zero())
+
+
+# ---------------------------------------------------------------------------
+# the replayed transform rows against a replay over decoded quotients
+
+
+def reference_rows(gb):
+    """The transform from the record `gb.steps` (read before `gb.transform`),
+    replayed over decoded quotients and summed with `sum_of_products`: each
+    S-pair's row is x^mi * row_i / (lc_i * c) - x^mj * row_j / (lc_j * c)
+    less sum(q_k * row_k) / c, each kept element's row then loses its tail
+    quotients' rows, and each row is divided by its leading coefficient."""
+    ring, n = gb.ring, len(gb.generators)
+    sources, spairs, (kept_idx, tails, lcs) = gb.steps
+
+    def combine(products):
+        return [sum_of_products(ring, [(s, q, row[t]) for s, q, row in products]) for t in range(n)]
+
+    rows = [[ring.one() if t == i else ring.zero() for t in range(n)] for i in sources]
+    for i, j, mi, mj, lc_i, lc_j, c, res in spairs:
+        products = [(1 / (lc_i * c), Polynomial(ring, {mi: 1}), rows[i])]
+        products.append((-1 / (lc_j * c), Polynomial(ring, {mj: 1}), rows[j]))
+        rows.append(combine(products + [(-1 / c, q, rows[k]) for k, q in enumerate(res.quotients)]))
+    rows = [rows[i] for i in kept_idx]
+    for idx, res in enumerate(tails):
+        others = rows[:idx] + rows[idx + 1 :]
+        rows[idx] = combine([(-1, q, row) for q, row in zip(res.quotients, others)] + [(1, ring.one(), rows[idx])])
+    return tuple(tuple(p.scale(1 / lc) for p in row) for row, lc in zip(rows[::-1], lcs[::-1]))
+
+
+def assert_rows_match_reference(gb) -> bool:
+    """The kernel's rows equal the reference's, each packed entry a primitive
+    map over its content; True if the replay started again past the widest
+    recorded division width."""
+    recorded = [step[-1] for step in gb.steps[1]] + list(gb.steps[2][1])
+    widest = max((res._packed[0] for res in recorded), default=8)
+    want = reference_rows(gb)
+    assert gb.transform == want
+    width, rows = gb._rows
+    assert all(tau == 1 and gcd(*terms.values()) == 1 for row in rows[width] for _, (tau, terms), _, _ in row)
+    for g, row in zip(gb.elements, want):
+        assert sum_of_products(gb.ring, [(1, t, gen) for t, gen in zip(row, gb.generators)]) == g
+    return width > widest
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), st.lists(_SMALL_MAPS, min_size=1, max_size=4))
+def test_replayed_rows_match_the_reference(order, gens):
+    ring = PolyRing(("x", "y", "z"), order)
+    gens = [Polynomial(ring, terms) for terms in gens]
+    assume(any(not g.is_zero() for g in gens))
+    assert not assert_rows_match_reference(groebner_basis(gens, ring=ring))
+
+
+@pytest.mark.parametrize(
+    "order, gens",
+    [("grevlex", ["x*y - 1", "x^100"]), ("lex", ["x - z^3", "x*y - 1", "y^75"])],
+    ids=["grevlex", "lex"],
+)
+def test_replay_starts_again_past_its_width(order, gens):
+    # every recorded division packs at 8 bits, but a row passes them (under
+    # grevlex the row of x*y - 1 has degree 198): the replay packs at 16
+    ring = PolyRing(("x", "y", "z"), order)
+    gb = groebner_basis([ring.parse(g) for g in gens])
+    assert gb.contains_one() and assert_rows_match_reference(gb)
+    assert gb._rows[0] == 16

@@ -290,7 +290,7 @@ def test_member_divisions_equal_each_basis_division(case, monkeypatch):
     cert = sm.member(f, config)
     # one call of the module's `divide` per basis, and one packing of f per width
     assert cert.member and len(divided) == len(bases) and all(map(operator.is_, divided, bases))
-    assert [res._packed[1] for res in cert.divisions] == widths and len(packings) == len(set(widths))
+    assert [res._packed[0] for res in cert.divisions] == widths and len(packings) == len(set(widths))
     for res, gb in zip(cert.divisions, bases):
         assert res == gb.divide(f) == real_divide(f, list(gb.elements), gb.key())
     other = PolyRing(("x", "y", "z"), "grevlex" if order == "lex" else "lex").parse(text)
