@@ -105,15 +105,32 @@ def _no_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _unique_names(pairs: list) -> dict:
+    """`object_pairs_hook` for `json`: an object may give a name once only."""
+    obj = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"repeated name {name!r}")
+        obj[name] = value
+    return obj
+
+
+def _json(text: str):
+    """The JSON value of `text`, read by the rules of `_no_constant` and
+    `_unique_names`; problem files and result documents both read so."""
+    return json.loads(text, parse_constant=_no_constant, object_pairs_hook=_unique_names)
+
+
 def load_problem(path: str):
     """(config, queries) from a problem file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_no_constant)
+            doc = _json(fh.read())
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
     # besides syntax errors: an integer literal over int()'s digit limit, NaN
-    # or an infinity (`_no_constant`), undecodable bytes, or too deep nesting
+    # or an infinity (`_no_constant`), a repeated name (`_unique_names`),
+    # undecodable bytes, or too deep nesting
     except (ValueError, RecursionError) as e:
         raise ProblemFileError(f"{path} is not valid JSON: {e}") from None
     # `True == 1` and `1.0 == 1`, so the type is checked first
@@ -476,7 +493,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
 def _parse_document(path: str) -> list:
     try:
         with open(path) as fh:
-            entries = [json.loads(line, parse_constant=_no_constant) for line in fh if line.strip()]
+            entries = [_json(line) for line in fh if line.strip()]
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
     except (ValueError, RecursionError) as e:

@@ -21,9 +21,10 @@ Rational literals look like ``3`` or ``5/2``; a denominator must be nonzero.
 The optional sign on the first term is a strict superset of the grammar
 needed so canonical serialization round-trips.  `_read_flat` reads flat
 text, as `__str__` writes it, in one split and one monomial-table lookup per
-term; `_Parser` reads the rest, one regex match per factor, with the same
-results and errors.  Both build the term map directly: only parenthesized
-factors build a `Polynomial`, by multiplication and powers.
+term; `_Parser` reads the rest, in one tokenizer pass and then a recursive
+descent over the tokens, with the same results.  Both build the term map
+directly: only parenthesized factors build a `Polynomial`, by multiplication
+and powers.
 """
 
 from __future__ import annotations
@@ -677,152 +678,128 @@ def sum_of_products(ring: PolyRing, products) -> Polynomial:
 # ---------------------------------------------------------------------------
 # parsing
 
-# One match per factor: an optional sign, an empty group at the base, the
-# base (a literal, a name, "(" or ")"), then, except after "(", an optional
-# "^" with an empty group at the exponent, and "*".  A ")" carries its
-# group's exponent and "*".  With no base the match stops in front of
-# whatever is there, so it matches at any position, even the end.
-_SPACE = r"[ \t\r\n]*"
+# One match per token, after ASCII whitespace: an operator (group 1), a name
+# (2), a literal (3; its numerator 4 and denominator 5) or any other character
+# (6), which is an error.  Trailing whitespace matches nothing.  Digits and
+# whitespace are ASCII only: `\d` and `\s` would also read other scripts'
+# digits and Unicode spaces.
 _NAME = r"[A-Za-z_][A-Za-z_0-9]*"
-_FACTOR_RE = re.compile(
-    rf"{_SPACE}([-+])?{_SPACE}()(?:(\()|(?:({_NAME})|([0-9]+)(?:/([0-9]+))?|(\)))"
-    rf"(?:{_SPACE}\^{_SPACE}()(?:([0-9]+)(?:/([0-9]+))?)?)?{_SPACE}(\*)?)?"
-)
-# groups: 1 sign, 2 base position, 3 "(", 4 name, 5 and 6 numerator and
-# denominator, 7 ")", 8 exponent position, 9 and 10 exponent literal, 11 "*".
-# Digits and whitespace are ASCII only: `\d` and `\s` would also read other
-# scripts' digits and Unicode spaces.
+_TOKEN_RE = re.compile(rf"[ \t\r\n]*(?:([-+*^()])|({_NAME})|(([0-9]+)(?:/([0-9]+))?)|([^ \t\r\n]))")
 # A monomial text that misses the monomial table; its exponents have at most
 # 640 digits, which `int()` reads at any digit limit it can be given.
 _LIT = r"[1-9][0-9]{0,639}"
 _MONOMIAL_RE = re.compile(rf"{_NAME}(?:\^{_LIT})?(?:\*{_NAME}(?:\^{_LIT})?)*")
-_EXPECTED_BASE = "expected a number, variable or parenthesized expression"
 # each "(" costs the parser one level of recursion; a fixed bound keeps deep
 # nesting a ParseError wherever the parser is called from
 _MAX_NESTING = 100
 
 
-def _literal(m, g: int) -> tuple:
-    """(numerator, denominator or None) of the literal in groups g, g + 1."""
-    num, den = m.group(g, g + 1)
-    try:
-        num = int(num)
-        den = None if den is None else int(den)
-    except ValueError:
-        # int() refuses literals longer than sys.get_int_max_str_digits()
-        raise ParseError("integer literal has too many digits", m.start(g)) from None
-    if den == 0:
-        raise ParseError("zero denominator", m.start(g))
-    return num, den
-
-
-def _add_into(terms: dict, mono: Monomial, coeff: Scalar) -> None:
-    """terms += coeff * x^mono, in place, dropping a term that cancels."""
-    old = terms.get(mono)
-    if old is None:
-        terms[mono] = coeff
-    else:
-        s = old + coeff
-        if s:
-            terms[mono] = s
+def _tokenize(text: str) -> list:
+    """The tokens of `text` as (kind, value, position), then ("end", "", len).
+    An operator is its own kind and value, a name is "name" with its text, and
+    a literal (numerator, denominator) is "int" if it has no "/", else "frac".
+    Raises the first bad character, overlong literal or zero denominator."""
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastindex
+        pos = m.start(kind)
+        if kind == 1:
+            tokens.append((m[1], m[1], pos))
+        elif kind == 2:
+            tokens.append(("name", m[2], pos))
+        elif kind == 3:
+            try:
+                num, den = int(m[4]), int(m[5] or 1)
+            except ValueError:
+                # int() refuses literals longer than sys.get_int_max_str_digits()
+                raise ParseError("integer literal has too many digits", pos) from None
+            if not den:
+                raise ParseError("zero denominator", pos)
+            tokens.append(("frac" if m[5] else "int", (num, den), pos))
         else:
-            del terms[mono]
+            raise ParseError(f"unexpected character {m[6]!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
 
 
 class _Parser:
-    """Recursive descent over the text `_read_flat` declines, a term at a
-    time, one `_FACTOR_RE` match per factor; a group is a recursive call.
-    Each expression adds its terms in place into one dict for
-    `Polynomial._make`.  Errors come in text order, except that a bad
-    character or a zero-denominator or overlong literal anywhere comes
-    before a syntax error, as if tokenized.
+    """Recursive descent over the tokens of the text `_read_flat` declines; a
+    group is a recursive call.  A term's numbers and variable powers become
+    one coefficient and one exponent tuple, and only parenthesized factors
+    build a `Polynomial`; each expression adds its terms in place into one
+    dict for `Polynomial._make`.  The tokenizer has raised every lexical
+    error, so they come before the syntax errors, which come in text order.
     """
 
     def __init__(self, text: str, ring: PolyRing):
-        self.text = text
+        self.tokens = _tokenize(text)
         self.ring = ring
         self.index = {name: i for i, name in enumerate(ring.variables)}
 
-    def fail(self, message: str, at: int):
-        """Raise the first bad character or literal from `at` on, if any,
-        else the syntax error `message` at `at`."""
-        text = self.text
-        for m in _FACTOR_RE.finditer(text, at):
-            for g in (5, 9):
-                if m[g] is not None:
-                    _literal(m, g)
-            # with no base the match stops in front of an operator (which
-            # the next search steps over), a bad character or the end
-            pos = m.start(2)
-            if m.lastindex == 2 and pos < len(text) and text[pos] not in "+-*^":
-                raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        raise ParseError(message, at)
-
-    def exponent(self, m) -> int:
-        """The exponent after the "^" of match m."""
-        if m[9] is None or m[10] is not None:
-            self.fail("expected a non-negative integer exponent", m.start(8))
-        return _literal(m, 9)[0]
-
-    def expr(self, pos: int, depth: int = 0) -> tuple:
-        """Parse an expr, inside `depth` open parentheses, from `pos` on;
-        return its term map and the `_FACTOR_RE` match after it, which has
-        no sign and whose base is ")" or missing."""
-        text, index, nvars = self.text, self.index, self.ring.nvars
+    def expr(self, i: int = 0, depth: int = 0) -> tuple:
+        """The term map of the expr at token i, inside `depth` open
+        parentheses, and the index of the token after it.  It must end at the
+        ")" closing the innermost one, or with none open, at the end."""
+        tokens, index = self.tokens, self.index
         terms: dict = {}
-        first = True
         while True:
-            m = _FACTOR_RE.match(text, pos)
-            if not first and m[1] is None:
-                if m.lastindex > 2 and m[7] is None:  # a base right after a term
-                    self.fail("implicit multiplication not allowed", m.start(2))
-                return terms, m
-            first = False
-            # one term: numbers and variable powers go into num/den and expo,
-            # parenthesized factors into group
-            expo = [0] * nvars
-            num = -1 if m[1] == "-" else 1
-            den = 1
-            group = None
+            # one term, with a sign except perhaps the first
+            sign = tokens[i][0]
+            if sign == "+" or sign == "-":
+                i += 1
+            expo = [0] * len(index)
+            num, den, group = (-1 if sign == "-" else 1), 1, None
             while True:
-                _, _, opening, name, lit, lit_den, _, caret, _, _, star = m.groups()
-                if name is not None:
-                    i = index.get(name)
-                    if i is None:
-                        self.fail(f"unknown variable {name!r}", m.start(2))
-                    expo[i] += 1 if caret is None else self.exponent(m)
-                elif lit is not None:
-                    lit, lit_den = _literal(m, 5)
-                    e = 1 if caret is None else self.exponent(m)
-                    num *= lit**e
-                    if lit_den is not None:
-                        den *= lit_den**e
-                elif opening is not None:
+                kind, value, pos = tokens[i]
+                i += 1
+                if kind == "name":
+                    if value not in index:
+                        raise ParseError(f"unknown variable {value!r}", pos)
+                elif kind == "(":
                     if depth == _MAX_NESTING:
-                        self.fail(f"parentheses nested more than {_MAX_NESTING} deep", m.start(2))
-                    inner, m = self.expr(m.end(), depth + 1)
-                    if m[7] is None:
-                        self.fail("expected ')'", m.start(2))
-                    factor = Polynomial._make(self.ring, inner)
-                    if m[8] is not None:
-                        factor = factor ** self.exponent(m)
-                    group = factor if group is None else group * factor
-                    star = m[11]
+                        raise ParseError(f"parentheses nested more than {_MAX_NESTING} deep", pos)
+                    inner, i = self.expr(i, depth + 1)
+                    value = Polynomial._make(self.ring, inner)
+                elif kind != "int" and kind != "frac":
+                    raise ParseError("expected a number, variable or parenthesized expression", pos)
+                e = 1
+                if tokens[i][0] == "^":
+                    what, lit, pos = tokens[i + 1]
+                    if what != "int":
+                        raise ParseError("expected a non-negative integer exponent", pos)
+                    e = lit[0]
+                    i += 2
+                if kind == "name":
+                    expo[index[value]] += e
+                elif kind == "(":
+                    if e != 1:  # a power of 1 would cost a multiplication
+                        value = value**e
+                    group = value if group is None else group * value
                 else:
-                    self.fail(_EXPECTED_BASE, m.start(2))
-                if star is None:
+                    num *= value[0] ** e
+                    den *= value[1] ** e
+                if tokens[i][0] != "*":
                     break
-                m = _FACTOR_RE.match(text, m.end())
-                if m[1] is not None:
-                    self.fail(_EXPECTED_BASE, m.start(1))
+                i += 1
             if num:
                 mono, coeff = tuple(expo), (num if den == 1 else Fraction(num, den))
-                if group is None:
-                    _add_into(terms, mono, coeff)
-                else:
-                    for mono, coeff in group.mul_term(mono, coeff).terms.items():
-                        _add_into(terms, mono, coeff)
-            pos = m.end()
+                product = [(mono, coeff)] if group is None else group.mul_term(mono, coeff).terms.items()
+                for mono, coeff in product:  # added in place; a term that cancels is dropped
+                    s = terms[mono] + coeff if mono in terms else coeff
+                    if s:
+                        terms[mono] = s
+                    else:
+                        del terms[mono]
+            kind, value, pos = tokens[i]
+            if kind == "+" or kind == "-":
+                continue
+            if kind in ("name", "int", "frac", "("):
+                raise ParseError("implicit multiplication not allowed", pos)
+            if depth and kind != ")":
+                raise ParseError("expected ')'", pos)
+            if not depth and kind != "end":
+                raise ParseError(f"unexpected {value!r}", pos)
+            return terms, i + 1
 
 
 def _read_flat(text: str, ring: PolyRing):
@@ -869,9 +846,5 @@ def parse_poly(text: str, ring: PolyRing) -> Polynomial:
     form = _read_flat(text, ring)
     if form is not None:
         return Polynomial._new(ring, *form)
-    parser = _Parser(text, ring)
-    terms, m = parser.expr(0)
-    at = m.start(2)  # in front of a ")", an operator, a bad character or the end
-    if at != len(text):
-        parser.fail(f"unexpected {text[at]!r}", at)
+    terms, _ = _Parser(text, ring).expr()
     return Polynomial._make(ring, terms)

@@ -245,6 +245,27 @@ def test_malformed_file_exits_2(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+def test_problem_file_with_a_repeated_name_exits_2(tmp_path, capsys):
+    # `json` would keep the last of two values silently and run on it
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["x - 1"]],'
+        ' "ideals": [["y"], ["y - 1"]], "queries": []}'
+    )
+    assert main(["run", str(path)]) == 2
+    assert f"{path} is not valid JSON: repeated name 'ideals'" in capsys.readouterr().err
+
+
+def test_document_with_a_repeated_name_exits_2(tmp_path, capsys):
+    # a payload that says "member": false and then true is no document
+    text = (DATA / "readme.run.jsonl").read_text()
+    assert text.count('"payload":{"cofactors":') == 1  # the member line, with "member":true
+    out = tmp_path / "readme.jsonl"
+    out.write_text(text.replace('"payload":{"cofactors":', '"payload":{"member":false,"cofactors":'))
+    assert main(["verify", str(out), str(DATA / "readme.json")]) == 2
+    assert f"{out} line is not valid JSON: repeated name 'member'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field,value,message",
     [

@@ -363,6 +363,67 @@ def test_mutated_golden_documents_fail_verify_naming_the_fault(data):
         assert rc == 1
 
 
+def _drop_line(entries: list, k: int, draw) -> None:
+    del entries[k]
+
+
+def _duplicate_line(entries: list, k: int, draw) -> None:
+    entries.insert(k, copy.deepcopy(entries[k]))
+
+
+def _swap_results(entries: list, k: int, draw) -> None:
+    results = [j for j, e in enumerate(entries) if e.get("type") == "result" and j != k]
+    assume(entries[k].get("type") == "result" and results)
+    other = draw(st.sampled_from(results))
+    entries[k], entries[other] = entries[other], entries[k]
+
+
+def _cut_after(entries: list, k: int, draw) -> None:
+    # as a run stopped after line k ends: a summary counting the results kept
+    del entries[k + 1 :]
+    if entries[-1].get("type") == "summary":
+        entries.pop()
+    errors = sum(e.get("status") == "error" for e in entries)
+    results = sum(e.get("type") == "result" for e in entries)
+    entries.append({"type": "summary", "ok": errors == 0, "errors": errors, "results": results})
+
+
+# each changes the lines at line k, or `assume` passes over a line it does not apply to
+LINE_MUTATIONS = (_drop_line, _duplicate_line, _swap_results, _cut_after)
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_line_mutated_golden_documents_fail_verify_naming_the_fault(data):
+    # one line of a golden run document dropped, duplicated, swapped with
+    # another result line, or the document cut after it: verify raises
+    # nothing and names a field or a check on every failed line, and it
+    # fails the document unless the mutation left it as it was, or cut it
+    # just after its first error line, which is a valid `--strict` document
+    name = data.draw(st.sampled_from(GOLDEN), label="golden")
+    original = [json.loads(t) for t in (DATA / f"{name}.run.jsonl").read_text().splitlines()]
+    entries = copy.deepcopy(original)
+    line = data.draw(st.integers(0, len(entries) - 1), label="line")
+    mutation = data.draw(st.sampled_from(LINE_MUTATIONS), label="mutation")
+    mutation(entries, line, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        doc = Path(tmp) / "mutated.jsonl"
+        doc.write_text("".join(json.dumps(e) + "\n" for e in entries))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main(["verify", str(doc), str(DATA / f"{name}.json")])
+    verified = [json.loads(t) for t in out.getvalue().splitlines()]
+    fields = {k for p in _paths(original) for k in p if isinstance(k, str)}
+    for problem in (v["problem"] for v in verified if v.get("ok") is False):
+        assert not problem.startswith("verification crashed"), problem
+        assert set(re.findall(r"\w+", problem)) & fields or _CHECKS.search(problem), problem
+    first_error = next((j for j, e in enumerate(original) if e.get("status") == "error"), None)
+    if mutation is _cut_after and line == first_error:
+        assert rc == 0
+    elif _exempt_text(entries) != _exempt_text(original):
+        assert rc == 1
+
+
 @pytest.mark.parametrize("kept, rc", [(2, 0), (3, 1)], ids=["one_error", "two_errors"])
 def test_a_stopped_document_ends_at_its_one_error_line(kept, rc, tmp_path):
     # `--strict` stops at the first error: the errors golden cut after its

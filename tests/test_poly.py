@@ -3,6 +3,7 @@
 import operator
 import random
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -346,6 +347,34 @@ def test_parse_bounds_nesting(R2):
         ), text[-20:]
 
 
+_L = "1" * 5000  # past int()'s digit limit, at the default and at 640
+
+
+@pytest.mark.parametrize("limit", [4300, 640])
+@pytest.mark.parametrize(
+    "text,position",
+    [
+        ("x y + " + _L, 6),
+        ("(" * 101 + "x" + ")" * 101 + " + " + _L, 206),
+        ("x^" + _L + " y", 2),
+        ("x + 1/" + _L + " + 1/0", 4),
+        (_L + "/0", 0),
+    ],
+    ids=["after-implicit-product", "after-deep-nesting", "exponent", "before-zero-denominator", "numerator"],
+)
+def test_overlong_literals_come_before_syntax_errors(R2, limit, text, position):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        with pytest.raises(ParseError) as info:
+            R2.parse(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert (info.value.position, str(info.value)) == (
+        position, f"integer literal has too many digits (at position {position})"
+    )
+
+
 def test_sum_of_products_matches_polynomial_arithmetic():
     rng = random.Random(20261)
     monos = monomials_up_to_degree(3, 2)
@@ -607,7 +636,6 @@ def test_flat_parse_builds_no_intermediate_polynomials(monkeypatch):
         R3,
         {m: Fraction(rng.choice((-1, 1)) * rng.randint(1, 99), rng.randint(1, 12)) for m in monos},
     )
-    text = str(f)
     made = []
     new = Polynomial._new.__func__
 
@@ -618,14 +646,20 @@ def test_flat_parse_builds_no_intermediate_polynomials(monkeypatch):
     def forbidden(*args):
         raise AssertionError("flat input built an intermediate Polynomial")
 
-    # every construction goes through _new, _make's included
-    monkeypatch.setattr(Polynomial, "_new", classmethod(counting_new))
-    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale", "mul_term"):
-        monkeypatch.setattr(Polynomial, name, forbidden)
-    got = parse_poly(text, R3)
-    monkeypatch.undo()
-    assert made == [500]
-    assert got == f == reference_parse(text, R3)
+    # the canonical text, which the flat reader reads, and the same with no
+    # spaces, which it declines: the grammar parser must not sum them either
+    dense = str(f).replace(" ", "")
+    assert _read_flat(dense, R3) is None
+    for text in (str(f), dense):
+        made.clear()
+        # every construction goes through _new, _make's included
+        monkeypatch.setattr(Polynomial, "_new", classmethod(counting_new))
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__pow__", "scale", "mul_term"):
+            monkeypatch.setattr(Polynomial, name, forbidden)
+        got = parse_poly(text, R3)
+        monkeypatch.undo()
+        assert made == [500]
+        assert got == f == reference_parse(text, R3)
 
 
 # ---------------------------------------------------------------------------
@@ -639,9 +673,7 @@ def _reads_as_parser(text, ring) -> bool:
     parser's, and the parser reads the whole text."""
     form = _read_flat(text, ring)
     if form is not None:
-        terms, m = _Parser(text, ring).expr(0)
-        assert m.start(2) == len(text), text
-        ints, content = Polynomial._make(ring, terms).integer_form()
+        ints, content = Polynomial._make(ring, _Parser(text, ring).expr()[0]).integer_form()
         assert (list(form[0].items()), form[1]) == (list(ints.items()), content), text
     return form is not None
 
