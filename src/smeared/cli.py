@@ -58,6 +58,7 @@ from .ideals import Ideal
 from .poly import GREVLEX, LEX, ParseError, Polynomial, PolyRing, sum_of_products
 from .ring import (
     NoChainError,
+    NotCoprimeError,
     NotMemberError,
     OffZeroSetError,
     SmearedRingConfig,
@@ -396,11 +397,11 @@ def _derive(name: str, q: dict, config: SmearedRingConfig) -> dict:
             "ok": report.ok,
             "mismatches": [p + 1 for p in report.mismatches],
         }
-    except (NoChainError, NotMemberError, OffZeroSetError) as e:
+    except (NoChainError, NotCoprimeError, NotMemberError, OffZeroSetError) as e:
         # refusals that name an ideal or a point number it from 1, as documents do
         raise QueryError(e.render(1)) from None
     except ValueError as e:
-        # the engine's other refusals (not coprime, say) are query errors too
+        # the engine's other refusals (a partition of one ideal, say) are query errors too
         raise QueryError(str(e)) from None
 
 
@@ -705,7 +706,7 @@ class _Verifier:
                     raise QueryError(f"basis element {p} is not a member")
 
 
-def _bind(entries: list, queries: list):
+def _bind(entries: list, queries: list, gate_ok: bool):
     """(index, result entry, binding problem) per verify line.
 
     Result lines bind to the problem file's queries in order: a complete
@@ -713,8 +714,10 @@ def _bind(entries: list, queries: list):
     at its first error (its one error line, and its last), and a validation
     abort holds one index-0 `validate` line and a summary saying so.  The
     header is the single first line, of exactly the fields `run` writes, the
-    summary the single last line, counting results and errors.  A breach of
-    either, another line type, or a missing tail gets a line with no entry.
+    summary the single last line, counting results and errors.  A document
+    is a validation abort exactly when the problem fails the gate (`gate_ok`
+    is `validate`'s verdict).  A breach of any of these, another line type,
+    or a missing tail gets a line with no entry.
     """
     for e in entries:
         if e.get("type") not in ("header", "result", "summary"):
@@ -749,6 +752,9 @@ def _bind(entries: list, queries: list):
             if k not in got or k not in want or _dump(got[k]) != _dump(want[k]):
                 yield None, None, f"summary {k} {got.get(k)!r} does not match the result lines"
                 break
+    if aborted == gate_ok:
+        gate = "passes, but the summary is a validation abort" if gate_ok else "fails, but the summary is no abort"
+        yield None, None, f"the validation gate {gate}"
     expected = [(0, "validate")] if aborted else list(enumerate(queries, start=1))
     for pos, entry in enumerate(results):
         index = entry.get("index")
@@ -777,7 +783,7 @@ def verify_command(result_path: str, problem_path: str) -> int:
     verifier = _Verifier(config)
     failures = 0
     checked = 0
-    for index, entry, problem in _bind(entries, queries):
+    for index, entry, problem in _bind(entries, queries, validate(config).ok):
         checked += 1
         if problem is None:
             try:

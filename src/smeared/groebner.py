@@ -387,7 +387,7 @@ def _check_division(f, divisors, key, result):
 
 @dataclass(frozen=True)
 class GroebnerBasis:
-    """Reduced Groebner basis under `order`, elements sorted largest lead first.
+    """Reduced Groebner basis under its ring's order, largest lead first.
 
     `transform` satisfies
     elements[j] == sum(transform[j][i] * generators[i] for all i).  Lazy
@@ -398,7 +398,6 @@ class GroebnerBasis:
     """
 
     ring: PolyRing
-    order: object
     elements: tuple
     generators: tuple
     steps: tuple = field(repr=False, compare=False)
@@ -419,7 +418,7 @@ class GroebnerBasis:
         return memo
 
     def key(self):
-        return monomial_key(self.order)
+        return monomial_key(self.ring.order)
 
     def is_zero_ideal(self) -> bool:
         return not self.elements
@@ -491,12 +490,9 @@ class GroebnerBasis:
         return max(width, base), rows[max(width, base)]
 
 
-def groebner_basis(
-    generators: Iterable[Polynomial],
-    order=None,
-    ring: Optional[PolyRing] = None,
-) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal the generators span.
+def groebner_basis(generators: Iterable[Polynomial], ring: Optional[PolyRing] = None) -> GroebnerBasis:
+    """Reduced Groebner basis of the ideal the generators span, always under the
+    ring's order (a block `EliminationOrder` only in the ring `Ideal.eliminate` builds).
 
     Pairs are reduced in increasing (degree, lcm, i, j) order.  Adding an
     element runs the Gebauer-Moeller update (Gebauer and Moeller, "On an
@@ -514,8 +510,8 @@ def groebner_basis(
     every later S-polynomial reduces to 0 by that constant and
     `_reduce_basis` keeps only it (it is the one element of degree 0).  So
     the stop returns the same basis [1] and the same transform row: the
-    constant's own.  For `_replay`, the loop records only values it holds:
-    its nonzero reductions' division results keep their quotients packed.
+    constant's own.  For `_replay`, the loop records of each nonzero
+    reduction only its packed quotients (`DivisionResult._packed`).
     """
     gens = list(generators)
     if ring is None:
@@ -525,16 +521,14 @@ def groebner_basis(
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    if order is None:
-        order = ring.order
-    key = monomial_key(order)
+    key = monomial_key(ring.order)
 
     # generators enter as they are (scaling an element scales its quotients
     # and its row inversely), so a generator's packed divisor form carries
     # over between the bases it belongs to; remainders are made primitive
     sources = tuple(i for i, g in enumerate(gens) if not g.is_zero())
     polys = [gens[i] for i in sources]
-    spairs: list = []  # (i, j, mi, mj, lc_i, lc_j, c, division result) per later element
+    spairs: list = []  # (i, j, mi, mj, lc_i, lc_j, c, packed quotients) per later element
 
     # per element: its lead, the lead packed at `width` (see the module
     # docstring) and the bitmask of the variables in the lead
@@ -593,13 +587,13 @@ def groebner_basis(
             continue
         prim, c = polys.adopt(r)
         lc_i, lc_j = polys[i].leading_coefficient(key), polys[j].leading_coefficient(key)
-        spairs.append((i, j, mi, mj, lc_i, lc_j, c, res))
+        spairs.append((i, j, mi, mj, lc_i, lc_j, c, res._packed))
         if prim.is_constant():
             break
         update(prim.leading_monomial(key))
 
     basis, reduction = _reduce_basis(polys, key)
-    return GroebnerBasis(ring, order, tuple(basis), tuple(gens), (sources, spairs, reduction))
+    return GroebnerBasis(ring, tuple(basis), tuple(gens), (sources, spairs, reduction))
 
 
 class _Divisors(list):
@@ -650,10 +644,9 @@ class _Divisors(list):
         (width, terms), self.rest = self.rest, None
         key, lead, h = self.key, max(terms), gcd(*terms.values())
         lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
-        if key is monomial_key(self.ring.order):  # r's lead, which `primitive_part` reads, is the packed one
-            ints, cr = r.integer_form()
-            object.__setattr__(r, "_lead", (key, (lm, Fraction(ints[lm] * cr.numerator, cr.denominator))))
-        prim, c = r.primitive_part()  # signs by the lead under the ring's order
+        ints, cr = r.integer_form()  # r's lead, which `primitive_part` reads, is the packed one
+        object.__setattr__(r, "_lead", (key, (lm, Fraction(ints[lm] * cr.numerator, cr.denominator))))
+        prim, c = r.primitive_part()  # signs by that lead
         self.append(prim)
         if not lead:  # the packed monomial 1
             return prim, c
@@ -669,18 +662,23 @@ class _Divisors(list):
 
 
 def _check_packed(p: Polynomial, memo: tuple) -> None:
-    # the form (and lead) p's stored pair gives: primitive over a positive content
-    fresh, tail = _packed(Polynomial._new(p.ring, *p.integer_form()), memo[0], memo[1]), dict(memo[4])
-    if fresh[:4] + fresh[5:] != memo[:4] + memo[5:] or dict(fresh[4]) != tail or gcd(memo[3], *tail.values()) != 1:
+    # the form (and lead) p's stored pair gives at the memo's width, which each field fits (a
+    # remainder's may fit one below its total degree's): primitive over a positive content
+    key, width, lead, lc, tail, num, den = memo
+    ints, content = p.integer_form()
+    terms = _pack_map(ints, _layout(key, p.ring.nvars, width)[0])
+    if terms != {lead: lc, **dict(tail)} or max(terms) != lead or gcd(*terms.values()) != 1:
         raise RuntimeError("packed form differs from its element, or is not primitive")
-    if memo[5] <= 0 or max(p.integer_form()[0], key=memo[0]) != p.leading_monomial(memo[0]):
-        raise RuntimeError("packed form has a nonpositive content or another lead")
+    overflows = any(v >> (width - 1) for m in ints for v in key(m) + m)
+    if overflows or Fraction(num, den) != content or max(ints, key=key) != p.leading_monomial(key):
+        raise RuntimeError("packed form overflows its width, or has another content or lead")
 
 
 def _reduce_basis(polys, key):
     """Minimal, interreduced, monic basis sorted largest lead first, and the
     record `_replay` reads: the indices of the kept elements, each one's
-    tail division and leading coefficient, smallest (distinct) lead first."""
+    tail division's packed quotients and leading coefficient, smallest
+    (distinct) lead first."""
     order_idx = sorted(range(len(polys)), key=lambda i: key(polys[i].leading_monomial(key)))
     kept_idx: list = []
     for i in order_idx:
@@ -695,7 +693,7 @@ def _reduce_basis(polys, key):
     for idx in range(len(kept)):
         res = divide(kept[idx], kept[:idx] + kept[idx + 1 :], key)
         kept[idx] = res.remainder
-        tails.append(res)
+        tails.append(res._packed)
 
     lcs = [p.leading_coefficient(key) for p in kept]
     kept = [p.scale(1 / lc) for p, lc in zip(kept, lcs)]
@@ -713,7 +711,7 @@ def _replay(gb: GroebnerBasis) -> tuple:
         return gb._rows
     sources, spairs, (kept_idx, tails, lcs) = steps
     key, nvars, n = gb.key(), gb.ring.nvars, len(gb.generators)
-    recorded = [step[-1]._packed for step in spairs] + [res._packed for res in tails]
+    recorded = [step[-1] for step in spairs] + tails
     width = max((w for w, _ in recorded), default=8)
     while True:
         units, guards = _layout(key, nvars, width)[:2]

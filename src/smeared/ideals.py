@@ -7,6 +7,8 @@ tracer's wrappers and the tests use them.
 An `Ideal` is identified by its ordered generator tuple.  Its one Groebner
 basis, under the ring's order (under a lock), and its monomial normal forms
 (where a race only computes an entry twice) are computed lazily and cached.
+A basis is always of its ring's order; the block `EliminationOrder` is the
+order of only the ring `eliminate` builds, and `intersect` eliminates too.
 """
 
 from __future__ import annotations
@@ -16,12 +18,7 @@ import threading
 from typing import Iterable, Sequence
 
 from .groebner import DivisionResult, GroebnerBasis, groebner_basis
-from .poly import (
-    EliminationOrder,
-    Polynomial,
-    PolyRing,
-    RingMismatchError,
-)
+from .poly import EliminationOrder, Polynomial, PolyRing, RingMismatchError
 
 
 class _Infinite:
@@ -37,27 +34,19 @@ INFINITE = _Infinite()
 
 
 def _fresh_name(ring: PolyRing, base: str) -> str:
-    if base not in ring.variables:
-        return base
-    k = 0
-    while f"{base}{k}" in ring.variables:
-        k += 1
-    return f"{base}{k}"
+    names = itertools.chain([base], (f"{base}{k}" for k in itertools.count()))
+    return next(name for name in names if name not in ring.variables)
 
 
-def _insert_var(f: Polynomial, ext: PolyRing, at: int) -> Polynomial:
+def _rehome(f: Polynomial, ring: PolyRing) -> Polynomial:
+    """f as an element of `ring`, its variables matched by name: those f's
+    ring lacks get exponent 0, and those `ring` lacks must not occur in f."""
+    at = [f.ring.variables.index(v) if v in f.ring.variables else None for v in ring.variables]
     ints, c = f.integer_form()
-    return Polynomial._new(ext, {m[:at] + (0,) + m[at:]: v for m, v in ints.items()}, c)
-
-
-def _remove_var(f: Polynomial, base: PolyRing, at: int) -> Polynomial:
-    ints, c = f.integer_form()
-    terms = {}
-    for m, v in ints.items():
-        if m[at]:
-            raise ValueError("polynomial still involves the removed variable")
-        terms[m[:at] + m[at + 1 :]] = v
-    return Polynomial._new(base, terms, c)
+    terms = {tuple(0 if i is None else m[i] for i in at): v for m, v in ints.items()}
+    if sum(map(sum, terms)) != sum(map(sum, ints)):
+        raise ValueError(f"polynomial involves a variable {ring!r} lacks")
+    return Polynomial._new(ring, terms, c)
 
 
 class Ideal:
@@ -153,8 +142,10 @@ class Ideal:
         """Contraction to the subring on the kept variables, as an ideal of
         the ambient ring (its generators only involve kept variables).
 
-        Uses a block order with the discarded variables largest, so the
-        basis elements free of them generate the contraction.
+        A basis is always of its ring's order, so the generators move into a
+        copy of the ring under the block order (`EliminationOrder`, this ring's
+        only), the discarded variables largest, where the basis elements free
+        of them generate the contraction (Cox, Little and O'Shea, 3.1).
         """
         kept = set(keep)
         if not kept:
@@ -165,26 +156,21 @@ class Ideal:
         elim = tuple(i for i in range(self.ring.nvars) if i not in kept)
         if not elim:
             return self
-        gb = groebner_basis(self.generators, EliminationOrder(elim, self.ring.nvars), self.ring)
-        dropped = set(elim)
-        return Ideal(
-            self.ring, tuple(g for g in gb.elements if not (g.support() & dropped))
-        )
+        block = PolyRing(self.ring.variables, EliminationOrder(elim, self.ring.nvars))
+        gb = groebner_basis([_rehome(g, block) for g in self.generators], block)
+        return Ideal(self.ring, tuple(_rehome(g, self.ring) for g in gb.elements if g.support().isdisjoint(elim)))
 
     def intersect(self, other: "Ideal") -> "Ideal":
-        """I cap J, by eliminating an auxiliary scalar t from t*I + (1-t)*J."""
+        """I cap J: `eliminate` a fresh variable t from t*I + (1-t)*J, one basis in all."""
         if self.ring != other.ring:
             raise RingMismatchError("ideals live in different rings")
         ring = self.ring
-        tname = _fresh_name(ring, "t")
-        ext = PolyRing((tname,) + ring.variables, ring.order)
-        t = ext.var(tname)
-        one_minus_t = ext.one() - t
-        gens = [t * _insert_var(f, ext, 0) for f in self.generators]
-        gens += [one_minus_t * _insert_var(g, ext, 0) for g in other.generators]
-        gb = groebner_basis(gens, order=EliminationOrder((0,), ext.nvars), ring=ext)
-        kept = [g for g in gb.elements if 0 not in g.support()]
-        return Ideal(ring, tuple(_remove_var(g, ring, 0) for g in kept))
+        ext = PolyRing((_fresh_name(ring, "t"),) + ring.variables, ring.order)
+        t = ext.var(ext.variables[0])
+        gens = [t * _rehome(f, ext) for f in self.generators]
+        gens += [(ext.one() - t) * _rehome(g, ext) for g in other.generators]
+        kept = Ideal(ext, gens).eliminate(range(1, ext.nvars))
+        return Ideal(ring, tuple(_rehome(g, ring) for g in kept.generators))
 
     # -- numerical invariants of the quotient
 
@@ -238,9 +224,8 @@ class Ideal:
         if f.ring != self.ring:
             raise RingMismatchError("element from a different ring")
         ring = self.ring
-        zname = _fresh_name(ring, "z")
-        ext = PolyRing(ring.variables + (zname,), ring.order)
-        z = ext.var(zname)
-        gens = [_insert_var(g, ext, ring.nvars) for g in self.generators]
-        gens.append(ext.one() - z * _insert_var(f, ext, ring.nvars))
+        ext = PolyRing(ring.variables + (_fresh_name(ring, "z"),), ring.order)
+        z = ext.var(ext.variables[-1])
+        gens = [_rehome(g, ext) for g in self.generators]
+        gens.append(ext.one() - z * _rehome(f, ext))
         return groebner_basis(gens, ring=ext).contains_one()

@@ -91,9 +91,9 @@ def _lex_key(m: Monomial) -> tuple:
 class EliminationOrder:
     """Block order: the `eliminated` variables dominate, grevlex inside blocks.
 
-    Any monomial involving an eliminated variable compares above every
-    monomial in the remaining variables, which is what makes a Groebner basis
-    under this order yield elimination ideals by restriction.
+    Any monomial in an eliminated variable is above every monomial in the
+    rest, so a basis in the one ring of this order, which `Ideal.eliminate`
+    builds, restricts to elimination ideals; problem files name grevlex or lex.
     """
 
     eliminated: tuple
@@ -209,19 +209,20 @@ _MONOMIAL_TABLE_SIZE = 4096  # entries; past it monomials are still read, not ke
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring QQ[variables] with a monomial order tag.
+    """Polynomial ring QQ[variables] and the order of every basis in it: grevlex,
+    lex, or (in the ring `Ideal.eliminate` builds) a block `EliminationOrder`.
 
     `_monomials`, the monomial table of at most `_MONOMIAL_TABLE_SIZE`
     entries, maps monomial texts `_read_flat` has read (``x^4*y^3*z``) to
     exponent tuples, and tuples `__str__` has spelled back to text; `_keys`,
-    as bounded, holds the grevlex keys `__str__` sorts by.  Equality, hashing,
+    as bounded, holds the order keys `__str__` sorts by.  Equality, hashing,
     `repr`, pickling and copies ignore both, so every ring starts cold.  An entry
     is a pure function of its key, so racing threads at worst store one twice, or
     pass the bound by one entry (`_keys`: one polynomial's) each.
     """
 
     variables: tuple
-    order: str = GREVLEX
+    order: object = GREVLEX
     _monomials: dict = field(init=False, repr=False, compare=False)
     _keys: dict = field(init=False, repr=False, compare=False)
 
@@ -230,8 +231,9 @@ class PolyRing:
             raise ValueError("a ring needs at least one variable")
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("variable names must be unique")
-        if self.order not in (GREVLEX, LEX):
-            raise ValueError(f"unknown order tag: {self.order!r}")
+        block = isinstance(self.order, EliminationOrder) and self.order.nvars == len(self.variables)
+        if not (block or self.order in (GREVLEX, LEX)):
+            raise ValueError(f"no monomial order {self.order!r} on {len(self.variables)} variables")
         object.__setattr__(self, "variables", tuple(self.variables))
         one = (0,) * len(self.variables)
         object.__setattr__(self, "_monomials", {"": one, one: ""})
@@ -261,13 +263,11 @@ class PolyRing:
         return value
 
     def _descending(self, monos) -> list:
-        """`monos` largest first; grevlex keys come from `_keys`, filled on a miss."""
-        if self.order == LEX:
-            return sorted(monos, reverse=True)
+        """`monos` largest first; order keys come from `_keys`, filled on a miss."""
         try:
             return sorted(monos, key=self._keys.__getitem__, reverse=True)
         except KeyError:
-            new = {m: _grevlex_key(m) for m in monos}
+            new = dict(zip(monos, map(monomial_key(self.order), monos)))
             self._keys.update(itertools.islice(new.items(), _MONOMIAL_TABLE_SIZE - len(self._keys)))
             return sorted(monos, key=new.__getitem__, reverse=True)
 

@@ -71,14 +71,16 @@ class NotMemberError(ValueError):
 
 
 class NotCoprimeError(ValueError):
-    """Two configured ideals are not coprime; `pair` names them."""
+    """Two configured ideals, `pair` (0-based), are not coprime.
+    `render(base)` as `NoChainError`'s."""
 
     def __init__(self, i: int, j: int):
-        super().__init__(
-            f"{Violation('not_coprime', (i, j)).render()}, so no partition of "
-            f"unity separates ideal {i} from the rest"
-        )
         self.pair = (i, j)
+        super().__init__(self.render())
+
+    def render(self, base: int = 0) -> str:
+        pair = Violation("not_coprime", self.pair).render(base)
+        return f"{pair}, so no partition of unity separates ideal {self.pair[0] + base} from the rest"
 
 
 class NegativeDegreeError(ValueError):

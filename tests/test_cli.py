@@ -757,6 +757,48 @@ def test_verify_accepts_strict_and_aborted_documents(tmp_path, capsys):
     assert rc == 1 and _failures(verified) == [(0, "unexpected field 'elapsed_us'")]
 
 
+def _write_lines(path, entries):
+    path.write_text("".join(json.dumps(e, sort_keys=True) + "\n" for e in entries))
+    return path
+
+
+def test_verify_runs_the_validation_gate(tmp_path, capsys):
+    # (x) and (x - y^2) meet at the origin, so `run` aborts at the gate: the
+    # lines `_run_query` gives for the queries, under a matching summary, are
+    # no document of that problem
+    problem = DATA / "abort.json"
+    config, queries = cli.load_problem(str(problem))
+    entries = [{"type": "header", **cli._FORMAT, "version": "", "query_count": len(queries)}]
+    for index, raw in enumerate(queries, start=1):
+        entry = {"elapsed_us": 0, "index": index, "query": raw, "type": "result"}
+        try:
+            entry.update(status="ok", payload=json.loads(cli._dump(cli._run_query(*cli._normalize_query(raw), config))))
+        except cli.QueryError as e:
+            entry.update(status="error", error=str(e))
+        entries.append(entry)
+    entries.append(cli._summary(1, len(queries)))
+    assert entries[2]["error"] == (
+        "ideals 1 and 2 are not coprime (their zero sets meet), so no partition of unity separates ideal 1 from the rest"
+    )
+    rc, verified = _verify_lines(_write_lines(tmp_path / "ungated.jsonl", entries), problem, capsys)
+    assert rc == 1 and [e["index"] for e in verified[:-1]] == [None, 1, 2, 3]
+    assert _failures(verified) == [(None, "the validation gate fails, but the summary is no abort")]
+
+    # (x) and (x - 1) pass the gate: an abort that writes their passing report is no document of theirs
+    doc = {"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x"], ["x - 1"]], "queries": ["verdict"]}
+    problem = write_problem(tmp_path, doc)
+    report = json.loads(cli._dump(cli._derive("validate", {}, cli.load_problem(str(problem))[0])))
+    assert report["ok"] is True
+    entries = [
+        {"type": "header", **cli._FORMAT, "version": "", "query_count": 1},
+        {"index": 0, "payload": report, "query": "validate", "status": "ok", "type": "result"},
+        cli._summary(aborted=True),
+    ]
+    rc, verified = _verify_lines(_write_lines(tmp_path / "aborted.jsonl", entries), problem, capsys)
+    assert rc == 1 and [e["index"] for e in verified[:-1]] == [None, 0]
+    assert _failures(verified) == [(None, "the validation gate passes, but the summary is a validation abort")]
+
+
 def _golden_copy(tmp_path, name, edit):
     """The golden run document of `name` with `edit` applied to its parsed
     lines, written next to a copy of its problem file."""

@@ -138,6 +138,13 @@ def assert_agrees(f, divisors, key):
     return res
 
 
+def in_order(gens, order):
+    """The generators, moved into a ring of their variables under `order`:
+    a basis is of its ring's order."""
+    ring = PolyRing(gens[0].ring.variables, order)
+    return [Polynomial(ring, dict(g.terms)) for g in gens]
+
+
 def random_poly(rng, deg, nterms, scale=1):
     terms = {}
     for _ in range(nterms):
@@ -372,8 +379,8 @@ def test_every_spair_of_the_basis_reduces_to_zero(order):
     rng = random.Random(73)
     key = monomial_key(order)
     for _ in range(12):
-        gens = [random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)]
-        els = groebner_basis(gens, order=order, ring=R3).elements
+        gens = in_order([random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)], order)
+        els = groebner_basis(gens).elements
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
                 (li, ci), (lj, cj) = els[i].leading_term(key), els[j].leading_term(key)
@@ -455,13 +462,15 @@ def test_lex_tower_widens_the_pair_update():
         assert sum((t * gen for t, gen in zip(row, gens)), gens[0].ring.zero()) == g
 
 
-def assert_basis_and_rows(gens, order, ring):
-    """The reduced basis equals sympy's, and each transform row reproduces
-    its element from the generators."""
+def assert_basis_and_rows(gens):
+    """The reduced basis, under the generators' ring's order, equals sympy's,
+    and each transform row reproduces its element from the generators."""
     sympy = pytest.importorskip("sympy")
     from sympy.polys.orderings import ProductOrder, grevlex
 
-    gb = groebner_basis(gens, order=order, ring=ring)
+    ring = gens[0].ring
+    order = ring.order
+    gb = groebner_basis(gens)
     syms = sympy.symbols(ring.variables)
     theirs_order = order
     if isinstance(order, EliminationOrder):  # the eliminated block is a prefix
@@ -538,7 +547,8 @@ def test_spoly_widens_the_divisor_set(order, monkeypatch):
     # x^2 - y^100 and x*y^30 - 1 fit 8-bit fields, but their S-polynomial
     # x - y^130 sets a guard bit: the set re-packs at 16 before dividing
     log, checked = widening_log(monkeypatch), checked_loop(monkeypatch)
-    gb = assert_basis_and_rows([R2.parse("x^2 - y^100"), R2.parse("x*y^30 - 1")], order, R2)
+    ring = PolyRing(R2.variables, order)
+    gb = assert_basis_and_rows([ring.parse("x^2 - y^100"), ring.parse("x*y^30 - 1")])
     assert len(gb.elements) == 2
     assert log[:3] == [("widen", 8), ("widen", 16), ("spoly", 16)]
 
@@ -548,8 +558,9 @@ def test_reduction_widens_the_divisor_set(monkeypatch):
     # fields, but reducing it by x - y^2 reaches y^141: `divide` re-packs
     # the set and the S-polynomial at 16
     log, checked = widening_log(monkeypatch), checked_loop(monkeypatch)
-    gb = assert_basis_and_rows([R2.parse("x - y^2"), R2.parse("x^70*y - 1")], "lex", R2)
-    assert [str(g) for g in gb.elements] == ["-y^2 + x", "y^141 - 1"]
+    L2 = PolyRing(R2.variables, "lex")
+    gb = assert_basis_and_rows([L2.parse("x - y^2"), L2.parse("x^70*y - 1")])
+    assert [str(g) for g in gb.elements] == ["x - y^2", "y^141 - 1"]
     assert log == [("widen", 8), ("spoly", 8), ("widen", 16)]
     assert checked == [("widen", 0), ("divide", 0), ("widen", 0)]
 
@@ -559,9 +570,10 @@ def test_widening_empties_the_first_divisor_memo(monkeypatch):
     # bits; reducing the S-polynomial of x - y^2 and x^70*y - 1 then passes
     # them, and the re-packed set must not scan from the 8-bit positions
     checked = checked_loop(monkeypatch)
-    gens = [R3.parse(t) for t in ("x - y^2", "x^70*y - 1", "y*z - 1", "z^2 - y")]
-    gb = assert_basis_and_rows(gens, "lex", R3)
-    assert [str(g) for g in gb.elements] == ["x - z", "-z^2 + y", "z^3 - 1"]
+    L3 = PolyRing(R3.variables, "lex")
+    gens = [L3.parse(t) for t in ("x - y^2", "x^70*y - 1", "y*z - 1", "z^2 - y")]
+    gb = assert_basis_and_rows(gens)
+    assert [str(g) for g in gb.elements] == ["x - z", "y - z^2", "z^3 - 1"]
     assert checked == [("widen", 0), ("divide", 0), ("divide", 2), ("widen", 2)]
 
 
@@ -589,7 +601,7 @@ _GENERATOR_SETS = st.one_of(
 def test_packed_loop_matches_sympy_on_generated_ideals(order, gens):
     if all(g.is_zero() for g in gens):
         return
-    assert_basis_and_rows(gens, order, R3)
+    assert_basis_and_rows(in_order(gens, order))
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -601,7 +613,7 @@ def test_first_divisor_memo_keeps_the_reference_divisions(order, gens):
         return
     with pytest.MonkeyPatch.context() as monkeypatch:
         checked_loop(monkeypatch)
-        groebner_basis(gens, order=order, ring=R3)
+        groebner_basis(in_order(gens, order))
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex", EliminationOrder((0,), 3)], ids=str)
@@ -615,6 +627,7 @@ def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
     cases += [[random_poly(rng, 2, 3, scale=s) for _ in range(3)] for s in (20, 40) for _ in range(6)]
     cases.append([random_poly(rng, 2, 3) for _ in range(3)] + [random_poly(rng, 2, 3, scale=40)])
     cases += [katsura4(), cyclic5()] if order == "grevlex" else [lex_tower()] if order == "lex" else []
+    cases = [in_order(gens, order) for gens in cases]
     key = monomial_key(order)
     wants = [reference_spolys(gens, key) for gens in cases]
     real_divide = groebner.divide
@@ -623,6 +636,6 @@ def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
         monkeypatch.setattr(
             groebner, "divide", lambda f, ds, k=None: calls.append(read_dividend(f, ds)) or real_divide(f, ds, k)
         )
-        gb = groebner_basis(gens, order=order, ring=gens[0].ring)
+        gb = groebner_basis(gens)
         assert calls[: len(want)] == want
         assert len(calls) == len(want) + len(gb.elements)

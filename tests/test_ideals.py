@@ -1,6 +1,7 @@
 """Ideal arithmetic: sums, products, intersections, elimination, dimensions,
 coprimality, radical membership."""
 
+import itertools
 import random
 import threading
 from fractions import Fraction
@@ -9,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import smeared.ideals as ideals
 from smeared import INFINITE, Ideal, PolyRing, Polynomial, RingMismatchError
 from oracle import oracle_member
 from smeared.groebner import divide_each
-from smeared.poly import monomials_up_to_degree
+from smeared.poly import EliminationOrder, monomials_up_to_degree
 
 
 def rand_poly(rng, ring, deg=2, nterms=3):
@@ -109,6 +111,60 @@ def test_eliminate_examples(R2):
 def test_eliminate_keeping_everything(R2):
     ideal = Ideal(R2, (R2.parse("x*y - 1"),))
     assert ideal.eliminate({0, 1}) is ideal
+
+
+_GENERATORS = st.lists(
+    st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * 3), st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=3
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(st.sampled_from(["grevlex", "lex"]), _GENERATORS)
+def test_eliminate_matches_sympy(order, maps):
+    # for every proper kept set, the contraction and the elements of sympy's
+    # lex basis, the eliminated symbols first, that are free of them have one
+    # reduced basis in the ring
+    sympy = pytest.importorskip("sympy")
+    ring = PolyRing(("x", "y", "z"), order)
+    gens = [Polynomial(ring, m) for m in maps if m]
+    syms = sympy.symbols(ring.variables)
+    exprs = [
+        sum(sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(s**e for s, e in zip(syms, m))) for m, c in g.terms.items())
+        for g in gens
+    ]
+    ideal = Ideal(ring, gens)
+    for keep in itertools.chain.from_iterable(itertools.combinations(range(3), k) for k in (1, 2)):
+        elim = [i for i in range(3) if i not in keep]
+        at = elim + list(keep)  # sympy's generator k is the ring's variable at[k]
+        theirs = []
+        for p in sympy.groebner(exprs or [0], *(syms[i] for i in at), order="lex", domain="QQ").polys:
+            terms = {}
+            for m, c in p.terms():
+                expo = [0] * 3
+                for k, e in zip(at, m):
+                    expo[k] = e
+                terms[tuple(expo)] = Fraction(int(c.p), int(c.q))
+            theirs.append(Polynomial(ring, terms))
+        free = [g for g in theirs if not g.is_zero() and g.support().isdisjoint(elim)]
+        ours = ideal.eliminate(keep).generators
+        assert Ideal(ring, ours).groebner().elements == Ideal(ring, free).groebner().elements
+
+
+def test_intersect_computes_one_basis(R2, monkeypatch):
+    # intersect eliminates t from t*I + (1-t)*J: one basis, of the block ring
+    # `eliminate` builds, and none of I or J
+    calls, real = [], ideals.groebner_basis
+    monkeypatch.setattr(ideals, "groebner_basis", lambda *a, **k: calls.append(a) or real(*a, **k))
+    x, y = R2.var("x"), R2.var("y")
+    I, J = Ideal(R2, (x,)), Ideal(R2, (y, x - 1))
+    meet = I.intersect(J)
+    assert len(calls) == 1 and I._basis is None and J._basis is None
+    assert calls[0][1] == PolyRing(("t", "x", "y"), EliminationOrder((0,), 3))
+    assert [str(g) for g in meet.generators] == ["x^2 - x", "x*y"]
 
 
 def test_krull_dim(R2):

@@ -771,6 +771,14 @@ def test_refusals_name_their_ideal_from_a_base(three_lines, R2):
     assert e.value.index == 1
     assert e.value.render(1).startswith("dim of the quotient by ideal 2 is 0;")
 
+    config = SmearedRingConfig(R2, (Ideal(R2, (x,)), Ideal(R2, (x - y**2,))))
+    tail = "are not coprime (their zero sets meet), so no partition of unity separates ideal"
+    with pytest.raises(sm.NotCoprimeError) as e:
+        sm.partition_of_unity(0, config)
+    assert e.value.pair == (0, 1)
+    assert str(e.value) == f"ideals 0 and 1 {tail} 0 from the rest"
+    assert e.value.render(1) == f"ideals 1 and 2 {tail} 1 from the rest"
+
 
 def _counting(monkeypatch, module, name):
     """Count calls to `module.name` through a wrapper; returns the list of
@@ -910,7 +918,7 @@ def test_eliminate_leaves_the_cached_basis(make):
         # an elimination before the first request is not the ideal's basis
         fresh = Ideal(ring, ideal.generators)
         fresh.eliminate(kept)
-        assert fresh.groebner().order == ring.order
+        assert fresh.groebner().ring == ring
         assert fresh.groebner().elements == gb.elements
 
 
