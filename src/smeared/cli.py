@@ -27,8 +27,9 @@ Problem file layout::
 
 Queries may be strings (split at spaces, tabs, CR and LF, the parser's
 whitespace; the polynomial argument may itself contain spaces where it is
-the only free-form argument) or arrays.  `format` must be the number 1 and
-`check_radicality`, if given, a JSON boolean.
+the only free-form argument) or arrays.  `format` must be the number 1,
+`check_radicality`, if given, a JSON boolean, and a name outside this
+layout, or a number its float does not hold exactly, is refused.
 All ideal indices, generator indices and point positions in files and result
 documents are 1-based; the Python API is 0-based.
 
@@ -38,19 +39,20 @@ timing fields, the result document is byte-deterministic for a given
 problem file.
 
 Exit codes: 0 success, 1 query error (or failed verification), 2 problem
-file or validation failure.
+file or validation failure, or an unwritable `--out`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import decimal
 import json
 import re
 import sys
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, isfinite
 from typing import Optional, Sequence
 
 from . import __version__
@@ -116,10 +118,36 @@ def _unique_names(pairs: list) -> dict:
     return obj
 
 
+def _exact_float(text: str) -> float:
+    """`parse_float` for `json`: a number is read only if its float's text
+    (`repr`, which a coordinate is read from) has its decimal value, which
+    `Decimal` decides at once, where `Fraction("1e-999999999")` would not."""
+    value = float(text)
+    try:
+        kept = isfinite(value) and decimal.Decimal(text) == decimal.Decimal(repr(value))
+    except decimal.InvalidOperation:  # an exponent past Decimal's range
+        kept = False
+    if not kept:
+        raise ValueError(f"the number {text} would read as {value!r}; write it as a string, such as \"-5/3\" or \"2.5\"")
+    return value
+
+
 def _json(text: str):
-    """The JSON value of `text`, read by the rules of `_no_constant` and
-    `_unique_names`; problem files and result documents both read so."""
-    return json.loads(text, parse_constant=_no_constant, object_pairs_hook=_unique_names)
+    """The JSON value of `text`, read by the rules of `_no_constant`,
+    `_exact_float` and `_unique_names`; problem files and result documents
+    both read so."""
+    return json.loads(text, parse_constant=_no_constant, parse_float=_exact_float, object_pairs_hook=_unique_names)
+
+
+# the names a problem file and its "ring" may give: a misspelled one is refused, not read as missing
+_PROBLEM_FIELDS = ("format", "ring", "ideals", "radical", "check_radicality", "queries")
+_RING_FIELDS = ("variables", "order")
+
+
+def _known_fields(obj: dict, names: tuple, where: str) -> None:
+    odd = sorted(set(obj).difference(names))
+    if odd:
+        raise ProblemFileError(f"unknown field {odd[0]!r} {where}; the fields are {', '.join(names)}")
 
 
 def load_problem(path: str):
@@ -130,17 +158,20 @@ def load_problem(path: str):
     except OSError as e:
         raise ProblemFileError(f"cannot read {path}: {e}") from None
     # besides syntax errors: an integer literal over int()'s digit limit, NaN
-    # or an infinity (`_no_constant`), a repeated name (`_unique_names`),
-    # undecodable bytes, or too deep nesting
+    # or an infinity (`_no_constant`), a number no float holds exactly
+    # (`_exact_float`), a repeated name (`_unique_names`), undecodable bytes,
+    # or too deep nesting
     except (ValueError, RecursionError) as e:
         raise ProblemFileError(f"{path} is not valid JSON: {e}") from None
     # `True == 1` and `1.0 == 1`, so the type is checked first
     if not isinstance(doc, dict) or type(doc.get("format")) is not int or doc["format"] != 1:
         raise ProblemFileError('problem file must carry "format": 1')
+    _known_fields(doc, _PROBLEM_FIELDS, "in the problem file")
 
     ring_doc = doc.get("ring")
     if not isinstance(ring_doc, dict) or not ring_doc.get("variables"):
         raise ProblemFileError('missing ring description {"variables": [...]}')
+    _known_fields(ring_doc, _RING_FIELDS, 'in "ring"')
     variables = ring_doc["variables"]
     # an ASCII identifier is a name of the grammar, [A-Za-z_][A-Za-z_0-9]*
     if not isinstance(variables, list) or not all(
@@ -432,15 +463,22 @@ def _summary(errors: int = 0, results: int = 0, aborted: bool = False) -> dict:
     return {"type": "summary", "ok": errors == 0, "errors": errors, "results": results}
 
 
-def _emit(lines, out_path: Optional[str], human: str) -> None:
+def _emit(lines, out_path: Optional[str], human: str, code: int) -> int:
+    """Write the document and the human summary, and return the run's exit
+    `code`, or 2 when `out_path` cannot be written."""
     text = "\n".join(lines) + "\n"
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {out_path}: {e}", file=sys.stderr)
+            return 2
         print(human)
     else:
         sys.stdout.write(text)
         print(human, file=sys.stderr)
+    return code
 
 
 # the header fields a document must carry to verify; `version` need only be a
@@ -461,8 +499,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
     if not gate["ok"]:
         abort = {"type": "result", "index": 0, "query": "validate", "status": "ok", "payload": gate}
         lines += [_dump(abort), _dump(_summary(aborted=True))]
-        _emit(lines, out_path, f"validation failed: {len(gate['violations'])} violation(s)")
-        return 2
+        return _emit(lines, out_path, f"validation failed: {len(gate['violations'])} violation(s)", 2)
 
     errors = 0
     for qi, raw in enumerate(queries, start=1):
@@ -483,8 +520,7 @@ def run_command(problem_path: str, out_path: Optional[str], strict: bool) -> int
 
     ran = len(lines) - 1
     lines.append(_dump(_summary(errors, ran)))
-    _emit(lines, out_path, f"{ran} result(s), {errors} error(s)")
-    return 0 if errors == 0 else 1
+    return _emit(lines, out_path, f"{ran} result(s), {errors} error(s)", 0 if errors == 0 else 1)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ callers hand out membership certificates over the generators they supplied.
 
 Monomials are packed into one int each (Monagan and Pearce, "Polynomial
 division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007): `width`-bit fields holding, from the top, the order key's weighted
-sums (`monomial_key` is linear) and then the exponents, x_1 highest.  So a
-product is one int addition, int order is monomial order, and `lead | m`
-exactly when `m - lead` leaves every field's top (guard) bit clear, since a
-field that goes negative borrows into its guard bit.  No field exceeds the
+2007): `width`-bit fields holding, from the top, the weighted sums of the
+ring's order key (`PolyRing.key`, which `monomial_key` makes linear) and
+then the exponents, x_1 highest.  So a product is one int addition, int
+order is monomial order, and `lead | m` exactly when `m - lead` leaves
+every field's top (guard) bit clear, since a field that goes negative
+borrows into its guard bit.  No field exceeds the
 total degree, so `divide` starts at the smallest width in 8, 16, 32, ...
 that f and every divisor fit, and starts again at twice the width when a
 new working monomial sets a guard bit (two fields that fit add without a
@@ -29,7 +30,7 @@ The set memoises, per packed monomial its divisions meet, the position of
 the first element whose lead divides it, or n for none of the first n: it
 only appends, so a later division resumes its scan there and picks the
 divisor a full scan would.  Re-packing empties it.  A membership divides
-one f by n bases (`divide_each`): f is packed once per key and width for
+one f by n bases of its ring (`divide_each`): f is packed once per width for
 all n, and each `GroebnerBasis` packs its leads once per width, in its
 lazy `_leads` field.
 
@@ -58,7 +59,6 @@ from .poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    monomial_key,
     sum_of_products,
 )
 
@@ -102,13 +102,17 @@ class DivisionResult:
         return DivisionResult, (*self, self._packed)
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(key, nvars: int, width: int) -> tuple:
-    """(units, guards, decode): e packs to sum(e_i * units[i]), `guards`
-    masks the fields' top bits, and `decode(terms, h)` maps {packed: int}
-    to {exponents: int // h}, reading the exponent fields as bytes."""
+def _layout(ring: PolyRing, width: int) -> tuple:
+    """(units, guards, decode) in `ring`'s order, kept in `ring._layouts`: e packs
+    to sum(e_i * units[i]), `guards` masks the fields' top bits, and
+    `decode(terms, h)` maps {packed: int} to {exponents: int // h}, reading the
+    exponent fields as bytes."""
+    layout = ring._layouts.get(width)
+    if layout is not None:
+        return layout
+    nvars = ring.nvars
     unit = [tuple(int(i == j) for j in range(nvars)) for i in range(nvars)]
-    fields = [e[::-1] + key(e)[::-1] for e in unit]  # lowest field first
+    fields = [e[::-1] + ring.key(e)[::-1] for e in unit]  # lowest field first
     units = tuple(sum(w << (width * k) for k, w in enumerate(col)) for col in fields)
     guards = sum(1 << (width * k + width - 1) for k in range(len(fields[0])))
     low, size, step = (1 << (width * nvars)) - 1, width * nvars // 8, width // 8
@@ -122,19 +126,20 @@ def _layout(key, nvars: int, width: int) -> tuple:
     def decode(terms: dict, h: int) -> dict:
         return {read((m & low).to_bytes(size, "big")): v // h for m, v in terms.items()}
 
-    return units, guards, decode
+    layout = ring._layouts[width] = (units, guards, decode)
+    return layout
 
 
-def _repack(terms: dict, key, nvars: int, width: int, wide: int) -> dict:
+def _repack(terms: dict, ring: PolyRing, width: int, wide: int) -> dict:
     """A map over monomials packed at `width`, packed at `wide`."""
-    return _pack_map(_layout(key, nvars, width)[2](terms, 1), _layout(key, nvars, wide)[0])
+    return _pack_map(_layout(ring, width)[2](terms, 1), _layout(ring, wide)[0])
 
 
-def _widen(entries: list, key, nvars: int, width: int, wide: int) -> list:
+def _widen(entries: list, ring: PolyRing, width: int, wide: int) -> list:
     """Entries (index, [tau, map], num, den) packed at `width`, packed at `wide`."""
     if wide == width:
         return entries
-    return [(k, [tau, _repack(q, key, nvars, width, wide)], num, den) for k, (tau, q), num, den in entries]
+    return [(k, [tau, _repack(q, ring, width, wide)], num, den) for k, (tau, q), num, den in entries]
 
 
 def _pack_map(terms: dict, units: tuple) -> dict:
@@ -147,13 +152,13 @@ def _width(degree: int) -> int:
     return max(8, 1 << degree.bit_length().bit_length())
 
 
-def _packed(d: Polynomial, key, width: int):
-    """d's packed form, memoised on d, or None for d = 0: (key, width, lead,
-    lead coefficient, the other (monomial, coefficient) pairs, content
-    numerator, content denominator).  A wider memo is kept, so a divisor's
-    width only grows."""
+def _packed(d: Polynomial, width: int):
+    """d's packed form in its ring's order, memoised on d, or None for d = 0:
+    (width, lead, lead coefficient, the other (monomial, coefficient) pairs,
+    content numerator, content denominator).  A wider memo is kept, so a
+    divisor's width only grows."""
     memo = getattr(d, "_pack", None)
-    if memo is not None and memo[0] is key and memo[1] >= width:
+    if memo is not None and memo[0] >= width:
         return memo
     ints, content = d.integer_form()
     if not ints:
@@ -161,26 +166,25 @@ def _packed(d: Polynomial, key, width: int):
     degree = max(map(sum, ints))
     if degree >> (width - 1):
         width = _width(degree)
-    units = _layout(key, len(d.ring.variables), width)[0]
-    terms = _pack_map(ints, units)
+    terms = _pack_map(ints, _layout(d.ring, width)[0])
     lead = max(terms)
     lc, tail = terms.pop(lead), tuple(terms.items())
-    memo = (key, width, lead, lc, tail, content.numerator, content.denominator)
+    memo = (width, lead, lc, tail, content.numerator, content.denominator)
     object.__setattr__(d, "_pack", memo)
     return memo
 
 
-def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
+def divide(f, divisors, packed: dict = None) -> DivisionResult:
     """Multivariate division of f by an ordered list of divisors, or by a
-    `GroebnerBasis`'s elements under its order.
+    `GroebnerBasis`'s elements, under their ring's order.
 
     Ties go to the first divisor whose leading monomial divides the current
     working term, so the result is deterministic in the divisor order.  No
     remainder monomial is divisible by any divisor's leading monomial.
 
     Monomials are packed ints (see the module docstring): f is packed on
-    entry, or read from `packed`, a map {(key, width): packed f} shared by
-    the divisions of one f (`divide_each`), and a copy reduced; each
+    entry, or read from `packed`, a map {width: packed f} shared by the
+    divisions of one f (`divide_each`), and a copy reduced; each
     divisor's packed form is memoised on it, and a basis keeps its lead list
     (`GroebnerBasis._packed_leads`).  The remainder is unpacked on exit and
     the quotients on their first read.  Buchberger's loop passes its
@@ -202,7 +206,6 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
     an integer map over its own denominator, raised to a multiple of sigma
     before a term is added (`_lift`), with one gcd pass at the end.
 
-    `key` must come from `monomial_key` (the default is the ring's order).
     The working terms sit in a min-heap of negated packed ints, and a
     monomial is pushed only when it enters the working set.  A popped
     monomial that has already left the set is skipped (lazy deletion); this
@@ -210,28 +213,28 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
     pops, so a popped monomial never comes back.
     """
     if isinstance(divisors, _Divisors):
-        ring, key, (width, terms, num, den), f_content = divisors.ring, divisors.key, f, None
-        while (out := _reduce(dict(terms), divisors.leads, _layout(key, ring.nvars, width)[1], divisors.memo)) is None:
+        ring, (width, terms, num, den), f_content = divisors.ring, f, None
+        while (out := _reduce(dict(terms), divisors.leads, _layout(ring, width)[1], divisors.memo)) is None:
             divisors.widen(2 * width)  # and re-pack the S-polynomial, whose terms fit the old width
-            terms, width = _repack(terms, key, ring.nvars, width, divisors.width), divisors.width
-        layout, packs = _layout(key, ring.nvars, width), divisors.packs
+            terms, width = _repack(terms, ring, width, divisors.width), divisors.width
+        layout, packs = _layout(ring, width), divisors.packs
     else:
         ring = f.ring
         if isinstance(divisors, GroebnerBasis):
-            basis, key, divisors, rings = divisors, divisors.key(), divisors.elements, (divisors.ring,)
+            basis, divisors, rings = divisors, divisors.elements, (divisors.ring,)
         else:
-            basis, key, divisors = None, key or monomial_key(ring.order), list(divisors)
+            basis, divisors = None, list(divisors)
             rings = [d.ring for d in divisors]
         if any(r is not ring and r != ring for r in rings):  # a basis's ring, even with no element
             raise RingMismatchError("divisor from a different ring")
         ints, f_content = f.integer_form()
         width = _width(max(map(sum, ints), default=0))
         while True:
-            width, packs, leads = basis._packed_leads(width) if basis else _pack_all(divisors, key, width)
-            layout = _layout(key, ring.nvars, width)
-            if packed is not None and (key, width) not in packed:
-                packed[key, width] = _pack_map(ints, layout[0])
-            work = _pack_map(ints, layout[0]) if packed is None else dict(packed[key, width])
+            width, packs, leads = basis._packed_leads(width) if basis else _pack_all(divisors, width)
+            layout = _layout(ring, width)
+            if packed is not None and width not in packed:
+                packed[width] = _pack_map(ints, layout[0])
+            work = _pack_map(ints, layout[0]) if packed is None else dict(packed[width])
             out = _reduce(work, leads, layout[1])
             if out is not None:
                 break
@@ -240,7 +243,7 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
 
     (quotients, remainder), decode = out, layout[2]
     # the nonzero quotients alone: a result kept unread holds no empty map
-    found = [(k, q, num * packs[k][6], den * packs[k][5]) for k, q in enumerate(quotients) if q]
+    found = [(k, q, num * packs[k][5], den * packs[k][4]) for k, q in enumerate(quotients) if q]
     if f_content is None:  # Buchberger's set memoises what the division met
         divisors.note(found, remainder)
     result = DivisionResult(
@@ -250,26 +253,26 @@ def divide(f, divisors, key=None, packed: dict = None) -> DivisionResult:
     )
     if VERIFY_DIVISION:  # a packed S-polynomial is decoded for the check
         f = f if f_content is not None else _finish(ring, [1, terms], decode, num, den) if terms else ring.zero()
-        _check_division(f, divisors, key, result)
+        _check_division(f, divisors, result)
     return result
 
 
 def divide_each(f: Polynomial, bases: Iterable) -> Iterator[DivisionResult]:
-    """f's division by each basis in turn, as `GroebnerBasis.divide` gives it,
-    lazily: f is packed once per order key and width for all of them."""
+    """f's division by each basis of its ring in turn, as `GroebnerBasis.divide`
+    gives it, lazily: f is packed once per width for all of them."""
     packed: dict = {}
     return (divide(f, gb, packed=packed) for gb in bases)
 
 
-def _pack_all(divisors, key, width: int) -> tuple:
+def _pack_all(divisors, width: int) -> tuple:
     """(w, packs, leads): every divisor's packed form at w, the smallest width
     from `width` up that fits them and their memos, and the (index, lead, lc,
     tail) of each nonzero one, as `_reduce` reads them."""
-    packs = [_packed(d, key, width) for d in divisors]
-    widest = max([p[1] for p in packs if p is not None], default=width)
+    packs = [_packed(d, width) for d in divisors]
+    widest = max([p[0] for p in packs if p is not None], default=width)
     if widest > width:  # pack every divisor at the widest memo's width
-        return _pack_all(divisors, key, widest)
-    return width, packs, [(k, p[2], p[3], p[4]) for k, p in enumerate(packs) if p is not None]
+        return _pack_all(divisors, widest)
+    return width, packs, [(k, p[1], p[2], p[3]) for k, p in enumerate(packs) if p is not None]
 
 
 def _reduce(work: dict, leads: list, guards: int, memo: dict = None):
@@ -375,11 +378,11 @@ def _combine(entries: list, rows: list, n: int) -> list:
     return [entry for entry in accs if entry[1][1]]
 
 
-def _check_division(f, divisors, key, result):
+def _check_division(f, divisors, result):
     products = [(1, q, d) for q, d in zip(result.quotients, divisors)]
     if sum_of_products(f.ring, products + [(1, result.remainder, f.ring.one())]) != f:
         raise RuntimeError("division identity violated")
-    leads = [d.leading_monomial(key) for d in divisors if not d.is_zero()]
+    leads = [d.leading_monomial() for d in divisors if not d.is_zero()]
     for m in result.remainder.terms:
         if any(mono_divides(lm, m) for lm in leads):
             raise RuntimeError("reducible remainder")
@@ -408,7 +411,7 @@ class GroebnerBasis:
         if memo is None:
             ring, gens = self.ring, self.generators
             width, rows = self._packed_rows(0)
-            decode = _layout(self.key(), ring.nvars, width)[2]
+            decode = _layout(ring, width)[2]
             memo = tuple(_decode_quotients(ring, decode, len(gens), row) for row in rows)
             if VERIFY_DIVISION:
                 for g, row in zip(self.elements, memo):
@@ -417,15 +420,11 @@ class GroebnerBasis:
             object.__setattr__(self, "_transform", memo)
         return memo
 
-    def key(self):
-        return monomial_key(self.ring.order)
-
     def is_zero_ideal(self) -> bool:
         return not self.elements
 
     def leading_monomials(self) -> tuple:
-        key = self.key()
-        return tuple(g.leading_monomial(key) for g in self.elements)
+        return tuple(g.leading_monomial() for g in self.elements)
 
     def pure_powers(self) -> list:
         """Per variable x_j, the e with x_j^e a leading monomial (a reduced
@@ -446,7 +445,7 @@ class GroebnerBasis:
         if memo is None:
             object.__setattr__(self, "_leads", memo := {})
         if width not in memo:
-            memo[width] = _pack_all(self.elements, self.key(), width)
+            memo[width] = _pack_all(self.elements, width)
         return memo[width]
 
     def normal_form(self, f: Polynomial) -> Polynomial:
@@ -465,11 +464,11 @@ class GroebnerBasis:
         c[t] = sum(q[k] * T[k][t]) over the packed transform T, summed by
         `_combine` from the division's packed quotients, never decoded, each
         re-packed at the rows' width if that is wider (`_packed_rows`)."""
-        ring, key, n = self.ring, self.key(), len(self.generators)
+        ring, n = self.ring, len(self.generators)
         width, found = division._packed
         wide, rows = self._packed_rows(width)
-        found = _widen(found, key, ring.nvars, width, wide)
-        cofactors = _decode_quotients(ring, _layout(key, ring.nvars, wide)[2], n, _combine(found, rows, n))
+        found = _widen(found, ring, width, wide)
+        cofactors = _decode_quotients(ring, _layout(ring, wide)[2], n, _combine(found, rows, n))
         if VERIFY_DIVISION:
             lifted = sum_of_products(ring, [(1, c, g) for c, g in zip(cofactors, self.generators)])
             if lifted != sum_of_products(ring, [(1, q, g) for q, g in zip(division.quotients, self.elements)]):
@@ -486,7 +485,7 @@ class GroebnerBasis:
             object.__setattr__(self, "steps", None)  # the record is spent
         base, rows = memo
         if width > base and width not in rows:
-            rows[width] = [_widen(row, self.key(), self.ring.nvars, base, width) for row in rows[base]]
+            rows[width] = [_widen(row, self.ring, base, width) for row in rows[base]]
         return max(width, base), rows[max(width, base)]
 
 
@@ -521,7 +520,6 @@ def groebner_basis(generators: Iterable[Polynomial], ring: Optional[PolyRing] = 
     for g in gens:
         if g.ring != ring:
             raise RingMismatchError("generators from different rings")
-    key = monomial_key(ring.order)
 
     # generators enter as they are (scaling an element scales its quotients
     # and its row inversely), so a generator's packed divisor form carries
@@ -536,13 +534,13 @@ def groebner_basis(generators: Iterable[Polynomial], ring: Optional[PolyRing] = 
     heap: list = []  # (degree, packed lcm, i, j, lcm) of each pair still to reduce
     active: list = []  # elements whose lead no later lead divides
     width = 8
-    units, guards = _layout(key, ring.nvars, width)[:2]
+    units, guards = _layout(ring, width)[:2]
 
     def update(lm: tuple) -> None:
         nonlocal width, units, guards
         if 2 * sum(lm) >> (width - 1):
             width = _width(2 * sum(lm))
-            units, guards = _layout(key, ring.nvars, width)[:2]
+            units, guards = _layout(ring, width)[:2]
             leads[:] = [(m, sum(map(mul, m, units)), b) for m, _, b in leads]
             heap[:] = [(d, sum(map(mul, m, units)), i, j, m) for d, _, i, j, m in heap]
         h, lead = len(leads), sum(map(mul, lm, units))
@@ -575,24 +573,24 @@ def groebner_basis(generators: Iterable[Polynomial], ring: Optional[PolyRing] = 
         leads.append((lm, lead, bits))
 
     for p in polys:
-        update(p.leading_monomial(key))
-    polys = _Divisors(ring, key, polys) if heap else polys  # packed only if a pair is to be reduced
+        update(p.leading_monomial())
+    polys = _Divisors(ring, polys) if heap else polys  # packed only if a pair is to be reduced
 
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         mi, mj = mono_div(lcm, leads[i][0]), mono_div(lcm, leads[j][0])
-        res = divide(polys.spoly(i, j, mi, mj), polys, key)
+        res = divide(polys.spoly(i, j, mi, mj), polys)
         r = res.remainder
         if r.is_zero():
             continue
         prim, c = polys.adopt(r)
-        lc_i, lc_j = polys[i].leading_coefficient(key), polys[j].leading_coefficient(key)
+        lc_i, lc_j = polys[i].leading_coefficient(), polys[j].leading_coefficient()
         spairs.append((i, j, mi, mj, lc_i, lc_j, c, res._packed))
         if prim.is_constant():
             break
-        update(prim.leading_monomial(key))
+        update(prim.leading_monomial())
 
-    basis, reduction = _reduce_basis(polys, key)
+    basis, reduction = _reduce_basis(polys)
     return GroebnerBasis(ring, tuple(basis), tuple(gens), (sources, spairs, reduction))
 
 
@@ -601,14 +599,14 @@ class _Divisors(list):
     `divide` takes as they are, leaving a nonzero remainder's map in `rest`,
     and the first-divisor `memo` (see the module docstring) that `widen` empties."""
 
-    def __init__(self, ring: PolyRing, key, polys: list):
+    def __init__(self, ring: PolyRing, polys: list):
         super().__init__(polys)
-        self.ring, self.key, self.rest = ring, key, None
+        self.ring, self.rest = ring, None
         self.widen(8)
 
     def widen(self, width: int) -> None:
         # a memo (a generator's) or a degree may be wider: `_pack_all` packs all there
-        self.width, self.packs, self.leads = _pack_all(self, self.key, width)
+        self.width, self.packs, self.leads = _pack_all(self, width)
         self.memo = {}
 
     def note(self, found: list, remainder: list) -> None:
@@ -624,7 +622,7 @@ class _Divisors(list):
     def spoly(self, i: int, j: int, mi: tuple, mj: tuple) -> tuple:
         """(b/g) * x^mi * P - (a/g) * x^mj * Q over a*b/g, packed P, Q with leads a, b cancelled,
         g = gcd(a, b): (width, primitive map, positive content's numerator, denominator)."""
-        units, guards = _layout(self.key, self.ring.nvars, self.width)[:2]
+        units, guards = _layout(self.ring, self.width)[:2]
         (*_, a, P, _, _), (*_, b, Q, _, _) = self.packs[i], self.packs[j]
         sa, sb, si, sj = b // (g := gcd(a, b)), a // g, sum(map(mul, mi, units)), sum(map(mul, mj, units))
         out = {si + m: sa * v for m, v in P}
@@ -642,21 +640,21 @@ class _Divisors(list):
         """Append r's primitive part p with `rest`, made primitive, as its packed form: (p, c), r = c * p.
         A constant p ends the loop, and is not packed."""
         (width, terms), self.rest = self.rest, None
-        key, lead, h = self.key, max(terms), gcd(*terms.values())
-        lm = next(iter(_layout(key, self.ring.nvars, width)[2]({lead: 1}, 1)))
+        lead, h = max(terms), gcd(*terms.values())
+        lm = next(iter(_layout(self.ring, width)[2]({lead: 1}, 1)))
         ints, cr = r.integer_form()  # r's lead, which `primitive_part` reads, is the packed one
-        object.__setattr__(r, "_lead", (key, (lm, Fraction(ints[lm] * cr.numerator, cr.denominator))))
+        object.__setattr__(r, "_lead", (lm, Fraction(ints[lm] * cr.numerator, cr.denominator)))
         prim, c = r.primitive_part()  # signs by that lead
         self.append(prim)
         if not lead:  # the packed monomial 1
             return prim, c
         lc = terms.pop(lead) // (h := h if c > 0 else -h)
-        object.__setattr__(prim, "_lead", (key, (lm, Fraction(lc))))
-        memo = (key, width, lead, lc, tuple([(m, v // h) for m, v in terms.items()]), 1, 1)
+        object.__setattr__(prim, "_lead", (lm, Fraction(lc)))
+        memo = (width, lead, lc, tuple([(m, v // h) for m, v in terms.items()]), 1, 1)
         object.__setattr__(prim, "_pack", memo)
         if VERIFY_DIVISION:
             _check_packed(prim, memo)
-        self.leads.append((len(self) - 1, lead, lc, memo[4]))
+        self.leads.append((len(self) - 1, lead, lc, memo[3]))
         self.packs.append(memo)
         return prim, c
 
@@ -664,26 +662,26 @@ class _Divisors(list):
 def _check_packed(p: Polynomial, memo: tuple) -> None:
     # the form (and lead) p's stored pair gives at the memo's width, which each field fits (a
     # remainder's may fit one below its total degree's): primitive over a positive content
-    key, width, lead, lc, tail, num, den = memo
+    (width, lead, lc, tail, num, den), key = memo, p.ring.key
     ints, content = p.integer_form()
-    terms = _pack_map(ints, _layout(key, p.ring.nvars, width)[0])
+    terms = _pack_map(ints, _layout(p.ring, width)[0])
     if terms != {lead: lc, **dict(tail)} or max(terms) != lead or gcd(*terms.values()) != 1:
         raise RuntimeError("packed form differs from its element, or is not primitive")
     overflows = any(v >> (width - 1) for m in ints for v in key(m) + m)
-    if overflows or Fraction(num, den) != content or max(ints, key=key) != p.leading_monomial(key):
+    if overflows or Fraction(num, den) != content or max(ints, key=key) != p.leading_monomial():
         raise RuntimeError("packed form overflows its width, or has another content or lead")
 
 
-def _reduce_basis(polys, key):
+def _reduce_basis(polys):
     """Minimal, interreduced, monic basis sorted largest lead first, and the
     record `_replay` reads: the indices of the kept elements, each one's
     tail division's packed quotients and leading coefficient, smallest
     (distinct) lead first."""
-    order_idx = sorted(range(len(polys)), key=lambda i: key(polys[i].leading_monomial(key)))
+    leads = [p.leading_monomial() for p in polys]
+    order_idx = sorted(range(len(polys)), key=lambda i: polys[i].ring.key(leads[i]))
     kept_idx: list = []
     for i in order_idx:
-        lm = polys[i].leading_monomial(key)
-        if not any(mono_divides(polys[k].leading_monomial(key), lm) for k in kept_idx):
+        if not any(mono_divides(leads[k], leads[i]) for k in kept_idx):
             kept_idx.append(i)
     kept = [polys[i] for i in kept_idx]
 
@@ -691,11 +689,11 @@ def _reduce_basis(polys, key):
     # so each element's lead survives and one sweep lands on the reduced form)
     tails: list = []
     for idx in range(len(kept)):
-        res = divide(kept[idx], kept[:idx] + kept[idx + 1 :], key)
+        res = divide(kept[idx], kept[:idx] + kept[idx + 1 :])
         kept[idx] = res.remainder
         tails.append(res._packed)
 
-    lcs = [p.leading_coefficient(key) for p in kept]
+    lcs = [p.leading_coefficient() for p in kept]
     kept = [p.scale(1 / lc) for p, lc in zip(kept, lcs)]
     return kept[::-1], (kept_idx, tails, lcs)
 
@@ -710,12 +708,12 @@ def _replay(gb: GroebnerBasis) -> tuple:
     if steps is None:  # a racing reader built the memo, then dropped the record
         return gb._rows
     sources, spairs, (kept_idx, tails, lcs) = steps
-    key, nvars, n = gb.key(), gb.ring.nvars, len(gb.generators)
+    ring, n = gb.ring, len(gb.generators)
     recorded = [step[-1] for step in spairs] + tails
     width = max((w for w, _ in recorded), default=8)
     while True:
-        units, guards = _layout(key, nvars, width)[:2]
-        found = [_widen(q, key, nvars, w, width) for w, q in recorded]
+        units, guards = _layout(ring, width)[:2]
+        found = [_widen(q, ring, w, width) for w, q in recorded]
         made = [[(i, [1, {0: 1}], 1, 1)] for i in sources]
         for (i, j, mi, mj, lc_i, lc_j, c, _), q in zip(spairs, found):
             # the S-polynomial's row less the quotients' rows, over c

@@ -212,19 +212,24 @@ class PolyRing:
     """Polynomial ring QQ[variables] and the order of every basis in it: grevlex,
     lex, or (in the ring `Ideal.eliminate` builds) a block `EliminationOrder`.
 
-    `_monomials`, the monomial table of at most `_MONOMIAL_TABLE_SIZE`
-    entries, maps monomial texts `_read_flat` has read (``x^4*y^3*z``) to
-    exponent tuples, and tuples `__str__` has spelled back to text; `_keys`,
-    as bounded, holds the order keys `__str__` sorts by.  Equality, hashing,
-    `repr`, pickling and copies ignore both, so every ring starts cold.  An entry
-    is a pure function of its key, so racing threads at worst store one twice, or
-    pass the bound by one entry (`_keys`: one polynomial's) each.
+    `key` is the order's sort key (`monomial_key`), which division, leading
+    terms and packing read.  `_monomials`, the monomial table of at most
+    `_MONOMIAL_TABLE_SIZE` entries, maps monomial texts `_read_flat` has read
+    (``x^4*y^3*z``) to exponent tuples, and tuples `__str__` has spelled back
+    to text; `_keys`, as bounded, holds the order keys `__str__` sorts by; and
+    `_layouts` the packed-monomial layouts `groebner` builds, one per field
+    width.  Equality, hashing, `repr`, pickling and copies ignore all four,
+    which derive from `order` or start cold.  An entry is a pure function of its
+    key, so racing threads at worst store one twice, or pass the bound by one
+    entry (`_keys`: one polynomial's) each.
     """
 
     variables: tuple
     order: object = GREVLEX
+    key: object = field(init=False, repr=False, compare=False)
     _monomials: dict = field(init=False, repr=False, compare=False)
     _keys: dict = field(init=False, repr=False, compare=False)
+    _layouts: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.variables:
@@ -235,31 +240,33 @@ class PolyRing:
         if not (block or self.order in (GREVLEX, LEX)):
             raise ValueError(f"no monomial order {self.order!r} on {len(self.variables)} variables")
         object.__setattr__(self, "variables", tuple(self.variables))
+        object.__setattr__(self, "key", monomial_key(self.order))
         one = (0,) * len(self.variables)
         object.__setattr__(self, "_monomials", {"": one, one: ""})
         object.__setattr__(self, "_keys", {})
+        object.__setattr__(self, "_layouts", {})
 
     def __reduce__(self):
         return (PolyRing, (self.variables, self.order))
 
-    def _monomial(self, key):
-        """The monomial table's entry for `key`: the exponent tuple of a flat
+    def _monomial(self, m):
+        """The monomial table's entry for `m`: the exponent tuple of a flat
         monomial text (``x^4*y^3*z``; None if a name is no variable), or the
         text of an exponent tuple as `Polynomial.__str__` writes it."""
-        value = self._monomials.get(key)
+        value = self._monomials.get(m)
         if value is None:
-            if isinstance(key, str):
+            if isinstance(m, str):
                 expo = [0] * self.nvars
-                for factor in key.split("*"):
+                for factor in m.split("*"):
                     name, _, e = factor.partition("^")
                     if name not in self.variables:
                         return None
                     expo[self.variables.index(name)] += int(e) if e else 1
                 value = tuple(expo)
             else:
-                value = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, key) if e)
+                value = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(self.variables, m) if e)
             if len(self._monomials) < _MONOMIAL_TABLE_SIZE:
-                self._monomials[key] = value
+                self._monomials[m] = value
         return value
 
     def _descending(self, monos) -> list:
@@ -267,7 +274,7 @@ class PolyRing:
         try:
             return sorted(monos, key=self._keys.__getitem__, reverse=True)
         except KeyError:
-            new = dict(zip(monos, map(monomial_key(self.order), monos)))
+            new = dict(zip(monos, map(self.key, monos)))
             self._keys.update(itertools.islice(new.items(), _MONOMIAL_TABLE_SIZE - len(self._keys)))
             return sorted(monos, key=new.__getitem__, reverse=True)
 
@@ -322,11 +329,11 @@ class Polynomial:
 
     `terms` is a read-only `{monomial: Fraction}` view of the pair that
     builds each coefficient when it is read, so no second map is kept.
-    Three fields are filled lazily: `_hash`, `_lead` (the last leading term,
-    tagged with its key function) and `_pack` (the last packed divisor form
-    `groebner.divide` built, tagged with its key and field width; left unset
-    until then, so building a polynomial costs no extra store).  Each is a
-    pure function of the stored pair, so filling it is idempotent and
+    Three fields are filled lazily: `_hash`, `_lead` (the leading term under
+    the ring's order) and `_pack` (the widest packed divisor form
+    `groebner.divide` built, tagged with its field width; left unset until
+    then, so building a polynomial costs no extra store).  Each is a pure
+    function of the stored pair and the ring, so filling it is idempotent and
     sharing values across threads stays safe.
     """
 
@@ -407,30 +414,23 @@ class Polynomial:
                     used.add(i)
         return frozenset(used)
 
-    def leading_term(self, key=None) -> tuple:
-        """(monomial, coefficient) maximal under the ring order (or `key`).
-
-        Memoised for the last key asked, which is compared by identity: the
-        keys from `monomial_key` are cached, so repeated calls hit the memo.
-        """
-        if key is None:
-            key = monomial_key(self.ring.order)
-        memo = self._lead
-        if memo is not None and memo[0] is key:
-            return memo[1]
-        ints, c = self._form
-        if not ints:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(ints, key=key)
-        lt = (m, Fraction(ints[m] * c.numerator, c.denominator))
-        object.__setattr__(self, "_lead", (key, lt))
+    def leading_term(self) -> tuple:
+        """(monomial, coefficient) maximal under the ring's order, memoised."""
+        lt = self._lead
+        if lt is None:
+            ints, c = self._form
+            if not ints:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(ints, key=self.ring.key)
+            lt = (m, Fraction(ints[m] * c.numerator, c.denominator))
+            object.__setattr__(self, "_lead", lt)
         return lt
 
-    def leading_monomial(self, key=None) -> Monomial:
-        return self.leading_term(key)[0]
+    def leading_monomial(self) -> Monomial:
+        return self.leading_term()[0]
 
-    def leading_coefficient(self, key=None) -> Fraction:
-        return self.leading_term(key)[1]
+    def leading_coefficient(self) -> Fraction:
+        return self.leading_term()[1]
 
     # -- arithmetic
 

@@ -288,7 +288,8 @@ class ConstancyReport:
 
 
 def _radicality_candidates(ideal: Ideal):
-    """Monomials properly dividing a generator's leading monomial.
+    """Monomials properly dividing a generator's grevlex leading monomial,
+    whatever the ring's order (which leaves the ring's lead memo alone).
 
     Spot-check fodder where `jacobian_criterion` proves nothing: if such a
     monomial lies in the radical but not in the ideal, the ideal is certainly
@@ -299,7 +300,7 @@ def _radicality_candidates(ideal: Ideal):
     for g in ideal.generators:
         if g.is_zero():
             continue
-        lm = g.leading_monomial(monomial_key(GREVLEX))
+        lm = max(g.integer_form()[0], key=monomial_key(GREVLEX))
         for cand in itertools.product(*(range(e + 1) for e in lm)):
             if cand == lm or sum(cand) == 0 or cand in seen:
                 continue

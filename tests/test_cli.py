@@ -285,6 +285,49 @@ def test_problem_field_of_wrong_type_exits_2(tmp_path, capsys, field, value, mes
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "edit, name",
+    [
+        (lambda doc: doc.update(check_radicallity=True), "'check_radicallity' in the problem file"),
+        (lambda doc: doc["ring"].update(ordr="lex"), "'ordr' in \"ring\""),
+    ],
+    ids=["top", "ring"],
+)
+def test_problem_file_with_an_unknown_field_exits_2(tmp_path, capsys, edit, name):
+    # a misspelled field was read as missing: (x^2) ran as radical unchecked,
+    # and the ring as grevlex
+    doc = {"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["x^2"], ["x - 1"]], "queries": ["verdict"]}
+    edit(doc)
+    assert main(["run", str(write_problem(tmp_path, doc))]) == 2
+    assert f"unknown field {name}" in capsys.readouterr().err
+
+
+def test_numbers_no_float_holds_exit_2(tmp_path, capsys):
+    # `json` read 0.10000000000000000001 as 0.1, so (10*x - 1) and (x - 1)
+    # answered the locus query at x = 1/10; as a string it stays exact
+    doc = {"format": 1, "ring": {"variables": ["x", "y"]}, "ideals": [["10*x - 1"], ["x - 1"]]}
+    for number, value in [
+        ("0.10000000000000000001", "0.1"),
+        ("1e-999999999", "0.0"),
+        ("1e-9999999999999999999999", "0.0"),  # past Decimal's exponents
+        ("1e999", "inf"),
+    ]:
+        path = tmp_path / "lossy.json"
+        path.write_text(json.dumps(doc)[:-1] + f', "queries": [["locus", {number}, 0]]}}')
+        assert main(["run", str(path)]) == 2
+        assert f"the number {number} would read as {value}; write it as a string" in capsys.readouterr().err
+    rc, lines, _, _ = run_to_file(tmp_path, dict(doc, queries=[["locus", "0.10000000000000000001", "0"]]))
+    assert rc == 0 and payload_of(lines, 1)["payload"]["in_locus"] is True
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    # a directory or a missing parent raised a traceback, exit 1, after every query had run
+    problem = str(write_problem(tmp_path, THREE_LINES))
+    for out in (tmp_path, tmp_path / "missing" / "out.jsonl"):
+        assert main(["run", problem, "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+
+
 def test_query_error_exits_1_and_batch_continues(tmp_path):
     doc = dict(THREE_LINES)
     doc["queries"] = [

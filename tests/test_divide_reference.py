@@ -29,12 +29,13 @@ from hypothesis import strategies as st
 import smeared.groebner as groebner
 from smeared import PolyRing, Polynomial, groebner_basis
 from smeared.groebner import divide
-from smeared.poly import EliminationOrder, mono_div, mono_divides, monomial_key, sum_of_products
+from smeared.poly import EliminationOrder, mono_div, mono_divides, sum_of_products
 
 
-def reference_divide(f, divisors, key):
-    """(quotients, remainder) of the tuple-monomial integer reducer."""
-    ring = f.ring
+def reference_divide(f, divisors):
+    """(quotients, remainder) of the tuple-monomial integer reducer, under
+    the ring's order."""
+    ring, key = f.ring, f.ring.key
 
     def descending(m):
         return tuple(-w for w in key(m))
@@ -44,7 +45,7 @@ def reference_divide(f, divisors, key):
         if d.is_zero():
             leads.append(None)
             continue
-        lm = d.leading_monomial(key)
+        lm = d.leading_monomial()
         ints, content = d.integer_form()
         leads.append((lm, ints[lm], ints.items(), content))
     quotients = [[1, {}] for _ in divisors]
@@ -121,16 +122,15 @@ def _finish(ring, acc, num, den=Fraction(1)):
 
 
 R2, R3 = PolyRing(("x", "y")), PolyRing(("x", "y", "z"))
-ORDERS = {
-    "grevlex": monomial_key("grevlex"),
-    "lex": monomial_key("lex"),
-    "elimination": monomial_key(EliminationOrder((2, 0), 3)),
-}
+ORDERS = {"grevlex": "grevlex", "lex": "lex", "elimination": EliminationOrder((2, 0), 3)}
 
 
-def assert_agrees(f, divisors, key):
-    res = divide(f, divisors, key)
-    quotients, remainder = reference_divide(f, divisors, key)
+def assert_agrees(f, divisors, order):
+    """`divide` and `reference_divide` agree on f and the divisors, moved
+    into a ring of their variables under `order`."""
+    f, *divisors = in_order([f, *divisors], order)
+    res = divide(f, divisors)
+    quotients, remainder = reference_divide(f, divisors)
     assert list(res.quotients) == quotients
     assert res.remainder == remainder
     assert [str(q) for q in res.quotients] == [str(q) for q in quotients]
@@ -157,28 +157,26 @@ def random_poly(rng, deg, nterms, scale=1):
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_divide_matches_reference(order):
-    key = ORDERS[order]
     rng = random.Random(61)
     for trial in range(40):
         f = random_poly(rng, 6, rng.randint(0, 12))
         divisors = [random_poly(rng, 3, rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
         if trial % 5 == 0:
             divisors.insert(rng.randint(0, len(divisors)), R3.zero())
-        assert_agrees(f, divisors, key)
+        assert_agrees(f, divisors, ORDERS[order])
 
 
 @pytest.mark.parametrize("order", sorted(ORDERS))
 def test_divide_matches_reference_past_the_first_field_width(order):
     # exponents of tens of thousands need 32-bit fields; scaling every
     # exponent keeps the divisibility pattern of the small cases
-    key = ORDERS[order]
     rng = random.Random(67)
     for _ in range(10):
         f = random_poly(rng, 5, 8, scale=20000)
         divisors = [random_poly(rng, 2, 3, scale=20000) for _ in range(2)]
-        assert_agrees(f, divisors, key)
+        assert_agrees(f, divisors, ORDERS[order])
     x, y = R3.var("x"), R3.var("y")
-    res = assert_agrees(x**70000 * y + y**3, [x**69999 - 1, y**2 - x], key)
+    res = assert_agrees(x**70000 * y + y**3, [x**69999 - 1, y**2 - x], ORDERS[order])
     assert res.remainder.degree() < 70000
 
 
@@ -186,7 +184,7 @@ def test_exponents_past_64_bit_fields():
     x, y = R3.var("x"), R3.var("y")
     e = 2**64
     res = assert_agrees(R3.monomial((e + 3, 1, 0)) + y, [R3.monomial((e, 0, 0)) - y], ORDERS["lex"])
-    assert res.remainder == R3.monomial((3, 2, 0)) + y
+    assert res.remainder == in_order([R3.monomial((3, 2, 0)) + y], "lex")[0]
 
 
 @pytest.mark.parametrize("k, widens", [(40, False), (70, True), (300, False), (20000, True)])
@@ -203,9 +201,9 @@ def test_lex_growth_takes_the_widening_path(k, widens, monkeypatch):
         return out
 
     monkeypatch.setattr(groebner, "_reduce", recording_reduce)
-    R2 = PolyRing(("x", "y"))
-    x, y = R2.var("x"), R2.var("y")
-    res = divide(x**k, [x - y**2], monomial_key("lex"))
+    L2 = PolyRing(("x", "y"), "lex")
+    x, y = L2.var("x"), L2.var("y")
+    res = divide(x**k, [x - y**2])
     assert res.remainder == y ** (2 * k)
     assert res.quotients[0] * (x - y**2) + res.remainder == x**k
     assert any(overflows) == widens
@@ -220,34 +218,32 @@ def test_divide_uses_no_tuple_lead_test(monkeypatch):
 
     monkeypatch.setattr(groebner, "mono_divides", forbidden)
     rng = random.Random(71)
-    for key in ORDERS.values():
-        f = random_poly(rng, 6, 10)
-        divide(f, [random_poly(rng, 3, 3) for _ in range(3)], key)
+    for order in ORDERS.values():
+        f, *divisors = in_order([random_poly(rng, 6, 10)] + [random_poly(rng, 3, 3) for _ in range(3)], order)
+        divide(f, divisors)
 
 
 def test_packed_order_is_the_monomial_order():
     monos = sorted({tuple(random.Random(i).choices(range(200), k=3)) for i in range(300)})
-    for key in ORDERS.values():
-        units = groebner._layout(key, 3, 16)[0]
+    for order in ORDERS.values():
+        ring = PolyRing(R3.variables, order)
+        units = groebner._layout(ring, 16)[0]
         packed = {sum(e * u for e, u in zip(m, units)): m for m in monos}
-        assert [packed[p] for p in sorted(packed)] == sorted(monos, key=key)
+        assert [packed[p] for p in sorted(packed)] == sorted(monos, key=ring.key)
 
 
 def test_divisor_memo_is_reused_and_only_widens():
-    key = ORDERS["grevlex"]
     x, y = R3.var("x"), R3.var("y")
     d = x**2 - y
-    divide(x**5, [d], key)
+    divide(x**5, [d])
     memo = d._pack
-    assert memo[0] is key and memo[1] == 8
-    divide(x**7 * y, [d], key)
+    assert memo[0] == 8
+    divide(x**7 * y, [d])
     assert d._pack is memo
-    divide(x**300, [d], key)  # f needs 16-bit fields
-    assert d._pack[1] == 16
-    divide(x**5, [d], key)
-    assert d._pack[1] == 16
-    divide(x**5, [d], ORDERS["lex"])
-    assert d._pack[0] is ORDERS["lex"]
+    divide(x**300, [d])  # f needs 16-bit fields
+    assert d._pack[0] == 16
+    divide(x**5, [d])
+    assert d._pack[0] == 16
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
@@ -300,9 +296,9 @@ def test_katsura4_spair_reductions_are_pinned(track, monkeypatch):
     calls = []
     real_divide = groebner.divide
 
-    def counting_divide(f, divisors, key=None):
+    def counting_divide(f, divisors, packed=None):
         calls.append(len(divisors))
-        return real_divide(f, divisors, key)
+        return real_divide(f, divisors, packed)
 
     monkeypatch.setattr(groebner, "divide", counting_divide)
     gb = groebner_basis(katsura4())
@@ -332,7 +328,7 @@ def test_cyclic5_spair_reductions_are_pinned(monkeypatch):
     # under the Gebauer-Moeller update on packed leads, as on tuple leads
     calls = []
     real_divide = groebner.divide
-    monkeypatch.setattr(groebner, "divide", lambda f, ds, key=None: calls.append(f) or real_divide(f, ds, key))
+    monkeypatch.setattr(groebner, "divide", lambda f, ds, packed=None: calls.append(f) or real_divide(f, ds, packed))
     gb = groebner_basis(cyclic5())
     assert len(gb.elements) == 20
     assert len(calls) - len(gb.elements) == 107
@@ -377,16 +373,15 @@ def test_tracer_counts_the_loop_divisions(make, reductions, zero, calls, steps):
 def test_every_spair_of_the_basis_reduces_to_zero(order):
     # Buchberger's criterion on the output checks the pair pruning
     rng = random.Random(73)
-    key = monomial_key(order)
     for _ in range(12):
         gens = in_order([random_poly(rng, 2, rng.randint(2, 3)) for _ in range(3)], order)
         els = groebner_basis(gens).elements
         for i in range(len(els)):
             for j in range(i + 1, len(els)):
-                (li, ci), (lj, cj) = els[i].leading_term(key), els[j].leading_term(key)
+                (li, ci), (lj, cj) = els[i].leading_term(), els[j].leading_term()
                 lcm = tuple(map(max, li, lj))
                 s = els[i].mul_term(mono_div(lcm, li), 1 / ci) - els[j].mul_term(mono_div(lcm, lj), 1 / cj)
-                assert divide(s, els, key).remainder.is_zero()
+                assert divide(s, els).remainder.is_zero()
 
 
 def read_dividend(f, divisors):
@@ -396,15 +391,15 @@ def read_dividend(f, divisors):
     if not isinstance(divisors, groebner._Divisors):
         return f
     width, terms, num, den = f
-    decode = groebner._layout(divisors.key, divisors.ring.nvars, width)[2]
+    decode = groebner._layout(divisors.ring, width)[2]
     return Polynomial(divisors.ring, {m: Fraction(v * num, den) for m, v in decode(terms, 1).items()})
 
 
-def reference_spolys(gens, key):
+def reference_spolys(gens):
     """The S-polynomials Buchberger's loop reduces, in order, when its
     Gebauer-Moeller update works on tuple leads, as it did before the leads
     were packed: textbook S-polynomials, `mono_divides` and tuple lcms."""
-    polys = [g for g in gens if not g.is_zero()]
+    polys, key = [g for g in gens if not g.is_zero()], gens[0].ring.key
     leads, heap, active, out = [], [], [], []
 
     def coprime(a, b):
@@ -429,20 +424,20 @@ def reference_spolys(gens, key):
         active[:] = [g for g in active if not mono_divides(lm, leads[g])] + [h]
 
     for p in polys:
-        leads.append(p.leading_monomial(key))
+        leads.append(p.leading_monomial())
         update(len(leads) - 1)
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
-        (li, ci), (lj, cj) = polys[i].leading_term(key), polys[j].leading_term(key)
+        (li, ci), (lj, cj) = polys[i].leading_term(), polys[j].leading_term()
         s = polys[i].mul_term(mono_div(lcm, li), 1 / ci) - polys[j].mul_term(mono_div(lcm, lj), 1 / cj)
         out.append(s)
-        r = divide(s, polys, key).remainder
+        r = divide(s, polys).remainder
         if r.is_zero():
             continue
         polys.append(r.primitive_part()[0])
         if polys[-1].is_constant():
             break
-        leads.append(polys[-1].leading_monomial(key))
+        leads.append(polys[-1].leading_monomial())
         update(len(leads) - 1)
     return out
 
@@ -496,10 +491,10 @@ def widening_log(monkeypatch) -> list:
     log = []
     real_widen, real_divide = groebner._Divisors.widen, groebner.divide
 
-    def divide(f, divisors, key=None):
+    def divide(f, divisors, packed=None):
         if isinstance(divisors, groebner._Divisors):
             log.append(("spoly", f[0]))
-        return real_divide(f, divisors, key)
+        return real_divide(f, divisors, packed)
 
     monkeypatch.setattr(groebner._Divisors, "widen", lambda ds, w: log.append(("widen", w)) or real_widen(ds, w))
     monkeypatch.setattr(groebner, "divide", divide)
@@ -520,16 +515,16 @@ def checked_loop(monkeypatch) -> list:
         log.append(("widen", len(getattr(ds, "memo", ()))))
         return real_widen(ds, width)
 
-    def divide(f, ds, key=None):
+    def divide(f, ds, packed=None):
         if not isinstance(ds, groebner._Divisors):
-            return real_divide(f, ds, key)
+            return real_divide(f, ds, packed)
         dividend, before = read_dividend(f, ds), dict(ds.memo)
         log.append(("divide", len(before)))
-        res = real_divide(f, ds, key)
-        quotients, remainder = reference_divide(dividend, list(ds), ds.key)
+        res = real_divide(f, ds, packed)
+        quotients, remainder = reference_divide(dividend, list(ds))
         assert list(res.quotients) == quotients and res.remainder == remainder
-        units, guards, decode = groebner._layout(ds.key, ds.ring.nvars, ds.width)
-        leads = [d.leading_monomial(ds.key) for d in ds]
+        units, guards, decode = groebner._layout(ds.ring, ds.width)
+        leads = [d.leading_monomial() for d in ds]
         for m, k in ds.memo.items():
             (e,) = decode({m: 1}, 1)
             assert not m & guards and sum(map(mul, e, units)) == m
@@ -628,13 +623,12 @@ def test_packed_pair_update_reduces_the_reference_spolys(order, monkeypatch):
     cases.append([random_poly(rng, 2, 3) for _ in range(3)] + [random_poly(rng, 2, 3, scale=40)])
     cases += [katsura4(), cyclic5()] if order == "grevlex" else [lex_tower()] if order == "lex" else []
     cases = [in_order(gens, order) for gens in cases]
-    key = monomial_key(order)
-    wants = [reference_spolys(gens, key) for gens in cases]
+    wants = [reference_spolys(gens) for gens in cases]
     real_divide = groebner.divide
     for gens, want in zip(cases, wants):
         calls = []
         monkeypatch.setattr(
-            groebner, "divide", lambda f, ds, k=None: calls.append(read_dividend(f, ds)) or real_divide(f, ds, k)
+            groebner, "divide", lambda f, ds, packed=None: calls.append(read_dividend(f, ds)) or real_divide(f, ds, packed)
         )
         gb = groebner_basis(gens)
         assert calls[: len(want)] == want

@@ -16,7 +16,6 @@ from smeared.poly import (
     mono_div,
     mono_divides,
     mono_lcm,
-    monomial_key,
     monomials_up_to_degree,
     sum_of_products,
 )
@@ -31,9 +30,9 @@ def rand_poly(rng, ring, deg=3, nterms=4):
     return Polynomial(ring, terms)
 
 
-def spoly(f, g, key):
-    lmf, lcf = f.leading_term(key)
-    lmg, lcg = g.leading_term(key)
+def spoly(f, g):
+    lmf, lcf = f.leading_term()
+    lmg, lcg = g.leading_term()
     lcm = mono_lcm(lmf, lmg)
     return f.mul_term(mono_div(lcm, lmf), 1 / lcf) - g.mul_term(mono_div(lcm, lmg), 1 / lcg)
 
@@ -62,10 +61,9 @@ def test_divide_identity_and_irreducibility(R2):
         for q, d in zip(res.quotients, divisors):
             total = total + q * d
         assert total == f
-        key = monomial_key("grevlex")
         for m in res.remainder.terms:
             assert not any(
-                mono_divides(d.leading_monomial(key), m) for d in divisors
+                mono_divides(d.leading_monomial(), m) for d in divisors
             )
 
 
@@ -80,10 +78,9 @@ def test_divide_takes_first_matching_divisor(R2):
 
 def test_divide_under_elimination_order():
     # x dominates: the lead of x - y^2 is x, not y^2 as under grevlex
-    R3 = PolyRing(("x", "y", "z"))
-    key = monomial_key(EliminationOrder((0,), 3))
+    R3 = PolyRing(("x", "y", "z"), EliminationOrder((0,), 3))
     f = R3.parse("x^2 + x*z + y")
-    res = divide(f, [R3.parse("x - y^2"), R3.parse("y*z - 1")], key)
+    res = divide(f, [R3.parse("x - y^2"), R3.parse("y*z - 1")])
     assert res.quotients == (R3.parse("x + y^2 + z"), R3.parse("y"))
     assert res.remainder == R3.parse("y^4 + 2*y")
 
@@ -128,29 +125,27 @@ def test_known_basis_and_spair_oracle(R2):
     x, y = R2.var("x"), R2.var("y")
     gb = groebner_basis([x * y - 1, y**2 - 1])
     assert [str(g) for g in gb.elements] == ["y^2 - 1", "x - y"]
-    key = gb.key()
     # every S-pair of the result reduces to zero
     for i in range(len(gb.elements)):
         for j in range(i + 1, len(gb.elements)):
-            s = spoly(gb.elements[i], gb.elements[j], key)
-            assert divide(s, gb.elements, key).remainder.is_zero()
+            s = spoly(gb.elements[i], gb.elements[j])
+            assert divide(s, gb.elements).remainder.is_zero()
 
 
 def test_basis_is_reduced(R2):
     rng = random.Random(17)
-    key = monomial_key("grevlex")
     for _ in range(15):
         gens = [rand_poly(rng, R2, deg=2, nterms=3) for _ in range(2)]
         gb = groebner_basis(gens, ring=R2)
-        leads = [g.leading_monomial(key) for g in gb.elements]
+        leads = [g.leading_monomial() for g in gb.elements]
         for i, g in enumerate(gb.elements):
-            assert g.leading_coefficient(key) == 1
+            assert g.leading_coefficient() == 1
             for m in g.terms:
                 for j, lead in enumerate(leads):
                     if i != j:
                         assert not mono_divides(lead, m)
         # sorted largest lead first
-        assert leads == sorted(leads, key=key, reverse=True)
+        assert leads == sorted(leads, key=R2.key, reverse=True)
 
 
 def test_uniqueness_under_shuffle_and_rescale(R2):
@@ -264,18 +259,18 @@ def test_lex_basis_differs():
     # but lex on (x^2 - y) eliminates differently than grevlex
     L2 = PolyRing(("x", "y"), "lex")
     gb_lex = groebner_basis([L2.parse("x^2 - y")])
-    assert gb_lex.elements[0].leading_monomial(gb_lex.key()) == (2, 0)
+    assert gb_lex.elements[0].leading_monomial() == (2, 0)
     gb_grev = groebner_basis([L2.parse("x - y^2")])
-    assert gb_grev.elements[0].leading_monomial(gb_grev.key()) == (1, 0)
+    assert gb_grev.elements[0].leading_monomial() == (1, 0)
 
 
 # ---------------------------------------------------------------------------
 # the integer reducer against textbook rational division
 
 
-def textbook_divide(f, divisors, key):
+def textbook_divide(f, divisors):
     """Division as in Cox, Little and O'Shea, with Fraction arithmetic only."""
-    ring = f.ring
+    ring, key = f.ring, f.ring.key
     quotients = [ring.zero() for _ in divisors]
     remainder = ring.zero()
     p = f
@@ -307,27 +302,26 @@ def rational_poly(rng, ring, deg, nterms):
     return Polynomial(ring, terms)
 
 
-def awkward_divisor(rng, ring, key):
+def awkward_divisor(rng, ring):
     """Non-monic, non-primitive, negative leading coefficient."""
     d = rational_poly(rng, ring, 2, 4)
     while d.is_zero():
         d = rational_poly(rng, ring, 2, 4)
     scale = Fraction(rng.choice((6, 10, 15, 21)), rng.randint(1, 5))
-    if d.leading_coefficient(key) > 0:
+    if d.leading_coefficient() > 0:
         scale = -scale
     return d.scale(scale)
 
 
-REDUCER_KEYS = {
-    "lex": monomial_key("lex"),
-    "grevlex": monomial_key("grevlex"),
-    "elimination": monomial_key(EliminationOrder((0, 2), 3)),
+REDUCER_RINGS = {
+    name: PolyRing(("x", "y", "z"), order)
+    for name, order in (("lex", "lex"), ("grevlex", "grevlex"), ("elimination", EliminationOrder((0, 2), 3)))
 }
 
 
-def assert_same_division(f, divisors, key):
-    res = divide(f, divisors, key)
-    quotients, remainder = textbook_divide(f, divisors, key)
+def assert_same_division(f, divisors):
+    res = divide(f, divisors)
+    quotients, remainder = textbook_divide(f, divisors)
     assert list(res.quotients) == quotients
     assert res.remainder == remainder
     for p in (*res.quotients, res.remainder):
@@ -335,17 +329,16 @@ def assert_same_division(f, divisors, key):
     return res
 
 
-@pytest.mark.parametrize("order", sorted(REDUCER_KEYS))
+@pytest.mark.parametrize("order", sorted(REDUCER_RINGS))
 def test_integer_reducer_matches_textbook_division(order):
-    R3 = PolyRing(("x", "y", "z"))
-    key = REDUCER_KEYS[order]
+    R3 = REDUCER_RINGS[order]
     rng = random.Random(41)
     for trial in range(25):
         f = R3.zero() if trial == 0 else rational_poly(rng, R3, 4, 8)
-        divisors = [awkward_divisor(rng, R3, key) for _ in range(rng.randint(1, 3))]
+        divisors = [awkward_divisor(rng, R3) for _ in range(rng.randint(1, 3))]
         for _ in range(rng.randint(0, 2)):
             divisors.insert(rng.randint(0, len(divisors)), R3.zero())
-        assert_same_division(f, divisors, key)
+        assert_same_division(f, divisors)
 
 
 def test_integer_reducer_removes_content_on_long_reductions(monkeypatch):
@@ -362,14 +355,13 @@ def test_integer_reducer_removes_content_on_long_reductions(monkeypatch):
 
     monkeypatch.setattr(groebner, "gcd", counting_gcd)
     R3 = PolyRing(("x", "y", "z"))
-    key = monomial_key("grevlex")
     rng = random.Random(43)
     steps = 0
     for _ in range(6):
         f = rational_poly(rng, R3, 6, 25)
         divisors = [rational_poly(rng, R3, 2, 4) for _ in range(3)]
         divisors = [d for d in divisors if not d.is_zero()]
-        res = assert_same_division(f, divisors, key)
+        res = assert_same_division(f, divisors)
         steps += sum(len(q.terms) for q in res.quotients)
     assert steps > 150
     assert removed
@@ -405,8 +397,8 @@ def test_basis_stops_at_first_constant_remainder(track, monkeypatch):
     remainders = []
     real_divide = groebner.divide
 
-    def recording_divide(f, divisors, key=None):
-        res = real_divide(f, divisors, key)
+    def recording_divide(f, divisors, packed=None):
+        res = real_divide(f, divisors, packed)
         remainders.append((len(divisors), res.remainder))
         return res
 
@@ -441,30 +433,29 @@ def test_basis_stops_at_first_constant_remainder(track, monkeypatch):
 def test_integer_spoly_matches_rational_reference():
     # negative and fractional leading coefficients, under each order: the
     # packed S-polynomial is a primitive map over a positive content
-    R3 = PolyRing(("x", "y", "z"))
     rng = random.Random(47)
 
-    def packed_spoly(p, q, key):
-        (lp, _), (lq, _) = p.leading_term(key), q.leading_term(key)
+    def packed_spoly(p, q):
+        (lp, _), (lq, _) = p.leading_term(), q.leading_term()
         lcm = mono_lcm(lp, lq)
-        divisors = groebner._Divisors(R3, key, [p, q])
+        divisors = groebner._Divisors(p.ring, [p, q])
         f = divisors.spoly(0, 1, mono_div(lcm, lp), mono_div(lcm, lq))
         _, terms, num, den = f
         assert num > 0 and den > 0 and gcd(1, *terms.values()) == 1
         return read_dividend(f, divisors)
 
-    for order, key in REDUCER_KEYS.items():
+    for order, R3 in REDUCER_RINGS.items():
         for _ in range(40):
-            p, q = awkward_divisor(rng, R3, key), rational_poly(rng, R3, 3, 5)
+            p, q = awkward_divisor(rng, R3), rational_poly(rng, R3, 3, 5)
             if q.is_zero():
                 continue
             if rng.random() < 0.5:
                 p, q = q, p.scale(Fraction(-7, 3))
-            s = packed_spoly(p, q, key)
-            assert s == spoly(p, q, key), order
-            assert s.integer_form() == spoly(p, q, key).integer_form()
-    x = R3.var("x")
-    assert packed_spoly(x, x.scale(-3), REDUCER_KEYS["lex"]).is_zero()
+            s = packed_spoly(p, q)
+            assert s == spoly(p, q), order
+            assert s.integer_form() == spoly(p, q).integer_form()
+    x = REDUCER_RINGS["lex"].var("x")
+    assert packed_spoly(x, x.scale(-3)).is_zero()
 
 
 def test_adopted_packed_form_is_checked_against_its_element():
@@ -473,22 +464,21 @@ def test_adopted_packed_form_is_checked_against_its_element():
     # primitive integer coefficients and a positive content, and each way a
     # builder could get it wrong (a negated S-polynomial among them) fails
     R2 = PolyRing(("x", "y"))
-    key = monomial_key("grevlex")
     p, q = R2.parse("-3*x^2*y + 2*y - 1"), R2.parse("6*x*y^2 - 5/2*x")
-    divisors = groebner._Divisors(R2, key, [p, q])
-    res = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors, key)
+    divisors = groebner._Divisors(R2, [p, q])
+    res = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors)
     prim, c = divisors.adopt(res.remainder)
     assert res.remainder == prim.scale(c) and divisors[-1] is prim
     memo = prim._pack
-    assert memo is divisors.packs[-1] and memo[5:] == (1, 1)
-    key_, width, lead, lc, tail, num, den = memo
+    assert memo is divisors.packs[-1] and memo[4:] == (1, 1)
+    width, lead, lc, tail, num, den = memo
     (m, v), *rest = tail
-    negated = (key_, width, lead, -lc, tuple((t, -w) for t, w in tail), num, den)
+    negated = (width, lead, -lc, tuple((t, -w) for t, w in tail), num, den)
     for bad in (
         negated,
-        (key_, width, lead, lc, tail, -num, den),
-        (key_, width, lead, 2 * lc, tuple((t, 2 * w) for t, w in tail), num, den),
-        (key_, width, m, v, ((lead, lc), *rest), num, den),
+        (width, lead, lc, tail, -num, den),
+        (width, lead, 2 * lc, tuple((t, 2 * w) for t, w in tail), num, den),
+        (width, m, v, ((lead, lc), *rest), num, den),
     ):
         with pytest.raises(RuntimeError):
             groebner._check_packed(prim, bad)
@@ -502,17 +492,16 @@ def test_adopt_reads_the_remainders_lead_from_its_packed_form(monkeypatch):
     import smeared.poly as poly
 
     R2 = PolyRing(("x", "y"))
-    key = monomial_key(R2.order)
-    divisors = groebner._Divisors(R2, key, [R2.parse("-3*x^2*y + 2*y - 1"), R2.parse("6*x*y^2 - 5/2*x")])
-    r = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors, key).remainder
+    divisors = groebner._Divisors(R2, [R2.parse("-3*x^2*y + 2*y - 1"), R2.parse("6*x*y^2 - 5/2*x")])
+    r = divide(divisors.spoly(0, 1, (0, 1), (1, 0)), divisors).remainder
     assert r._lead is None and len(r.terms) > 1
     scans = []
     monkeypatch.setattr(poly, "max", lambda *a, **k: scans.append(k) or max(*a, **k), raising=False)
     prim, c = divisors.adopt(r)
     monkeypatch.undo()
     assert not [k for k in scans if "key" in k]
-    assert r._lead == (key, Polynomial._new(R2, *r.integer_form()).leading_term(key))
-    assert prim.scale(c) == r and prim.leading_coefficient(key) > 0
+    assert r._lead == Polynomial._new(R2, *r.integer_form()).leading_term()
+    assert prim.scale(c) == r and prim.leading_coefficient() > 0
 
 
 def test_basis_packs_its_lead_list_once_per_width(R2, monkeypatch):
@@ -522,9 +511,9 @@ def test_basis_packs_its_lead_list_once_per_width(R2, monkeypatch):
     calls, real = [], groebner._pack_all
     monkeypatch.setattr(groebner, "_pack_all", lambda *a: calls.append(a) or real(*a))
     for f in (x**3 + y, x * y**2 - 2, x + 1, x**3 + y, x**200 - y, x**201 * y):
-        assert gb.divide(f) == divide(f, list(gb.elements), gb.key())
+        assert gb.divide(f) == divide(f, list(gb.elements))
     own = [a for a in calls if a[0] is gb.elements]
-    assert [a[2] for a in own] == [8, 16] and sorted(gb._leads) == [8, 16]
+    assert [a[1] for a in own] == [8, 16] and sorted(gb._leads) == [8, 16]
     assert len(calls) == len(own) + 6  # the list divisions pack theirs each time
 
 
@@ -554,8 +543,8 @@ def test_basis_decodes_no_quotient_until_transform_is_read(monkeypatch):
     real_finish, real_divide = groebner._finish, groebner.divide
     monkeypatch.setattr(groebner, "_finish", lambda *a: finished.append(a) or real_finish(*a))
 
-    def counting_divide(f, divisors, key=None):
-        results.append(real_divide(f, divisors, key))
+    def counting_divide(f, divisors, packed=None):
+        results.append(real_divide(f, divisors, packed))
         return results[-1]
 
     monkeypatch.setattr(groebner, "divide", counting_divide)
@@ -770,7 +759,7 @@ def reference_rows(gb):
     def quotients(recorded):
         # the nonzero quotients (k, q_k), entry (k, [tau, map], num, den) for (num / den) * map / tau
         width, entries = recorded
-        decode = groebner._layout(gb.key(), ring.nvars, width)[2]
+        decode = groebner._layout(ring, width)[2]
         return [
             (k, Polynomial(ring, {m: Fraction(v * num, den * tau) for m, v in decode(terms, 1).items()}))
             for k, (tau, terms), num, den in entries

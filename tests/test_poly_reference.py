@@ -224,10 +224,11 @@ def _agree(rng, ring, p, r):
     assert p.integer_form() == r.integer_form()
     assert p.is_zero() == r.is_zero()
     assert p.is_constant() == r.is_constant()
-    if not r.is_zero():
-        for key in (None, monomial_key(LEX)):
-            assert p.leading_term(key) == r.leading_term(key)
-            assert type(p.leading_term(key)[1]) is Fraction
+    if not r.is_zero():  # under the ring's order, and moved into a lex ring
+        lexed = Polynomial(PolyRing(ring.variables, LEX), dict(p.terms))
+        for got, key in ((p, None), (lexed, monomial_key(LEX))):
+            assert got.leading_term() == r.leading_term(key)
+            assert type(got.leading_term()[1]) is Fraction
     prim, c = p.primitive_part()
     rprim, rc = r.primitive_part()
     assert dict(prim.terms) == rprim.terms and c == rc

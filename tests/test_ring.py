@@ -222,6 +222,16 @@ def test_jacobian_verdicts_agree_with_a_rabinowitsch_oracle(case):
         assert jacobian_criterion(squared) is False
 
 
+def test_radicality_candidates_read_grevlex_leads_in_a_lex_ring():
+    # the lex lead of x - y^2 is x, its grevlex lead y^2; the candidates come
+    # from y^2, and the ring-order lead memo keeps x
+    L2 = PolyRing(("x", "y"), "lex")
+    g = L2.parse("x - y^2")
+    lt = g.leading_term()
+    assert list(sm.ring._radicality_candidates(Ideal(L2, (g,)))) == [L2.var("y")]
+    assert lt == ((1, 0), 1) and g._lead is lt
+
+
 def test_member_examples(three_lines, R2):
     x, y = R2.var("x"), R2.var("y")
     cert = sm.member(x, three_lines)
@@ -292,7 +302,7 @@ def test_member_divisions_equal_each_basis_division(case, monkeypatch):
     assert cert.member and len(divided) == len(bases) and all(map(operator.is_, divided, bases))
     assert [res._packed[0] for res in cert.divisions] == widths and len(packings) == len(set(widths))
     for res, gb in zip(cert.divisions, bases):
-        assert res == gb.divide(f) == real_divide(f, list(gb.elements), gb.key())
+        assert res == gb.divide(f) == real_divide(f, list(gb.elements))
     other = PolyRing(("x", "y", "z"), "grevlex" if order == "lex" else "lex").parse(text)
     with pytest.raises(RingMismatchError):
         sm.member(other, config)
