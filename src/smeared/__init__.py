@@ -7,7 +7,7 @@ arithmetic underneath, and `smeared.cli` exposes a batch interface.
 """
 
 from .groebner import DivisionResult, GroebnerBasis, divide, groebner_basis
-from .ideals import INFINITE, Ideal
+from .ideals import Ideal
 from .poly import (
     EliminationOrder,
     GREVLEX,
@@ -55,7 +55,6 @@ __all__ = [
     "EliminationOrder",
     "GREVLEX",
     "GroebnerBasis",
-    "INFINITE",
     "Ideal",
     "LEX",
     "LocusEvidence",

@@ -92,7 +92,7 @@ def _parse_frac(text) -> Fraction:
     """A JSON number, or a string of the form 3, -5/3 or 2.5 (Fraction would
     also read spaces, "+", "_", exponents and other scripts' digits)."""
     try:
-        if isinstance(text, str) and not _RATIONAL.fullmatch(text):
+        if not (_RATIONAL.fullmatch(text) if isinstance(text, str) else type(text) in (int, float)):
             raise ValueError("not of the form 3, -5/3 or 2.5")
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as e:
@@ -235,8 +235,15 @@ def _want(args: Sequence, low: int, high: Optional[int], usage: str):
         raise QueryError(f"usage: {usage}")
 
 
+def _arg_text(token, what: str) -> str:
+    """A JSON string or number as text; str() would make text of true and arrays too."""
+    if type(token) not in (str, int, float):
+        raise QueryError(f"bad {what} {token!r}")
+    return str(token)
+
+
 def _arg_poly(config: SmearedRingConfig, parts: Sequence) -> Polynomial:
-    text = " ".join(str(p) for p in parts)
+    text = " ".join(_arg_text(p, "polynomial") for p in parts)
     try:
         return config.ring.parse(text)
     except ParseError as e:
@@ -323,7 +330,7 @@ def _query_args(name: str, args: Sequence, config: SmearedRingConfig) -> dict:
         i = _arg_index(config, args[1])
         # each point is a JSON array of rationals or one "a,b" token
         points = [
-            _arg_point(config, t if isinstance(t, list) else str(t).split(","))
+            _arg_point(config, t if isinstance(t, list) else _arg_text(t, "point").split(","))
             for t in args[2:]
         ]
         return {"poly": f, "index": i, "points": points}

@@ -1,14 +1,14 @@
-"""Ideals of a polynomial ring.  The rest of the package needs cofactors
-over the generators, the Krull dimension of the quotient and radical
-membership.  Intersection, elimination, the quotient's vector-space
-dimension and coprimality have no caller in the package; only the bench
-tracer's wrappers and the tests use them.
+"""Ideals of a polynomial ring.  The package needs cofactors over the
+generators, radical membership and the Krull dimension of the quotient, read
+off the basis leads by one search.  Intersection, elimination, coprimality
+and the quotient's vector-space dimension (None when infinite) have no caller
+in the package; only the bench tracer's wrappers and the tests use them.
 
 An `Ideal` is identified by its ordered generator tuple.  Its one Groebner
 basis, under the ring's order (under a lock), and its monomial normal forms
 (where a race only computes an entry twice) are computed lazily and cached.
-A basis is always of its ring's order; the block `EliminationOrder` is the
-order of only the ring `eliminate` builds, and `intersect` eliminates too.
+The block `EliminationOrder` orders only `eliminate`'s ring; the helper rings
+of `intersect` and `radical_member` are grevlex, as no answer depends on it.
 """
 
 from __future__ import annotations
@@ -18,19 +18,7 @@ import threading
 from typing import Iterable, Sequence
 
 from .groebner import DivisionResult, GroebnerBasis, groebner_basis
-from .poly import EliminationOrder, Polynomial, PolyRing, RingMismatchError
-
-
-class _Infinite:
-    """Sentinel for an infinite vector-space dimension."""
-
-    __slots__ = ()
-
-    def __repr__(self):
-        return "INFINITE"
-
-
-INFINITE = _Infinite()
+from .poly import GREVLEX, EliminationOrder, Polynomial, PolyRing, RingMismatchError
 
 
 def _fresh_name(ring: PolyRing, base: str) -> str:
@@ -165,7 +153,7 @@ class Ideal:
         if self.ring != other.ring:
             raise RingMismatchError("ideals live in different rings")
         ring = self.ring
-        ext = PolyRing((_fresh_name(ring, "t"),) + ring.variables, ring.order)
+        ext = PolyRing((_fresh_name(ring, "t"),) + ring.variables, GREVLEX)
         t = ext.var(ext.variables[0])
         gens = [t * _rehome(f, ext) for f in self.generators]
         gens += [(ext.one() - t) * _rehome(g, ext) for g in other.generators]
@@ -175,33 +163,36 @@ class Ideal:
     # -- numerical invariants of the quotient
 
     def krull_dim(self) -> int:
-        """Krull dimension of ring/ideal (the zero ideal gives nvars)."""
+        """Krull dimension of ring/ideal (the zero ideal gives nvars): the size of a
+        largest variable set that holds no lead's support (Cox, Little and O'Shea, ch. 9).
+        Searched from all variables, bit masks on a stack, each set pushed once: a set
+        holding supports drops each variable of the smallest, unless no larger than best + 1."""
         gb = self.groebner()
         if gb.contains_one():
             raise ValueError("quotient by the unit ideal is the zero ring")
-        n = self.ring.nvars
-        supports = [
-            frozenset(i for i, e in enumerate(m) if e) for m in gb.leading_monomials()
-        ]
-        for size in range(n, -1, -1):
-            for subset in itertools.combinations(range(n), size):
-                chosen = set(subset)
-                if all(not s <= chosen for s in supports):
-                    return size
-        raise AssertionError("unreachable: the empty set is always independent")
+        supports = {sum(1 << i for i, e in enumerate(m) if e) for m in gb.leading_monomials()}
+        best, stack, seen = 0, [(1 << self.ring.nvars) - 1], set()
+        while stack:
+            chosen = stack.pop()
+            inside = [s for s in supports if s & chosen == s]
+            if not inside:
+                best = max(best, chosen.bit_count())
+            elif chosen.bit_count() > best + 1:
+                s = min(inside, key=int.bit_count)
+                drops = {chosen & ~(1 << i) for i in range(s.bit_length()) if s >> i & 1} - seen
+                seen |= drops
+                stack.extend(drops)
+        return best
 
     def quotient_vdim(self):
-        """dim_QQ of ring/ideal: a non-negative int, or INFINITE.
-
-        Finite exactly when every variable has a pure power among the leading
-        monomials (`pure_powers`); then the standard monomials are counted.
-        """
+        """dim_QQ of ring/ideal, or None when infinite: exactly where
+        `pure_powers` holds a None.  Else the standard monomials are counted."""
         gb = self.groebner()
         if gb.contains_one():
             raise ValueError("quotient by the unit ideal is the zero ring")
         bound = gb.pure_powers()
         if None in bound:
-            return INFINITE
+            return None
         lms = gb.leading_monomials()
         return sum(
             not any(all(x >= y for x, y in zip(m, lm)) for lm in lms)
@@ -224,7 +215,7 @@ class Ideal:
         if f.ring != self.ring:
             raise RingMismatchError("element from a different ring")
         ring = self.ring
-        ext = PolyRing(ring.variables + (_fresh_name(ring, "z"),), ring.order)
+        ext = PolyRing(ring.variables + (_fresh_name(ring, "z"),), GREVLEX)
         z = ext.var(ext.variables[-1])
         gens = [_rehome(g, ext) for g in self.generators]
         gens.append(ext.one() - z * _rehome(f, ext))

@@ -437,6 +437,33 @@ def test_string_coordinates_follow_the_readme_syntax(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_json_literals_arrays_and_objects_are_no_argument_text(tmp_path, capsys):
+    # str() would read true and null as the variables True and None, and an
+    # array or an object as its Python text, which Fraction() refuses in its
+    # own words
+    rational = "not of the form 3, -5/3 or 2.5"
+    errors = [
+        (["member", True], "bad polynomial True"),
+        (["member", None], "bad polynomial None"),
+        (["member", ["x"]], "bad polynomial ['x']"),
+        (["eval", {"x": 1}, 1], "bad polynomial {'x': 1}"),
+        (["locus", True, 0, 0], f"bad rational True: {rational}"),
+        (["locus", 0, [0], 0], f"bad rational [0]: {rational}"),
+        (["constancy", "x", 1, None], "bad point None"),
+        (["constancy", "x", 1, [False, 0, 0]], f"bad rational False: {rational}"),
+    ]
+    # JSON numbers are still read as text
+    queries = [q for q, _ in errors] + [["member", "x", "*", 2], ["locus", 0.5, 0, 1]]
+    doc = {"format": 1, "ring": {"variables": ["True", "None", "x"]}, "ideals": [["x", "True"], ["x - 1", "True"]]}
+    rc, lines, problem, out = run_to_file(tmp_path, dict(doc, queries=queries))
+    assert rc == 1
+    assert [payload_of(lines, k).get("error") for k in range(1, len(queries) + 1)] == [e for _, e in errors] + [None, None]
+    assert payload_of(lines, 9)["payload"]["poly"] == "2*x"
+    assert payload_of(lines, 10)["payload"]["point"] == ["1/2", "0", "1"]
+    assert main(["verify", str(out), str(problem)]) == 0
+    capsys.readouterr()
+
+
 def test_basis_and_chain_sizes_are_bounded(tmp_path, capsys):
     # C(2 + d, 2) monomials of degree at most d in x, y: 19,900 at d = 198
     config = cli.load_problem(str(write_problem(tmp_path, THREE_LINES)))[0]

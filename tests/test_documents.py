@@ -14,12 +14,14 @@ names an ideal or a point, numbered from 1 as documents are, the curves'
 ideals and queries under lex order, the one golden run of the lex path, and
 the benchmark's seed-1 Katsura-4 file (`bench/gen.py`), whose member
 cofactors come from a 13-element tracked basis, so a changed divisor choice
-in Buchberger's loop changes them, and two ideals of QQ[x,y] whose zero sets
-meet, so `run` aborts at the validation gate and exits 2.
+in Buchberger's loop changes them, two ideals of QQ[x,y] whose zero sets
+meet, so `run` aborts at the validation gate and exits 2, and two lines in
+24 variables, where a dimension read by scanning variable subsets would
+take 2^24 steps.
 
 Each golden run document of the first three, cut short or edited in one
 certificate, echo, header or line field, must fail `verify`; so must each
-of the seven under a drawn mutation of one field, with a failed line that
+of the eight under a drawn mutation of one field, with a failed line that
 names a field or a check.
 
 To regenerate after a deliberate format change, run
@@ -50,15 +52,15 @@ DATA = Path(__file__).parent / "data"
 PROBLEMS = ("readme", "katsura3", "curves")
 # every golden problem; `errors` has no certificate line to tamper with,
 # `lex` has the same lines as `curves`, `katsura4` the kinds of `katsura3`,
-# and `abort` only the gate's report
-GOLDEN = PROBLEMS + ("errors", "lex", "katsura4", "abort")
+# `abort` only the gate's report, and `wide` the kinds of `readme`
+GOLDEN = PROBLEMS + ("errors", "lex", "katsura4", "abort", "wide")
 _ELAPSED = re.compile(r'"elapsed_us":\d+')
 
 
 # `run`'s exit code on each golden problem, as CI's golden step expects it:
 # curves and lex hold one deliberate query error and errors three, and abort
 # fails the validation gate
-RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1, "lex": 1, "katsura4": 0, "abort": 2}
+RUN_EXIT = {"readme": 0, "katsura3": 0, "curves": 1, "errors": 1, "lex": 1, "katsura4": 0, "abort": 2, "wide": 0}
 
 
 def _documents(name: str, out: Path) -> tuple:

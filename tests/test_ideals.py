@@ -2,16 +2,20 @@
 coprimality, radical membership."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import smeared.ideals as ideals
-from smeared import INFINITE, Ideal, PolyRing, Polynomial, RingMismatchError
+from smeared import LEX, Ideal, PolyRing, Polynomial, RingMismatchError
 from oracle import oracle_member
 from smeared.groebner import divide_each
 from smeared.poly import EliminationOrder, monomials_up_to_degree
@@ -174,14 +178,73 @@ def test_krull_dim(R2):
     assert Ideal(R2, ()).krull_dim() == 2
     with pytest.raises(ValueError):
         Ideal(R2, (x, x - 1)).krull_dim()
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, 7)))
+    xs = [ring.var(v) for v in ring.variables]
+    assert Ideal(ring, ()).krull_dim() == 6
+    assert Ideal(ring, tuple(x**2 - x for x in xs)).krull_dim() == 0
+    with pytest.raises(ValueError):
+        Ideal(ring, (xs[0], xs[0] - 1)).krull_dim()
+
+
+def _scan_dim(ideal):
+    """The reference: the subset scan `krull_dim` replaced, the size of the
+    largest variable set, trying all 2^n largest first, that holds no lead's
+    support."""
+    n = ideal.ring.nvars
+    supports = [{i for i, e in enumerate(m) if e} for m in ideal.groebner().leading_monomials()]
+    for size in range(n, -1, -1):
+        for subset in itertools.combinations(range(n), size):
+            if not any(s <= set(subset) for s in supports):
+                return size
+
+
+def _maps(nvars, degree, terms, gens):
+    return st.lists(
+        st.dictionaries(st.tuples(*[st.integers(0, degree)] * nvars), st.integers(-3, 3).filter(bool), min_size=1, max_size=terms),
+        max_size=gens,
+    )
+
+
+# random ideals in at most 6 variables, and monomial ideals in at most 10,
+# whose leads are their minimal generators: random sets of lead supports
+_dim_cases = st.one_of(
+    st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), _maps(n, 2, 3, 3))),
+    st.integers(1, 10).flatmap(lambda n: st.tuples(st.just(n), _maps(n, 3, 1, 8))),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_dim_cases)
+def test_krull_dim_matches_the_subset_scan(case):
+    nvars, maps = case
+    ring = PolyRing(tuple(f"x{i}" for i in range(1, nvars + 1)))
+    ideal = Ideal(ring, tuple(Polynomial(ring, terms) for terms in maps))
+    if ideal.contains_one():
+        with pytest.raises(ValueError):
+            ideal.krull_dim()
+        return
+    assert ideal.krull_dim() == _scan_dim(ideal)
+    assert (ideal.krull_dim() == 0) == (None not in ideal.groebner().pure_powers())
+
+
+def test_krull_dim_of_a_line_in_40_variables():
+    # a scan of variable subsets would try 2^40 - 41 sets before the answer;
+    # in a child process, so that a search that hangs fails the test instead
+    code = (
+        "from smeared import Ideal, PolyRing\n"
+        "ring = PolyRing(tuple(f'x{i}' for i in range(1, 41)))\n"
+        "print(Ideal(ring, tuple(ring.var(v) for v in ring.variables[:39])).krull_dim())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(ideals.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert (done.returncode, done.stdout) == (0, "1\n"), done.stderr
 
 
 def test_quotient_vdim(R2):
     x, y = R2.var("x"), R2.var("y")
     assert Ideal(R2, (x, y)).quotient_vdim() == 1
     assert Ideal(R2, (x**2 - x, y)).quotient_vdim() == 2
-    assert Ideal(R2, (x,)).quotient_vdim() is INFINITE
-    assert INFINITE != 1
+    assert Ideal(R2, (x,)).quotient_vdim() is None
     with pytest.raises(ValueError):
         Ideal(R2, (x, x - 1)).quotient_vdim()
 
@@ -190,7 +253,8 @@ def test_vdim_finite_iff_dim_zero(R2):
     rng = random.Random(47)
     for _ in range(15):
         ideal = rand_proper_ideal(rng, R2)
-        assert (ideal.quotient_vdim() is not INFINITE) == (ideal.krull_dim() == 0)
+        infinite = ideal.quotient_vdim() is None
+        assert infinite == (None in ideal.groebner().pure_powers()) == (ideal.krull_dim() > 0)
 
 
 def test_is_coprime(R2):
@@ -236,6 +300,18 @@ def test_radical_member(R2):
     # the power that lands inside, by plain normal form
     assert cube.contains((x * (x - 1)) ** 2)
     assert not cube.contains(x * (x - 1))
+
+
+def test_helper_rings_take_no_order_from_the_ring():
+    # intersect's ring with a fresh t and radical_member's with a fresh z are
+    # grevlex: a block order names one variable too few for them
+    block = PolyRing(("x", "y"), EliminationOrder((0,), 2))
+    x, y = block.var("x"), block.var("y")
+    assert [str(g) for g in Ideal(block, (x,)).intersect(Ideal(block, (y,))).generators] == ["x*y"]
+    assert Ideal(block, (x**2,)).radical_member(x)
+    lex = PolyRing(("x", "y"), LEX)
+    x, y = lex.var("x"), lex.var("y")
+    assert [str(g) for g in Ideal(lex, (x,)).intersect(Ideal(lex, (y, x - 1))).generators] == ["x^2 - x", "x*y"]
 
 
 def test_radical_member_zero_ideal(R2):

@@ -704,7 +704,7 @@ def test_lead_readings_agree(case):
     config = SmearedRingConfig(ideal.ring, (ideal,))
     finite = None not in ideal.groebner().pure_powers()
     vdim = ideal.quotient_vdim()
-    assert finite == (ideal.krull_dim() == 0) == (vdim is not sm.INFINITE)
+    assert finite == (ideal.krull_dim() == 0) == (vdim is not None)
     maximal = "maximal" in [v.kind for v in sm.validate(config).violations]
     assert maximal == (vdim == 1)
     if finite:
