@@ -13,15 +13,15 @@ ring's order key (`PolyRing.key`, which `monomial_key` makes linear) and
 then the exponents, x_1 highest.  So a product is one int addition, int
 order is monomial order, and `lead | m` exactly when `m - lead` leaves
 every field's top (guard) bit clear, since a field that goes negative
-borrows into its guard bit.  No field exceeds the
-total degree, so `divide` starts at the smallest width in 8, 16, 32, ...
-that f and every divisor fit, and starts again at twice the width when a
-new working monomial sets a guard bit (two fields that fit add without a
-carry): never under grevlex, but under lex and elimination orders x^k
-divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests packed
-leads and lcms the same way, at a width that fits twice the largest lead
-degree, repacking all of them when a lead outgrows it.  S-polynomials, the
-divisor set (`_Divisors`) and new elements (decoded once) stay packed, as do
+borrows into its guard bit.  No field exceeds the total degree, so `divide`
+starts at the smallest width in 8, 16, 32, ... that f and every divisor
+fit, and starts again at twice the width when a new working monomial sets a
+guard bit (two fields that fit add without a carry): never under grevlex,
+whose divisions never raise the total degree, but under `eliminate`'s block
+order x^k divided by x - y^2 leaves y^(2k).  Buchberger's pair update tests
+packed leads and lcms the same way, at a width that fits twice the largest
+lead degree, repacking all of them when a lead outgrows it.  S-polynomials,
+the divisor set (`_Divisors`) and new elements (decoded once) stay packed, as do
 quotients, transform rows and cofactors in one entry form, (index, [tau,
 map], num, den) for (num / den) * map / tau: one kernel (`_combine`) sums
 their products for the transform's replay and for the lift, and one decoder
@@ -490,8 +490,8 @@ class GroebnerBasis:
 
 
 def groebner_basis(generators: Iterable[Polynomial], ring: Optional[PolyRing] = None) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal the generators span, always under the
-    ring's order (a block `EliminationOrder` only in the ring `Ideal.eliminate` builds).
+    """Reduced Groebner basis of the ideal the generators span, under the ring's
+    `key`: grevlex, or a block `EliminationOrder` in `Ideal.eliminate`'s ring.
 
     Pairs are reduced in increasing (degree, lcm, i, j) order.  Adding an
     element runs the Gebauer-Moeller update (Gebauer and Moeller, "On an

@@ -5,10 +5,10 @@ and the quotient's vector-space dimension (None when infinite) have no caller
 in the package; only the bench tracer's wrappers and the tests use them.
 
 An `Ideal` is identified by its ordered generator tuple.  Its one Groebner
-basis, under the ring's order (under a lock), and its monomial normal forms
+basis, under the ring's `key` (under a lock), and its monomial normal forms
 (where a race only computes an entry twice) are computed lazily and cached.
-The block `EliminationOrder` orders only `eliminate`'s ring; the helper rings
-of `intersect` and `radical_member` are grevlex, as no answer depends on it.
+That key is grevlex's in every ring but `eliminate`'s, of a block
+`EliminationOrder`: no answer depends on it, and lex only orders printed terms.
 """
 
 from __future__ import annotations

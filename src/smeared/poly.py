@@ -108,7 +108,7 @@ def monomial_key(order):
     exponents (weights 0 or 1), compared lexicographically, so the key of a
     product is the sum of the keys.  Each order is grevlex inside blocks of
     variables, the blocks compared in turn, and lex is one block per
-    variable.  `groebner.divide` packs monomials by this map.
+    variable; lex only orders printed terms.  `divide` packs monomials by it.
     """
     if order == GREVLEX:
         return _grevlex_key
@@ -209,14 +209,16 @@ _MONOMIAL_TABLE_SIZE = 4096  # entries; past it monomials are still read, not ke
 
 @dataclass(frozen=True)
 class PolyRing:
-    """Polynomial ring QQ[variables] and the order of every basis in it: grevlex,
-    lex, or (in the ring `Ideal.eliminate` builds) a block `EliminationOrder`.
+    """Polynomial ring QQ[variables] with an order: grevlex, lex, or (in the
+    ring `Ideal.eliminate` builds) a block `EliminationOrder`.
 
-    `key` is the order's sort key (`monomial_key`), which division, leading
-    terms and packing read.  `_monomials`, the monomial table of at most
-    `_MONOMIAL_TABLE_SIZE` entries, maps monomial texts `_read_flat` has read
-    (``x^4*y^3*z``) to exponent tuples, and tuples `__str__` has spelled back
-    to text; `_keys`, as bounded, holds the order keys `__str__` sorts by; and
+    `key` (`monomial_key`), which bases, division, leading terms and packing
+    read, is the block order's in its ring and grevlex's in every other: lex
+    decides only the term order `__str__` prints.  `_monomials`, the monomial
+    table of at most `_MONOMIAL_TABLE_SIZE` entries, maps monomial texts
+    `_read_flat` has read (``x^4*y^3*z``) to exponent tuples, and tuples
+    `__str__` has spelled back to text; `_keys`, as bounded, holds the
+    `order` keys `__str__` sorts by; and
     `_layouts` the packed-monomial layouts `groebner` builds, one per field
     width.  Equality, hashing, `repr`, pickling and copies ignore all four,
     which derive from `order` or start cold.  An entry is a pure function of its
@@ -240,7 +242,7 @@ class PolyRing:
         if not (block or self.order in (GREVLEX, LEX)):
             raise ValueError(f"no monomial order {self.order!r} on {len(self.variables)} variables")
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "key", monomial_key(self.order))
+        object.__setattr__(self, "key", monomial_key(GREVLEX if self.order == LEX else self.order))
         one = (0,) * len(self.variables)
         object.__setattr__(self, "_monomials", {"": one, one: ""})
         object.__setattr__(self, "_keys", {})
@@ -270,11 +272,11 @@ class PolyRing:
         return value
 
     def _descending(self, monos) -> list:
-        """`monos` largest first; order keys come from `_keys`, filled on a miss."""
+        """`monos` largest first under `order`; keys from `_keys`, filled on a miss."""
         try:
             return sorted(monos, key=self._keys.__getitem__, reverse=True)
         except KeyError:
-            new = dict(zip(monos, map(self.key, monos)))
+            new = dict(zip(monos, map(monomial_key(self.order), monos)))
             self._keys.update(itertools.islice(new.items(), _MONOMIAL_TABLE_SIZE - len(self._keys)))
             return sorted(monos, key=new.__getitem__, reverse=True)
 
@@ -330,7 +332,7 @@ class Polynomial:
     `terms` is a read-only `{monomial: Fraction}` view of the pair that
     builds each coefficient when it is read, so no second map is kept.
     Three fields are filled lazily: `_hash`, `_lead` (the leading term under
-    the ring's order) and `_pack` (the widest packed divisor form
+    the ring's `key`) and `_pack` (the widest packed divisor form
     `groebner.divide` built, tagged with its field width; left unset until
     then, so building a polynomial costs no extra store).  Each is a pure
     function of the stored pair and the ring, so filling it is idempotent and
@@ -415,7 +417,8 @@ class Polynomial:
         return frozenset(used)
 
     def leading_term(self) -> tuple:
-        """(monomial, coefficient) maximal under the ring's order, memoised."""
+        """(monomial, coefficient) maximal under the ring's `key` (grevlex
+        unless the ring is `eliminate`'s), memoised."""
         lt = self._lead
         if lt is None:
             ints, c = self._form

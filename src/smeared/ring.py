@@ -32,15 +32,7 @@ from typing import Optional, Sequence
 from .groebner import divide_each
 from .ideals import Ideal
 from .linalg import kernel_basis
-from .poly import (
-    GREVLEX,
-    Polynomial,
-    PolyRing,
-    RingMismatchError,
-    monomial_key,
-    monomials_up_to_degree,
-    sum_of_products,
-)
+from .poly import Polynomial, PolyRing, RingMismatchError, monomials_up_to_degree, sum_of_products
 
 
 class NoChainError(ValueError):
@@ -288,8 +280,7 @@ class ConstancyReport:
 
 
 def _radicality_candidates(ideal: Ideal):
-    """Monomials properly dividing a generator's grevlex leading monomial,
-    whatever the ring's order (which leaves the ring's lead memo alone).
+    """Monomials properly dividing a generator's leading monomial.
 
     Spot-check fodder where `jacobian_criterion` proves nothing: if such a
     monomial lies in the radical but not in the ideal, the ideal is certainly
@@ -300,7 +291,7 @@ def _radicality_candidates(ideal: Ideal):
     for g in ideal.generators:
         if g.is_zero():
             continue
-        lm = max(g.integer_form()[0], key=monomial_key(GREVLEX))
+        lm = g.leading_monomial()
         for cand in itertools.product(*(range(e + 1) for e in lm)):
             if cand == lm or sum(cand) == 0 or cand in seen:
                 continue
@@ -581,8 +572,7 @@ def r_basis(d: int, config: SmearedRingConfig) -> list:
     if d < 0:
         raise NegativeDegreeError(d)
     ring = config.ring
-    key = monomial_key(GREVLEX)
-    unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=key, reverse=True)
+    unknowns = sorted(monomials_up_to_degree(ring.nvars, d), key=ring.key, reverse=True)
     rows = []
     for ideal in config.ideals:
         constraints = {}

@@ -11,13 +11,16 @@ ideal found late in Buchberger), the four curves in QQ[x,y,z] (every
 partition, chains, `basis 0..4`, members and non-members, one query error),
 three ideals in QQ[x,y] whose queries fail with every engine refusal that
 names an ideal or a point, numbered from 1 as documents are, the curves'
-ideals and queries under lex order, the one golden run of the lex path, and
-the benchmark's seed-1 Katsura-4 file (`bench/gen.py`), whose member
+ideals and queries under lex order, which computes as grevlex does and
+prints its terms in lex, and the benchmark's seed-1 Katsura-4 file (`bench/gen.py`), whose member
 cofactors come from a 13-element tracked basis, so a changed divisor choice
 in Buchberger's loop changes them, two ideals of QQ[x,y] whose zero sets
 meet, so `run` aborts at the validation gate and exits 2, and two lines in
 24 variables, where a dimension read by scanning variable subsets would
 take 2^24 steps.
+
+Each of the eight under the other ring order must give its golden document
+with its terms printed in that order.
 
 Each golden run document of the first three, cut short or edited in one
 certificate, echo, header or line field, must fail `verify`; so must each
@@ -34,7 +37,9 @@ import contextlib
 import copy
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import tempfile
 from fractions import Fraction
@@ -132,6 +137,56 @@ def test_golden_polynomial_texts_round_trip(name):
     assert len(texts) > 10
     for text in texts:
         assert str(ring.parse(text)) == text
+
+
+def _reprinted(value, ring):
+    """`value` with each polynomial text in it written as `ring` prints it."""
+    if isinstance(value, str):
+        return str(ring.parse(value))
+    if isinstance(value, list):
+        return [_reprinted(item, ring) for item in value]
+    return value
+
+
+def _in_one_ring(text: str, ring) -> list:
+    """A run document's lines, `elapsed_us` dropped and every polynomial
+    text of a payload re-read and written in `ring`."""
+    entries = []
+    for line in text.splitlines():
+        entry = json.loads(line)
+        entry.pop("elapsed_us", None)
+        payload = entry.get("payload") or {}
+        for field in set(_POLYNOMIAL_FIELDS) & set(payload):
+            payload[field] = _reprinted(payload[field], ring)
+        entries.append(entry)
+    return entries
+
+
+_CHILD = "import sys; from smeared.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_the_ring_order_changes_only_printing(name, tmp_path):
+    # each golden problem under the other order (grevlex to lex, lex to
+    # grevlex) gives the golden's document with its terms printed in another
+    # order.  In child processes under a timeout, so an engine that computes
+    # lex bases fails here instead of hanging: Katsura-4's takes minutes
+    problem = json.loads((DATA / f"{name}.json").read_text())
+    problem["ring"]["order"] = "lex" if problem["ring"].get("order", "grevlex") == "grevlex" else "grevlex"
+    flipped, out = tmp_path / f"{name}.json", tmp_path / "out.jsonl"
+    flipped.write_text(json.dumps(problem))
+    env = dict(os.environ, PYTHONPATH=str(Path(poly.__file__).parents[1]))
+
+    def child(*args):
+        return subprocess.run([sys.executable, "-c", _CHILD, *args], capture_output=True, text=True, timeout=60, env=env)
+
+    run = child("run", str(flipped), "--out", str(out))
+    assert run.returncode == RUN_EXIT[name], run.stderr
+    verify = child("verify", str(out), str(flipped))
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    ring = load_problem(str(DATA / f"{name}.json"))[0].ring
+    golden = (DATA / f"{name}.run.jsonl").read_text()
+    assert _in_one_ring(out.read_text(), ring) == _in_one_ring(golden, ring)
 
 
 def _first_payload(entries: list, has) -> dict:

@@ -187,20 +187,22 @@ def test_monomial_key_cached_per_order():
 
 
 def test_leading_term_follows_the_ring_order():
-    # a ring keeps its order's key, which equality, hashing, repr and
-    # pickling ignore; a polynomial's lead is under that key, memoised
+    # a ring keeps the key of its algebra order, grevlex in a lex ring, which
+    # equality, hashing, repr and pickling ignore; a polynomial's lead is
+    # under that key, memoised, and lex shows only in the printed term order
     import pickle
 
-    for order, lt in [
-        (GREVLEX, ((0, 0, 3), 3)),
-        (LEX, ((1, 0, 0), 1)),
-        (EliminationOrder((1,), 3), ((0, 2, 0), 2)),
+    for order, key, lt, text in [
+        (GREVLEX, GREVLEX, ((0, 0, 3), 3), "3*z^3 + 2*y^2 + x"),
+        (LEX, GREVLEX, ((0, 0, 3), 3), "x + 2*y^2 + 3*z^3"),
+        (EliminationOrder((1,), 3), EliminationOrder((1,), 3), ((0, 2, 0), 2), "2*y^2 + 3*z^3 + x"),
     ]:
         ring = PolyRing(("x", "y", "z"), order)
-        assert ring.key is monomial_key(order) and pickle.loads(pickle.dumps(ring)).key is ring.key
+        assert ring.key is monomial_key(key) and pickle.loads(pickle.dumps(ring)).key is ring.key
         assert ring == PolyRing(("x", "y", "z"), order) and "key" not in repr(ring)
         f = ring.parse("x + 2*y^2 + 3*z^3")
         assert f.leading_term() == lt and f.leading_term() is f.leading_term()
+        assert str(f) == text
 
 
 def test_mono_helpers():
